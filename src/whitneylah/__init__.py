@@ -47,6 +47,7 @@ from .verify import (
     CheckResult,
     Config,
     IdentitySpec,
+    InvalidConfig,
     ParamsOutOfDomain,
     Report,
     UnknownIdentity,

@@ -2,8 +2,12 @@
 
 Two building blocks used everywhere else in the package:
 
-* :class:`LaurentPoly` -- a sparse polynomial in one formal variable with
-  ``fractions.Fraction`` coefficients and signed integer exponents.
+* :class:`LaurentPoly` -- a dense polynomial in one formal variable with
+  signed integer exponents: a lowest exponent plus a tuple of
+  coefficients. Coefficients are Python ``int`` wherever they are
+  integral and ``fractions.Fraction`` only where a value needs one, so
+  the q-families, whose coefficients are all integers, never touch
+  ``Fraction`` arithmetic.
 * :class:`TruncSeries` -- a power series in a second formal variable,
   truncated at a fixed order, whose coefficients live in any ring that
   supports ``+``/``-``/``*`` (rationals or Laurent polynomials).
@@ -19,12 +23,11 @@ so instances may be shared freely between threads.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
+from operator import add, mul, sub
 from typing import Iterable, Iterator, Mapping, Union
 
 Scalar = Union[int, Fraction]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -39,85 +42,106 @@ class NonInvertibleConstantTerm(ArithmeticError):
     """Series inversion requires a unit constant coefficient."""
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
+def _scalar(value) -> Scalar:
+    """A coefficient in canonical form: an ``int`` if integral, else a Fraction."""
+    if type(value) is int:
         return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     raise TypeError(f"coefficient must be int or Fraction, got {value!r}")
 
 
-class LaurentPoly:
-    """Sparse Laurent polynomial: a finite map exponent -> nonzero Fraction.
+def _canon(cs: list) -> list:
+    """Store every Fraction with denominator 1 as an ``int``."""
+    if Fraction in map(type, cs):
+        return [
+            c.numerator if type(c) is Fraction and c.denominator == 1 else c
+            for c in cs
+        ]
+    return cs
 
-    The stored form is canonical (zero coefficients are never kept), so two
-    polynomials are mathematically equal iff their term maps are identical;
-    ``==`` is a structural check. Exponents may be negative.
+
+class LaurentPoly:
+    """Dense Laurent polynomial: ``sum(c[i] * q^(lo + i))``.
+
+    The stored form is canonical: the coefficient tuple never starts or
+    ends with a zero, the zero polynomial is ``lo = 0`` with no
+    coefficients, and integral coefficients are ``int``. Two polynomials
+    are therefore mathematically equal iff their stored forms are
+    identical; ``==`` is a structural check. Exponents may be negative.
+    Storage is proportional to ``max_exp - min_exp``.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_lo", "_c")
 
     def __init__(self, terms: Mapping[int, Scalar] | Iterable[tuple[int, Scalar]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[int, Fraction] = {}
+        acc: dict[int, Scalar] = {}
         for exp, coeff in items:
             if not isinstance(exp, int) or isinstance(exp, bool):
                 raise TypeError(f"exponent must be int, got {exp!r}")
-            c = acc.get(exp, _ZERO) + _as_fraction(coeff)
-            if c:
-                acc[exp] = c
-            else:
-                acc.pop(exp, None)
-        self._terms = acc
+            acc[exp] = acc.get(exp, 0) + _scalar(coeff)
+        exps = [e for e, c in acc.items() if c]
+        self._lo = min(exps, default=0)
+        dense = [0] * (max(exps) - self._lo + 1 if exps else 0)
+        for e in exps:
+            dense[e - self._lo] = acc[e]
+        self._c = tuple(_canon(dense))
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
-        return cls()
+        return _ZERO_POLY
 
     @classmethod
     def one(cls) -> "LaurentPoly":
-        return cls({0: 1})
+        return _ONE_POLY
 
     @classmethod
     def var(cls) -> "LaurentPoly":
         """The formal variable itself (exponent 1, coefficient 1)."""
-        return cls({1: 1})
+        return _make(1, (1,))
 
     # -- inspection ----------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._c
 
-    def items(self) -> Iterator[tuple[int, Fraction]]:
-        """Terms in ascending exponent order."""
-        return iter(sorted(self._terms.items()))
+    def items(self) -> Iterator[tuple[int, Scalar]]:
+        """Nonzero terms in ascending exponent order; integral
+        coefficients are ``int``."""
+        lo = self._lo
+        return ((lo + i, c) for i, c in enumerate(self._c) if c)
 
-    def coeff(self, exp: int) -> Fraction:
-        return self._terms.get(exp, _ZERO)
+    def coeff(self, exp: int) -> Scalar:
+        i = exp - self._lo
+        return self._c[i] if 0 <= i < len(self._c) else 0
 
     @property
     def min_exp(self) -> int:
-        if not self._terms:
+        if not self._c:
             raise ValueError("zero polynomial has no exponents")
-        return min(self._terms)
+        return self._lo
 
     @property
     def max_exp(self) -> int:
-        if not self._terms:
+        if not self._c:
             raise ValueError("zero polynomial has no exponents")
-        return max(self._terms)
+        return self._lo + len(self._c) - 1
 
     def is_constant(self) -> bool:
-        return not self._terms or set(self._terms) == {0}
+        return not self._c or (self._lo == 0 and len(self._c) == 1)
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._c)
 
     def __len__(self) -> int:
-        return len(self._terms)
+        """Number of nonzero terms."""
+        return len(self._c) - self._c.count(0)
 
     # -- ring operations -----------------------------------------------
 
@@ -126,55 +150,47 @@ class LaurentPoly:
         if isinstance(other, LaurentPoly):
             return other
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return LaurentPoly({0: other})
+            c = _scalar(other)
+            return _make(0, (c,)) if c else _ZERO_POLY
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out = dict(self._terms)
-        for e, c in o._terms.items():
-            s = out.get(e, _ZERO) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return _wrap(out)
+        return _combine(self, o, add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _wrap({e: -c for e, c in self._terms.items()})
+        return _make(self._lo, tuple([-c for c in self._c]))
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return _combine(self, o, sub)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return _combine(o, self, sub)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not self._terms or not o._terms:
-            return LaurentPoly()
-        out: dict[int, Fraction] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in o._terms.items():
-                e = e1 + e2
-                s = out.get(e, _ZERO) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return _wrap(out)
+        a, b = self._c, o._c
+        if not a or not b:
+            return _ZERO_POLY
+        lo = self._lo + o._lo
+        if len(a) == 1:
+            return _scaled(lo, b, a[0])
+        if len(b) == 1:
+            return _scaled(lo, a, b[0])
+        # the product of two nonzero polynomials has nonzero end terms
+        return _make(lo, tuple(_canon(_product(a, b))))
 
     __rmul__ = __mul__
 
@@ -194,13 +210,13 @@ class LaurentPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._terms == o._terms
+        return self._lo == o._lo and self._c == o._c
 
     def __hash__(self) -> int:
         if self.is_constant():
             # constants must hash like the scalar they equal
             return hash(self.coeff(0))
-        return hash(tuple(sorted(self._terms.items())))
+        return hash(tuple(self.items()))
 
     # -- rendering -------------------------------------------------------
 
@@ -211,28 +227,24 @@ class LaurentPoly:
         coefficients on a variable part are elided (``q^2``, ``-q^2``).
         This rendering is bit-exact for equal polynomials.
         """
-        if not self._terms:
+        if not self._c:
             return "0"
         parts = []
-        for e, c in sorted(self._terms.items()):
+        for e, c in self.items():
+            if c < 0:
+                parts.append(" - ")
+                c = -c
+            else:
+                parts.append(" + ")
             if e == 0:
-                body = str(c)
-            else:
-                qpart = var if e == 1 else f"{var}^{e}"
-                if c == 1:
-                    body = qpart
-                elif c == -1:
-                    body = "-" + qpart
-                else:
-                    body = f"{c}*{qpart}"
-            parts.append(body)
-        out = parts[0]
-        for body in parts[1:]:
-            if body.startswith("-"):
-                out += " - " + body[1:]
-            else:
-                out += " + " + body
-        return out
+                parts.append(str(c))
+                continue
+            if c != 1:
+                parts.append(f"{c}*")
+            parts.append(var if e == 1 else f"{var}^{e}")
+        # the first separator becomes a bare sign, or nothing
+        parts[0] = "-" if parts[0] == " - " else ""
+        return "".join(parts)
 
     def __str__(self) -> str:
         return self.to_str()
@@ -241,15 +253,88 @@ class LaurentPoly:
         return f"LaurentPoly({self.to_str()!r})"
 
 
-def _wrap(terms: dict[int, Fraction]) -> LaurentPoly:
+def _make(lo: int, cs: tuple) -> LaurentPoly:
+    """Wrap an already canonical coefficient tuple (no end zeros)."""
     p = LaurentPoly.__new__(LaurentPoly)
-    p._terms = terms
+    p._lo = lo
+    p._c = cs
     return p
+
+
+_ZERO_POLY = _make(0, ())
+_ONE_POLY = _make(0, (1,))
+
+
+def _trimmed(lo: int, cs: list) -> LaurentPoly:
+    """Canonical polynomial from a coefficient list that may carry end zeros."""
+    end = len(cs)
+    while end and not cs[end - 1]:
+        end -= 1
+    start = 0
+    while start < end and not cs[start]:
+        start += 1
+    if not end:
+        return _ZERO_POLY
+    return _make(lo + start, tuple(_canon(cs[start:end])))
+
+
+def _combine(p: LaurentPoly, o: LaurentPoly, op) -> LaurentPoly:
+    """``op(p, o)`` coefficient-wise, for ``op`` in (add, sub)."""
+    a, b = p._c, o._c
+    if not b:
+        return p
+    if not a:
+        return o if op is add else -o
+    lo = min(p._lo, o._lo)
+    out = [0] * (max(p._lo + len(a), o._lo + len(b)) - lo)
+    i = p._lo - lo
+    out[i : i + len(a)] = a
+    j = o._lo - lo
+    out[j : j + len(b)] = map(op, out[j : j + len(b)], b)
+    return _trimmed(lo, out)
+
+
+def _scaled(lo: int, cs: tuple, s: Scalar) -> LaurentPoly:
+    """``s * q^lo * sum(cs[i] q^i)`` for a nonzero scalar ``s``: a shift and
+    scale in O(len); a unit scalar reuses the tuple."""
+    if s == 1:
+        return _make(lo, cs)
+    if s == -1:
+        return _make(lo, tuple([-c for c in cs]))
+    return _make(lo, tuple(_canon([c * s for c in cs])))
+
+
+def _product(a: tuple, b: tuple) -> list:
+    """Schoolbook product of two dense coefficient tuples.
+
+    The outer loop runs over the nonzero coefficients of one factor and
+    adds a scaled copy of the other; the factor is chosen to minimise the
+    work, so a sparse factor such as ``qint(m, alpha)`` costs one pass over
+    the other factor per nonzero term.
+    """
+    if (len(a) - a.count(0)) * len(b) > (len(b) - b.count(0)) * len(a):
+        a, b = b, a
+    nb = len(b)
+    out = [0] * (len(a) + nb - 1)
+    for i, x in enumerate(a):
+        if not x:
+            continue
+        j = i + nb
+        if x == 1:
+            out[i:j] = map(add, out[i:j], b)
+        elif x == -1:
+            out[i:j] = map(sub, out[i:j], b)
+        else:
+            out[i:j] = map(add, out[i:j], map(mul, repeat(x), b))
+    return out
 
 
 def monomial(exp: int, coeff: Scalar = 1) -> LaurentPoly:
     """The single-term polynomial ``coeff * q^exp``."""
-    return LaurentPoly({exp: coeff})
+    if not isinstance(exp, int) or isinstance(exp, bool):
+        raise TypeError(f"exponent must be int, got {exp!r}")
+    c = _scalar(coeff)
+    return _make(exp, (c,)) if c else _ZERO_POLY
 
 
 def lp_mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
@@ -261,38 +346,36 @@ def lp_div_exact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """Exact quotient ``a / b`` in the Laurent ring.
 
     Performs ascending-exponent long division after shifting both operands
-    so the divisor's lowest exponent is zero. Any nonzero remainder raises
+    so the divisor's lowest exponent is zero. A quotient coefficient stays
+    an ``int`` when the divisor's lowest coefficient divides it exactly and
+    becomes a Fraction otherwise. Any nonzero remainder raises
     :class:`NonExactDivision`; nothing is ever truncated silently.
     """
     if b.is_zero:
         raise DivisionByZero("division by the zero polynomial")
     if a.is_zero:
-        return LaurentPoly()
-    shift = a.min_exp - b.min_exp
-    a_lo = a.min_exp
-    b_lo = b.min_exp
-    rem = {e - a_lo: c for e, c in a._terms.items()}
-    div = {e - b_lo: c for e, c in b._terms.items()}
-    # exact quotients are bounded in degree by deg(a) - deg(b)
-    max_qexp = max(rem) - max(div)
+        return _ZERO_POLY
+    rem = list(a._c)
+    div = b._c
+    nd = len(div)
     lead = div[0]
-    quot: dict[int, Fraction] = {}
-    while rem:
-        e = min(rem)
-        if e > max_qexp:
-            raise NonExactDivision(
-                f"{a.to_str()!s} is not divisible by {b.to_str()!s}"
-            )
-        c = rem[e] / lead
-        quot[e] = c
-        for be, bc in div.items():
-            ne = e + be
-            s = rem.get(ne, _ZERO) - c * bc
-            if s:
-                rem[ne] = s
-            else:
-                rem.pop(ne, None)
-    return _wrap({e + shift: c for e, c in quot.items()})
+    # exact quotients are bounded in degree by deg(a) - deg(b)
+    nq = max(len(rem) - nd + 1, 0)
+    quot = [0] * nq
+    for i in range(nq):
+        c = rem[i]
+        if not c:
+            continue
+        if type(c) is int and type(lead) is int and not c % lead:
+            qc = c // lead
+        else:
+            qc = _scalar(Fraction(c) / lead)
+        quot[i] = qc
+        j = i + nd
+        rem[i:j] = map(sub, rem[i:j], map(mul, repeat(qc), div))
+    if any(rem[nq:]):
+        raise NonExactDivision(f"{a.to_str()!s} is not divisible by {b.to_str()!s}")
+    return _trimmed(a._lo - b._lo, quot)
 
 
 def lp_eval_q1(a: LaurentPoly) -> Fraction:
@@ -301,16 +384,17 @@ def lp_eval_q1(a: LaurentPoly) -> Fraction:
     Negative exponents contribute like non-negative ones since 1^e = 1.
     This is a ring homomorphism onto the rationals.
     """
-    return sum(a._terms.values(), _ZERO)
+    return sum(a._c, Fraction(0))
 
 
 class TruncSeries:
     """Power series truncated at a fixed order N (exact modulo t^(N+1)).
 
     Coefficients may be ints, Fractions, or LaurentPoly values; they only
-    need ring arithmetic. Binary operations between series of different
-    orders truncate to the smaller order, never claiming more precision
-    than both operands carry.
+    need ring arithmetic. Missing coefficients are the zero of that ring
+    (the zero polynomial when any coefficient is a LaurentPoly, else 0).
+    Binary operations between series of different orders truncate to the
+    smaller order, never claiming more precision than both operands carry.
     """
 
     __slots__ = ("_order", "_coeffs")
@@ -324,7 +408,9 @@ class TruncSeries:
         if order < 0:
             raise ValueError("order must be non-negative")
         cs = cs[: order + 1]
-        cs += [_ZERO] * (order + 1 - len(cs))
+        if len(cs) <= order:
+            zero = _ZERO_POLY if any(isinstance(c, LaurentPoly) for c in cs) else 0
+            cs += [zero] * (order + 1 - len(cs))
         self._order = order
         self._coeffs = tuple(cs)
 
@@ -334,11 +420,11 @@ class TruncSeries:
 
     @classmethod
     def one(cls, order: int) -> "TruncSeries":
-        return cls.constant(_ONE, order)
+        return cls.constant(1, order)
 
     @classmethod
     def zero(cls, order: int) -> "TruncSeries":
-        return cls.constant(_ZERO, order)
+        return cls.constant(0, order)
 
     @property
     def order(self) -> int:
@@ -389,12 +475,8 @@ class TruncSeries:
     def __mul__(self, other):
         if isinstance(other, TruncSeries):
             n = min(self._order, other._order)
-            out = []
-            for m in range(n + 1):
-                acc = _ZERO
-                for i in range(m + 1):
-                    acc = acc + self._coeffs[i] * other._coeffs[m - i]
-                out.append(acc)
+            a, b = self._coeffs, other._coeffs
+            out = [sum(map(mul, a[: m + 1], b[m::-1])) for m in range(n + 1)]
             return TruncSeries(out, n)
         if self._is_scalar(other):
             return TruncSeries([c * other for c in self._coeffs], self._order)
@@ -422,7 +504,7 @@ def _unit_inverse(c0):
     if isinstance(c0, (int, Fraction)) and not isinstance(c0, bool):
         if c0 == 0:
             raise NonInvertibleConstantTerm("constant term is zero")
-        return _ONE / _as_fraction(c0)
+        return _scalar(1 / Fraction(c0))
     if isinstance(c0, LaurentPoly):
         if c0.is_zero:
             raise NonInvertibleConstantTerm("constant term is zero")
@@ -431,7 +513,7 @@ def _unit_inverse(c0):
                 f"constant term {c0} is not a unit in the Laurent ring"
             )
         ((e, c),) = c0.items()
-        return monomial(-e, _ONE / c)
+        return monomial(-e, 1 / Fraction(c))
     raise NonInvertibleConstantTerm(f"unsupported coefficient {c0!r}")
 
 
@@ -441,21 +523,28 @@ def ts_inverse(s: TruncSeries) -> TruncSeries:
     The constant coefficient must be a unit (nonzero rational, or a single
     Laurent monomial); otherwise :class:`NonInvertibleConstantTerm`.
     """
-    inv0 = _unit_inverse(s.coeff(0))
+    cs = s.coeffs
+    inv0 = _unit_inverse(cs[0])
     out = [inv0]
     for n in range(1, s.order + 1):
-        acc = _ZERO
-        for i in range(1, n + 1):
-            acc = acc + s.coeff(i) * out[n - i]
-        out.append(-1 * (inv0 * acc))
+        acc = sum(map(mul, cs[1 : n + 1], out[::-1]))
+        out.append(-(inv0 * acc))
     return TruncSeries(out, s.order)
 
 
 def ts_pow(s: TruncSeries, k: int) -> TruncSeries:
-    """k-fold product of a truncated series with itself; k = 0 gives 1."""
+    """k-fold product of a truncated series with itself; k = 0 gives 1.
+
+    Computed by repeated squaring: about log2(k) products, none of them
+    against the unit series.
+    """
     if not isinstance(k, int) or k < 0:
         raise ValueError("power must be a non-negative integer")
-    result = TruncSeries.one(s.order)
-    for _ in range(k):
-        result = result * s
-    return result
+    result = None
+    while k:
+        if k & 1:
+            result = s if result is None else result * s
+        k >>= 1
+        if k:
+            s = s * s
+    return TruncSeries.one(s.order) if result is None else result

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import LaurentPoly
+from .arith import LaurentPoly, NonExactDivision
 
 CLASSICAL_FAMILIES = ("stirling1u", "stirling2", "lah")
 
@@ -137,7 +137,8 @@ def binomial(r: int, k: int) -> int:
     for i in range(k):
         num *= r - i
     q, rem = divmod(num, math.factorial(k))
-    assert rem == 0
+    if rem:
+        raise NonExactDivision(f"falling product of {r} is not divisible by {k}!")
     return q
 
 

@@ -5,7 +5,7 @@ All output is deterministic: identical invocations print identical bytes.
 Values are always emitted as strings (classical families as decimal
 integers, q-families in the canonical Laurent polynomial form) because the
 exact integers routinely exceed what consumers of native JSON numbers can
-represent.
+represent. Integers print in full at any length.
 
 Exit codes: 0 success (and all checks passed), 1 verification failure,
 2 usage or domain error.
@@ -23,7 +23,7 @@ from typing import Callable, Optional
 from . import classical, qwhitney, whitney
 from .arith import NonExactDivision, NonInvertibleConstantTerm
 from .qcalc import InvalidOrder, NegativeArgument, qfact, qint
-from .verify import Config, report_to_json, run_suite
+from .verify import Config, InvalidConfig, report_to_json, run_suite
 from .whitney import InvalidAlpha
 
 
@@ -65,7 +65,7 @@ _DOMAIN_ERRORS = (
     NonInvertibleConstantTerm,
     qwhitney.InvalidRange,
     classical.ScaleExceeded,
-    ValueError,
+    InvalidConfig,
 )
 
 
@@ -158,7 +158,12 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    alpha_list = tuple(int(a) for a in args.alpha_list.split(","))
+    try:
+        alpha_list = tuple(int(a) for a in args.alpha_list.split(","))
+    except ValueError:
+        raise _UsageError(
+            f"--alpha-list must be comma-separated integers, got {args.alpha_list!r}"
+        ) from None
     cfg = Config(
         suite=args.suite, alpha_list=alpha_list, n_max=args.n_max, mode=args.mode
     )
@@ -260,6 +265,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    # Exact integers of any length must print: lift CPython's int-to-str
+    # digit limit (3.11+, some 3.10 patch releases) for the call.
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    limit = get_limit() if get_limit else None
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except _UsageError as exc:
@@ -268,6 +279,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except _DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

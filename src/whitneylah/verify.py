@@ -84,6 +84,10 @@ class ParamsOutOfDomain(ValueError):
     """The parameters fall outside the identity's registered grid."""
 
 
+class InvalidConfig(ValueError):
+    """A suite configuration names an unknown suite or mode, or n_max < 1."""
+
+
 @dataclass(frozen=True)
 class Config:
     """Grid selection for a suite run. Each identity intersects this with
@@ -96,11 +100,11 @@ class Config:
 
     def __post_init__(self):
         if self.suite not in SUITES:
-            raise ValueError(f"suite must be one of {SUITES}, got {self.suite!r}")
+            raise InvalidConfig(f"suite must be one of {SUITES}, got {self.suite!r}")
         if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+            raise InvalidConfig(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.n_max < 1:
-            raise ValueError(f"n_max must be at least 1, got {self.n_max}")
+            raise InvalidConfig(f"n_max must be at least 1, got {self.n_max}")
         object.__setattr__(self, "alpha_list", tuple(self.alpha_list))
 
     def as_dict(self) -> dict:
@@ -803,8 +807,6 @@ def _chk_pe2(p: dict, mode: str):
     for i in range(n):
         prod = prod * ts_inverse(TruncSeries([LaurentPoly.one(), -monomial(i)], 8))
     lhs = prod.coeff(k)
-    if not isinstance(lhs, LaurentPoly):
-        lhs = LaurentPoly({0: lhs})
     rhs = qbinom(n + k - 1, k)
     return lhs == rhs, _qstr(lhs), _qstr(rhs)
 

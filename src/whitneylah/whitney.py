@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
-from .arith import TruncSeries, ts_inverse, ts_pow
+from .arith import NonExactDivision, TruncSeries, ts_inverse, ts_pow
 from .classical import lah
 
 WHITNEY_FAMILIES = ("tw1", "tw2", "twl")
@@ -107,7 +107,10 @@ def tw2_explicit(alpha: int, n: int, k: int) -> int:
     for j in range(k + 1):
         acc += (-1) ** (k - j) * math.comb(k, j) * (alpha * j) ** n
     q, rem = divmod(acc, alpha**k * math.factorial(k))
-    assert rem == 0
+    if rem:
+        raise NonExactDivision(
+            f"power sum for ({alpha}, {n}, {k}) is not divisible by {alpha}^{k} {k}!"
+        )
     return q
 
 
@@ -141,7 +144,8 @@ def twl(alpha: int, n: int, k: int, method: str = "recurrence") -> int:
         for j in range(k + 1):
             acc += (-1) ** (k - j) * math.comb(k, j) * _rising_value(j, n)
         q, rem = divmod(acc, math.factorial(k))
-        assert rem == 0
+        if rem:
+            raise NonExactDivision(f"rising sum for ({n}, {k}) is not divisible by {k}!")
         return alpha ** (n - k) * q
     if method == "product":
         if k == 0:

@@ -2,6 +2,8 @@
 0/1/2 exit-code contract."""
 
 import json
+import math
+import sys
 
 import pytest
 
@@ -215,3 +217,37 @@ class TestUsage:
     def test_negative_n_max(self, capsys):
         code, _, _ = run_cli(capsys, "table", "--family", "lah", "--n-max", "-1")
         assert code == 2
+
+    def test_bad_alpha_list_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--alpha-list", "1,x")
+        assert code == 2
+        assert out == ""
+        assert "--alpha-list" in err
+
+    def test_n_max_below_one_is_domain_error(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--n-max", "0")
+        assert code == 2
+        assert out == ""
+        assert "n_max" in err
+
+
+def _parse_decimal(text: str) -> int:
+    """int(text) in chunks, so it works under any int-to-str digit limit."""
+    value = 0
+    for i in range(0, len(text), 1000):
+        chunk = text[i : i + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+class TestHugeIntegers:
+    def test_integer_past_the_str_digit_limit_prints(self, capsys):
+        # L(n, 1) = n!; 1700! has 4756 digits, past CPython's default limit
+        # of 4300 digits for int-to-str conversion
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code, out, err = run_cli(capsys, "eval", "--family", "lah", "--n", "1700", "--k", "1")
+        assert (code, err) == (0, "")
+        assert out.endswith("\n") and len(out) == 4757
+        assert _parse_decimal(out.strip()) == math.factorial(1700)
+        # the limit is lifted for the call only
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
