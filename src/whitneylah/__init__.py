@@ -10,13 +10,11 @@ from .arith import (
     TruncSeries,
     lp_div_exact,
     lp_eval_q1,
-    lp_mul,
     monomial,
     ts_inverse,
     ts_pow,
 )
 from .classical import (
-    ClassicalTriangle,
     ScaleExceeded,
     bell,
     binomial,
@@ -31,7 +29,6 @@ from .classical import (
 from .qcalc import InvalidOrder, NegativeArgument, gqf_at, qbinom, qfact, qfalling, qint
 from .qwhitney import (
     InvalidRange,
-    QTriangle,
     qbinom_inverse_transform,
     qbinom_transform,
     qdowling,
@@ -61,7 +58,6 @@ from .whitney import (
     InvalidAlpha,
     MansourSpec,
     NoConvergence,
-    WhitneyTriangle,
     dowling,
     dowling_dobinski,
     dowling_qi,

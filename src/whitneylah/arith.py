@@ -337,11 +337,6 @@ def monomial(exp: int, coeff: Scalar = 1) -> LaurentPoly:
     return _make(exp, (c,)) if c else _ZERO_POLY
 
 
-def lp_mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Exact product of two Laurent polynomials."""
-    return a * b
-
-
 def lp_div_exact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """Exact quotient ``a / b`` in the Laurent ring.
 

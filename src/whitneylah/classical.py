@@ -14,7 +14,6 @@ to verify horizontal generating-function identities by dense expansion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .arith import LaurentPoly, NonExactDivision
@@ -167,27 +166,3 @@ def genfact_poly(n: int, alpha: int) -> LaurentPoly:
     for i in range(n):
         out = out * (t - i * alpha)
     return out
-
-
-@dataclass(frozen=True)
-class ClassicalTriangle:
-    """A fully built lower-triangular table of one classical family."""
-
-    family: str
-    rows: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def build(cls, family: str, n_max: int) -> "ClassicalTriangle":
-        fns = {"stirling1u": stirling1u, "stirling2": stirling2, "lah": lah}
-        if family not in fns:
-            raise ValueError(f"unknown classical family {family!r}")
-        fn = fns[family]
-        rows = tuple(
-            tuple(fn(n, k) for k in range(n + 1)) for n in range(n_max + 1)
-        )
-        return cls(family, rows)
-
-    def value(self, n: int, k: int) -> int:
-        if 0 <= k <= n < len(self.rows):
-            return self.rows[n][k]
-        return 0

@@ -24,7 +24,6 @@ Triangles are memoized per (family, alpha) and immutable once built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -266,36 +265,3 @@ def qbinom_inverse_transform(F: Sequence[LaurentPoly], alpha: int = 1) -> list[L
             )
         out.append(acc)
     return out
-
-
-@dataclass(frozen=True)
-class QTriangle:
-    """A fully built q-family triangle of Laurent polynomial values."""
-
-    family: str
-    alpha: int
-    rows: tuple[tuple[LaurentPoly, ...], ...]
-
-    @classmethod
-    def build(cls, family: str, alpha: int, n_max: int) -> "QTriangle":
-        if family == "qw1":
-            _check_alpha_nonzero(alpha)
-            rows = tuple(_qw1_row(alpha, n) for n in range(n_max + 1))
-        elif family == "qw2":
-            _check_alpha_nonzero(alpha)
-            rows = tuple(_qw2_row(alpha, n) for n in range(n_max + 1))
-        elif family == "qwl":
-            _check_alpha_positive(alpha)
-            rows = tuple(_qwl_row(alpha, n) for n in range(n_max + 1))
-        elif family == "qlah_gr":
-            if alpha != 1:
-                raise InvalidAlpha("the Garsia-Remmel q-Lah triangle has alpha = 1")
-            rows = tuple(_qlah_gr_row(n) for n in range(n_max + 1))
-        else:
-            raise ValueError(f"unknown q-family {family!r}")
-        return cls(family, alpha, rows)
-
-    def value(self, n: int, k: int) -> LaurentPoly:
-        if 0 <= k <= n < len(self.rows):
-            return self.rows[n][k]
-        return LaurentPoly.zero()

@@ -266,10 +266,15 @@ def dowling_dobinski(
     total = 1.0 if n == 0 else 0.0
     term = 0.0
     for i in range(1, max_terms):
-        if i == 1:
-            term = float(alpha) ** (n - 1)
-        else:
-            term *= (i / (i - 1)) ** n / (i * alpha)
+        try:
+            if i == 1:
+                term = float(alpha) ** (n - 1)
+            else:
+                term *= (i / (i - 1)) ** n / (i * alpha)
+        except OverflowError:
+            raise NoConvergence(
+                f"a term of the series overflows a float (alpha={alpha}, n={n})"
+            ) from None
         total += term
         if total > 0.0 and term < rel_tol * total:
             return math.exp(-1.0 / alpha) * total
@@ -303,26 +308,3 @@ def twl_egf_series(alpha: int, k: int, order: int) -> TruncSeries:
     geom = ts_inverse(TruncSeries([1, -alpha], order))
     t = TruncSeries([0, 1], order)
     return ts_pow(t * geom, k) * Fraction(1, math.factorial(k))
-
-
-@dataclass(frozen=True)
-class WhitneyTriangle:
-    """A fully built translated Whitney-family triangle."""
-
-    family: str
-    alpha: int
-    rows: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def build(cls, family: str, alpha: int, n_max: int) -> "WhitneyTriangle":
-        rowfns = {"tw1": _tw1_row, "tw2": _tw2_row, "twl": _twl_row}
-        if family not in rowfns:
-            raise ValueError(f"unknown Whitney family {family!r}")
-        _check_alpha(alpha)
-        rows = tuple(rowfns[family](alpha, n) for n in range(n_max + 1))
-        return cls(family, alpha, rows)
-
-    def value(self, n: int, k: int) -> int:
-        if 0 <= k <= n < len(self.rows):
-            return self.rows[n][k]
-        return 0

@@ -7,7 +7,6 @@ import pytest
 
 from whitneylah.arith import LaurentPoly
 from whitneylah.classical import (
-    ClassicalTriangle,
     ScaleExceeded,
     bell,
     binomial,
@@ -153,16 +152,3 @@ class TestFactorialPolynomials:
             for k in range(n + 1):
                 rhs = rhs + lah(n, k) * falling_poly(k)
             assert rising_poly(n) == rhs, n
-
-
-class TestTriangle:
-    def test_build_and_lookup(self):
-        tri = ClassicalTriangle.build("lah", 5)
-        assert tri.rows[0] == (1,)
-        assert tri.value(4, 2) == 36
-        assert tri.value(2, 3) == 0
-        assert tri.value(9, 1) == 0
-
-    def test_unknown_family(self):
-        with pytest.raises(ValueError):
-            ClassicalTriangle.build("fibonacci", 3)

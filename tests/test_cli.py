@@ -224,6 +224,23 @@ class TestUsage:
         assert out == ""
         assert "--alpha-list" in err
 
+    @pytest.mark.parametrize("alphas", ["0", "5"])
+    def test_alpha_no_identity_checks_is_domain_error(self, capsys, alphas):
+        code, out, err = run_cli(
+            capsys, "verify", "--alpha-list", alphas, "--n-max", "3"
+        )
+        assert code == 2
+        assert out == ""
+        assert f"checks alpha {alphas}; the alphas it checks are 1, 2, 3" in err
+
+    def test_q_suite_runs_alpha_three_in_pe1(self, capsys):
+        # 44 pe1 checks at alpha 3 plus 36 that take no alpha
+        code, out, _ = run_cli(
+            capsys, "verify", "--suite", "q", "--alpha-list", "3", "--n-max", "3"
+        )
+        assert code == 0
+        assert "total=80 passed=80 failed=0" in out
+
     def test_n_max_below_one_is_domain_error(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--n-max", "0")
         assert code == 2

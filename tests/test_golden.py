@@ -1,14 +1,19 @@
-"""CLI output must stay byte-identical to the golden files in tests/golden/.
+"""CLI output and every identity check must stay byte-identical to the
+golden files in tests/golden/.
 
-The files were rendered by the sparse dict-of-Fraction kernel that preceded
-the dense integer kernel; each case is (file name, expected exit code, argv).
+The CLI files were rendered by the sparse dict-of-Fraction kernel that
+preceded the dense integer kernel; each case is (file name, expected exit
+code, argv).
 """
 
+import hashlib
+import json
 from pathlib import Path
 
 import pytest
 
 from whitneylah import cli
+from whitneylah.verify import Config, check_identity, get_identity, registry_ids
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -36,3 +41,37 @@ def test_output_matches_golden(capsys, name, rc, argv):
         argv = argv + ["--format", "csv", "--n-max", "8"]
     assert cli.main(argv) == rc
     assert capsys.readouterr().out == (GOLDEN / name).read_text()
+
+
+# Every check's rendered sides, not only the failures a report prints: for
+# each mode, identity id -> [check count, sha256 of its sorted
+# (params, passed, lhs, rhs) lines] over the grid that
+# run_suite(alpha_list=(1, 2, 3), n_max=12) runs, where every grid reaches
+# its cap. Captured from the hand-written registry that preceded the
+# declarative one.
+CHECKS = "verify_checks.json"
+
+
+def checks_digest(mode: str) -> dict:
+    cfg = Config(suite="all", alpha_list=(1, 2, 3), n_max=12, mode=mode)
+    digest = {}
+    for ident in registry_ids():
+        spec = get_identity(ident)
+        point_mode = mode if mode in spec.modes else "corrected"
+        results = (
+            check_identity(ident, {**p, "mode": point_mode}) for p in spec.domain(cfg)
+        )
+        lines = sorted(
+            json.dumps(
+                [r.params, r.passed, r.lhs_canonical, r.rhs_canonical], sort_keys=True
+            )
+            for r in results
+        )
+        sha = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        digest[ident] = [len(lines), sha]
+    return digest
+
+
+@pytest.mark.parametrize("mode", ["corrected", "as_printed"])
+def test_every_check_matches_golden(mode):
+    assert checks_digest(mode) == json.loads((GOLDEN / CHECKS).read_text())[mode]

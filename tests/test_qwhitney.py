@@ -11,7 +11,6 @@ from whitneylah.qcalc import qfact, qint
 from whitneylah.whitney import InvalidAlpha, dowling
 from whitneylah.qwhitney import (
     InvalidRange,
-    QTriangle,
     gqf_point,
     qbinom_inverse_transform,
     qbinom_transform,
@@ -277,23 +276,3 @@ class TestClassicalLimits:
                     ) * stirling1u(n, k)
                     assert lp_eval_q1(qlah_gr(n, k)) == lah(n, k)
                 assert lp_eval_q1(qdowling(a, n)) == dowling(a, n)
-
-
-class TestTriangleType:
-    def test_build(self):
-        tri = QTriangle.build("qwl", 2, 4)
-        assert tri.rows[0][0] == LaurentPoly.one()
-        assert tri.value(2, 1).to_str() == "1 + q + q^2 + q^3"
-        assert tri.value(1, 2).is_zero
-
-    def test_signed_alpha_families(self):
-        tri = QTriangle.build("qw2", -1, 3)
-        assert tri.value(2, 1).to_str() == "-q^-1"
-
-    def test_validation(self):
-        with pytest.raises(InvalidAlpha):
-            QTriangle.build("qwl", -2, 3)
-        with pytest.raises(InvalidAlpha):
-            QTriangle.build("qlah_gr", 2, 3)
-        with pytest.raises(ValueError):
-            QTriangle.build("qw9", 1, 3)

@@ -2,11 +2,14 @@
 and the erratum-documentation mode."""
 
 import json
+import time
+from collections import Counter
 
 import pytest
 
 from whitneylah.verify import (
     Config,
+    InvalidConfig,
     ParamsOutOfDomain,
     Report,
     UnknownIdentity,
@@ -147,6 +150,36 @@ class TestRunSuite:
         with pytest.raises(ValueError):
             Config(mode="fixed")
 
+    def test_alpha_that_no_identity_checks_is_rejected(self):
+        with pytest.raises(InvalidConfig, match="checks alpha 4; .* are 1, 2, 3$"):
+            Config(suite="q", alpha_list=(1, 4))
+        # pe1 runs at the classical alphas, so the q suite checks alpha 3
+        cfg = Config(suite="q", alpha_list=(3,), n_max=3)
+        assert {p["alpha"] for p in get_identity("pe1").domain(cfg)} == {3}
+
+    def test_check_is_looked_up_at_every_grid_point(self):
+        # perfbench/tracer.py times each identity by replacing spec.check
+        calls = Counter()
+
+        def counting(ident, check):
+            def counted(*args, **kwargs):
+                calls[ident] += 1
+                return check(*args, **kwargs)
+
+            return counted
+
+        specs = [get_identity(i) for i in registry_ids()]
+        originals = [spec.check for spec in specs]
+        for spec in specs:
+            object.__setattr__(spec, "check", counting(spec.id, spec.check))
+        try:
+            report = run_suite(alpha_list=(1, 2), n_max=3, mode="as_printed")
+        finally:
+            for spec, check in zip(specs, originals):
+                object.__setattr__(spec, "check", check)
+        assert sum(calls.values()) == report.total
+        assert set(calls) == set(registry_ids())
+
 
 class TestReport:
     def test_counts_are_consistent(self):
@@ -178,6 +211,19 @@ class TestReport:
         report = run_suite(suite="all", alpha_list=(1, 2), n_max=4, mode="as_printed")
         keys = [(r.id, json.dumps(r.params, sort_keys=True)) for r in report.failed]
         assert keys == sorted(keys)
+
+    def test_wall_time_is_the_runs_wall_clock(self):
+        # the runner's own clock, not the sum of the per-check times, which
+        # leaves out grid building and result bookkeeping (about a fifth here)
+        cfg = Config(suite="classical", alpha_list=(1, 2), n_max=6)
+        ratios = []
+        for _ in range(3):
+            start = time.perf_counter()
+            report = run_suite(cfg)
+            outer = time.perf_counter() - start
+            assert 0 < report.wall_time <= outer
+            ratios.append(report.wall_time / outer)
+        assert max(ratios) > 0.9
 
     def test_wall_ms_honest_mode(self):
         report = run_suite(suite="q", alpha_list=(1,), n_max=2)

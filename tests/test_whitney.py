@@ -21,7 +21,6 @@ from whitneylah.whitney import (
     InvalidAlpha,
     MansourSpec,
     NoConvergence,
-    WhitneyTriangle,
     dowling,
     dowling_dobinski,
     dowling_qi,
@@ -230,6 +229,10 @@ class TestDowling:
         with pytest.raises(NoConvergence):
             dowling_dobinski(1, 8, 1e-12, 5)
 
+    def test_dobinski_float_overflow(self):
+        with pytest.raises(NoConvergence, match=r"alpha=3, n=1000"):
+            dowling_dobinski(3, 1000)
+
     def test_dobinski_validation(self):
         with pytest.raises(ValueError):
             dowling_dobinski(1, 3, rel_tol=0.0)
@@ -280,18 +283,3 @@ class TestFactorialSum:
                     * (math.factorial(n + 1) // math.factorial(n - k + 1))
                 )
                 assert lhs == rhs, (k, n)
-
-
-class TestTriangleType:
-    def test_build(self):
-        tri = WhitneyTriangle.build("twl", 2, 4)
-        assert tri.rows[0][0] == 1
-        assert tri.value(3, 2) == 12
-        assert tri.value(1, 0) == 0
-        assert all(v >= 0 for row in tri.rows for v in row)
-
-    def test_bad_family_and_alpha(self):
-        with pytest.raises(ValueError):
-            WhitneyTriangle.build("nope", 1, 3)
-        with pytest.raises(InvalidAlpha):
-            WhitneyTriangle.build("tw1", -1, 3)
