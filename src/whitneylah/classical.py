@@ -6,6 +6,11 @@ them are checked separately by the identity suite, keeping construction and
 validation apart. A brute-force enumeration oracle for the Lah numbers is
 included for end-to-end validation at small scale.
 
+This module also holds the package's one triangle engine: every recurrence
+triangle, classical, translated or q, is a weights function handed to it.
+Rows are built in a loop, so any depth works, and only the rows that callers
+request are memoized, per (family, alpha).
+
 Also provides the rising/falling/generalized factorial polynomials in a
 formal variable t (as Laurent polynomials with rational coefficients), used
 to verify horizontal generating-function identities by dense expansion.
@@ -14,7 +19,7 @@ to verify horizontal generating-function identities by dense expansion.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from typing import Callable
 
 from .arith import LaurentPoly, NonExactDivision
 
@@ -25,30 +30,53 @@ class ScaleExceeded(ValueError):
     """Brute-force enumeration requested beyond its supported size."""
 
 
-@lru_cache(maxsize=None)
-def _stirling1u_row(n: int) -> tuple[int, ...]:
-    if n == 0:
-        return (1,)
-    prev = _stirling1u_row(n - 1)
-    row = []
-    for k in range(n + 1):
-        left = prev[k - 1] if 1 <= k <= n else 0
-        right = prev[k] if k < n else 0
-        row.append(left + (n - 1) * right)
-    return tuple(row)
+# -- the triangle engine ------------------------------------------------------
+#
+# Every recurrence triangle of the package is one case of the paper's
+# two-sequence recurrence, with a weight on the left term as well:
+#
+#     u(n, k) = l_k u(n-1, k-1) + r_k u(n-1, k),    u(0, 0) = 1.
+#
+# A family is a weights function (alpha, n) -> (l_0..l_n, r_0..r_n) for row n.
+# Only the rows that callers ask for are stored, per (weights, alpha), so a
+# deep request holds one row rather than the whole triangle; a miss resumes
+# from the nearest stored row below. Stored rows are tuples and never change.
+
+_ROWS: dict[tuple[Callable, int], dict[int, tuple]] = {}
 
 
-@lru_cache(maxsize=None)
-def _stirling2_row(n: int) -> tuple[int, ...]:
-    if n == 0:
-        return (1,)
-    prev = _stirling2_row(n - 1)
-    row = []
-    for k in range(n + 1):
-        left = prev[k - 1] if 1 <= k <= n else 0
-        right = prev[k] if k < n else 0
-        row.append(left + k * right)
-    return tuple(row)
+def _row(weights: Callable, alpha: int, n: int, one=1) -> tuple:
+    """Row n (n >= 0) of the triangle of ``weights`` at ``alpha``; ``one``
+    is u(0, 0) in the ring of the values."""
+    memo = _ROWS.setdefault((weights, alpha), {})
+    row = memo.get(n)
+    if row is not None:
+        return row
+    # list(memo): another thread may store a row while this one looks
+    start = n - 1 if n - 1 in memo else max((m for m in list(memo) if m < n), default=0)
+    row = memo.get(start, (one,))
+    for i in range(start + 1, n + 1):
+        left, right = weights(alpha, i)
+        row = (
+            right[0] * row[0],
+            *[l * a + r * b for l, a, r, b in zip(left[1:], row, right[1:], row[1:])],
+            left[i] * row[-1],
+        )
+    memo[n] = row
+    return row
+
+
+# The Stirling triangles are the translated Whitney triangles at alpha = 1.
+
+
+def _tw1_weights(alpha: int, n: int) -> tuple[list[int], list[int]]:
+    """First kind: u(n,k) = u(n-1,k-1) + alpha (n-1) u(n-1,k)."""
+    return [1] * (n + 1), [alpha * (n - 1)] * (n + 1)
+
+
+def _tw2_weights(alpha: int, n: int) -> tuple[list[int], list[int]]:
+    """Second kind: u(n,k) = u(n-1,k-1) + alpha k u(n-1,k)."""
+    return [1] * (n + 1), [alpha * k for k in range(n + 1)]
 
 
 def stirling1u(n: int, k: int) -> int:
@@ -56,7 +84,7 @@ def stirling1u(n: int, k: int) -> int:
     n-set with k cycles. Zero outside 0 <= k <= n."""
     if n < 0 or k < 0 or k > n:
         return 0
-    return _stirling1u_row(n)[k]
+    return _row(_tw1_weights, 1, n)[k]
 
 
 def stirling2(n: int, k: int) -> int:
@@ -64,7 +92,7 @@ def stirling2(n: int, k: int) -> int:
     k nonempty blocks. Zero outside 0 <= k <= n."""
     if n < 0 or k < 0 or k > n:
         return 0
-    return _stirling2_row(n)[k]
+    return _row(_tw2_weights, 1, n)[k]
 
 
 def lah(n: int, k: int) -> int:
@@ -122,7 +150,7 @@ def bell(n: int) -> int:
     """Bell number: total number of partitions of an n-set."""
     if n < 0:
         return 0
-    return sum(_stirling2_row(n))
+    return sum(_row(_tw2_weights, 1, n))
 
 
 def binomial(r: int, k: int) -> int:

@@ -18,16 +18,18 @@ Negative alpha (needed by the convolution and Dowling identities) enters
 through the reflection [-m]_q = -q^(-m) [m]_q applied inside the
 recurrences. Values are Laurent polynomials; negative exponents are normal.
 
-Triangles are memoized per (family, alpha) and immutable once built.
+The triangles are weights for the triangle engine in classical, which
+builds rows in a loop and memoizes, per (family, alpha), only the rows that
+callers request; stored rows are read-only tuples.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import Sequence
 
 from .arith import LaurentPoly, TruncSeries, lp_div_exact, monomial, ts_inverse
+from .classical import _row
 from .qcalc import gqf_at, qbinom, qfact, qint
 from .whitney import InvalidAlpha
 
@@ -56,62 +58,36 @@ def qint_signed(m: int) -> LaurentPoly:
     return -1 * (monomial(m) * qint(-m))
 
 
-@lru_cache(maxsize=None)
-def _qw1_row(alpha: int, n: int) -> tuple[LaurentPoly, ...]:
-    if n == 0:
-        return (LaurentPoly.one(),)
-    prev = _qw1_row(alpha, n - 1)
+# Weights of the q-triangles for the engine in classical; the Garsia-Remmel
+# q-Lah triangle is the q-Whitney-Lah triangle at alpha = 1.
+
+
+def _qw1_weights(alpha: int, n: int) -> tuple[list, list]:
+    """First kind: u(n,k) = q^(-m) (u(n-1,k-1) - [m]_q u(n-1,k)), m = (n-1) alpha."""
     m = (n - 1) * alpha
     shift = monomial(-m)
-    qm = qint_signed(m)
-    row = []
-    for k in range(n + 1):
-        left = prev[k - 1] if 1 <= k <= n else LaurentPoly.zero()
-        right = prev[k] if k < n else LaurentPoly.zero()
-        row.append(shift * (left - qm * right))
-    return tuple(row)
+    return [shift] * (n + 1), [-(shift * qint_signed(m))] * (n + 1)
 
 
-@lru_cache(maxsize=None)
-def _qw2_row(alpha: int, n: int) -> tuple[LaurentPoly, ...]:
-    if n == 0:
-        return (LaurentPoly.one(),)
-    prev = _qw2_row(alpha, n - 1)
-    row = []
-    for k in range(n + 1):
-        left = prev[k - 1] if 1 <= k <= n else LaurentPoly.zero()
-        right = prev[k] if k < n else LaurentPoly.zero()
-        row.append(monomial((k - 1) * alpha) * left + qint_signed(k * alpha) * right)
-    return tuple(row)
+def _qw2_weights(alpha: int, n: int) -> tuple[list, list]:
+    """Second kind: u(n,k) = q^((k-1) alpha) u(n-1,k-1) + [k alpha]_q u(n-1,k)."""
+    return (
+        [monomial((k - 1) * alpha) for k in range(n + 1)],
+        [qint_signed(k * alpha) for k in range(n + 1)],
+    )
 
 
-@lru_cache(maxsize=None)
-def _qwl_row(alpha: int, n: int) -> tuple[LaurentPoly, ...]:
-    if n == 0:
-        return (LaurentPoly.one(),)
-    prev = _qwl_row(alpha, n - 1)
-    row = []
-    for k in range(n + 1):
-        left = prev[k - 1] if 1 <= k <= n else LaurentPoly.zero()
-        right = prev[k] if k < n else LaurentPoly.zero()
-        row.append(
-            monomial(alpha * (n - 1 + k - 1)) * left
-            + qint((n - 1 + k) * alpha) * right
-        )
-    return tuple(row)
+def _qwl_weights(alpha: int, n: int) -> tuple[list, list]:
+    """Whitney-Lah: u(n,k) = q^((n+k-2) alpha) u(n-1,k-1) + [(n-1+k) alpha]_q u(n-1,k)."""
+    return (
+        [monomial(alpha * (n - 2 + k)) for k in range(n + 1)],
+        [qint((n - 1 + k) * alpha) for k in range(n + 1)],
+    )
 
 
-@lru_cache(maxsize=None)
-def _qlah_gr_row(n: int) -> tuple[LaurentPoly, ...]:
-    if n == 0:
-        return (LaurentPoly.one(),)
-    prev = _qlah_gr_row(n - 1)
-    row = []
-    for k in range(n + 1):
-        left = prev[k - 1] if 1 <= k <= n else LaurentPoly.zero()
-        right = prev[k] if k < n else LaurentPoly.zero()
-        row.append(monomial(n - 1 + k - 1) * left + qint(n - 1 + k) * right)
-    return tuple(row)
+def _qrow(weights, alpha: int, n: int) -> tuple[LaurentPoly, ...]:
+    """Row n of a q-triangle, whose u(0, 0) is the polynomial 1."""
+    return _row(weights, alpha, n, LaurentPoly.one())
 
 
 def qw1(alpha: int, n: int, k: int) -> LaurentPoly:
@@ -119,7 +95,7 @@ def qw1(alpha: int, n: int, k: int) -> LaurentPoly:
     _check_alpha_nonzero(alpha)
     if n < 0 or k < 0 or k > n:
         return LaurentPoly.zero()
-    return _qw1_row(alpha, n)[k]
+    return _qrow(_qw1_weights, alpha, n)[k]
 
 
 def qw2(alpha: int, n: int, k: int) -> LaurentPoly:
@@ -127,7 +103,7 @@ def qw2(alpha: int, n: int, k: int) -> LaurentPoly:
     _check_alpha_nonzero(alpha)
     if n < 0 or k < 0 or k > n:
         return LaurentPoly.zero()
-    return _qw2_row(alpha, n)[k]
+    return _qrow(_qw2_weights, alpha, n)[k]
 
 
 def qwl(alpha: int, n: int, k: int) -> LaurentPoly:
@@ -135,7 +111,7 @@ def qwl(alpha: int, n: int, k: int) -> LaurentPoly:
     _check_alpha_positive(alpha)
     if n < 0 or k < 0 or k > n:
         return LaurentPoly.zero()
-    return _qwl_row(alpha, n)[k]
+    return _qrow(_qwl_weights, alpha, n)[k]
 
 
 def qwl_explicit(alpha: int, n: int, k: int) -> LaurentPoly:
@@ -169,7 +145,7 @@ def qlah_gr(n: int, k: int, route: str = "recurrence") -> LaurentPoly:
     if route == "recurrence":
         if n < 0 or k < 0 or k > n:
             return LaurentPoly.zero()
-        return _qlah_gr_row(n)[k]
+        return _qrow(_qwl_weights, 1, n)[k]
     if not 1 <= k <= n:
         raise InvalidRange(f"closed formula needs 1 <= k <= n, got ({n}, {k})")
     ratio = LaurentPoly.one()
@@ -184,7 +160,7 @@ def qdowling(alpha: int, n: int) -> LaurentPoly:
     if n < 0:
         return LaurentPoly.zero()
     acc = LaurentPoly.zero()
-    for v in _qw2_row(alpha, n):
+    for v in _qrow(_qw2_weights, alpha, n):
         acc = acc + v
     return acc
 
@@ -199,7 +175,7 @@ def qdowling_qi(alpha: int, n: int) -> LaurentPoly:
     total = LaurentPoly.zero()
     for j in range(n + 1):
         inner = LaurentPoly.zero()
-        for v in _qwl_row(alpha, j):
+        for v in _qrow(_qwl_weights, alpha, j):
             inner = inner + v
         total = total + inner * qw2(-alpha, n, j)
     return total

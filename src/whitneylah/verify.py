@@ -145,6 +145,7 @@ class Report:
     failed: list[CheckResult]
     wall_time: float
     config: Config
+    identities: dict[str, dict]  # id -> {"checks": count, "seconds": summed check time}
 
 
 # Spans an axis of a grid may run over, by name: the selected alphas (the
@@ -860,19 +861,27 @@ def run_suite(config: Config | None = None, **kwargs) -> Report:
     wall = time.perf_counter() - start
     failed = [r for r in results if not r.passed]
     failed.sort(key=lambda r: (r.id, json.dumps(r.params, sort_keys=True)))
+    identities: dict[str, dict] = {}
+    for r in results:
+        tally = identities.setdefault(r.id, {"checks": 0, "seconds": 0.0})
+        tally["checks"] += 1
+        tally["seconds"] += r.elapsed
     return Report(
         total=len(results),
         passed=len(results) - len(failed),
         failed=failed,
         wall_time=wall,
         config=cfg,
+        identities=identities,
     )
 
 
 def report_to_dict(report: Report, *, deterministic: bool = True) -> dict:
     """Report as a JSON-ready dict. ``deterministic`` zeroes the wall-clock
-    field so that identical configurations serialize byte-identically."""
-    return {
+    field so that identical configurations serialize byte-identically;
+    without it the dict also carries each identity's check count and
+    summed check seconds under ``identities``."""
+    doc = {
         "config": report.config.as_dict(),
         "total": report.total,
         "passed": report.passed,
@@ -887,6 +896,9 @@ def report_to_dict(report: Report, *, deterministic: bool = True) -> dict:
         ],
         "wall_ms": 0 if deterministic else int(report.wall_time * 1000),
     }
+    if not deterministic:
+        doc["identities"] = report.identities
+    return doc
 
 
 def report_to_json(report: Report, *, deterministic: bool = True) -> str:

@@ -6,8 +6,9 @@ the generic two-sequence recurrence they specialize, and the translated
 Dowling numbers (exact row sums, a Dobinski-style floating-point series,
 and the alternating Qi-type explicit formula).
 
-Triangles are memoized per (family, alpha): rows are built once, cached,
-and thereafter read-only, so concurrent readers are safe.
+The recurrence triangles are weights for the triangle engine in classical,
+which builds rows in a loop and memoizes, per (family, alpha), only the rows
+that callers request; stored rows are read-only tuples.
 """
 
 from __future__ import annotations
@@ -15,11 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable
 
 from .arith import NonExactDivision, TruncSeries, ts_inverse, ts_pow
-from .classical import lah
+from .classical import _row, _tw1_weights, _tw2_weights, lah
 
 WHITNEY_FAMILIES = ("tw1", "tw2", "twl")
 TWL_METHODS = ("recurrence", "explicit", "product", "scaled")
@@ -42,43 +42,9 @@ def _check_alpha(alpha: int) -> None:
         raise InvalidAlpha(f"alpha must be a positive integer, got {alpha!r}")
 
 
-@lru_cache(maxsize=None)
-def _tw1_row(alpha: int, n: int) -> tuple[int, ...]:
-    if n == 0:
-        return (1,)
-    prev = _tw1_row(alpha, n - 1)
-    row = []
-    for k in range(n + 1):
-        left = prev[k - 1] if 1 <= k <= n else 0
-        right = prev[k] if k < n else 0
-        row.append(left + alpha * (n - 1) * right)
-    return tuple(row)
-
-
-@lru_cache(maxsize=None)
-def _tw2_row(alpha: int, n: int) -> tuple[int, ...]:
-    if n == 0:
-        return (1,)
-    prev = _tw2_row(alpha, n - 1)
-    row = []
-    for k in range(n + 1):
-        left = prev[k - 1] if 1 <= k <= n else 0
-        right = prev[k] if k < n else 0
-        row.append(left + alpha * k * right)
-    return tuple(row)
-
-
-@lru_cache(maxsize=None)
-def _twl_row(alpha: int, n: int) -> tuple[int, ...]:
-    if n == 0:
-        return (1,)
-    prev = _twl_row(alpha, n - 1)
-    row = []
-    for k in range(n + 1):
-        left = prev[k - 1] if 1 <= k <= n else 0
-        right = prev[k] if k < n else 0
-        row.append(left + alpha * (n - 1 + k) * right)
-    return tuple(row)
+def _twl_weights(alpha: int, n: int) -> tuple[list[int], list[int]]:
+    """Whitney-Lah: u(n,k) = u(n-1,k-1) + alpha (n-1+k) u(n-1,k)."""
+    return [1] * (n + 1), [alpha * (n - 1 + k) for k in range(n + 1)]
 
 
 def tw1(alpha: int, n: int, k: int) -> int:
@@ -86,7 +52,7 @@ def tw1(alpha: int, n: int, k: int) -> int:
     _check_alpha(alpha)
     if n < 0 or k < 0 or k > n:
         return 0
-    return _tw1_row(alpha, n)[k]
+    return _row(_tw1_weights, alpha, n)[k]
 
 
 def tw2(alpha: int, n: int, k: int) -> int:
@@ -94,7 +60,7 @@ def tw2(alpha: int, n: int, k: int) -> int:
     _check_alpha(alpha)
     if n < 0 or k < 0 or k > n:
         return 0
-    return _tw2_row(alpha, n)[k]
+    return _row(_tw2_weights, alpha, n)[k]
 
 
 def tw2_explicit(alpha: int, n: int, k: int) -> int:
@@ -138,7 +104,7 @@ def twl(alpha: int, n: int, k: int, method: str = "recurrence") -> int:
     if n < 0 or k < 0 or k > n:
         return 0
     if method == "recurrence":
-        return _twl_row(alpha, n)[k]
+        return _row(_twl_weights, alpha, n)[k]
     if method == "explicit":
         acc = 0
         for j in range(k + 1):
@@ -188,28 +154,18 @@ def mansour_u(spec: MansourSpec, n: int, k: int, method: str = "recurrence") -> 
 
 
 def _mansour_recurrence(spec: MansourSpec, n: int, k: int) -> Fraction:
-    memo: dict[tuple[int, int], Fraction] = {}
-
-    def u(n: int, k: int) -> Fraction:
-        if k < 0 or k > n:
-            return Fraction(0)
-        if n == 0:
-            return Fraction(1) if k == 0 else Fraction(0)
-        key = (n, k)
-        if key in memo:
-            return memo[key]
-        if k == 0:
-            out = Fraction(1)
-            for i in range(n):
-                out *= Fraction(spec.a(i)) + Fraction(spec.b(0))
-        else:
-            out = u(n - 1, k - 1) + (Fraction(spec.a(n - 1)) + Fraction(spec.b(k))) * u(
-                n - 1, k
-            )
-        memo[key] = out
-        return out
-
-    return u(n, k)
+    # Its own loop over Fraction, apart from the triangle engine: the
+    # mansour identity compares it with the engine's Whitney-Lah rows.
+    if k < 0 or k > n:
+        return Fraction(0)
+    bs = [Fraction(spec.b(j)) for j in range(k + 1)]
+    col = [Fraction(1)] + [Fraction(0)] * k  # u(m, 0..k), from m = 0 up
+    for m in range(1, n + 1):
+        a = Fraction(spec.a(m - 1))
+        for j in range(min(m, k), 0, -1):
+            col[j] = col[j - 1] + (a + bs[j]) * col[j]
+        col[0] *= a + bs[0]
+    return col[k]
 
 
 def _mansour_explicit(spec: MansourSpec, n: int, k: int, denom_bound: int) -> Fraction:
@@ -245,7 +201,7 @@ def dowling(alpha: int, n: int) -> int:
     _check_alpha(alpha)
     if n < 0:
         return 0
-    return sum(_tw2_row(alpha, n))
+    return sum(_row(_tw2_weights, alpha, n))
 
 
 def dowling_dobinski(
@@ -291,7 +247,7 @@ def dowling_qi(alpha: int, n: int) -> int:
         return 0
     total = 0
     for j in range(n + 1):
-        inner = sum(_twl_row(alpha, j))
+        inner = sum(_row(_twl_weights, alpha, j))
         total += (-1) ** (n - j) * inner * tw2(alpha, n, j)
     return total
 

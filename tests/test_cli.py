@@ -4,9 +4,11 @@
 import json
 import math
 import sys
+from fractions import Fraction
 
 import pytest
 
+from whitneylah.classical import _ROWS
 from whitneylah.cli import main
 
 
@@ -268,3 +270,34 @@ class TestHugeIntegers:
         assert _parse_decimal(out.strip()) == math.factorial(1700)
         # the limit is lifted for the call only
         assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+class TestDeepInputs:
+    """Values whose rows lie far past the default recursion limit."""
+
+    @pytest.fixture(autouse=True)
+    def cold_memo(self):
+        _ROWS.clear()
+
+    def test_whitney1_at_600(self, capsys):
+        # c(n, 2) = (n-1)! H_{n-1}
+        n = 600
+        harmonic = sum(Fraction(1, i) for i in range(1, n))
+        want = math.factorial(n - 1) * harmonic
+        code, out, err = run_cli(capsys, "eval", "--family", "whitney1", "--n", str(n), "--k", "2")
+        assert (code, err) == (0, "")
+        assert want.denominator == 1
+        assert out == f"{want.numerator}\n"
+
+    def test_bell_at_700(self, capsys):
+        # Bell triangle: each row starts with the last entry of the row
+        # above, and each next entry adds the entry above-left
+        row = [1]
+        for _ in range(700):
+            nxt = [row[-1]]
+            for v in row:
+                nxt.append(nxt[-1] + v)
+            row = nxt
+        code, out, err = run_cli(capsys, "eval", "--family", "bell", "--n", "700")
+        assert (code, err) == (0, "")
+        assert out == f"{row[0]}\n"

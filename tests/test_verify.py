@@ -229,3 +229,12 @@ class TestReport:
         report = run_suite(suite="q", alpha_list=(1,), n_max=2)
         doc = report_to_dict(report, deterministic=False)
         assert doc["wall_ms"] >= 0
+
+    def test_per_identity_timings_honest_mode_only(self):
+        report = run_suite(suite="classical", alpha_list=(1, 2), n_max=4)
+        assert "identities" not in report_to_dict(report)
+        tallies = report_to_dict(report, deterministic=False)["identities"]
+        assert sum(t["checks"] for t in tallies.values()) == report.total
+        assert all(t["checks"] > 0 and t["seconds"] > 0 for t in tallies.values())
+        assert sum(t["seconds"] for t in tallies.values()) <= report.wall_time
+        assert set(tallies) == {i for i in registry_ids() if get_identity(i).suite == "classical"}

@@ -201,6 +201,10 @@ class TestMansour:
                 prod *= 2 * i + 1
             assert mansour_u(spec, n, 0) == prod
 
+    def test_deep_recurrence(self):
+        # far past the default recursion limit, so the route must not recurse
+        assert mansour_u(MansourSpec.linear(2), 1200, 1) == twl(2, 1200, 1, "product")
+
 
 class TestDowling:
     def test_values(self):
