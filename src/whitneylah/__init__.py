@@ -26,7 +26,7 @@ from .classical import (
     stirling1u,
     stirling2,
 )
-from .qcalc import InvalidOrder, NegativeArgument, gqf_at, qbinom, qfact, qfalling, qint
+from .qcalc import InvalidOrder, NegativeArgument, qbinom, qfact, qfalling, qint
 from .qwhitney import (
     InvalidRange,
     qbinom_inverse_transform,

@@ -71,7 +71,8 @@ class LaurentPoly:
     coefficients, and integral coefficients are ``int``. Two polynomials
     are therefore mathematically equal iff their stored forms are
     identical; ``==`` is a structural check. Exponents may be negative.
-    Storage is proportional to ``max_exp - min_exp``.
+    Storage is proportional to the span from the lowest to the highest
+    exponent, not to the number of nonzero terms.
     """
 
     __slots__ = ("_lo", "_c")
@@ -120,18 +121,6 @@ class LaurentPoly:
     def coeff(self, exp: int) -> Scalar:
         i = exp - self._lo
         return self._c[i] if 0 <= i < len(self._c) else 0
-
-    @property
-    def min_exp(self) -> int:
-        if not self._c:
-            raise ValueError("zero polynomial has no exponents")
-        return self._lo
-
-    @property
-    def max_exp(self) -> int:
-        if not self._c:
-            raise ValueError("zero polynomial has no exponents")
-        return self._lo + len(self._c) - 1
 
     def is_constant(self) -> bool:
         return not self._c or (self._lo == 0 and len(self._c) == 1)

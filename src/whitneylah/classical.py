@@ -23,8 +23,6 @@ from typing import Callable
 
 from .arith import LaurentPoly, NonExactDivision
 
-CLASSICAL_FAMILIES = ("stirling1u", "stirling2", "lah")
-
 
 class ScaleExceeded(ValueError):
     """Brute-force enumeration requested beyond its supported size."""
@@ -174,11 +172,7 @@ def binomial(r: int, k: int) -> int:
 
 def rising_poly(n: int) -> LaurentPoly:
     """Rising factorial t(t+1)...(t+n-1) as a polynomial in t."""
-    t = LaurentPoly.var()
-    out = LaurentPoly.one()
-    for i in range(n):
-        out = out * (t + i)
-    return out
+    return genfact_poly(n, -1)
 
 
 def falling_poly(n: int) -> LaurentPoly:

@@ -7,6 +7,10 @@ integers, q-families in the canonical Laurent polynomial form) because the
 exact integers routinely exceed what consumers of native JSON numbers can
 represent. Integers print in full at any length.
 
+The domains of the family functions and identity checks are the library's:
+an alpha outside them raises the library's ``InvalidAlpha``, and ``series``
+prints both sides of the registry's own ``r3``/``qr1.1`` checks.
+
 Exit codes: 0 success (and all checks passed), 1 verification failure,
 2 usage or domain error.
 """
@@ -15,44 +19,40 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import classical, qwhitney, whitney
 from .arith import NonExactDivision, NonInvertibleConstantTerm
-from .qcalc import InvalidOrder, NegativeArgument, qfact, qint
-from .verify import Config, InvalidConfig, report_to_json, run_suite
+from .qcalc import InvalidOrder, NegativeArgument
+from .verify import Config, InvalidConfig, get_identity, report_to_json, run_suite
 from .whitney import InvalidAlpha
 
 
 @dataclass(frozen=True)
 class _Family:
     kind: str  # "triangle" or "sequence"
-    q: bool
-    alpha: str  # "none", "positive", or "nonzero"
+    takes_alpha: bool  # if not, --alpha is a usage error; if so, the library checks it
     value: Callable  # (alpha, n[, k]) -> int | LaurentPoly
 
 
 FAMILIES: dict[str, _Family] = {
-    "lah": _Family("triangle", False, "none", lambda a, n, k: classical.lah(n, k)),
+    "lah": _Family("triangle", False, lambda a, n, k: classical.lah(n, k)),
     "stirling1u": _Family(
-        "triangle", False, "none", lambda a, n, k: classical.stirling1u(n, k)
+        "triangle", False, lambda a, n, k: classical.stirling1u(n, k)
     ),
-    "stirling2": _Family(
-        "triangle", False, "none", lambda a, n, k: classical.stirling2(n, k)
-    ),
-    "bell": _Family("sequence", False, "none", lambda a, n: classical.bell(n)),
-    "whitney1": _Family("triangle", False, "positive", whitney.tw1),
-    "whitney2": _Family("triangle", False, "positive", whitney.tw2),
-    "whitney-lah": _Family("triangle", False, "positive", whitney.twl),
-    "dowling": _Family("sequence", False, "positive", whitney.dowling),
-    "q-whitney1": _Family("triangle", True, "nonzero", qwhitney.qw1),
-    "q-whitney2": _Family("triangle", True, "nonzero", qwhitney.qw2),
-    "q-whitney-lah": _Family("triangle", True, "positive", qwhitney.qwl),
-    "q-lah": _Family("triangle", True, "none", lambda a, n, k: qwhitney.qlah_gr(n, k)),
-    "q-dowling": _Family("sequence", True, "positive", qwhitney.qdowling),
+    "stirling2": _Family("triangle", False, lambda a, n, k: classical.stirling2(n, k)),
+    "bell": _Family("sequence", False, lambda a, n: classical.bell(n)),
+    "whitney1": _Family("triangle", True, whitney.tw1),
+    "whitney2": _Family("triangle", True, whitney.tw2),
+    "whitney-lah": _Family("triangle", True, whitney.twl),
+    "dowling": _Family("sequence", True, whitney.dowling),
+    "q-whitney1": _Family("triangle", True, qwhitney.qw1),
+    "q-whitney2": _Family("triangle", True, qwhitney.qw2),
+    "q-whitney-lah": _Family("triangle", True, qwhitney.qwl),
+    "q-lah": _Family("triangle", False, lambda a, n, k: qwhitney.qlah_gr(n, k)),
+    "q-dowling": _Family("sequence", True, qwhitney.qdowling),
 }
 
 SERIES_IDS = ("r3", "qr1.1")
@@ -74,18 +74,11 @@ class _UsageError(Exception):
 
 
 def _resolve_alpha(family: str, alpha: Optional[int]) -> int:
-    fam = FAMILIES[family]
-    if fam.alpha == "none":
-        if alpha not in (None, 1):
-            raise _UsageError(f"family {family!r} does not take --alpha")
-        return 1
-    if alpha is None:
-        return 1
-    if fam.alpha == "positive" and alpha < 1:
-        raise _UsageError(f"family {family!r} needs a positive --alpha, got {alpha}")
-    if fam.alpha == "nonzero" and alpha == 0:
-        raise _UsageError(f"family {family!r} needs a nonzero --alpha")
-    return alpha
+    """The alpha to call the family with; the library rejects an alpha
+    outside the family's domain with :class:`InvalidAlpha`."""
+    if not FAMILIES[family].takes_alpha and alpha not in (None, 1):
+        raise _UsageError(f"family {family!r} does not take --alpha")
+    return 1 if alpha is None else alpha
 
 
 def _fmt(value) -> str:
@@ -97,48 +90,22 @@ def _cmd_table(args) -> int:
     alpha = _resolve_alpha(args.family, args.alpha)
     if args.n_max < 0:
         raise _UsageError("--n-max must be non-negative")
+    ns = range(args.n_max + 1)
     if fam.kind == "triangle":
-        rows = [
-            [_fmt(fam.value(alpha, n, k)) for k in range(n + 1)]
-            for n in range(args.n_max + 1)
-        ]
-        if args.format == "csv":
-            print("n,k,value")
-            for n, row in enumerate(rows):
-                for k, v in enumerate(row):
-                    print(f"{n},{k},{v}")
-        else:
-            print(
-                json.dumps(
-                    {
-                        "family": args.family,
-                        "alpha": alpha,
-                        "n_max": args.n_max,
-                        "rows": rows,
-                    },
-                    sort_keys=True,
-                    indent=2,
-                )
-            )
+        header, key = "n,k,value", "rows"
+        rows = [[_fmt(fam.value(alpha, n, k)) for k in range(n + 1)] for n in ns]
+        lines = (f"{n},{k},{v}" for n, r in enumerate(rows) for k, v in enumerate(r))
     else:
-        values = [_fmt(fam.value(alpha, n)) for n in range(args.n_max + 1)]
-        if args.format == "csv":
-            print("n,value")
-            for n, v in enumerate(values):
-                print(f"{n},{v}")
-        else:
-            print(
-                json.dumps(
-                    {
-                        "family": args.family,
-                        "alpha": alpha,
-                        "n_max": args.n_max,
-                        "values": values,
-                    },
-                    sort_keys=True,
-                    indent=2,
-                )
-            )
+        header, key = "n,value", "values"
+        rows = [_fmt(fam.value(alpha, n)) for n in ns]
+        lines = (f"{n},{v}" for n, v in enumerate(rows))
+    if args.format == "csv":
+        print(header)
+        for line in lines:
+            print(line)
+    else:
+        doc = {"family": args.family, "alpha": alpha, "n_max": args.n_max, key: rows}
+        print(json.dumps(doc, sort_keys=True, indent=2))
     return 0
 
 
@@ -187,26 +154,12 @@ def _cmd_series(args) -> int:
         raise _UsageError("--order must be non-negative")
     if args.k < 0:
         raise _UsageError("--k must be non-negative")
-    pairs = []
-    if args.id == "r3":
-        alpha = args.alpha if args.alpha is not None else 1
-        if alpha < 1:
-            raise _UsageError("series r3 needs a positive --alpha")
-        series = whitney.twl_egf_series(alpha, args.k, args.order)
-        for n in range(args.order + 1):
-            lhs = series.coeff(n) * math.factorial(n)
-            rhs = whitney.twl(alpha, n, args.k)
-            pairs.append((str(lhs), str(rhs)))
-    else:
-        alpha = args.alpha if args.alpha is not None else 1
-        if alpha < 1:
-            raise _UsageError("series qr1.1 needs a positive --alpha")
-        series = qwhitney.qwl_egf_sum_series(alpha, args.k, args.order)
-        scale = qfact(args.k, alpha) * qint(alpha) ** args.k
-        for n in range(args.order + 1):
-            lhs = qfact(n, alpha) * series.coeff(n)
-            rhs = scale * qwhitney.qwl(alpha, n, args.k)
-            pairs.append((_fmt(lhs), _fmt(rhs)))
+    check = get_identity(args.id).check
+    alpha = 1 if args.alpha is None else args.alpha
+    pairs = [
+        tuple(map(_fmt, check(alpha=alpha, k=args.k, n=n, order=args.order)))
+        for n in range(args.order + 1)
+    ]
     print("n,lhs,rhs")
     for n, (lhs, rhs) in enumerate(pairs):
         print(f"{n},{lhs},{rhs}")
@@ -273,10 +226,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _DOMAIN_ERRORS as exc:
+    except (_UsageError, *_DOMAIN_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

@@ -1,8 +1,11 @@
-"""q-arithmetic primitives, all returned as Laurent polynomials.
+"""q-arithmetic primitives, all returned as Laurent polynomials: q-integers,
+q-factorials, Gaussian binomials and q-falling factorials.
 
 The optional ``base`` argument realizes the substitution q -> q^base, so
 quantities like [n] over q^a live in the same Laurent ring as everything
-else and mixed-base expressions compose directly.
+else and mixed-base expressions compose directly. The generalized
+q-factorial [t|alpha]_n, which needs the reflection rule for negative
+arguments, is ``qwhitney.gqf_point``.
 """
 
 from __future__ import annotations
@@ -48,9 +51,10 @@ def qfact(n: int, base: int = 1) -> LaurentPoly:
     _check_base(base)
     if n < 0:
         raise NegativeArgument(f"q-factorial of negative {n}")
-    if n == 0:
-        return LaurentPoly.one()
-    return qfact(n - 1, base) * qint(n, base)
+    out = LaurentPoly.one()
+    for m in range(1, n + 1):
+        out = out * qint(m, base)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -76,33 +80,4 @@ def qfalling(n: int, k: int, base: int = 1) -> LaurentPoly:
     out = LaurentPoly.one()
     for i in range(k):
         out = out * qint(n - i, base)
-    return out
-
-
-def gqf_at(j: int, alpha: int, sign: str, n: int) -> LaurentPoly:
-    """Generalized q-factorial of t with increment alpha, at the point t = alpha*j.
-
-    ``sign='-'`` gives the increment -alpha, i.e. the ascending product
-    [alpha*j][alpha*(j+1)]...[alpha*(j+n-1)]; ``sign='+'`` the descending
-    product [alpha*j][alpha*(j-1)]...[alpha*(j-n+1)]. The descending product
-    is 0 as soon as a factor [0] appears (n > j); factors of negative
-    integers are refused, see :class:`NegativeArgument`.
-    """
-    _check_base(alpha)
-    if j < 0:
-        raise NegativeArgument(f"evaluation point index {j} is negative")
-    if n < 0:
-        raise ValueError(f"order must be non-negative, got {n}")
-    if sign not in ("+", "-"):
-        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-    out = LaurentPoly.one()
-    for i in range(n):
-        m = j + i if sign == "-" else j - i
-        if m == 0:
-            return LaurentPoly.zero()
-        if m < 0:
-            raise NegativeArgument(
-                f"factor [alpha*{m}] of a negative integer at step {i}"
-            )
-        out = out * qint(m * alpha)
     return out

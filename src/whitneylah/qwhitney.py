@@ -21,6 +21,14 @@ recurrences. Values are Laurent polynomials; negative exponents are normal.
 The triangles are weights for the triangle engine in classical, which
 builds rows in a loop and memoizes, per (family, alpha), only the rows that
 callers request; stored rows are read-only tuples.
+
+The generalized q-factorial [t|alpha]_n at integer points is ``gqf_point``.
+The Gaussian-binomial inversion sum, on which ``qwl_explicit``, the
+generating-function side ``qwl_egf_sum_series`` and
+``qbinom_inverse_transform`` rest, is written once, in
+``_qbinom_inverse_entry``. The translated q-Whitney-Lah and q-Dowling
+families take positive alpha and reject any other with ``InvalidAlpha``;
+the first and second kinds take any nonzero alpha.
 """
 
 from __future__ import annotations
@@ -30,10 +38,9 @@ from typing import Sequence
 
 from .arith import LaurentPoly, TruncSeries, lp_div_exact, monomial, ts_inverse
 from .classical import _row
-from .qcalc import gqf_at, qbinom, qfact, qint
-from .whitney import InvalidAlpha
+from .qcalc import qbinom, qfact, qint
+from .whitney import InvalidAlpha, _check_alpha
 
-QWHITNEY_FAMILIES = ("qw1", "qw2", "qwl", "qlah_gr")
 QLAH_ROUTES = ("recurrence", "explicit")
 
 
@@ -44,11 +51,6 @@ class InvalidRange(ValueError):
 def _check_alpha_nonzero(alpha: int) -> None:
     if not isinstance(alpha, int) or alpha == 0:
         raise InvalidAlpha(f"alpha must be a nonzero integer, got {alpha!r}")
-
-
-def _check_alpha_positive(alpha: int) -> None:
-    if not isinstance(alpha, int) or alpha < 1:
-        raise InvalidAlpha(f"alpha must be a positive integer, got {alpha!r}")
 
 
 def qint_signed(m: int) -> LaurentPoly:
@@ -108,10 +110,21 @@ def qw2(alpha: int, n: int, k: int) -> LaurentPoly:
 
 def qwl(alpha: int, n: int, k: int) -> LaurentPoly:
     """Translated q-Whitney-Lah number, by its triangle recurrence."""
-    _check_alpha_positive(alpha)
+    _check_alpha(alpha)
     if n < 0 or k < 0 or k > n:
         return LaurentPoly.zero()
     return _qrow(_qwl_weights, alpha, n)[k]
+
+
+def _qbinom_inverse_entry(F: Sequence, k: int, alpha: int):
+    """Entry k >= 0 of the inverse Gaussian-binomial transform over q^alpha
+    of F_0..F_k, Laurent polynomials or series with Laurent coefficients:
+    sum_{j<=k} (-1)^(k-j) q^(alpha C(k-j,2)) C(k,j)_{q^alpha} F_j."""
+    weights = (
+        (-1) ** (k - j) * monomial(alpha * math.comb(k - j, 2)) * qbinom(k, j, alpha)
+        for j in range(k + 1)
+    )
+    return sum(F[j] * w for j, w in enumerate(weights))
 
 
 def qwl_explicit(alpha: int, n: int, k: int) -> LaurentPoly:
@@ -121,18 +134,11 @@ def qwl_explicit(alpha: int, n: int, k: int) -> LaurentPoly:
     The division is mathematically exact; a remainder would signal a
     transcription fault, so it is allowed to raise.
     """
-    _check_alpha_positive(alpha)
+    _check_alpha(alpha)
     if n < 0 or k < 0 or k > n:
         return LaurentPoly.zero()
-    acc = LaurentPoly.zero()
-    for j in range(k + 1):
-        sign = 1 if (k - j) % 2 == 0 else -1
-        term = (
-            monomial(alpha * math.comb(k - j, 2))
-            * qbinom(k, j, alpha)
-            * gqf_at(j, alpha, "-", n)
-        )
-        acc = acc + sign * term
+    points = [gqf_point(alpha * j, -alpha, n) for j in range(k + 1)]
+    acc = _qbinom_inverse_entry(points, k, alpha)
     denom = qfact(k, alpha) * qint(alpha) ** k
     return lp_div_exact(acc, denom)
 
@@ -156,28 +162,22 @@ def qlah_gr(n: int, k: int, route: str = "recurrence") -> LaurentPoly:
 
 def qdowling(alpha: int, n: int) -> LaurentPoly:
     """Translated q-Dowling number: row sum of the second-kind triangle."""
-    _check_alpha_positive(alpha)
+    _check_alpha(alpha)
     if n < 0:
         return LaurentPoly.zero()
-    acc = LaurentPoly.zero()
-    for v in _qrow(_qw2_weights, alpha, n):
-        acc = acc + v
-    return acc
+    return sum(_qrow(_qw2_weights, alpha, n))
 
 
 def qdowling_qi(alpha: int, n: int) -> LaurentPoly:
     """Translated q-Dowling number via the explicit convolution
     sum_j (sum_{k<=j} qwl(alpha,j,k)) qw2(-alpha,n,j); the sign of the
     classical alternating formula is carried by the negated alpha."""
-    _check_alpha_positive(alpha)
+    _check_alpha(alpha)
     if n < 0:
         return LaurentPoly.zero()
     total = LaurentPoly.zero()
     for j in range(n + 1):
-        inner = LaurentPoly.zero()
-        for v in _qrow(_qwl_weights, alpha, j):
-            inner = inner + v
-        total = total + inner * qw2(-alpha, n, j)
+        total = total + sum(_qrow(_qwl_weights, alpha, j)) * qw2(-alpha, n, j)
     return total
 
 
@@ -199,45 +199,29 @@ def qwl_egf_sum_series(alpha: int, k: int, order: int) -> TruncSeries:
     Multiplying its t^n coefficient by [n]_{q^alpha}! yields
     [k]_{q^alpha}! [alpha]_q^k qwl(alpha, n, k).
     """
-    _check_alpha_positive(alpha)
-    total = TruncSeries.zero(order)
+    _check_alpha(alpha)
+    if k < 0:
+        return TruncSeries.zero(order)
     a = qint(alpha)
-    for j in range(k + 1):
-        sign = 1 if (k - j) % 2 == 0 else -1
-        prod = TruncSeries.one(order)
-        for m in range(j):
-            prod = prod * ts_inverse(
-                TruncSeries([LaurentPoly.one(), -1 * (monomial(alpha * m) * a)], order)
-            )
-        weight = monomial(alpha * math.comb(k - j, 2)) * qbinom(k, j, alpha)
-        total = total + prod * (sign * weight)
-    return total
+    prods = [TruncSeries.one(order)]
+    for m in range(k):
+        factor = TruncSeries([LaurentPoly.one(), -1 * (monomial(alpha * m) * a)], order)
+        prods.append(prods[-1] * ts_inverse(factor))
+    return _qbinom_inverse_entry(prods, k, alpha)
 
 
 def qbinom_transform(f: Sequence[LaurentPoly], alpha: int = 1) -> list[LaurentPoly]:
     """Forward Gaussian-binomial transform over q^alpha:
     F_k = sum_{j<=k} C(k,j)_{q^alpha} f_j."""
-    _check_alpha_positive(alpha)
-    out = []
-    for k in range(len(f)):
-        acc = LaurentPoly.zero()
-        for j in range(k + 1):
-            acc = acc + qbinom(k, j, alpha) * f[j]
-        out.append(acc)
-    return out
+    _check_alpha(alpha)
+    return [
+        sum(qbinom(k, j, alpha) * f[j] for j in range(k + 1))
+        for k in range(len(f))
+    ]
 
 
 def qbinom_inverse_transform(F: Sequence[LaurentPoly], alpha: int = 1) -> list[LaurentPoly]:
     """Inverse Gaussian-binomial transform over q^alpha:
     f_k = sum_{j<=k} (-1)^(k-j) q^(alpha C(k-j,2)) C(k,j)_{q^alpha} F_j."""
-    _check_alpha_positive(alpha)
-    out = []
-    for k in range(len(F)):
-        acc = LaurentPoly.zero()
-        for j in range(k + 1):
-            sign = 1 if (k - j) % 2 == 0 else -1
-            acc = acc + sign * (
-                monomial(alpha * math.comb(k - j, 2)) * qbinom(k, j, alpha) * F[j]
-            )
-        out.append(acc)
-    return out
+    _check_alpha(alpha)
+    return [_qbinom_inverse_entry(F, k, alpha) for k in range(len(F))]

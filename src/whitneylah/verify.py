@@ -44,7 +44,7 @@ from .classical import (
     stirling1u,
     stirling2,
 )
-from .qcalc import gqf_at, qbinom, qfact, qfalling, qint
+from .qcalc import qbinom, qfact, qfalling, qint
 from .whitney import (
     MansourSpec,
     dowling,
@@ -145,7 +145,8 @@ class Report:
     failed: list[CheckResult]
     wall_time: float
     config: Config
-    identities: dict[str, dict]  # id -> {"checks": count, "seconds": summed check time}
+    # id -> {"checks", "passed", "seconds" (summed check time), "skipped_alphas"}
+    identities: dict[str, dict]
 
 
 # Spans an axis of a grid may run over, by name: the selected alphas (the
@@ -380,8 +381,9 @@ def _qwl_egf_cached(alpha: int, k: int, order: int) -> TruncSeries:
     return qwl_egf_sum_series(alpha, k, order)
 
 
-def _chk_qr1_1(alpha, k, n):
-    lhs = qfact(n, alpha) * _qwl_egf_cached(alpha, k, 8).coeff(n)
+def _chk_qr1_1(alpha, k, n, order=8):
+    # the series comes first: it rejects a bad alpha with InvalidAlpha
+    lhs = _qwl_egf_cached(alpha, k, order).coeff(n) * qfact(n, alpha)
     return lhs, qfact(k, alpha) * qint(alpha) ** k * qwl(alpha, n, k)
 
 
@@ -450,7 +452,7 @@ def _pe1_points(alphas: list[int], top: int) -> list[dict]:
 
 def _chk_pe1(rel, alpha, j, n):
     if rel == "product":
-        lhs = gqf_at(j, alpha, "-", n)
+        lhs = gqf_point(alpha * j, -alpha, n)
         rhs = qint(alpha) ** n
         for i in range(n):
             rhs = rhs * qint(j + i, alpha)
@@ -629,8 +631,8 @@ _IDENTITIES = (
         "Whitney-Lah exponential generating function",
         "sum_n wl(n,k) t^n/n! = (1/k!) (t/(1-at))^k",
         Grid(12, _CLASSICAL_ALPHAS, (_ALPHA, ("k", range(7)), _N)),
-        lambda alpha, k, n: (
-            _egf_series_cached(alpha, k, 12).coeff(n) * math.factorial(n),
+        lambda alpha, k, n, order=12: (
+            _egf_series_cached(alpha, k, order).coeff(n) * math.factorial(n),
             twl(alpha, n, k),
         ),
     ),
@@ -851,20 +853,28 @@ def run_suite(config: Config | None = None, **kwargs) -> Report:
     configuration. Failures are data: they never abort the run.
     """
     cfg = config if config is not None else Config(**kwargs)
+    specs = [s for _, s in sorted(_REGISTRY.items()) if cfg.suite in ("all", s.suite)]
     start = time.perf_counter()
-    results = [
-        _run_one(spec, params)
-        for _, spec in sorted(_REGISTRY.items())
-        if cfg.suite in ("all", spec.suite)
-        for params in spec.domain(cfg)
-    ]
+    results = [_run_one(spec, params) for spec in specs for params in spec.domain(cfg)]
     wall = time.perf_counter() - start
     failed = [r for r in results if not r.passed]
     failed.sort(key=lambda r: (r.id, json.dumps(r.params, sort_keys=True)))
-    identities: dict[str, dict] = {}
+    # an identity without alphas skips none; one with alphas skips those it lacks
+    identities = {
+        s.id: {
+            "checks": 0,
+            "passed": 0,
+            "seconds": 0.0,
+            "skipped_alphas": [
+                a for a in cfg.alpha_list if s.grid.alphas and a not in s.grid.alphas
+            ],
+        }
+        for s in specs
+    }
     for r in results:
-        tally = identities.setdefault(r.id, {"checks": 0, "seconds": 0.0})
+        tally = identities[r.id]
         tally["checks"] += 1
+        tally["passed"] += r.passed
         tally["seconds"] += r.elapsed
     return Report(
         total=len(results),
@@ -879,8 +889,10 @@ def run_suite(config: Config | None = None, **kwargs) -> Report:
 def report_to_dict(report: Report, *, deterministic: bool = True) -> dict:
     """Report as a JSON-ready dict. ``deterministic`` zeroes the wall-clock
     field so that identical configurations serialize byte-identically;
-    without it the dict also carries each identity's check count and
-    summed check seconds under ``identities``."""
+    without it the dict also carries, under ``identities``, every identity
+    the suite selected, those that ran no check included: its check count,
+    passed count, summed check seconds and ``skipped_alphas``, the
+    configured alphas outside the identity's own set."""
     doc = {
         "config": report.config.as_dict(),
         "total": report.total,

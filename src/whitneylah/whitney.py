@@ -21,7 +21,6 @@ from typing import Callable
 from .arith import NonExactDivision, TruncSeries, ts_inverse, ts_pow
 from .classical import _row, _tw1_weights, _tw2_weights, lah
 
-WHITNEY_FAMILIES = ("tw1", "tw2", "twl")
 TWL_METHODS = ("recurrence", "explicit", "product", "scaled")
 
 

@@ -243,6 +243,40 @@ class TestUsage:
         assert code == 0
         assert "total=80 passed=80 failed=0" in out
 
+    @pytest.mark.parametrize("alpha", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("series", "--id", "r3", "--k", "2", "--order", "4"),
+            ("series", "--id", "qr1.1", "--k", "2", "--order", "4"),
+            ("table", "--family", "whitney1", "--n-max", "3"),
+            ("eval", "--family", "q-whitney-lah", "--n", "3", "--k", "1"),
+            ("eval", "--family", "q-dowling", "--n", "3"),
+        ],
+        ids=lambda argv: " ".join(argv[:3]),
+    )
+    def test_alpha_outside_the_library_domain_is_a_domain_error(
+        self, capsys, argv, alpha
+    ):
+        code, out, err = run_cli(capsys, *argv, "--alpha", alpha)
+        assert (code, out) == (2, "")
+        assert err == f"error: alpha must be a positive integer, got {alpha}\n"
+
+    def test_zero_alpha_on_q_whitney1_is_a_domain_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "table", "--family", "q-whitney1", "--alpha", "0", "--n-max", "3"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: alpha must be a nonzero integer, got 0\n"
+
+    @pytest.mark.parametrize("family", ["bell", "lah", "q-lah"])
+    def test_alpha_on_a_family_without_one_is_a_usage_error(self, capsys, family):
+        code, out, err = run_cli(
+            capsys, "table", "--family", family, "--alpha", "2", "--n-max", "3"
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: family {family!r} does not take --alpha\n"
+
     def test_n_max_below_one_is_domain_error(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--n-max", "0")
         assert code == 2

@@ -2,6 +2,7 @@
 q-falling factorials, generalized q-factorials at integer points."""
 
 import math
+import sys
 
 import pytest
 
@@ -16,12 +17,12 @@ from whitneylah.arith import (
 from whitneylah.qcalc import (
     InvalidOrder,
     NegativeArgument,
-    gqf_at,
     qbinom,
     qfact,
     qfalling,
     qint,
 )
+from whitneylah.qwhitney import gqf_point
 
 
 class TestQInt:
@@ -48,6 +49,20 @@ class TestQFact:
         assert qfact(0) == 1
         assert qfact(3).to_str() == "1 + 2*q + 2*q^2 + q^3"
         assert lp_eval_q1(qfact(4)) == 24
+
+    def test_cold_build_needs_no_recursion(self):
+        frame, depth = sys._getframe(), 0
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        qfact.cache_clear()
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            value = qfact(60)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert lp_eval_q1(value) == math.factorial(60)
+        assert value == qfact(59) * qint(60)
 
 
 class TestQBinom:
@@ -88,23 +103,11 @@ class TestQFalling:
             qfalling(2, 3)
 
 
-class TestGqfAt:
+class TestGqfPoint:
     def test_values(self):
-        assert gqf_at(1, 1, "-", 2).to_str() == "1 + q"
-        assert gqf_at(0, 2, "-", 3).is_zero
-        assert gqf_at(2, 1, "+", 2).to_str() == "1 + q"
-
-    def test_descending_hits_zero_before_negatives(self):
-        # [aj|a]_n vanishes once the factor [0] appears (n > j)
-        assert gqf_at(2, 3, "+", 5).is_zero
-
-    def test_negative_point_rejected(self):
-        with pytest.raises(NegativeArgument):
-            gqf_at(-1, 1, "-", 2)
-
-    def test_bad_sign_rejected(self):
-        with pytest.raises(ValueError):
-            gqf_at(1, 1, "*", 2)
+        # [aj|-a]_n = [aj][a(j+1)]...[a(j+n-1)]
+        assert gqf_point(1, -1, 2).to_str() == "1 + q"
+        assert gqf_point(0, -2, 3).is_zero
 
 
 class TestProductIdentities:
@@ -113,7 +116,7 @@ class TestProductIdentities:
         for a in (1, 2, 3):
             for j in range(6):
                 for n in range(7):
-                    lhs = gqf_at(j, a, "-", n)
+                    lhs = gqf_point(a * j, -a, n)
                     rhs = qint(a) ** n
                     for i in range(n):
                         rhs = rhs * qint(j + i, a)

@@ -238,3 +238,22 @@ class TestReport:
         assert all(t["checks"] > 0 and t["seconds"] > 0 for t in tallies.values())
         assert sum(t["seconds"] for t in tallies.values()) <= report.wall_time
         assert set(tallies) == {i for i in registry_ids() if get_identity(i).suite == "classical"}
+
+    def test_identities_report_skipped_alphas(self):
+        # alpha 3 is accepted for the q-suite because pe1 checks it; every
+        # other identity with alphas skips it, and says so
+        report = run_suite(suite="q", alpha_list=(3,), n_max=8)
+        tallies = report_to_dict(report, deterministic=False)["identities"]
+        assert set(tallies) == {i for i in registry_ids() if get_identity(i).suite == "q"}
+        assert tallies["q_defs"] == {
+            "checks": 0, "passed": 0, "seconds": 0.0, "skipped_alphas": [3]
+        }
+        assert tallies["pe1"]["checks"] == tallies["pe1"]["passed"] == 77
+        assert tallies["pe1"]["skipped_alphas"] == []
+        assert tallies["pe2"]["skipped_alphas"] == []  # takes no alpha
+        assert sum(t["checks"] for t in tallies.values()) == report.total == 197
+        skipping = {i for i, t in tallies.items() if t["skipped_alphas"]}
+        assert skipping == {
+            "q_defs", "qw1w2", "qr1", "qr1.1", "qr2", "inv_qtw", "qbinom_inv",
+            "qgqif1", "q_limits",
+        }
