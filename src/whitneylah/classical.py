@@ -7,9 +7,11 @@ validation apart. A brute-force enumeration oracle for the Lah numbers is
 included for end-to-end validation at small scale.
 
 This module also holds the package's one triangle engine: every recurrence
-triangle, classical, translated or q, is a weights function handed to it.
-Rows are built in a loop, so any depth works, and only the rows that callers
-request are memoized, per (family, alpha).
+triangle, classical, translated or q, is a weights function handed to it
+that gives the weights of a range of columns of one row. Rows are built in
+a loop, so any depth works. A request for column k builds only columns
+0..k of each row below it, and only the rows that callers request are
+memoized, per (family, alpha), each as an exact prefix of its row.
 
 Also provides the rising/falling/generalized factorial polynomials in a
 formal variable t (as Laurent polynomials with rational coefficients), used
@@ -35,46 +37,82 @@ class ScaleExceeded(ValueError):
 #
 #     u(n, k) = l_k u(n-1, k-1) + r_k u(n-1, k),    u(0, 0) = 1.
 #
-# A family is a weights function (alpha, n) -> (l_0..l_n, r_0..r_n) for row n.
+# A family is a weights function (alpha, n, lo, hi) -> (l_lo..l_hi,
+# r_lo..r_hi) for columns lo..hi of row n. Column k of row n needs only
+# columns 0..k of row n-1, so a request for column k builds each row below
+# it at width min(i, k) + 1. A stored row is an exact prefix of its row,
+# columns 0..len(row)-1, and answers any request for a column inside it.
 # Only the rows that callers ask for are stored, per (weights, alpha), so a
-# deep request holds one row rather than the whole triangle; a miss resumes
-# from the nearest stored row below. Stored rows are tuples and never change.
+# deep request holds one row rather than the whole triangle. A miss whose
+# row n-1 covers the band extends row n: a new row by the band only, so a
+# wide row leaves narrow requests above it narrow, and a row asked again to
+# every column that row n-1 gives, so an ascending sweep (k = 0..n at each
+# n) computes each cell once in two extensions per row. Any other miss
+# resumes from the nearest stored row below whose prefix covers the band.
+# Stored rows are tuples and never change; a longer prefix replaces a
+# shorter one.
 
 _ROWS: dict[tuple[Callable, int], dict[int, tuple]] = {}
 
 
-def _row(weights: Callable, alpha: int, n: int, one=1) -> tuple:
-    """Row n (n >= 0) of the triangle of ``weights`` at ``alpha``; ``one``
-    is u(0, 0) in the ring of the values."""
+def _row(weights: Callable, alpha: int, n: int, k: int, one=1) -> tuple:
+    """A prefix of row n (n >= 0) of the triangle of ``weights`` at
+    ``alpha`` that holds at least columns 0..min(k, n); ``one`` is u(0, 0)
+    in the ring of the values."""
     memo = _ROWS.setdefault((weights, alpha), {})
-    row = memo.get(n)
-    if row is not None:
+    hi = k if k < n else n
+    row = memo.get(n, ())
+    if len(row) > hi:
         return row
-    # list(memo): another thread may store a row while this one looks
-    start = n - 1 if n - 1 in memo else max((m for m in list(memo) if m < n), default=0)
-    row = memo.get(start, (one,))
-    for i in range(start + 1, n + 1):
-        left, right = weights(alpha, i)
-        row = (
-            right[0] * row[0],
-            *[l * a + r * b for l, a, r, b in zip(left[1:], row, right[1:], row[1:])],
-            left[i] * row[-1],
+    if n == 0:
+        return (one,)
+    prev = memo.get(n - 1, (one,) if n == 1 else ())
+    if len(prev) > min(k, n - 1):
+        if row:
+            # asked again: every column the stored row above gives
+            hi = max(hi, n if len(prev) == n else len(prev) - 1)
+    else:
+        # list(...): another thread may store a row while this one looks
+        start = max(
+            (m for m, r in list(memo.items()) if m < n and len(r) > min(m, k)),
+            default=0,
         )
+        prev = memo.get(start, (one,))
+        for i in range(start + 1, n):
+            prev = _extend(weights, alpha, i, prev, (), min(i, k))
+    row = _extend(weights, alpha, n, prev, row, hi)
     memo[n] = row
     return row
+
+
+def _extend(
+    weights: Callable, alpha: int, i: int, prev: tuple, row: tuple, hi: int
+) -> tuple:
+    """The prefix ``row`` of row i (i >= 1) extended to columns 0..hi, from
+    a prefix ``prev`` of row i-1 that holds columns 0..min(hi, i-1)."""
+    lo = len(row)
+    left, right = weights(alpha, i, lo, hi)
+    a, b = max(lo, 1), min(hi, i - 1)  # columns a..b have both terms
+    both = zip(left[a - lo :], prev[a - 1 : b], right[a - lo :], prev[a : b + 1])
+    return (
+        *row,
+        *((right[0] * prev[0],) if lo == 0 else ()),
+        *[l * x + r * y for l, x, r, y in both],
+        *((left[-1] * prev[i - 1],) if hi == i else ()),
+    )
 
 
 # The Stirling triangles are the translated Whitney triangles at alpha = 1.
 
 
-def _tw1_weights(alpha: int, n: int) -> tuple[list[int], list[int]]:
+def _tw1_weights(alpha: int, n: int, lo: int, hi: int) -> tuple[list[int], list[int]]:
     """First kind: u(n,k) = u(n-1,k-1) + alpha (n-1) u(n-1,k)."""
-    return [1] * (n + 1), [alpha * (n - 1)] * (n + 1)
+    return [1] * (hi - lo + 1), [alpha * (n - 1)] * (hi - lo + 1)
 
 
-def _tw2_weights(alpha: int, n: int) -> tuple[list[int], list[int]]:
+def _tw2_weights(alpha: int, n: int, lo: int, hi: int) -> tuple[list[int], list[int]]:
     """Second kind: u(n,k) = u(n-1,k-1) + alpha k u(n-1,k)."""
-    return [1] * (n + 1), [alpha * k for k in range(n + 1)]
+    return [1] * (hi - lo + 1), [alpha * k for k in range(lo, hi + 1)]
 
 
 def stirling1u(n: int, k: int) -> int:
@@ -82,7 +120,7 @@ def stirling1u(n: int, k: int) -> int:
     n-set with k cycles. Zero outside 0 <= k <= n."""
     if n < 0 or k < 0 or k > n:
         return 0
-    return _row(_tw1_weights, 1, n)[k]
+    return _row(_tw1_weights, 1, n, k)[k]
 
 
 def stirling2(n: int, k: int) -> int:
@@ -90,7 +128,7 @@ def stirling2(n: int, k: int) -> int:
     k nonempty blocks. Zero outside 0 <= k <= n."""
     if n < 0 or k < 0 or k > n:
         return 0
-    return _row(_tw2_weights, 1, n)[k]
+    return _row(_tw2_weights, 1, n, k)[k]
 
 
 def lah(n: int, k: int) -> int:
@@ -148,7 +186,7 @@ def bell(n: int) -> int:
     """Bell number: total number of partitions of an n-set."""
     if n < 0:
         return 0
-    return sum(_row(_tw2_weights, 1, n))
+    return sum(_row(_tw2_weights, 1, n, n))
 
 
 def binomial(r: int, k: int) -> int:

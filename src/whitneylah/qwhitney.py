@@ -19,8 +19,10 @@ through the reflection [-m]_q = -q^(-m) [m]_q applied inside the
 recurrences. Values are Laurent polynomials; negative exponents are normal.
 
 The triangles are weights for the triangle engine in classical, which
-builds rows in a loop and memoizes, per (family, alpha), only the rows that
-callers request; stored rows are read-only tuples.
+builds rows in a loop, only as wide as the requested column needs, and
+memoizes, per (family, alpha), only the rows that callers request; stored
+rows are read-only tuples, each a prefix of its row. A band of columns
+0..k makes k + 1 q-integers per row, not n + 1.
 
 The generalized q-factorial [t|alpha]_n at integer points is ``gqf_point``.
 The Gaussian-binomial inversion sum, on which ``qwl_explicit``, the
@@ -64,32 +66,33 @@ def qint_signed(m: int) -> LaurentPoly:
 # q-Lah triangle is the q-Whitney-Lah triangle at alpha = 1.
 
 
-def _qw1_weights(alpha: int, n: int) -> tuple[list, list]:
-    """First kind: u(n,k) = q^(-m) (u(n-1,k-1) - [m]_q u(n-1,k)), m = (n-1) alpha."""
+def _qw1_weights(alpha: int, n: int, lo: int, hi: int) -> tuple[list, list]:
+    """First kind: u(n,k) = q^(-m) (u(n-1,k-1) - [m]_q u(n-1,k)), m = (n-1) alpha;
+    the right weight -q^(-m) [m]_q is [-m]_q by the reflection rule."""
     m = (n - 1) * alpha
-    shift = monomial(-m)
-    return [shift] * (n + 1), [-(shift * qint_signed(m))] * (n + 1)
+    return [monomial(-m)] * (hi - lo + 1), [qint_signed(-m)] * (hi - lo + 1)
 
 
-def _qw2_weights(alpha: int, n: int) -> tuple[list, list]:
+def _qw2_weights(alpha: int, n: int, lo: int, hi: int) -> tuple[list, list]:
     """Second kind: u(n,k) = q^((k-1) alpha) u(n-1,k-1) + [k alpha]_q u(n-1,k)."""
     return (
-        [monomial((k - 1) * alpha) for k in range(n + 1)],
-        [qint_signed(k * alpha) for k in range(n + 1)],
+        [monomial((k - 1) * alpha) for k in range(lo, hi + 1)],
+        [qint_signed(k * alpha) for k in range(lo, hi + 1)],
     )
 
 
-def _qwl_weights(alpha: int, n: int) -> tuple[list, list]:
+def _qwl_weights(alpha: int, n: int, lo: int, hi: int) -> tuple[list, list]:
     """Whitney-Lah: u(n,k) = q^((n+k-2) alpha) u(n-1,k-1) + [(n-1+k) alpha]_q u(n-1,k)."""
     return (
-        [monomial(alpha * (n - 2 + k)) for k in range(n + 1)],
-        [qint((n - 1 + k) * alpha) for k in range(n + 1)],
+        [monomial(alpha * (n - 2 + k)) for k in range(lo, hi + 1)],
+        [qint((n - 1 + k) * alpha) for k in range(lo, hi + 1)],
     )
 
 
-def _qrow(weights, alpha: int, n: int) -> tuple[LaurentPoly, ...]:
-    """Row n of a q-triangle, whose u(0, 0) is the polynomial 1."""
-    return _row(weights, alpha, n, LaurentPoly.one())
+def _qrow(weights, alpha: int, n: int, k: int) -> tuple[LaurentPoly, ...]:
+    """A prefix of row n of a q-triangle holding columns 0..min(k, n);
+    its u(0, 0) is the polynomial 1."""
+    return _row(weights, alpha, n, k, LaurentPoly.one())
 
 
 def qw1(alpha: int, n: int, k: int) -> LaurentPoly:
@@ -97,7 +100,7 @@ def qw1(alpha: int, n: int, k: int) -> LaurentPoly:
     _check_alpha_nonzero(alpha)
     if n < 0 or k < 0 or k > n:
         return LaurentPoly.zero()
-    return _qrow(_qw1_weights, alpha, n)[k]
+    return _qrow(_qw1_weights, alpha, n, k)[k]
 
 
 def qw2(alpha: int, n: int, k: int) -> LaurentPoly:
@@ -105,7 +108,7 @@ def qw2(alpha: int, n: int, k: int) -> LaurentPoly:
     _check_alpha_nonzero(alpha)
     if n < 0 or k < 0 or k > n:
         return LaurentPoly.zero()
-    return _qrow(_qw2_weights, alpha, n)[k]
+    return _qrow(_qw2_weights, alpha, n, k)[k]
 
 
 def qwl(alpha: int, n: int, k: int) -> LaurentPoly:
@@ -113,7 +116,7 @@ def qwl(alpha: int, n: int, k: int) -> LaurentPoly:
     _check_alpha(alpha)
     if n < 0 or k < 0 or k > n:
         return LaurentPoly.zero()
-    return _qrow(_qwl_weights, alpha, n)[k]
+    return _qrow(_qwl_weights, alpha, n, k)[k]
 
 
 def _qbinom_inverse_entry(F: Sequence, k: int, alpha: int):
@@ -151,7 +154,7 @@ def qlah_gr(n: int, k: int, route: str = "recurrence") -> LaurentPoly:
     if route == "recurrence":
         if n < 0 or k < 0 or k > n:
             return LaurentPoly.zero()
-        return _qrow(_qwl_weights, 1, n)[k]
+        return _qrow(_qwl_weights, 1, n, k)[k]
     if not 1 <= k <= n:
         raise InvalidRange(f"closed formula needs 1 <= k <= n, got ({n}, {k})")
     ratio = LaurentPoly.one()
@@ -165,7 +168,7 @@ def qdowling(alpha: int, n: int) -> LaurentPoly:
     _check_alpha(alpha)
     if n < 0:
         return LaurentPoly.zero()
-    return sum(_qrow(_qw2_weights, alpha, n))
+    return sum(_qrow(_qw2_weights, alpha, n, n))
 
 
 def qdowling_qi(alpha: int, n: int) -> LaurentPoly:
@@ -177,7 +180,7 @@ def qdowling_qi(alpha: int, n: int) -> LaurentPoly:
         return LaurentPoly.zero()
     total = LaurentPoly.zero()
     for j in range(n + 1):
-        total = total + sum(_qrow(_qwl_weights, alpha, j)) * qw2(-alpha, n, j)
+        total = total + sum(_qrow(_qwl_weights, alpha, j, j)) * qw2(-alpha, n, j)
     return total
 
 

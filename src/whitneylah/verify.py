@@ -35,6 +35,7 @@ from .arith import (
     ts_inverse,
 )
 from .classical import (
+    _ROWS,
     bell,
     binomial,
     falling_poly,
@@ -145,8 +146,11 @@ class Report:
     failed: list[CheckResult]
     wall_time: float
     config: Config
-    # id -> {"checks", "passed", "seconds" (summed check time), "skipped_alphas"}
+    # id -> {"checks", "passed", "seconds" (summed check time), "skipped_alphas",
+    # "max_n" (the largest n checked, None without an n)}
     identities: dict[str, dict]
+    # the triangle memo at the end of the run, as ``_cache_stats`` gives it
+    caches: dict
 
 
 # Spans an axis of a grid may run over, by name: the selected alphas (the
@@ -868,6 +872,7 @@ def run_suite(config: Config | None = None, **kwargs) -> Report:
             "skipped_alphas": [
                 a for a in cfg.alpha_list if s.grid.alphas and a not in s.grid.alphas
             ],
+            "max_n": None,
         }
         for s in specs
     }
@@ -876,6 +881,8 @@ def run_suite(config: Config | None = None, **kwargs) -> Report:
         tally["checks"] += 1
         tally["passed"] += r.passed
         tally["seconds"] += r.elapsed
+        if "n" in r.params:
+            tally["max_n"] = max(r.params["n"], tally["max_n"] or 0)
     return Report(
         total=len(results),
         passed=len(results) - len(failed),
@@ -883,7 +890,24 @@ def run_suite(config: Config | None = None, **kwargs) -> Report:
         wall_time=wall,
         config=cfg,
         identities=identities,
+        caches=_cache_stats(),
     )
+
+
+def _cache_stats() -> dict:
+    """How full the triangle engine's memo is: each triangle's stored rows
+    and cells, by weights function and alpha."""
+    triangles = [
+        {
+            "weights": weights.__name__,
+            "alpha": alpha,
+            "rows": len(rows),
+            "cells": sum(map(len, list(rows.values()))),
+        }
+        # list(...): another thread may store a row while this one counts
+        for (weights, alpha), rows in list(_ROWS.items())
+    ]
+    return {"triangles": sorted(triangles, key=lambda t: (t["weights"], t["alpha"]))}
 
 
 def report_to_dict(report: Report, *, deterministic: bool = True) -> dict:
@@ -891,8 +915,12 @@ def report_to_dict(report: Report, *, deterministic: bool = True) -> dict:
     field so that identical configurations serialize byte-identically;
     without it the dict also carries, under ``identities``, every identity
     the suite selected, those that ran no check included: its check count,
-    passed count, summed check seconds and ``skipped_alphas``, the
-    configured alphas outside the identity's own set."""
+    passed count, summed check seconds, ``skipped_alphas``, the configured
+    alphas outside the identity's own set, and ``max_n``, the largest n it
+    checked (None if its grid has no n or it ran no check); and, under
+    ``caches``, the triangle engine's memo at the end of the run:
+    ``triangles`` lists per weights function and alpha the stored rows and
+    cells."""
     doc = {
         "config": report.config.as_dict(),
         "total": report.total,
@@ -910,6 +938,7 @@ def report_to_dict(report: Report, *, deterministic: bool = True) -> dict:
     }
     if not deterministic:
         doc["identities"] = report.identities
+        doc["caches"] = report.caches
     return doc
 
 

@@ -7,8 +7,9 @@ Dowling numbers (exact row sums, a Dobinski-style floating-point series,
 and the alternating Qi-type explicit formula).
 
 The recurrence triangles are weights for the triangle engine in classical,
-which builds rows in a loop and memoizes, per (family, alpha), only the rows
-that callers request; stored rows are read-only tuples.
+which builds rows in a loop, only as wide as the requested column needs,
+and memoizes, per (family, alpha), only the rows that callers request;
+stored rows are read-only tuples, each a prefix of its row.
 """
 
 from __future__ import annotations
@@ -41,9 +42,9 @@ def _check_alpha(alpha: int) -> None:
         raise InvalidAlpha(f"alpha must be a positive integer, got {alpha!r}")
 
 
-def _twl_weights(alpha: int, n: int) -> tuple[list[int], list[int]]:
+def _twl_weights(alpha: int, n: int, lo: int, hi: int) -> tuple[list[int], list[int]]:
     """Whitney-Lah: u(n,k) = u(n-1,k-1) + alpha (n-1+k) u(n-1,k)."""
-    return [1] * (n + 1), [alpha * (n - 1 + k) for k in range(n + 1)]
+    return [1] * (hi - lo + 1), [alpha * (n - 1 + k) for k in range(lo, hi + 1)]
 
 
 def tw1(alpha: int, n: int, k: int) -> int:
@@ -51,7 +52,7 @@ def tw1(alpha: int, n: int, k: int) -> int:
     _check_alpha(alpha)
     if n < 0 or k < 0 or k > n:
         return 0
-    return _row(_tw1_weights, alpha, n)[k]
+    return _row(_tw1_weights, alpha, n, k)[k]
 
 
 def tw2(alpha: int, n: int, k: int) -> int:
@@ -59,7 +60,7 @@ def tw2(alpha: int, n: int, k: int) -> int:
     _check_alpha(alpha)
     if n < 0 or k < 0 or k > n:
         return 0
-    return _row(_tw2_weights, alpha, n)[k]
+    return _row(_tw2_weights, alpha, n, k)[k]
 
 
 def tw2_explicit(alpha: int, n: int, k: int) -> int:
@@ -103,7 +104,7 @@ def twl(alpha: int, n: int, k: int, method: str = "recurrence") -> int:
     if n < 0 or k < 0 or k > n:
         return 0
     if method == "recurrence":
-        return _row(_twl_weights, alpha, n)[k]
+        return _row(_twl_weights, alpha, n, k)[k]
     if method == "explicit":
         acc = 0
         for j in range(k + 1):
@@ -200,7 +201,7 @@ def dowling(alpha: int, n: int) -> int:
     _check_alpha(alpha)
     if n < 0:
         return 0
-    return sum(_row(_tw2_weights, alpha, n))
+    return sum(_row(_tw2_weights, alpha, n, n))
 
 
 def dowling_dobinski(
@@ -246,7 +247,7 @@ def dowling_qi(alpha: int, n: int) -> int:
         return 0
     total = 0
     for j in range(n + 1):
-        inner = sum(_row(_twl_weights, alpha, j))
+        inner = sum(_row(_twl_weights, alpha, j, j))
         total += (-1) ** (n - j) * inner * tw2(alpha, n, j)
     return total
 

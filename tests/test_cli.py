@@ -10,6 +10,7 @@ import pytest
 
 from whitneylah.classical import _ROWS
 from whitneylah.cli import main
+from whitneylah.qwhitney import qwl_explicit
 
 
 def run_cli(capsys, *argv):
@@ -293,6 +294,16 @@ def _parse_decimal(text: str) -> int:
     return value
 
 
+def _decimal(value: int) -> str:
+    """str(value) for value >= 0, in chunks of 1000 digits, so it works
+    under any int-to-str digit limit."""
+    chunks = []
+    while value >= 10**1000:
+        value, chunk = divmod(value, 10**1000)
+        chunks.append(f"{chunk:01000d}")
+    return str(value) + "".join(reversed(chunks))
+
+
 class TestHugeIntegers:
     def test_integer_past_the_str_digit_limit_prints(self, capsys):
         # L(n, 1) = n!; 1700! has 4756 digits, past CPython's default limit
@@ -313,15 +324,30 @@ class TestDeepInputs:
     def cold_memo(self):
         _ROWS.clear()
 
-    def test_whitney1_at_600(self, capsys):
+    @staticmethod
+    def _check_whitney1_column2(capsys, n):
         # c(n, 2) = (n-1)! H_{n-1}
-        n = 600
         harmonic = sum(Fraction(1, i) for i in range(1, n))
         want = math.factorial(n - 1) * harmonic
         code, out, err = run_cli(capsys, "eval", "--family", "whitney1", "--n", str(n), "--k", "2")
         assert (code, err) == (0, "")
         assert want.denominator == 1
-        assert out == f"{want.numerator}\n"
+        assert out == _decimal(want.numerator) + "\n"
+
+    def test_whitney1_at_600(self, capsys):
+        self._check_whitney1_column2(capsys, 600)
+
+    def test_whitney1_at_3000(self, capsys):
+        # the engine builds columns 0..2 of each row, not the whole triangle
+        self._check_whitney1_column2(capsys, 3000)
+
+    def test_deep_q_whitney_lah(self, capsys):
+        code, out, err = run_cli(
+            capsys, "eval", "--family", "q-whitney-lah", "--alpha", "2",
+            "--n", "30", "--k", "2",
+        )
+        assert (code, err) == (0, "")
+        assert out == qwl_explicit(2, 30, 2).to_str("q") + "\n"
 
     def test_bell_at_700(self, capsys):
         # Bell triangle: each row starts with the last entry of the row

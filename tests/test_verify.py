@@ -7,12 +7,14 @@ from collections import Counter
 
 import pytest
 
+from whitneylah.classical import _ROWS
 from whitneylah.verify import (
     Config,
     InvalidConfig,
     ParamsOutOfDomain,
     Report,
     UnknownIdentity,
+    _cache_stats,
     check_identity,
     get_identity,
     registry_ids,
@@ -20,6 +22,7 @@ from whitneylah.verify import (
     report_to_json,
     run_suite,
 )
+from whitneylah.whitney import tw1
 
 EXPECTED_IDS = sorted(
     [
@@ -246,7 +249,8 @@ class TestReport:
         tallies = report_to_dict(report, deterministic=False)["identities"]
         assert set(tallies) == {i for i in registry_ids() if get_identity(i).suite == "q"}
         assert tallies["q_defs"] == {
-            "checks": 0, "passed": 0, "seconds": 0.0, "skipped_alphas": [3]
+            "checks": 0, "passed": 0, "seconds": 0.0, "skipped_alphas": [3],
+            "max_n": None,
         }
         assert tallies["pe1"]["checks"] == tallies["pe1"]["passed"] == 77
         assert tallies["pe1"]["skipped_alphas"] == []
@@ -257,3 +261,38 @@ class TestReport:
             "q_defs", "qw1w2", "qr1", "qr1.1", "qr2", "inv_qtw", "qbinom_inv",
             "qgqif1", "q_limits",
         }
+
+    def test_identities_report_the_largest_n_checked(self):
+        # n_max 20 is past every cap: each identity reports its own
+        report = run_suite(suite="all", alpha_list=(1,), n_max=20)
+        tallies = report_to_dict(report, deterministic=False)["identities"]
+        max_n = {i: t["max_n"] for i, t in tallies.items()}
+        assert max_n["lah_rec"] == 12 and max_n["lah_hgf"] == 10
+        assert max_n["wl_rec"] == 11  # its n runs to top - 1
+        assert max_n["q_defs"] == 8 and max_n["pe1"] == 6 and max_n["qgqif1"] == 6
+        assert max_n["pe2"] == 4  # n is a fixed axis 1..4
+        assert max_n["qbinom_inv"] is None  # its grid has no n
+
+    def test_caches_honest_mode_only(self):
+        cfg = Config(suite="classical", alpha_list=(1, 2), n_max=4)
+        _ROWS.clear()
+        cold = report_to_json(run_suite(cfg))
+        tw1(2, 40, 40)  # fill the memo: the deterministic report must not show it
+        report = run_suite(cfg)
+        assert report_to_json(report) == cold
+        assert "caches" not in report_to_dict(report)
+        caches = report_to_dict(report, deterministic=False)["caches"]
+        assert set(caches) == {"triangles"}
+        # rows 1..4 of the suite and row 40: 2 + 3 + 4 + 5 + 41 cells
+        tw1_at_2 = {"weights": "_tw1_weights", "alpha": 2, "rows": 5, "cells": 55}
+        assert tw1_at_2 in caches["triangles"]
+
+
+def test_cache_stats_count_stored_rows_and_cells():
+    _ROWS.clear()
+    tw1(2, 30, 3)
+    tw1(2, 31, 0)
+    assert _cache_stats() == {
+        "triangles": [{"weights": "_tw1_weights", "alpha": 2, "rows": 2, "cells": 5}]
+    }
+    _ROWS.clear()
