@@ -1,70 +1,101 @@
 """Exact computation of the Lah/Stirling/Bell families, the translated
 Whitney, Whitney-Lah, and Dowling numbers, and their q-analogues, together
-with a registry that machine-checks every identity they satisfy."""
+with a registry that machine-checks every identity they satisfy.
 
-from .arith import (
-    DivisionByZero,
-    LaurentPoly,
-    NonExactDivision,
-    NonInvertibleConstantTerm,
-    TruncSeries,
-    lp_div_exact,
-    lp_eval_q1,
-    monomial,
-    ts_inverse,
-    ts_pow,
-)
-from .classical import (
-    ScaleExceeded,
-    bell,
-    binomial,
-    falling_poly,
-    genfact_poly,
-    lah,
-    lah_oracle,
-    rising_poly,
-    stirling1u,
-    stirling2,
-)
-from .qcalc import InvalidOrder, NegativeArgument, qbinom, qfact, qfalling, qint
-from .qwhitney import (
-    InvalidRange,
-    qbinom_inverse_transform,
-    qbinom_transform,
-    qdowling,
-    qdowling_qi,
-    qint_signed,
-    qlah_gr,
-    qw1,
-    qw2,
-    qwl,
-    qwl_explicit,
-)
-from .verify import (
-    CheckResult,
-    Config,
-    IdentitySpec,
-    InvalidConfig,
-    ParamsOutOfDomain,
-    Report,
-    UnknownIdentity,
-    check_identity,
-    registry_ids,
-    report_to_json,
-    run_suite,
-)
-from .whitney import (
-    DuplicateBValues,
-    InvalidAlpha,
-    MansourSpec,
-    NoConvergence,
-    dowling,
-    dowling_dobinski,
-    dowling_qi,
-    mansour_u,
-    tw1,
-    tw2,
-    twl,
-)
+The package's names are lazy (PEP 562): ``import whitneylah`` loads no
+submodule, and the first access to a name, or to a submodule such as
+``whitneylah.verify``, imports the submodule that defines it. A program
+that uses only the families never loads the identity registry.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
+
+# Each public name, by the submodule that defines it.
+_EXPORTS = {
+    "arith": (
+        "DivisionByZero",
+        "LaurentPoly",
+        "NonExactDivision",
+        "NonInvertibleConstantTerm",
+        "TruncSeries",
+        "lp_div_exact",
+        "lp_eval_q1",
+        "monomial",
+        "ts_inverse",
+        "ts_pow",
+    ),
+    "classical": (
+        "ScaleExceeded",
+        "bell",
+        "binomial",
+        "falling_poly",
+        "genfact_poly",
+        "lah",
+        "lah_oracle",
+        "rising_poly",
+        "stirling1u",
+        "stirling2",
+    ),
+    "qcalc": ("InvalidOrder", "NegativeArgument", "qbinom", "qfact", "qfalling", "qint"),
+    "qwhitney": (
+        "InvalidRange",
+        "qbinom_inverse_transform",
+        "qbinom_transform",
+        "qdowling",
+        "qdowling_qi",
+        "qint_signed",
+        "qlah_gr",
+        "qw1",
+        "qw2",
+        "qwl",
+        "qwl_explicit",
+    ),
+    "verify": (
+        "CheckResult",
+        "Config",
+        "IdentitySpec",
+        "InvalidConfig",
+        "ParamsOutOfDomain",
+        "Report",
+        "UnknownIdentity",
+        "check_identity",
+        "registry_ids",
+        "report_to_json",
+        "run_suite",
+    ),
+    "whitney": (
+        "DuplicateBValues",
+        "InvalidAlpha",
+        "MansourSpec",
+        "NoConvergence",
+        "dowling",
+        "dowling_dobinski",
+        "dowling_qi",
+        "mansour_u",
+        "tw1",
+        "tw2",
+        "twl",
+    ),
+}
+
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:  # a submodule not imported yet
+        return importlib.import_module(f"{__name__}.{name}")
+    try:
+        module = _MODULE_OF[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -11,6 +11,12 @@ The domains of the family functions and identity checks are the library's:
 an alpha outside them raises the library's ``InvalidAlpha``, and ``series``
 prints both sides of the registry's own ``r3``/``qr1.1`` checks.
 
+Each command imports only the modules it runs, since a cold call pays to
+import them. ``table`` and ``eval`` load the families and the exact kernel,
+never the identity registry (``verify``) nor ``dataclasses``; only a JSON
+table loads ``json``. ``series`` imports the registry inside the command,
+``verify`` imports the registry and ``json``.
+
 Exit codes: 0 success (and all checks passed), 1 verification failure,
 2 usage or domain error.
 """
@@ -18,23 +24,34 @@ Exit codes: 0 success (and all checks passed), 1 verification failure,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import classical, qwhitney, whitney
 from .arith import NonExactDivision, NonInvertibleConstantTerm
 from .qcalc import InvalidOrder, NegativeArgument
-from .verify import Config, InvalidConfig, get_identity, report_to_json, run_suite
 from .whitney import InvalidAlpha
 
 
-@dataclass(frozen=True)
 class _Family:
-    kind: str  # "triangle" or "sequence"
-    takes_alpha: bool  # if not, --alpha is a usage error; if so, the library checks it
-    value: Callable  # (alpha, n[, k]) -> int | LaurentPoly
+    """An immutable CLI family: its ``kind`` ("triangle" or "sequence"),
+    whether it ``takes_alpha`` (if not, --alpha is a usage error; if so, the
+    library checks it) and its ``value`` function, (alpha, n[, k]) ->
+    int | LaurentPoly."""
+
+    # not a NamedTuple: perfbench's tracer swaps ``value`` by object.__setattr__
+    __slots__ = ("kind", "takes_alpha", "value")
+
+    def __init__(self, kind: str, takes_alpha: bool, value: Callable):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "takes_alpha", takes_alpha)
+        object.__setattr__(self, "value", value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 FAMILIES: dict[str, _Family] = {
@@ -65,7 +82,6 @@ _DOMAIN_ERRORS = (
     NonInvertibleConstantTerm,
     qwhitney.InvalidRange,
     classical.ScaleExceeded,
-    InvalidConfig,
 )
 
 
@@ -104,6 +120,8 @@ def _cmd_table(args) -> int:
         for line in lines:
             print(line)
     else:
+        import json
+
         doc = {"family": args.family, "alpha": alpha, "n_max": args.n_max, key: rows}
         print(json.dumps(doc, sort_keys=True, indent=2))
     return 0
@@ -125,15 +143,22 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    import json
+
+    from .verify import Config, InvalidConfig, report_to_json, run_suite
+
     try:
         alpha_list = tuple(int(a) for a in args.alpha_list.split(","))
     except ValueError:
         raise _UsageError(
             f"--alpha-list must be comma-separated integers, got {args.alpha_list!r}"
         ) from None
-    cfg = Config(
-        suite=args.suite, alpha_list=alpha_list, n_max=args.n_max, mode=args.mode
-    )
+    try:
+        cfg = Config(
+            suite=args.suite, alpha_list=alpha_list, n_max=args.n_max, mode=args.mode
+        )
+    except InvalidConfig as exc:  # exits 2 with its message, as a domain error does
+        raise _UsageError(str(exc)) from None
     report = run_suite(cfg)
     if args.format == "json":
         print(report_to_json(report, deterministic=True))
@@ -150,6 +175,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_series(args) -> int:
+    from .verify import get_identity
+
     if args.order < 0:
         raise _UsageError("--order must be non-negative")
     if args.k < 0:

@@ -18,7 +18,6 @@ witnessed at (n, k) = (3, 1)).
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass
@@ -386,8 +385,9 @@ def _qwl_egf_cached(alpha: int, k: int, order: int) -> TruncSeries:
 
 
 def _chk_qr1_1(alpha, k, n, order=8):
-    # the series comes first: it rejects a bad alpha with InvalidAlpha
-    lhs = _qwl_egf_cached(alpha, k, order).coeff(n) * qfact(n, alpha)
+    # the series comes first: it rejects a bad alpha with InvalidAlpha; its
+    # order covers the coefficient read
+    lhs = _qwl_egf_cached(alpha, k, max(order, n)).coeff(n) * qfact(n, alpha)
     return lhs, qfact(k, alpha) * qint(alpha) ** k * qwl(alpha, n, k)
 
 
@@ -466,9 +466,10 @@ def _chk_pe1(rel, alpha, j, n):
 
 
 def _chk_pe2(n, k):
-    prod = TruncSeries.one(8)
+    order = max(8, k)  # covers the coefficient read
+    prod = TruncSeries.one(order)
     for i in range(n):
-        prod = prod * ts_inverse(TruncSeries([LaurentPoly.one(), -monomial(i)], 8))
+        prod = prod * ts_inverse(TruncSeries([LaurentPoly.one(), -monomial(i)], order))
     return prod.coeff(k), qbinom(n + k - 1, k)
 
 
@@ -856,6 +857,8 @@ def run_suite(config: Config | None = None, **kwargs) -> Report:
     """Run every registered identity over its grid intersected with the
     configuration. Failures are data: they never abort the run.
     """
+    import json  # here and in report_to_json only: ``series`` runs without it
+
     cfg = config if config is not None else Config(**kwargs)
     specs = [s for _, s in sorted(_REGISTRY.items()) if cfg.suite in ("all", s.suite)]
     start = time.perf_counter()
@@ -943,6 +946,8 @@ def report_to_dict(report: Report, *, deterministic: bool = True) -> dict:
 
 
 def report_to_json(report: Report, *, deterministic: bool = True) -> str:
+    import json
+
     return json.dumps(
         report_to_dict(report, deterministic=deterministic),
         sort_keys=True,

@@ -15,9 +15,8 @@ stored rows are read-only tuples, each a prefix of its row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .arith import NonExactDivision, TruncSeries, ts_inverse, ts_pow
 from .classical import _row, _tw1_weights, _tw2_weights, lah
@@ -124,10 +123,9 @@ def twl(alpha: int, n: int, k: int, method: str = "recurrence") -> int:
     return alpha ** (n - k) * lah(n, k)
 
 
-@dataclass(frozen=True)
-class MansourSpec:
+class MansourSpec(NamedTuple):
     """Coefficient sequences (a_i) and (b_i) for the generic triangle
-    recurrence u(n,k) = u(n-1,k-1) + (a_{n-1} + b_k) u(n-1,k)."""
+    recurrence u(n,k) = u(n-1,k-1) + (a_{n-1} + b_k) u(n-1,k). Immutable."""
 
     a: Callable[[int], Fraction | int]
     b: Callable[[int], Fraction | int]

@@ -1,0 +1,206 @@
+"""Cold start: each CLI command, run in a fresh interpreter, imports only
+the modules it uses and prints what the in-process call prints; the
+package's names are lazy and are the same objects as the submodules'.
+
+The in-process tests of the other files run after earlier tests have
+imported every module, so only a fresh interpreter sees a broken lazy
+import.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import whitneylah
+from whitneylah.cli import main
+
+SRC = Path(whitneylah.__file__).resolve().parents[1]
+
+# Every name the package exported when it imported its submodules eagerly.
+EXPORTS = {
+    "arith": [
+        "DivisionByZero", "LaurentPoly", "NonExactDivision",
+        "NonInvertibleConstantTerm", "TruncSeries", "lp_div_exact", "lp_eval_q1",
+        "monomial", "ts_inverse", "ts_pow",
+    ],
+    "classical": [
+        "ScaleExceeded", "bell", "binomial", "falling_poly", "genfact_poly", "lah",
+        "lah_oracle", "rising_poly", "stirling1u", "stirling2",
+    ],
+    "qcalc": ["InvalidOrder", "NegativeArgument", "qbinom", "qfact", "qfalling", "qint"],
+    "qwhitney": [
+        "InvalidRange", "qbinom_inverse_transform", "qbinom_transform", "qdowling",
+        "qdowling_qi", "qint_signed", "qlah_gr", "qw1", "qw2", "qwl", "qwl_explicit",
+    ],
+    "verify": [
+        "CheckResult", "Config", "IdentitySpec", "InvalidConfig", "ParamsOutOfDomain",
+        "Report", "UnknownIdentity", "check_identity", "registry_ids",
+        "report_to_json", "run_suite",
+    ],
+    "whitney": [
+        "DuplicateBValues", "InvalidAlpha", "MansourSpec", "NoConvergence", "dowling",
+        "dowling_dobinski", "dowling_qi", "mansour_u", "tw1", "tw2", "twl",
+    ],
+}
+ALL_NAMES = sorted(name for names in EXPORTS.values() for name in names)
+
+
+def fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that imports this checkout's package."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env,
+        timeout=120,
+    )
+
+
+def cold_cli(*argv: str) -> subprocess.CompletedProcess:
+    return fresh_python("import sys; from whitneylah.cli import main; sys.exit(main())", *argv)
+
+
+def warm_cli(capsys, *argv: str) -> tuple[int, str, str]:
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestFreshInterpreterCli:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("table", "--family", "q-whitney-lah", "--alpha", "2", "--n-max", "4"),
+            ("table", "--family", "q-lah", "--n-max", "4", "--format", "json"),
+            ("eval", "--family", "whitney-lah", "--alpha", "2", "--n", "9", "--k", "3"),
+            ("series", "--id", "r3", "--alpha", "2", "--k", "2", "--order", "6"),
+            ("verify", "--format", "text", "--n-max", "4"),
+            ("verify", "--format", "text", "--n-max", "3", "--mode", "as_printed"),
+        ],
+        ids=lambda argv: "-".join(argv[:2]),
+    )
+    def test_cold_call_prints_what_the_in_process_call_prints(self, capsys, argv):
+        cold = cold_cli(*argv)
+        code, out, err = warm_cli(capsys, *argv)
+        assert (cold.returncode, cold.stdout, cold.stderr) == (code, out, err)
+        assert out
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (
+                ("verify", "--alpha-list", "0"),
+                "error: no identity of suite 'all' checks alpha 0;"
+                " the alphas it checks are 1, 2, 3",
+            ),
+            (
+                ("series", "--id", "qr1.1", "--alpha", "0", "--k", "1", "--order", "3"),
+                "error: alpha must be a positive integer, got 0",
+            ),
+            (
+                ("eval", "--family", "q-lah", "--alpha", "2", "--n", "3", "--k", "1"),
+                "error: family 'q-lah' does not take --alpha",
+            ),
+        ],
+        ids=lambda v: v[0] if isinstance(v, tuple) else None,
+    )
+    def test_errors_across_a_lazy_import_exit_2_with_one_line(self, capsys, argv, line):
+        cold = cold_cli(*argv)
+        assert (cold.returncode, cold.stdout, cold.stderr) == (2, "", line + "\n")
+        assert warm_cli(capsys, *argv) == (2, "", line + "\n")
+
+
+# Prints, one per line, the modules of ``watched`` that the calls loaded.
+_LOADED_BY = """
+import contextlib, io, sys
+watched = {"whitneylah.verify", "dataclasses", "json"}
+before = set(sys.modules)
+from whitneylah.cli import main
+for argv in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv.split()) == 0, argv
+print("\\n".join(sorted(watched & (set(sys.modules) - before))))
+"""
+
+
+class TestImportSet:
+    def test_import_whitneylah_loads_no_submodule(self):
+        run = fresh_python(
+            "import sys, whitneylah;"
+            " print([m for m in sys.modules if m.startswith('whitneylah.')])"
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == "[]\n"
+
+    def test_table_and_eval_load_neither_the_registry_nor_dataclasses_nor_json(self):
+        run = fresh_python(
+            _LOADED_BY,
+            "table --family q-whitney1 --alpha 2 --n-max 3",
+            "eval --family dowling --alpha 2 --n 5",
+            "eval --family q-lah --n 4 --k 2",
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == []
+
+    def test_series_loads_no_json(self):
+        run = fresh_python(_LOADED_BY, "series --id qr1.1 --alpha 2 --k 1 --order 3")
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == ["dataclasses", "whitneylah.verify"]
+
+    def test_json_table_loads_json_only(self):
+        run = fresh_python(_LOADED_BY, "table --family bell --n-max 3 --format json")
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == ["json"]
+
+
+class TestLazyPackage:
+    def test_all_lists_every_export(self):
+        assert sorted(whitneylah.__all__) == ALL_NAMES
+        assert len(ALL_NAMES) == 59
+
+    @pytest.mark.parametrize("module", sorted(EXPORTS))
+    def test_each_name_is_the_submodules_object(self, module):
+        sub = getattr(whitneylah, module)
+        assert sub is sys.modules[f"whitneylah.{module}"]
+        for name in EXPORTS[module]:
+            assert getattr(whitneylah, name) is getattr(sub, name)
+
+    def test_star_import_binds_every_name(self):
+        namespace = {}
+        exec("from whitneylah import *", namespace)
+        assert sorted(set(namespace) - {"__builtins__"}) == ALL_NAMES
+        assert all(namespace[name] is getattr(whitneylah, name) for name in ALL_NAMES)
+
+    def test_dir_lists_every_name(self):
+        assert set(ALL_NAMES) <= set(dir(whitneylah))
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            whitneylah.no_such_name
+        assert not hasattr(whitneylah, "_row")
+
+    def test_names_of_a_fresh_package(self):
+        """In a new interpreter: ``dir`` lists the names before any is
+        loaded, and the first access imports just the defining submodule."""
+        run = fresh_python(
+            "import sys, whitneylah\n"
+            "names = set(dir(whitneylah))\n"
+            "whitneylah.qint\n"
+            "print(len(set(whitneylah.__all__) - names),"
+            " sorted(m for m in sys.modules if m.startswith('whitneylah.')))"
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == "0 ['whitneylah.arith', 'whitneylah.qcalc']\n"
+
+
+def test_cli_families_are_immutable():
+    from whitneylah.cli import FAMILIES
+
+    family = FAMILIES["q-lah"]
+    with pytest.raises(AttributeError):
+        family.value = None
+    with pytest.raises(AttributeError):
+        del family.kind
+    assert (family.kind, family.takes_alpha) == ("triangle", False)

@@ -296,3 +296,25 @@ def test_cache_stats_count_stored_rows_and_cells():
         "triangles": [{"weights": "_tw1_weights", "alpha": 2, "rows": 2, "cells": 5}]
     }
     _ROWS.clear()
+
+
+class TestSeriesOrderCoversTheGrid:
+    """``pe2`` and ``qr1.1`` read coefficient k (resp. n) of a truncated
+    series; its order grows with that index past the default 8."""
+
+    def test_pe2_at_k_12(self):
+        from whitneylah.qcalc import qbinom
+
+        for n in (1, 4, 12):
+            lhs, rhs = get_identity("pe2").check(n=n, k=12)
+            assert lhs == rhs == qbinom(n + 11, 12)
+
+    @pytest.mark.parametrize("alpha", [1, 2])
+    def test_qr1_1_at_n_12(self, alpha):
+        from whitneylah.qcalc import qfact, qint
+        from whitneylah.qwhitney import qwl
+
+        for k in (3, 12):
+            lhs, rhs = get_identity("qr1.1").check(alpha=alpha, k=k, n=12)
+            expected = qfact(k, alpha) * qint(alpha) ** k * qwl(alpha, 12, k)
+            assert lhs == rhs == expected

@@ -205,6 +205,13 @@ class TestMansour:
         # far past the default recursion limit, so the route must not recurse
         assert mansour_u(MansourSpec.linear(2), 1200, 1) == twl(2, 1200, 1, "product")
 
+    def test_spec_is_immutable(self):
+        spec = MansourSpec(a=lambda i: i, b=lambda j: j)
+        with pytest.raises(AttributeError):
+            spec.a = lambda i: 2 * i
+        assert spec.b(3) == 3
+        assert MansourSpec.linear(2).a(5) == 10
+
 
 class TestDowling:
     def test_values(self):
