@@ -2,12 +2,10 @@
 
 Two building blocks used everywhere else in the package:
 
-* :class:`LaurentPoly` -- a dense polynomial in one formal variable with
-  signed integer exponents: a lowest exponent plus a tuple of
-  coefficients. Coefficients are Python ``int`` wherever they are
-  integral and ``fractions.Fraction`` only where a value needs one, so
-  the q-families, whose coefficients are all integers, never touch
-  ``Fraction`` arithmetic.
+* :class:`LaurentPoly` -- a dense polynomial with integer coefficients in
+  one formal variable with signed integer exponents: a lowest exponent
+  plus a tuple of Python ``int`` coefficients. Every q-analogue of the
+  package lies in this ring, Z[q, q^-1].
 * :class:`TruncSeries` -- a power series in a second formal variable,
   truncated at a fixed order, whose coefficients live in any ring that
   supports ``+``/``-``/``*`` (rationals or Laurent polynomials).
@@ -15,6 +13,7 @@ Two building blocks used everywhere else in the package:
 Integers and rationals themselves are Python ``int`` and
 ``fractions.Fraction``: both are arbitrary precision and already canonical
 (reduced, positive denominator), so no wrapper types are introduced.
+Rationals appear only as series coefficients and scalars.
 
 All values are immutable after construction and all operations are pure,
 so instances may be shared freely between threads.
@@ -25,9 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import repeat
 from operator import add, mul, sub
-from typing import Iterable, Iterator, Mapping, Union
-
-Scalar = Union[int, Fraction]
+from typing import Iterable, Iterator, Mapping
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -42,33 +39,21 @@ class NonInvertibleConstantTerm(ArithmeticError):
     """Series inversion requires a unit constant coefficient."""
 
 
-def _scalar(value) -> Scalar:
-    """A coefficient in canonical form: an ``int`` if integral, else a Fraction."""
+def _scalar(value) -> int:
+    """A coefficient as a plain ``int``; any other type is a TypeError."""
     if type(value) is int:
         return value
-    if isinstance(value, Fraction):
-        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
         return int(value)
-    raise TypeError(f"coefficient must be int or Fraction, got {value!r}")
-
-
-def _canon(cs: list) -> list:
-    """Store every Fraction with denominator 1 as an ``int``."""
-    if Fraction in map(type, cs):
-        return [
-            c.numerator if type(c) is Fraction and c.denominator == 1 else c
-            for c in cs
-        ]
-    return cs
+    raise TypeError(f"coefficient must be int, got {value!r}")
 
 
 class LaurentPoly:
-    """Dense Laurent polynomial: ``sum(c[i] * q^(lo + i))``.
+    """Dense Laurent polynomial over the integers: ``sum(c[i] * q^(lo + i))``.
 
     The stored form is canonical: the coefficient tuple never starts or
     ends with a zero, the zero polynomial is ``lo = 0`` with no
-    coefficients, and integral coefficients are ``int``. Two polynomials
+    coefficients, and every coefficient is an ``int``. Two polynomials
     are therefore mathematically equal iff their stored forms are
     identical; ``==`` is a structural check. Exponents may be negative.
     Storage is proportional to the span from the lowest to the highest
@@ -77,9 +62,9 @@ class LaurentPoly:
 
     __slots__ = ("_lo", "_c")
 
-    def __init__(self, terms: Mapping[int, Scalar] | Iterable[tuple[int, Scalar]] = ()):
+    def __init__(self, terms: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[int, Scalar] = {}
+        acc: dict[int, int] = {}
         for exp, coeff in items:
             if not isinstance(exp, int) or isinstance(exp, bool):
                 raise TypeError(f"exponent must be int, got {exp!r}")
@@ -89,7 +74,7 @@ class LaurentPoly:
         dense = [0] * (max(exps) - self._lo + 1 if exps else 0)
         for e in exps:
             dense[e - self._lo] = acc[e]
-        self._c = tuple(_canon(dense))
+        self._c = tuple(dense)
 
     # -- constructors -------------------------------------------------
 
@@ -112,13 +97,12 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self._c
 
-    def items(self) -> Iterator[tuple[int, Scalar]]:
-        """Nonzero terms in ascending exponent order; integral
-        coefficients are ``int``."""
+    def items(self) -> Iterator[tuple[int, int]]:
+        """Nonzero terms in ascending exponent order."""
         lo = self._lo
         return ((lo + i, c) for i, c in enumerate(self._c) if c)
 
-    def coeff(self, exp: int) -> Scalar:
+    def coeff(self, exp: int) -> int:
         i = exp - self._lo
         return self._c[i] if 0 <= i < len(self._c) else 0
 
@@ -138,9 +122,8 @@ class LaurentPoly:
     def _coerce(other) -> "LaurentPoly | None":
         if isinstance(other, LaurentPoly):
             return other
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            c = _scalar(other)
-            return _make(0, (c,)) if c else _ZERO_POLY
+        if isinstance(other, int) and not isinstance(other, bool):
+            return _make(0, (int(other),)) if other else _ZERO_POLY
         return None
 
     def __add__(self, other):
@@ -179,21 +162,14 @@ class LaurentPoly:
         if len(b) == 1:
             return _scaled(lo, a, b[0])
         # the product of two nonzero polynomials has nonzero end terms
-        return _make(lo, tuple(_canon(_product(a, b))))
+        return _make(lo, tuple(_product(a, b)))
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = LaurentPoly.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        return _power(self, k, _ONE_POLY)
 
     def __eq__(self, other) -> bool:
         o = self._coerce(other)
@@ -264,7 +240,7 @@ def _trimmed(lo: int, cs: list) -> LaurentPoly:
         start += 1
     if not end:
         return _ZERO_POLY
-    return _make(lo + start, tuple(_canon(cs[start:end])))
+    return _make(lo + start, tuple(cs[start:end]))
 
 
 def _combine(p: LaurentPoly, o: LaurentPoly, op) -> LaurentPoly:
@@ -283,14 +259,14 @@ def _combine(p: LaurentPoly, o: LaurentPoly, op) -> LaurentPoly:
     return _trimmed(lo, out)
 
 
-def _scaled(lo: int, cs: tuple, s: Scalar) -> LaurentPoly:
+def _scaled(lo: int, cs: tuple, s: int) -> LaurentPoly:
     """``s * q^lo * sum(cs[i] q^i)`` for a nonzero scalar ``s``: a shift and
     scale in O(len); a unit scalar reuses the tuple."""
     if s == 1:
         return _make(lo, cs)
     if s == -1:
         return _make(lo, tuple([-c for c in cs]))
-    return _make(lo, tuple(_canon([c * s for c in cs])))
+    return _make(lo, tuple([c * s for c in cs]))
 
 
 def _product(a: tuple, b: tuple) -> list:
@@ -318,7 +294,7 @@ def _product(a: tuple, b: tuple) -> list:
     return out
 
 
-def monomial(exp: int, coeff: Scalar = 1) -> LaurentPoly:
+def monomial(exp: int, coeff: int = 1) -> LaurentPoly:
     """The single-term polynomial ``coeff * q^exp``."""
     if not isinstance(exp, int) or isinstance(exp, bool):
         raise TypeError(f"exponent must be int, got {exp!r}")
@@ -327,13 +303,13 @@ def monomial(exp: int, coeff: Scalar = 1) -> LaurentPoly:
 
 
 def lp_div_exact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Exact quotient ``a / b`` in the Laurent ring.
+    """Exact quotient ``a / b`` in the Laurent ring Z[q, q^-1].
 
     Performs ascending-exponent long division after shifting both operands
-    so the divisor's lowest exponent is zero. A quotient coefficient stays
-    an ``int`` when the divisor's lowest coefficient divides it exactly and
-    becomes a Fraction otherwise. Any nonzero remainder raises
-    :class:`NonExactDivision`; nothing is ever truncated silently.
+    so the divisor's lowest exponent is zero. A quotient coefficient that
+    the divisor's lowest coefficient does not divide, or a nonzero
+    remainder, raises :class:`NonExactDivision`; nothing is ever truncated
+    silently.
     """
     if b.is_zero:
         raise DivisionByZero("division by the zero polynomial")
@@ -350,25 +326,25 @@ def lp_div_exact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
         c = rem[i]
         if not c:
             continue
-        if type(c) is int and type(lead) is int and not c % lead:
-            qc = c // lead
-        else:
-            qc = _scalar(Fraction(c) / lead)
+        qc, r = divmod(c, lead)
+        if r:
+            break
         quot[i] = qc
         j = i + nd
         rem[i:j] = map(sub, rem[i:j], map(mul, repeat(qc), div))
-    if any(rem[nq:]):
-        raise NonExactDivision(f"{a.to_str()!s} is not divisible by {b.to_str()!s}")
-    return _trimmed(a._lo - b._lo, quot)
+    else:
+        if not any(rem[nq:]):
+            return _trimmed(a._lo - b._lo, quot)
+    raise NonExactDivision(f"{a.to_str()!s} is not divisible by {b.to_str()!s}")
 
 
-def lp_eval_q1(a: LaurentPoly) -> Fraction:
+def lp_eval_q1(a: LaurentPoly) -> int:
     """Value at the point q = 1, i.e. the sum of all coefficients.
 
     Negative exponents contribute like non-negative ones since 1^e = 1.
-    This is a ring homomorphism onto the rationals.
+    This is a ring homomorphism onto the integers.
     """
-    return sum(a._c, Fraction(0))
+    return sum(a._c)
 
 
 class TruncSeries:
@@ -484,28 +460,29 @@ class TruncSeries:
 
 
 def _unit_inverse(c0):
-    """Inverse of a unit coefficient: nonzero rational or Laurent monomial."""
+    """Inverse of a unit coefficient: a nonzero rational, or ``±q^e`` in
+    the Laurent ring."""
     if isinstance(c0, (int, Fraction)) and not isinstance(c0, bool):
         if c0 == 0:
             raise NonInvertibleConstantTerm("constant term is zero")
-        return _scalar(1 / Fraction(c0))
+        inv = 1 / Fraction(c0)
+        return inv.numerator if inv.denominator == 1 else inv
     if isinstance(c0, LaurentPoly):
         if c0.is_zero:
             raise NonInvertibleConstantTerm("constant term is zero")
-        if len(c0) != 1:
+        if c0._c not in ((1,), (-1,)):
             raise NonInvertibleConstantTerm(
                 f"constant term {c0} is not a unit in the Laurent ring"
             )
-        ((e, c),) = c0.items()
-        return monomial(-e, 1 / Fraction(c))
+        return _make(-c0._lo, c0._c)
     raise NonInvertibleConstantTerm(f"unsupported coefficient {c0!r}")
 
 
 def ts_inverse(s: TruncSeries) -> TruncSeries:
     """Multiplicative inverse modulo t^(N+1).
 
-    The constant coefficient must be a unit (nonzero rational, or a single
-    Laurent monomial); otherwise :class:`NonInvertibleConstantTerm`.
+    The constant coefficient must be a unit (a nonzero rational, or
+    ``±q^e``); otherwise :class:`NonInvertibleConstantTerm`.
     """
     cs = s.coeffs
     inv0 = _unit_inverse(cs[0])
@@ -517,18 +494,20 @@ def ts_inverse(s: TruncSeries) -> TruncSeries:
 
 
 def ts_pow(s: TruncSeries, k: int) -> TruncSeries:
-    """k-fold product of a truncated series with itself; k = 0 gives 1.
-
-    Computed by repeated squaring: about log2(k) products, none of them
-    against the unit series.
-    """
+    """k-fold product of a truncated series with itself; k = 0 gives 1."""
     if not isinstance(k, int) or k < 0:
         raise ValueError("power must be a non-negative integer")
+    return _power(s, k, TruncSeries.one(s.order))
+
+
+def _power(x, k: int, one):
+    """``x`` to the power ``k > 0`` by repeated squaring, or ``one`` for
+    ``k = 0``: about log2(k) products, none of them against ``one``."""
     result = None
     while k:
         if k & 1:
-            result = s if result is None else result * s
+            result = x if result is None else result * x
         k >>= 1
         if k:
-            s = s * s
-    return TruncSeries.one(s.order) if result is None else result
+            x = x * x
+    return one if result is None else result

@@ -14,7 +14,7 @@ a loop, so any depth works. A request for column k builds only columns
 memoized, per (family, alpha), each as an exact prefix of its row.
 
 Also provides the rising/falling/generalized factorial polynomials in a
-formal variable t (as Laurent polynomials with rational coefficients), used
+formal variable t (as Laurent polynomials with integer coefficients), used
 to verify horizontal generating-function identities by dense expansion.
 """
 

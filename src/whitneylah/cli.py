@@ -97,10 +97,6 @@ def _resolve_alpha(family: str, alpha: Optional[int]) -> int:
     return 1 if alpha is None else alpha
 
 
-def _fmt(value) -> str:
-    return value.to_str("q") if hasattr(value, "to_str") else str(value)
-
-
 def _cmd_table(args) -> int:
     fam = FAMILIES[args.family]
     alpha = _resolve_alpha(args.family, args.alpha)
@@ -109,11 +105,11 @@ def _cmd_table(args) -> int:
     ns = range(args.n_max + 1)
     if fam.kind == "triangle":
         header, key = "n,k,value", "rows"
-        rows = [[_fmt(fam.value(alpha, n, k)) for k in range(n + 1)] for n in ns]
+        rows = [[str(fam.value(alpha, n, k)) for k in range(n + 1)] for n in ns]
         lines = (f"{n},{k},{v}" for n, r in enumerate(rows) for k, v in enumerate(r))
     else:
         header, key = "n,value", "values"
-        rows = [_fmt(fam.value(alpha, n)) for n in ns]
+        rows = [str(fam.value(alpha, n)) for n in ns]
         lines = (f"{n},{v}" for n, v in enumerate(rows))
     if args.format == "csv":
         print(header)
@@ -138,7 +134,7 @@ def _cmd_eval(args) -> int:
         if args.k is not None:
             raise _UsageError(f"family {args.family!r} does not take --k")
         value = fam.value(alpha, args.n)
-    print(_fmt(value))
+    print(value)
     return 0
 
 
@@ -184,7 +180,7 @@ def _cmd_series(args) -> int:
     check = get_identity(args.id).check
     alpha = 1 if args.alpha is None else args.alpha
     pairs = [
-        tuple(map(_fmt, check(alpha=alpha, k=args.k, n=n, order=args.order)))
+        tuple(map(str, check(alpha=alpha, k=args.k, n=n, order=args.order)))
         for n in range(args.order + 1)
     ]
     print("n,lhs,rhs")

@@ -1,16 +1,19 @@
 """The dense integer Laurent kernel against the sparse dict-of-Fraction
 kernel it replaced, kept here as a reference implementation.
 
-Hypothesis draws polynomials with mixed int/Fraction coefficients and
-negative exponents and checks that both kernels agree on every ring
-operation, on exact division (exact and non-exact cases), on the canonical
-text form byte for byte, and on ``==`` and ``hash``.
+Hypothesis draws polynomials with small and big integer coefficients and
+negative exponents, and operands shaped like the q-families' own: runs of
+equal coefficients at a stride, ``c q^s [m]_{q^b}``, and long dense ones.
+Both kernels must agree on every ring operation, on exact division (exact
+and non-exact cases, where a quotient the reference finds only over the
+rationals is non-exact over the integers), on the canonical text form
+byte for byte, and on ``==`` and ``hash``.
 """
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from whitneylah.arith import (
@@ -146,10 +149,10 @@ def dict_div_exact(a, b):
 
 
 def agree(dense: LaurentPoly, ref: DictLaurent) -> None:
-    """Same terms, same text, same hash, and ints wherever integral."""
+    """Same terms, same text, same hash, and every coefficient an int."""
     terms = list(dense.items())
     assert terms == sorted(ref._terms.items())
-    assert all(type(c) is int for _, c in terms if c.denominator == 1)
+    assert all(type(c) is int for _, c in terms)
     assert all(c for _, c in terms)
     assert dense.to_str() == ref.to_str()
     assert dense.to_str("t") == ref.to_str("t")
@@ -158,12 +161,31 @@ def agree(dense: LaurentPoly, ref: DictLaurent) -> None:
 
 
 ints = st.integers(min_value=-12, max_value=12)
-fractions = st.fractions(min_value=-9, max_value=9, max_denominator=6)
-scalars = st.one_of(ints, fractions)
 big_ints = st.integers(min_value=-(10**30), max_value=10**30)
+scalars = st.one_of(ints, big_ints)
 exponents = st.integers(min_value=-6, max_value=6)
-term_maps = st.dictionaries(exponents, st.one_of(scalars, big_ints), max_size=6)
+term_maps = st.dictionaries(exponents, scalars, max_size=6)
 int_term_maps = st.dictionaries(exponents, ints, max_size=6)
+
+
+@st.composite
+def run_maps(draw):
+    """``c q^s [m]_{q^b}``: m equal coefficients at stride b, the shape of
+    the q-integer factors in the q-families' recurrences."""
+    c = draw(scalars.filter(bool))
+    s = draw(exponents)
+    b = draw(st.integers(min_value=1, max_value=3))
+    m = draw(st.integers(min_value=1, max_value=40))
+    return {s + b * i: c for i in range(m)}
+
+
+@st.composite
+def dense_maps(draw):
+    """100 to 300 consecutive big-int coefficients, nonzero at both ends."""
+    s = draw(exponents)
+    ends = big_ints.filter(bool)
+    cs = [draw(ends), *draw(st.lists(big_ints, min_size=98, max_size=298)), draw(ends)]
+    return {s + i: c for i, c in enumerate(cs)}
 
 
 @st.composite
@@ -222,11 +244,14 @@ def test_div_exact_of_a_product(x, y):
 
 @given(pairs(int_term_maps), pairs(int_term_maps).filter(lambda p: not p[0].is_zero))
 def test_div_exact_any_operands(x, y):
-    """Arbitrary integer operands: mostly non-exact, sometimes Fraction quotients."""
+    """Arbitrary integer operands: mostly non-exact, sometimes a quotient
+    that is exact only over the rationals, which is non-exact here."""
     (a, ra), (b, rb) = x, y
     try:
         expected = dict_div_exact(ra, rb)
     except NonExactDivision:
+        expected = None
+    if expected is None or any(c.denominator != 1 for c in expected._terms.values()):
         with pytest.raises(NonExactDivision):
             lp_div_exact(a, b)
     else:
@@ -240,26 +265,45 @@ def test_div_by_zero(x):
         lp_div_exact(a, LaurentPoly.zero())
 
 
-def test_div_with_fraction_quotient():
+def test_div_with_fraction_quotient_raises():
+    """The reference finds the quotient 3/2, which is not in Z[q, q^-1]."""
+    expected = dict_div_exact(DictLaurent({0: 3, 1: 3}), DictLaurent({0: 2, 1: 2}))
+    assert expected._terms == {0: Fraction(3, 2)}
     q = LaurentPoly.var()
-    got = lp_div_exact(3 + 3 * q, 2 + 2 * q)
-    assert list(got.items()) == [(0, Fraction(3, 2))]
-    agree(got, dict_div_exact(DictLaurent({0: 3, 1: 3}), DictLaurent({0: 2, 1: 2})))
+    with pytest.raises(NonExactDivision):
+        lp_div_exact(3 + 3 * q, 2 + 2 * q)
 
 
 @given(pairs())
-def test_eval_q1_returns_fraction(x):
+def test_eval_q1_returns_int(x):
     a, ra = x
     value = lp_eval_q1(a)
-    assert type(value) is Fraction
+    assert type(value) is int
     assert value == sum(ra._terms.values(), _ZERO)
 
 
-def test_sparse_spaced_factors():
-    """q^alpha-spaced factors such as [m]_{q^3} are mostly zeros."""
-    spaced = {3 * i: 1 for i in range(7)}
-    other = {-2: 5, 0: -1, 4: Fraction(1, 3), 9: 2}
-    agree(
-        LaurentPoly(spaced) * LaurentPoly(other),
-        DictLaurent(spaced) * DictLaurent(other),
-    )
+def _agree_on_product_and_quotients(x, y):
+    """``a * b`` as the reference multiplies it, and both exact quotients
+    of it, whose reference values are the factors themselves."""
+    a, b = LaurentPoly(x), LaurentPoly(y)
+    ra, rb = DictLaurent(x), DictLaurent(y)
+    ab, ref = a * b, ra * rb
+    agree(ab, ref)
+    agree(b * a, ref)
+    agree(lp_div_exact(ab, a), rb)
+    if not b.is_zero:
+        agree(lp_div_exact(ab, b), ra)
+
+
+@given(run_maps(), st.one_of(term_maps, run_maps(), dense_maps()))
+@example({3 * i: 1 for i in range(7)}, {-2: 5, 0: -1, 4: 3, 9: 2})
+@settings(max_examples=60, deadline=None)
+def test_run_shaped_factors(run, other):
+    """A run times anything: [m]_{q^b} with b > 1 is mostly zeros."""
+    _agree_on_product_and_quotients(run, other)
+
+
+@given(dense_maps(), st.one_of(term_maps, dense_maps()))
+@settings(max_examples=20, deadline=None)
+def test_large_dense_operands(dense, other):
+    _agree_on_product_and_quotients(dense, other)
