@@ -40,10 +40,11 @@ class NonInvertibleConstantTerm(ArithmeticError):
 
 
 def _scalar(value) -> int:
-    """A coefficient as a plain ``int``; any other type is a TypeError."""
+    """A coefficient as a plain ``int``; any other type, ``bool`` included,
+    is a TypeError."""
     if type(value) is int:
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return int(value)
     raise TypeError(f"coefficient must be int, got {value!r}")
 

@@ -11,7 +11,9 @@ triangle, classical, translated or q, is a weights function handed to it
 that gives the weights of a range of columns of one row. Rows are built in
 a loop, so any depth works. A request for column k builds only columns
 0..k of each row below it, and only the rows that callers request are
-memoized, per (family, alpha), each as an exact prefix of its row.
+memoized, per (family, alpha), each as an exact prefix of its row. Every
+family reads its values through ``_cell`` and its row sums through
+``_row_sum``, which also hold the zero outside the triangle.
 
 Also provides the rising/falling/generalized factorial polynomials in a
 formal variable t (as Laurent polynomials with integer coefficients), used
@@ -85,6 +87,22 @@ def _row(weights: Callable, alpha: int, n: int, k: int, one=1) -> tuple:
     return row
 
 
+def _cell(weights: Callable, alpha: int, n: int, k: int, one=1):
+    """u(n, k) of the triangle of ``weights`` at ``alpha``, in the ring of
+    ``one``: its zero outside 0 <= k <= n."""
+    if n < 0 or k < 0 or k > n:
+        return one - one
+    return _row(weights, alpha, n, k, one)[k]
+
+
+def _row_sum(weights: Callable, alpha: int, n: int, one=1):
+    """The sum of row n of the triangle of ``weights`` at ``alpha``, in the
+    ring of ``one``: its zero for n < 0."""
+    if n < 0:
+        return one - one
+    return sum(_row(weights, alpha, n, n, one), one - one)
+
+
 def _extend(
     weights: Callable, alpha: int, i: int, prev: tuple, row: tuple, hi: int
 ) -> tuple:
@@ -118,17 +136,13 @@ def _tw2_weights(alpha: int, n: int, lo: int, hi: int) -> tuple[list[int], list[
 def stirling1u(n: int, k: int) -> int:
     """Unsigned Stirling number of the first kind: permutations of an
     n-set with k cycles. Zero outside 0 <= k <= n."""
-    if n < 0 or k < 0 or k > n:
-        return 0
-    return _row(_tw1_weights, 1, n, k)[k]
+    return _cell(_tw1_weights, 1, n, k)
 
 
 def stirling2(n: int, k: int) -> int:
     """Stirling number of the second kind: partitions of an n-set into
     k nonempty blocks. Zero outside 0 <= k <= n."""
-    if n < 0 or k < 0 or k > n:
-        return 0
-    return _row(_tw2_weights, 1, n, k)[k]
+    return _cell(_tw2_weights, 1, n, k)
 
 
 def lah(n: int, k: int) -> int:
@@ -184,9 +198,7 @@ def lah_oracle(n: int, k: int) -> int:
 
 def bell(n: int) -> int:
     """Bell number: total number of partitions of an n-set."""
-    if n < 0:
-        return 0
-    return sum(_row(_tw2_weights, 1, n, n))
+    return _row_sum(_tw2_weights, 1, n)
 
 
 def binomial(r: int, k: int) -> int:

@@ -22,7 +22,9 @@ The triangles are weights for the triangle engine in classical, which
 builds rows in a loop, only as wide as the requested column needs, and
 memoizes, per (family, alpha), only the rows that callers request; stored
 rows are read-only tuples, each a prefix of its row. A band of columns
-0..k makes k + 1 q-integers per row, not n + 1.
+0..k makes k + 1 q-integers per row, not n + 1. Values and row sums are
+read through the engine's ``_cell`` and ``_row_sum`` with the polynomial 1
+as u(0, 0), so a value outside the triangle is the zero polynomial.
 
 The generalized q-factorial [t|alpha]_n at integer points is ``gqf_point``.
 The Gaussian-binomial inversion sum, on which ``qwl_explicit``, the
@@ -39,7 +41,7 @@ import math
 from typing import Sequence
 
 from .arith import LaurentPoly, TruncSeries, lp_div_exact, monomial, ts_inverse
-from .classical import _row
+from .classical import _cell, _row_sum
 from .qcalc import qbinom, qfact, qint
 from .whitney import InvalidAlpha, _check_alpha
 
@@ -89,34 +91,22 @@ def _qwl_weights(alpha: int, n: int, lo: int, hi: int) -> tuple[list, list]:
     )
 
 
-def _qrow(weights, alpha: int, n: int, k: int) -> tuple[LaurentPoly, ...]:
-    """A prefix of row n of a q-triangle holding columns 0..min(k, n);
-    its u(0, 0) is the polynomial 1."""
-    return _row(weights, alpha, n, k, LaurentPoly.one())
-
-
 def qw1(alpha: int, n: int, k: int) -> LaurentPoly:
     """Translated q-Whitney number of the first kind."""
     _check_alpha_nonzero(alpha)
-    if n < 0 or k < 0 or k > n:
-        return LaurentPoly.zero()
-    return _qrow(_qw1_weights, alpha, n, k)[k]
+    return _cell(_qw1_weights, alpha, n, k, LaurentPoly.one())
 
 
 def qw2(alpha: int, n: int, k: int) -> LaurentPoly:
     """Translated q-Whitney number of the second kind."""
     _check_alpha_nonzero(alpha)
-    if n < 0 or k < 0 or k > n:
-        return LaurentPoly.zero()
-    return _qrow(_qw2_weights, alpha, n, k)[k]
+    return _cell(_qw2_weights, alpha, n, k, LaurentPoly.one())
 
 
 def qwl(alpha: int, n: int, k: int) -> LaurentPoly:
     """Translated q-Whitney-Lah number, by its triangle recurrence."""
     _check_alpha(alpha)
-    if n < 0 or k < 0 or k > n:
-        return LaurentPoly.zero()
-    return _qrow(_qwl_weights, alpha, n, k)[k]
+    return _cell(_qwl_weights, alpha, n, k, LaurentPoly.one())
 
 
 def _qbinom_inverse_entry(F: Sequence, k: int, alpha: int):
@@ -152,9 +142,7 @@ def qlah_gr(n: int, k: int, route: str = "recurrence") -> LaurentPoly:
     if route not in QLAH_ROUTES:
         raise ValueError(f"unknown route {route!r}")
     if route == "recurrence":
-        if n < 0 or k < 0 or k > n:
-            return LaurentPoly.zero()
-        return _qrow(_qwl_weights, 1, n, k)[k]
+        return _cell(_qwl_weights, 1, n, k, LaurentPoly.one())
     if not 1 <= k <= n:
         raise InvalidRange(f"closed formula needs 1 <= k <= n, got ({n}, {k})")
     ratio = LaurentPoly.one()
@@ -166,9 +154,7 @@ def qlah_gr(n: int, k: int, route: str = "recurrence") -> LaurentPoly:
 def qdowling(alpha: int, n: int) -> LaurentPoly:
     """Translated q-Dowling number: row sum of the second-kind triangle."""
     _check_alpha(alpha)
-    if n < 0:
-        return LaurentPoly.zero()
-    return sum(_qrow(_qw2_weights, alpha, n, n))
+    return _row_sum(_qw2_weights, alpha, n, LaurentPoly.one())
 
 
 def qdowling_qi(alpha: int, n: int) -> LaurentPoly:
@@ -176,11 +162,9 @@ def qdowling_qi(alpha: int, n: int) -> LaurentPoly:
     sum_j (sum_{k<=j} qwl(alpha,j,k)) qw2(-alpha,n,j); the sign of the
     classical alternating formula is carried by the negated alpha."""
     _check_alpha(alpha)
-    if n < 0:
-        return LaurentPoly.zero()
-    total = LaurentPoly.zero()
+    total, one = LaurentPoly.zero(), LaurentPoly.one()
     for j in range(n + 1):
-        total = total + sum(_qrow(_qwl_weights, alpha, j, j)) * qw2(-alpha, n, j)
+        total = total + _row_sum(_qwl_weights, alpha, j, one) * qw2(-alpha, n, j)
     return total
 
 

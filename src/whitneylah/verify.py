@@ -174,30 +174,33 @@ class Grid:
 
     ``axes`` lists ``(name, values)`` pairs from the outermost loop in;
     ``values`` is a tuple or range of fixed values or the name of a span in
-    ``_SPANS``. ``alphas`` is every alpha the identity checks, ``cap`` the
-    largest n. An irregular grid gives a function ``(alphas, top) ->
-    points`` in place of the axes; ``printed`` replaces the axes in
-    ``as_printed`` mode.
+    ``_SPANS``. An irregular grid is a union: a tuple of such axis lists,
+    whose points are concatenated in order. ``alphas`` is every alpha the
+    identity checks, ``cap`` the largest n. ``printed`` replaces the axes
+    in ``as_printed`` mode.
     """
 
     cap: int
     alphas: tuple[int, ...]
-    axes: tuple | Callable[[list[int], int], list[dict]]
+    axes: tuple
     printed: tuple = ()
 
     def points(self, alpha_list: tuple[int, ...], n_max: int, mode: str) -> list[dict]:
         alphas = [a for a in alpha_list if a in self.alphas]
         top = min(self.cap, n_max)
         axes = self.printed if mode == "as_printed" and self.printed else self.axes
-        if callable(axes):
-            return axes(alphas, top)
-        points = [{}]
-        for name, values in axes:
-            if isinstance(values, str):
-                span = _SPANS[values]
-                points = [{**p, name: v} for p in points for v in span(p, top, alphas)]
-            else:
-                points = [{**p, name: v} for p in points for v in values]
+        # an axis list starts with a (name, values) pair, a union with a list
+        union = (axes,) if isinstance(axes[0][0], str) else axes
+        points = []
+        for axis_list in union:
+            part = [{}]
+            for name, values in axis_list:
+                if isinstance(values, str):
+                    span = _SPANS[values]
+                    part = [{**p, name: v} for p in part for v in span(p, top, alphas)]
+                else:
+                    part = [{**p, name: v} for p in part for v in values]
+            points += part
         return points
 
 
@@ -355,18 +358,6 @@ def _chk_dobinski(alpha, n):
 # -- q-suite checks ----------------------------------------------------------
 
 
-def _q_defs_points(alphas: list[int], top: int) -> list[dict]:
-    # def3 runs at positive alphas only: qwl needs alpha > 0
-    signed = [s for a in alphas for s in (a, -a)]
-    return [
-        {"rel": rel, "alpha": a, "n": n, "m": m}
-        for rel in ("def1", "def2", "def3")
-        for a in (alphas if rel == "def3" else signed)
-        for n in range(top + 1)
-        for m in range(n + 1)
-    ]
-
-
 def _chk_q_defs(rel, alpha, n, m):
     t = m * alpha
     tval = qint_signed(t)
@@ -414,11 +405,7 @@ def _chk_qr2_1(k, n, mode):
         return _qr2_sides(1, k, n, printed=False)
     # printed corollary divides by [n-k+1]_q (not its factorial); compare
     # with that single q-integer cleared
-    lhs = LaurentPoly.zero()
-    for j in range(k + 1):
-        lhs = lhs + _sign(j) * (
-            monomial(-(n * j + math.comb(j + 1, 2))) * qlah_gr(k, j) * qfact(n + j)
-        )
+    lhs, _ = _qr2_sides(1, k, n, printed=True)
     return lhs * qint(n - k + 1), _sign(k) * qfact(n) * qint(n + 1)
 
 
@@ -444,16 +431,6 @@ def _chk_qbinom_inv(alpha, sample, k):
     return qbinom_inverse_transform(qbinom_transform(f, alpha), alpha)[k], f[k]
 
 
-def _pe1_points(alphas: list[int], top: int) -> list[dict]:
-    return [
-        {"rel": rel, "alpha": a, "j": j, "n": n}
-        for rel in ("product", "binomial")
-        for a in alphas
-        for j in range(0 if rel == "product" else 1, 6)
-        for n in range(top + 1)
-    ]
-
-
 def _chk_pe1(rel, alpha, j, n):
     if rel == "product":
         lhs = gqf_point(alpha * j, -alpha, n)
@@ -471,19 +448,6 @@ def _chk_pe2(n, k):
     for i in range(n):
         prod = prod * ts_inverse(TruncSeries([LaurentPoly.one(), -monomial(i)], order))
     return prod.coeff(k), qbinom(n + k - 1, k)
-
-
-def _q_limits_points(alphas: list[int], top: int) -> list[dict]:
-    out = []
-    for family in ("qw1", "qw2", "qwl", "qlah", "qdowling"):
-        for a in [1] if family == "qlah" else alphas:
-            for n in range(top + 1):
-                if family == "qdowling":
-                    out.append({"family": family, "alpha": a, "n": n})
-                else:
-                    for k in range(n + 1):
-                        out.append({"family": family, "alpha": a, "n": n, "k": k})
-    return out
 
 
 def _chk_q_limits(family, alpha, n, k=None):
@@ -693,7 +657,20 @@ _IDENTITIES = (
         " proved at n+1 evaluation points",
         "[t|a]_n = sum qw1 [t]^k; [t]^n = sum qw2 [t|a]_k;"
         " [t|-a]_n = sum qwl [t|a]_k",
-        Grid(8, _Q_ALPHAS, _q_defs_points),
+        Grid(
+            8,
+            _Q_ALPHAS,
+            (
+                (
+                    ("rel", ("def1", "def2")),
+                    ("alpha", "alphas,-alphas"),
+                    _N,
+                    ("m", "0..n"),
+                ),
+                # qwl needs alpha > 0
+                (("rel", ("def3",)), _ALPHA, _N, ("m", "0..n")),
+            ),
+        ),
         _chk_q_defs,
     ),
     _q(
@@ -769,7 +746,14 @@ _IDENTITIES = (
         "generalized q-factorial product and quotient identities",
         "[aj|-a]_n = [a]^n prod_i [j+i]_{q^a};"
         " [j+n-1]_{q^a,n}/[n]_{q^a}! = C(j+n-1,n)_{q^a}",
-        Grid(6, _CLASSICAL_ALPHAS, _pe1_points),
+        Grid(
+            6,
+            _CLASSICAL_ALPHAS,
+            (
+                (("rel", ("product",)), _ALPHA, ("j", range(6)), _N),
+                (("rel", ("binomial",)), _ALPHA, ("j", range(1, 6)), _N),
+            ),
+        ),
         _chk_pe1,
     ),
     _q(
@@ -791,7 +775,16 @@ _IDENTITIES = (
         "q -> 1 reduction of every q-family to its classical value",
         "eval at q=1: qw1 -> (-1)^(n-k) a^(n-k) c(n,k);"
         " qw2 -> a^(n-k) S(n,k); qwl -> a^(n-k) L(n,k); qD -> D",
-        Grid(8, _Q_ALPHAS, _q_limits_points),
+        Grid(
+            8,
+            _Q_ALPHAS,
+            (
+                (("family", ("qw1", "qw2", "qwl")),) + _TRIANGLE,
+                # the q-Lah triangle has alpha 1 whatever alphas are selected
+                (("family", ("qlah",)), ("alpha", (1,)), _N, ("k", "0..n")),
+                (("family", ("qdowling",)), _ALPHA, _N),
+            ),
+        ),
         _chk_q_limits,
     ),
 )

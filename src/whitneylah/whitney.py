@@ -9,7 +9,8 @@ and the alternating Qi-type explicit formula).
 The recurrence triangles are weights for the triangle engine in classical,
 which builds rows in a loop, only as wide as the requested column needs,
 and memoizes, per (family, alpha), only the rows that callers request;
-stored rows are read-only tuples, each a prefix of its row.
+stored rows are read-only tuples, each a prefix of its row. Values and row
+sums are read through the engine's ``_cell`` and ``_row_sum``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .arith import NonExactDivision, TruncSeries, ts_inverse, ts_pow
-from .classical import _row, _tw1_weights, _tw2_weights, lah
+from .classical import _cell, _row_sum, _tw1_weights, _tw2_weights, lah
 
 TWL_METHODS = ("recurrence", "explicit", "product", "scaled")
 
@@ -49,34 +50,13 @@ def _twl_weights(alpha: int, n: int, lo: int, hi: int) -> tuple[list[int], list[
 def tw1(alpha: int, n: int, k: int) -> int:
     """Translated Whitney number of the first kind, by its recurrence."""
     _check_alpha(alpha)
-    if n < 0 or k < 0 or k > n:
-        return 0
-    return _row(_tw1_weights, alpha, n, k)[k]
+    return _cell(_tw1_weights, alpha, n, k)
 
 
 def tw2(alpha: int, n: int, k: int) -> int:
     """Translated Whitney number of the second kind, by its recurrence."""
     _check_alpha(alpha)
-    if n < 0 or k < 0 or k > n:
-        return 0
-    return _row(_tw2_weights, alpha, n, k)[k]
-
-
-def tw2_explicit(alpha: int, n: int, k: int) -> int:
-    """Second-kind value by the alternating power sum
-    (1/(alpha^k k!)) sum_j (-1)^(k-j) C(k,j) (alpha j)^n."""
-    _check_alpha(alpha)
-    if n < 0 or k < 0 or k > n:
-        return 0
-    acc = 0
-    for j in range(k + 1):
-        acc += (-1) ** (k - j) * math.comb(k, j) * (alpha * j) ** n
-    q, rem = divmod(acc, alpha**k * math.factorial(k))
-    if rem:
-        raise NonExactDivision(
-            f"power sum for ({alpha}, {n}, {k}) is not divisible by {alpha}^{k} {k}!"
-        )
-    return q
+    return _cell(_tw2_weights, alpha, n, k)
 
 
 def _rising_value(j: int, n: int) -> int:
@@ -103,7 +83,7 @@ def twl(alpha: int, n: int, k: int, method: str = "recurrence") -> int:
     if n < 0 or k < 0 or k > n:
         return 0
     if method == "recurrence":
-        return _row(_twl_weights, alpha, n, k)[k]
+        return _cell(_twl_weights, alpha, n, k)
     if method == "explicit":
         acc = 0
         for j in range(k + 1):
@@ -197,9 +177,7 @@ def mansour_u_explicit_as_printed(spec: MansourSpec, n: int, k: int) -> Fraction
 def dowling(alpha: int, n: int) -> int:
     """Translated Dowling number: row sum of the second-kind triangle."""
     _check_alpha(alpha)
-    if n < 0:
-        return 0
-    return sum(_row(_tw2_weights, alpha, n, n))
+    return _row_sum(_tw2_weights, alpha, n)
 
 
 def dowling_dobinski(
@@ -241,11 +219,9 @@ def dowling_qi(alpha: int, n: int) -> int:
     """Dowling number via the alternating sum over Whitney-Lah row sums:
     sum_j (-1)^(n-j) (sum_k twl(alpha,j,k)) tw2(alpha,n,j)."""
     _check_alpha(alpha)
-    if n < 0:
-        return 0
     total = 0
     for j in range(n + 1):
-        inner = sum(_row(_twl_weights, alpha, j, j))
+        inner = _row_sum(_twl_weights, alpha, j)
         total += (-1) ** (n - j) * inner * tw2(alpha, n, j)
     return total
 

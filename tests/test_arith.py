@@ -97,6 +97,16 @@ class TestIntegerCoefficients:
             with pytest.raises(TypeError):
                 op(Fraction(1, 2), q)
 
+    def test_bool_coefficient_raises(self):
+        # as a bool exponent and a bool operand already do
+        for make in (lambda: LaurentPoly({0: True}), lambda: monomial(3, True)):
+            with pytest.raises(TypeError):
+                make()
+        with pytest.raises(TypeError):
+            monomial(True)
+        with pytest.raises(TypeError):
+            q * True
+
 
 class TestTruncSeries:
     def test_inverse_geometric(self):

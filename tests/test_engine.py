@@ -77,6 +77,32 @@ FAMILIES = {
     "qlah_gr": (lambda a, n, k: qlah_gr(n, k), _qwl_weights, 1, 10, Q1),
 }
 
+# (row sum (alpha, n), u(0, 0))
+ROW_SUMS = {
+    "bell": (lambda a, n: bell(n), 1),
+    "dowling": (dowling, 1),
+    "dowling_qi": (dowling_qi, 1),
+    "qdowling": (qdowling, Q1),
+    "qdowling_qi": (qdowling_qi, Q1),
+}
+
+
+@pytest.mark.parametrize("name", [*FAMILIES, *ROW_SUMS])
+def test_outside_the_triangle_is_the_zero_of_its_ring(cold_memo, name):
+    if name in FAMILIES:
+        value, _, alpha, _, one = FAMILIES[name]
+        outside = [(-1, 0), (-1, -1), (-3, -5), (3, -1), (3, 4), (0, 1)]
+        values = [value(alpha, n, k) for n, k in outside]
+    else:
+        value, one = ROW_SUMS[name]
+        values = [value(2, -1), value(2, -4)]
+    for v in values:
+        # an int 0 compares equal to the zero polynomial, so check the type
+        if isinstance(one, LaurentPoly):
+            assert isinstance(v, LaurentPoly) and v.is_zero, v
+        else:
+            assert type(v) is int and v == 0, v
+
 
 @pytest.mark.parametrize(
     "family, n", [(tw1, 400), (tw2, 400), (twl, 400), (qw1, 12), (qw2, 12), (qwl, 12)],

@@ -1,0 +1,44 @@
+"""Only the engine's own module names ``_row``: every other module reads
+the triangle engine through ``classical._cell`` and ``classical._row_sum``,
+which hold the zero outside the triangle, so no family restates that rule
+or indexes a row itself."""
+
+import ast
+from pathlib import Path
+
+import whitneylah
+
+PACKAGE = Path(whitneylah.__file__).parent
+
+
+def _names_row(tree: ast.Module) -> list[int]:
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id == "_row":
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr == "_row":
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom):
+            if any(alias.name == "_row" for alias in node.names):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_only_classical_names_the_row_builder():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "classical.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line}" for line in _names_row(tree)]
+    assert found == []
+
+
+def test_guard_sees_an_import_a_call_and_an_attribute():
+    tree = ast.parse(
+        "from .classical import _row as r, lah\n"
+        "import whitneylah.classical as c\n"
+        "def f(n, k):\n    return c._row(w, 1, n, k)[k] + _row(w, 1, n, k)[k]\n"
+        "def g(n):\n    return _rows(n)\n"
+    )
+    assert _names_row(tree) == [1, 4, 4]

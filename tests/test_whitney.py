@@ -28,7 +28,6 @@ from whitneylah.whitney import (
     mansour_u_explicit_as_printed,
     tw1,
     tw2,
-    tw2_explicit,
     twl,
     twl_egf_series,
 )
@@ -63,12 +62,6 @@ class TestSecondKind:
             for n in range(13):
                 for k in range(n + 1):
                     assert tw2(a, n, k) == a ** (n - k) * stirling2(n, k)
-
-    def test_explicit_power_sum_route(self):
-        for a in (1, 2, 3):
-            for n in range(11):
-                for k in range(n + 1):
-                    assert tw2_explicit(a, n, k) == tw2(a, n, k), (a, n, k)
 
 
 class TestWhitneyLah:
