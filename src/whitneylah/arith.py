@@ -376,16 +376,12 @@ class TruncSeries:
         self._coeffs = tuple(cs)
 
     @classmethod
-    def constant(cls, value, order: int) -> "TruncSeries":
-        return cls([value], order)
-
-    @classmethod
     def one(cls, order: int) -> "TruncSeries":
-        return cls.constant(1, order)
+        return cls([1], order)
 
     @classmethod
     def zero(cls, order: int) -> "TruncSeries":
-        return cls.constant(0, order)
+        return cls([0], order)
 
     @property
     def order(self) -> int:
@@ -420,19 +416,6 @@ class TruncSeries:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return TruncSeries([-c for c in self._coeffs], self._order)
-
-    def __sub__(self, other):
-        if isinstance(other, TruncSeries) or self._is_scalar(other):
-            return self + (-other if isinstance(other, TruncSeries) else -1 * other)
-        return NotImplemented
-
-    def __rsub__(self, other):
-        if self._is_scalar(other):
-            return (-self) + other
-        return NotImplemented
-
     def __mul__(self, other):
         if isinstance(other, TruncSeries):
             n = min(self._order, other._order)
@@ -451,9 +434,6 @@ class TruncSeries:
         return self._order == other._order and all(
             a == b for a, b in zip(self._coeffs, other._coeffs)
         )
-
-    def __hash__(self) -> int:
-        return hash((self._order, self._coeffs))
 
     def __repr__(self) -> str:
         body = ", ".join(str(c) for c in self._coeffs)

@@ -45,16 +45,34 @@ class ScaleExceeded(ValueError):
 # it at width min(i, k) + 1. A stored row is an exact prefix of its row,
 # columns 0..len(row)-1, and answers any request for a column inside it.
 # Only the rows that callers ask for are stored, per (weights, alpha), so a
-# deep request holds one row rather than the whole triangle. A miss whose
-# row n-1 covers the band extends row n: a new row by the band only, so a
-# wide row leaves narrow requests above it narrow, and a row asked again to
+# deep request holds one row rather than the whole triangle.
+#
+# The miss policy: a request that its stored prefix cannot answer resumes
+# from the nearest row m below it whose stored prefix covers the band,
+# columns 0..min(m, k); row 0, u(0, 0), always does. Each row after it is
+# built at the band's width, so a wide row leaves narrow requests above it
+# narrow. A row asked again whose row n-1 covers the band is extended to
 # every column that row n-1 gives, so an ascending sweep (k = 0..n at each
-# n) computes each cell once in two extensions per row. Any other miss
-# resumes from the nearest stored row below whose prefix covers the band.
-# Stored rows are tuples and never change; a longer prefix replaces a
-# shorter one.
+# n) computes each cell once in two extensions per row. Stored rows are
+# tuples and never change; a longer prefix replaces a shorter one.
 
 _ROWS: dict[tuple[Callable, int], dict[int, tuple]] = {}
+
+
+def _cache_stats() -> dict:
+    """How full the triangle engine's memo is: each triangle's stored rows
+    and cells, by weights function and alpha."""
+    triangles = [
+        {
+            "weights": weights.__name__,
+            "alpha": alpha,
+            "rows": len(rows),
+            "cells": sum(map(len, list(rows.values()))),
+        }
+        # list(...): another thread may store a row while this one counts
+        for (weights, alpha), rows in list(_ROWS.items())
+    ]
+    return {"triangles": sorted(triangles, key=lambda t: (t["weights"], t["alpha"]))}
 
 
 def _row(weights: Callable, alpha: int, n: int, k: int, one=1) -> tuple:
@@ -68,20 +86,15 @@ def _row(weights: Callable, alpha: int, n: int, k: int, one=1) -> tuple:
         return row
     if n == 0:
         return (one,)
-    prev = memo.get(n - 1, (one,) if n == 1 else ())
-    if len(prev) > min(k, n - 1):
-        if row:
-            # asked again: every column the stored row above gives
-            hi = max(hi, n if len(prev) == n else len(prev) - 1)
-    else:
-        # list(...): another thread may store a row while this one looks
-        start = max(
-            (m for m, r in list(memo.items()) if m < n and len(r) > min(m, k)),
-            default=0,
-        )
-        prev = memo.get(start, (one,))
-        for i in range(start + 1, n):
-            prev = _extend(weights, alpha, i, prev, (), min(i, k))
+    start = n - 1
+    while start and len(memo.get(start, ())) <= min(start, k):
+        start -= 1
+    prev = memo.get(start, (one,))
+    if start == n - 1 and row:
+        # asked again: every column the stored row above gives
+        hi = max(hi, n if len(prev) == n else len(prev) - 1)
+    for i in range(start + 1, n):
+        prev = _extend(weights, alpha, i, prev, (), min(i, k))
     row = _extend(weights, alpha, n, prev, row, hi)
     memo[n] = row
     return row

@@ -18,13 +18,12 @@ Negative alpha (needed by the convolution and Dowling identities) enters
 through the reflection [-m]_q = -q^(-m) [m]_q applied inside the
 recurrences. Values are Laurent polynomials; negative exponents are normal.
 
-The triangles are weights for the triangle engine in classical, which
-builds rows in a loop, only as wide as the requested column needs, and
-memoizes, per (family, alpha), only the rows that callers request; stored
-rows are read-only tuples, each a prefix of its row. A band of columns
-0..k makes k + 1 q-integers per row, not n + 1. Values and row sums are
-read through the engine's ``_cell`` and ``_row_sum`` with the polynomial 1
-as u(0, 0), so a value outside the triangle is the zero polynomial.
+The triangles are weights for the triangle engine in classical, whose
+comment block states how it builds, stores and resumes rows. A band of
+columns 0..k makes k + 1 q-integers per row, not n + 1. Values and row sums
+are read through the engine's ``_cell`` and ``_row_sum`` with the
+polynomial 1 as u(0, 0), so a value outside the triangle is the zero
+polynomial.
 
 The generalized q-factorial [t|alpha]_n at integer points is ``gqf_point``.
 The Gaussian-binomial inversion sum, on which ``qwl_explicit``, the

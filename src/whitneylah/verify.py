@@ -34,7 +34,7 @@ from .arith import (
     ts_inverse,
 )
 from .classical import (
-    _ROWS,
+    _cache_stats,
     bell,
     binomial,
     falling_poly,
@@ -109,6 +109,12 @@ class Config:
         if self.n_max < 1:
             raise InvalidConfig(f"n_max must be at least 1, got {self.n_max}")
         object.__setattr__(self, "alpha_list", tuple(self.alpha_list))
+        repeated = sorted({a for a in self.alpha_list if self.alpha_list.count(a) > 1})
+        if repeated:
+            # each alpha's checks would run once per listing
+            raise InvalidConfig(
+                f"alpha_list repeats alpha {', '.join(map(str, repeated))}"
+            )
         specs = [s for s in _REGISTRY.values() if self.suite in ("all", s.suite)]
         checked = sorted({a for s in specs for a in s.grid.alphas})
         unchecked = [a for a in self.alpha_list if a not in checked]
@@ -351,7 +357,7 @@ class _Approx(float):
 
 
 def _chk_dobinski(alpha, n):
-    approx = dowling_dobinski(alpha, n, 1e-12, 200)
+    approx = dowling_dobinski(alpha, n)
     return _Approx(approx), _Approx(dowling(alpha, n))
 
 
@@ -382,7 +388,7 @@ def _chk_qr1_1(alpha, k, n, order=8):
     return lhs, qfact(k, alpha) * qint(alpha) ** k * qwl(alpha, n, k)
 
 
-def _qr2_sides(a: int, k: int, n: int, printed: bool):
+def _qr2_sum(a: int, k: int, n: int, printed: bool) -> LaurentPoly:
     aq = qint(a)
     lhs = LaurentPoly.zero()
     for j in range(k + 1):
@@ -392,7 +398,12 @@ def _qr2_sides(a: int, k: int, n: int, printed: bool):
         lhs = lhs + _sign(j) * (
             aq**j * monomial(-exp) * qwl(a, k, j) * qfact(n + j, a)
         )
-    rhs = _sign(k) * (aq**k) * qfact(n, a)
+    return lhs
+
+
+def _qr2_sides(a: int, k: int, n: int, printed: bool):
+    lhs = _qr2_sum(a, k, n, printed)
+    rhs = _sign(k) * (qint(a) ** k) * qfact(n, a)
     if not printed:
         rhs = rhs * monomial(-a * (k * (n + 1) - math.comb(k, 2)))
     for i in range(n - k + 2, n + 2):
@@ -405,8 +416,8 @@ def _chk_qr2_1(k, n, mode):
         return _qr2_sides(1, k, n, printed=False)
     # printed corollary divides by [n-k+1]_q (not its factorial); compare
     # with that single q-integer cleared
-    lhs, _ = _qr2_sides(1, k, n, printed=True)
-    return lhs * qint(n - k + 1), _sign(k) * qfact(n) * qint(n + 1)
+    lhs = _qr2_sum(1, k, n, printed=True) * qint(n - k + 1)
+    return lhs, _sign(k) * qfact(n) * qint(n + 1)
 
 
 def _chk_inv_qtw(order, alpha, n, m):
@@ -450,7 +461,7 @@ def _chk_pe2(n, k):
     return prod.coeff(k), qbinom(n + k - 1, k)
 
 
-def _chk_q_limits(family, alpha, n, k=None):
+def _chk_q_limits(family, n, k=None, alpha=None):
     if family == "qdowling":
         return lp_eval_q1(qdowling(alpha, n)), dowling(alpha, n)
     if family == "qw1":
@@ -780,8 +791,8 @@ _IDENTITIES = (
             _Q_ALPHAS,
             (
                 (("family", ("qw1", "qw2", "qwl")),) + _TRIANGLE,
-                # the q-Lah triangle has alpha 1 whatever alphas are selected
-                (("family", ("qlah",)), ("alpha", (1,)), _N, ("k", "0..n")),
+                # the q-Lah triangle takes no alpha
+                (("family", ("qlah",)), _N, ("k", "0..n")),
                 (("family", ("qdowling",)), _ALPHA, _N),
             ),
         ),
@@ -888,22 +899,6 @@ def run_suite(config: Config | None = None, **kwargs) -> Report:
         identities=identities,
         caches=_cache_stats(),
     )
-
-
-def _cache_stats() -> dict:
-    """How full the triangle engine's memo is: each triangle's stored rows
-    and cells, by weights function and alpha."""
-    triangles = [
-        {
-            "weights": weights.__name__,
-            "alpha": alpha,
-            "rows": len(rows),
-            "cells": sum(map(len, list(rows.values()))),
-        }
-        # list(...): another thread may store a row while this one counts
-        for (weights, alpha), rows in list(_ROWS.items())
-    ]
-    return {"triangles": sorted(triangles, key=lambda t: (t["weights"], t["alpha"]))}
 
 
 def report_to_dict(report: Report, *, deterministic: bool = True) -> dict:

@@ -7,10 +7,8 @@ Dowling numbers (exact row sums, a Dobinski-style floating-point series,
 and the alternating Qi-type explicit formula).
 
 The recurrence triangles are weights for the triangle engine in classical,
-which builds rows in a loop, only as wide as the requested column needs,
-and memoizes, per (family, alpha), only the rows that callers request;
-stored rows are read-only tuples, each a prefix of its row. Values and row
-sums are read through the engine's ``_cell`` and ``_row_sum``.
+whose comment block states how it builds, stores and resumes rows. Values
+and row sums are read through the engine's ``_cell`` and ``_row_sum``.
 """
 
 from __future__ import annotations
@@ -180,38 +178,40 @@ def dowling(alpha: int, n: int) -> int:
     return _row_sum(_tw2_weights, alpha, n)
 
 
-def dowling_dobinski(
-    alpha: int, n: int, rel_tol: float = 1e-12, max_terms: int = 200
-) -> float:
+DOBINSKI_STOP = 1e-12
+DOBINSKI_MAX_TERMS = 200
+
+
+def dowling_dobinski(alpha: int, n: int) -> float:
     """Dobinski-style series e^(-1/alpha) * sum_i (i*alpha)^n / (i! alpha^i),
-    truncated once a term drops below rel_tol times the partial sum.
+    truncated once a term drops below DOBINSKI_STOP times the partial sum;
+    ``NoConvergence`` once the partial sum overflows a float.
 
     This is the package's only floating-point surface.
     """
     _check_alpha(alpha)
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    if rel_tol <= 0:
-        raise ValueError(f"rel_tol must be positive, got {rel_tol}")
-    if max_terms < 1:
-        raise ValueError(f"max_terms must be at least 1, got {max_terms}")
     total = 1.0 if n == 0 else 0.0
     term = 0.0
-    for i in range(1, max_terms):
+    for i in range(1, DOBINSKI_MAX_TERMS):
         try:
             if i == 1:
                 term = float(alpha) ** (n - 1)
             else:
                 term *= (i / (i - 1)) ** n / (i * alpha)
         except OverflowError:
-            raise NoConvergence(
-                f"a term of the series overflows a float (alpha={alpha}, n={n})"
-            ) from None
+            term = math.inf
         total += term
-        if total > 0.0 and term < rel_tol * total:
+        if total == math.inf:
+            raise NoConvergence(
+                f"the partial sum overflows a float (alpha={alpha}, n={n})"
+            )
+        if total > 0.0 and term < DOBINSKI_STOP * total:
             return math.exp(-1.0 / alpha) * total
     raise NoConvergence(
-        f"stopping rule did not fire within {max_terms} terms (alpha={alpha}, n={n})"
+        f"stopping rule did not fire within {DOBINSKI_MAX_TERMS} terms"
+        f" (alpha={alpha}, n={n})"
     )
 
 

@@ -236,6 +236,12 @@ class TestUsage:
         assert out == ""
         assert f"checks alpha {alphas}; the alphas it checks are 1, 2, 3" in err
 
+    def test_repeated_alpha_is_domain_error(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--alpha-list", "1,1", "--n-max", "3")
+        assert code == 2
+        assert out == ""
+        assert err == "error: alpha_list repeats alpha 1\n"
+
     def test_q_suite_runs_alpha_three_in_pe1(self, capsys):
         # 44 pe1 checks at alpha 3 plus 36 that take no alpha
         code, out, _ = run_cli(

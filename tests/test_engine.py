@@ -244,3 +244,14 @@ def test_a_wide_row_leaves_narrow_requests_above_it_narrow(cold_memo):
     for n in range(11, 41):
         assert _row(counted, 2, n, 2)[:3] == full[n][:3]
     assert sum(cells) == 30 * 3
+
+
+def test_a_miss_resumes_from_the_nearest_row_that_covers_its_band(cold_memo):
+    counted, cells = _counting(_twl_weights)
+    full = _full_rows(_twl_weights, 2, 30, 1)
+    assert _row(counted, 2, 20, 2) == full[20][:3]
+    assert _row(counted, 2, 25, 0) == full[25][:1]
+    cells.clear()
+    # row 25 holds column 0 only, so rows 21..30 come from row 20, 3 wide
+    assert _row(counted, 2, 30, 2) == full[30][:3]
+    assert sum(cells) == 30

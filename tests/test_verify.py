@@ -160,6 +160,19 @@ class TestRunSuite:
         cfg = Config(suite="q", alpha_list=(3,), n_max=3)
         assert {p["alpha"] for p in get_identity("pe1").domain(cfg)} == {3}
 
+    def test_repeated_alpha_is_rejected(self):
+        with pytest.raises(InvalidConfig, match="^alpha_list repeats alpha 2$"):
+            Config(alpha_list=(2, 1, 2))
+        with pytest.raises(InvalidConfig, match="^alpha_list repeats alpha 1, 3$"):
+            Config(alpha_list=(3, 1, 3, 1))
+
+    def test_q_limits_runs_no_unselected_alpha(self):
+        points = get_identity("q_limits").domain(Config(suite="q", alpha_list=(2,)))
+        assert {p.get("alpha") for p in points} == {2, None}
+        # the q-Lah points take no alpha
+        assert all("alpha" not in p for p in points if p["family"] == "qlah")
+        assert sum(p["family"] == "qlah" for p in points) == 45
+
     def test_check_is_looked_up_at_every_grid_point(self):
         # perfbench/tracer.py times each identity by replacing spec.check
         calls = Counter()
