@@ -22,9 +22,9 @@ so instances may be shared freely between threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import add, mul, sub
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -270,15 +270,50 @@ def _scaled(lo: int, cs: tuple, s: int) -> LaurentPoly:
     return _make(lo, tuple([c * s for c in cs]))
 
 
-def _product(a: tuple, b: tuple) -> list:
-    """Schoolbook product of two dense coefficient tuples.
+# A factor c (1 + q^s + ... + q^((m-1) s)) with more than this many terms is
+# multiplied by window sums rather than term by term.
+_RUN_MIN = 8
 
-    The outer loop runs over the nonzero coefficients of one factor and
-    adds a scaled copy of the other; the factor is chosen to minimise the
-    work, so a sparse factor such as ``qint(m, alpha)`` costs one pass over
-    the other factor per nonzero term.
+
+def _run(cs: tuple, nonzero: int) -> int:
+    """The stride s when the ``nonzero`` terms of ``cs`` are one coefficient
+    repeated at stride s, more than ``_RUN_MIN`` of them; else 0."""
+    if nonzero <= _RUN_MIN or (len(cs) - 1) % (nonzero - 1):
+        return 0
+    s = (len(cs) - 1) // (nonzero - 1)
+    return s if cs[::s].count(cs[0]) == nonzero else 0
+
+
+def _window_product(c: int, m: int, s: int, b: tuple) -> list:
+    """``c (1 + q^s + ... + q^((m-1) s))`` times ``b`` in O(len(b) + m s):
+    in each residue class mod s, an output coefficient is c times the sum of
+    a window of m consecutive coefficients of ``b``, read from prefix sums."""
+    out = [0] * (len(b) + (m - 1) * s)
+    pad = [0] * (m - 1)
+    for r in range(s):
+        sums = list(accumulate(b[r::s], initial=0))
+        window = map(sub, sums[1:] + [sums[-1]] * (m - 1), pad + sums[:-1])
+        out[r::s] = window if c == 1 else map(mul, repeat(c), window)
+    return out
+
+
+def _product(a: tuple, b: tuple) -> list:
+    """Product of two dense coefficient tuples.
+
+    A factor that is a long strided run of one coefficient, such as
+    ``qint(m, alpha)`` for m > 8, goes through ``_window_product``. Otherwise
+    the outer loop runs over the nonzero coefficients of one factor and adds
+    a scaled copy of the other; the factor is chosen to minimise the work,
+    so a sparse factor costs one pass over the other factor per nonzero term.
     """
-    if (len(a) - a.count(0)) * len(b) > (len(b) - b.count(0)) * len(a):
+    na, nb = len(a) - a.count(0), len(b) - b.count(0)
+    s = _run(a, na)
+    if s:
+        return _window_product(a[0], na, s, b)
+    s = _run(b, nb)
+    if s:
+        return _window_product(b[0], nb, s, a)
+    if na * len(b) > nb * len(a):
         a, b = b, a
     nb = len(b)
     out = [0] * (len(a) + nb - 1)
@@ -492,3 +527,15 @@ def _power(x, k: int, one):
         if k:
             x = x * x
     return one if result is None else result
+
+
+def _prefix_product(memo: dict, key: tuple, n: int, factor: Callable, one):
+    """``factor(0) * ... * factor(n-1)``, or ``one`` for n <= 0, read from
+    ``memo`` under ``key + (n,)``: one product for each factor past the
+    longest prefix stored there, and each new prefix is stored."""
+    i = next((i for i in range(n, 0, -1) if key + (i,) in memo), 0)
+    out = memo[key + (i,)] if i else one
+    for i in range(i, n):
+        out = out * factor(i)
+        memo[key + (i + 1,)] = out
+    return out

@@ -25,7 +25,8 @@ are read through the engine's ``_cell`` and ``_row_sum`` with the
 polynomial 1 as u(0, 0), so a value outside the triangle is the zero
 polynomial.
 
-The generalized q-factorial [t|alpha]_n at integer points is ``gqf_point``.
+The generalized q-factorial [t|alpha]_n at integer points is ``gqf_point``,
+which stores every prefix [t|alpha]_1..n it computes.
 The Gaussian-binomial inversion sum, on which ``qwl_explicit``, the
 generating-function side ``qwl_egf_sum_series`` and
 ``qbinom_inverse_transform`` rest, is written once, in
@@ -39,7 +40,14 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .arith import LaurentPoly, TruncSeries, lp_div_exact, monomial, ts_inverse
+from .arith import (
+    LaurentPoly,
+    TruncSeries,
+    _prefix_product,
+    lp_div_exact,
+    monomial,
+    ts_inverse,
+)
 from .classical import _cell, _row_sum
 from .qcalc import qbinom, qfact, qint
 from .whitney import InvalidAlpha, _check_alpha
@@ -167,14 +175,19 @@ def qdowling_qi(alpha: int, n: int) -> LaurentPoly:
     return total
 
 
+# [t|alpha]_n by (t, alpha, n), for every n computed so far: a sweep over n
+# costs one product per step. Two threads that fill one key at once store
+# equal values.
+_GQF_POINTS: dict[tuple[int, int, int], LaurentPoly] = {}
+
+
 def gqf_point(t: int, alpha: int, n: int) -> LaurentPoly:
     """The generalized q-factorial [t|alpha]_n at an integer point t:
     the product of [t - i*alpha]_q for i = 0..n-1, with negative arguments
     resolved by the reflection rule. alpha may be negative."""
-    out = LaurentPoly.one()
-    for i in range(n):
-        out = out * qint_signed(t - i * alpha)
-    return out
+    return _prefix_product(
+        _GQF_POINTS, (t, alpha), n, lambda i: qint_signed(t - i * alpha), LaurentPoly.one()
+    )
 
 
 def qwl_egf_sum_series(alpha: int, k: int, order: int) -> TruncSeries:

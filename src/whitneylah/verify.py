@@ -23,11 +23,14 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import accumulate, repeat
+from operator import mul
 from typing import Callable
 
 from .arith import (
     LaurentPoly,
     TruncSeries,
+    _prefix_product,
     lp_div_exact,
     lp_eval_q1,
     monomial,
@@ -58,8 +61,9 @@ from .whitney import (
     twl_egf_series,
 )
 from .qwhitney import (
+    _GQF_POINTS,
+    _qbinom_inverse_entry,
     gqf_point,
-    qbinom_inverse_transform,
     qbinom_transform,
     qdowling,
     qdowling_qi,
@@ -87,8 +91,8 @@ class ParamsOutOfDomain(ValueError):
 
 
 class InvalidConfig(ValueError):
-    """A suite configuration names an unknown suite or mode, n_max < 1, or
-    an alpha that no identity of the suite checks."""
+    """A suite configuration names an unknown suite or mode, n_max < 1, an
+    alpha that is not an int, or one that no identity of the suite checks."""
 
 
 @dataclass(frozen=True)
@@ -109,6 +113,12 @@ class Config:
         if self.n_max < 1:
             raise InvalidConfig(f"n_max must be at least 1, got {self.n_max}")
         object.__setattr__(self, "alpha_list", tuple(self.alpha_list))
+        # 1.0 and True equal the checked alpha 1, but no family takes them
+        not_int = [
+            a for a in self.alpha_list if not isinstance(a, int) or isinstance(a, bool)
+        ]
+        if not_int:
+            raise InvalidConfig(f"alpha must be an int, got {not_int[0]!r}")
         repeated = sorted({a for a in self.alpha_list if self.alpha_list.count(a) > 1})
         if repeated:
             # each alpha's checks would run once per listing
@@ -136,12 +146,26 @@ class Config:
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check at one grid point: its two sides as values, rendered to
+    canonical text in the suite's variable only when that text is read.
+    A check that raised has its error message as ``lhs`` and ``""`` as
+    ``rhs``."""
+
     id: str
     params: dict
     passed: bool
-    lhs_canonical: str
-    rhs_canonical: str
+    lhs: object
+    rhs: object
+    var: str
     elapsed: float
+
+    @property
+    def lhs_canonical(self) -> str:
+        return _render(self.lhs, self.var)
+
+    @property
+    def rhs_canonical(self) -> str:
+        return _render(self.rhs, self.var)
 
 
 @dataclass
@@ -154,7 +178,8 @@ class Report:
     # id -> {"checks", "passed", "seconds" (summed check time), "skipped_alphas",
     # "max_n" (the largest n checked, None without an n)}
     identities: dict[str, dict]
-    # the triangle memo at the end of the run, as ``_cache_stats`` gives it
+    # the memos at the end of the run: the triangles, as ``_cache_stats``
+    # gives them, and the number of stored generalized q-factorials
     caches: dict
 
 
@@ -369,7 +394,8 @@ def _chk_q_defs(rel, alpha, n, m):
     tval = qint_signed(t)
     ks = range(n + 1)
     if rel == "def1":
-        return gqf_point(t, alpha, n), sum(qw1(alpha, n, k) * tval**k for k in ks)
+        powers = accumulate(repeat(tval, n), mul, initial=1)  # [t]^0..[t]^n
+        return gqf_point(t, alpha, n), sum(qw1(alpha, n, k) * p for k, p in zip(ks, powers))
     if rel == "def2":
         return tval**n, sum(qw2(alpha, n, k) * gqf_point(t, alpha, k) for k in ks)
     lhs = gqf_point(t, -alpha, n)
@@ -439,7 +465,7 @@ def _qbinom_inv_sample(sample: int, length: int) -> list[LaurentPoly]:
 
 def _chk_qbinom_inv(alpha, sample, k):
     f = _qbinom_inv_sample(sample, k + 1)
-    return qbinom_inverse_transform(qbinom_transform(f, alpha), alpha)[k], f[k]
+    return _qbinom_inverse_entry(qbinom_transform(f, alpha), k, alpha), f[k]
 
 
 def _chk_pe1(rel, alpha, j, n):
@@ -453,11 +479,19 @@ def _chk_pe1(rel, alpha, j, n):
     return lhs, qbinom(j + n - 1, n, alpha)
 
 
+# prod_{i<n} 1/(1 - q^i t) by (order, n), for every n computed so far
+_GEOMETRIC_PRODUCTS: dict[tuple[int, int], TruncSeries] = {}
+
+
 def _chk_pe2(n, k):
     order = max(8, k)  # covers the coefficient read
-    prod = TruncSeries.one(order)
-    for i in range(n):
-        prod = prod * ts_inverse(TruncSeries([LaurentPoly.one(), -monomial(i)], order))
+    prod = _prefix_product(
+        _GEOMETRIC_PRODUCTS,
+        (order,),
+        n,
+        lambda i: ts_inverse(TruncSeries([LaurentPoly.one(), -monomial(i)], order)),
+        TruncSeries.one(order),
+    )
     return prod.coeff(k), qbinom(n + k - 1, k)
 
 
@@ -818,12 +852,10 @@ def _run_one(spec: IdentitySpec, params: dict) -> CheckResult:
     try:
         lhs, rhs = spec.check(**params)
         passed = lhs == rhs
-        var = _VARIABLE[spec.suite]
-        lhs, rhs = _render(lhs, var), _render(rhs, var)
     except Exception as exc:  # isolation: a broken check is a failure, not an abort
         passed, lhs, rhs = False, f"<error: {type(exc).__name__}: {exc}>", ""
     elapsed = time.perf_counter() - start
-    return CheckResult(spec.id, params, passed, lhs, rhs, elapsed)
+    return CheckResult(spec.id, params, passed, lhs, rhs, _VARIABLE[spec.suite], elapsed)
 
 
 @lru_cache(maxsize=None)
@@ -861,13 +893,12 @@ def run_suite(config: Config | None = None, **kwargs) -> Report:
     """Run every registered identity over its grid intersected with the
     configuration. Failures are data: they never abort the run.
     """
+    start = time.perf_counter()
     import json  # here and in report_to_json only: ``series`` runs without it
 
     cfg = config if config is not None else Config(**kwargs)
     specs = [s for _, s in sorted(_REGISTRY.items()) if cfg.suite in ("all", s.suite)]
-    start = time.perf_counter()
     results = [_run_one(spec, params) for spec in specs for params in spec.domain(cfg)]
-    wall = time.perf_counter() - start
     failed = [r for r in results if not r.passed]
     failed.sort(key=lambda r: (r.id, json.dumps(r.params, sort_keys=True)))
     # an identity without alphas skips none; one with alphas skips those it lacks
@@ -890,14 +921,15 @@ def run_suite(config: Config | None = None, **kwargs) -> Report:
         tally["seconds"] += r.elapsed
         if "n" in r.params:
             tally["max_n"] = max(r.params["n"], tally["max_n"] or 0)
+    caches = {**_cache_stats(), "gqf_points": len(_GQF_POINTS)}
     return Report(
         total=len(results),
         passed=len(results) - len(failed),
         failed=failed,
-        wall_time=wall,
+        wall_time=time.perf_counter() - start,
         config=cfg,
         identities=identities,
-        caches=_cache_stats(),
+        caches=caches,
     )
 
 
@@ -909,9 +941,10 @@ def report_to_dict(report: Report, *, deterministic: bool = True) -> dict:
     passed count, summed check seconds, ``skipped_alphas``, the configured
     alphas outside the identity's own set, and ``max_n``, the largest n it
     checked (None if its grid has no n or it ran no check); and, under
-    ``caches``, the triangle engine's memo at the end of the run:
-    ``triangles`` lists per weights function and alpha the stored rows and
-    cells."""
+    ``caches``, the memos at the end of the run: ``triangles`` lists per
+    weights function and alpha the stored rows and cells of the triangle
+    engine, and ``gqf_points`` counts the stored generalized q-factorials
+    [t|alpha]_n."""
     doc = {
         "config": report.config.as_dict(),
         "total": report.total,

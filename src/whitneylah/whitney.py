@@ -115,9 +115,13 @@ class MansourSpec(NamedTuple):
         return cls(a=lambda i: alpha * i, b=lambda j: alpha * j)
 
 
-def mansour_u(spec: MansourSpec, n: int, k: int, method: str = "recurrence") -> Fraction:
+def mansour_u(
+    spec: MansourSpec, n: int, k: int, method: str = "recurrence"
+) -> Fraction | int:
     """Generic two-sequence triangle value, by recurrence or by the
-    partial-fraction explicit formula.
+    partial-fraction explicit formula. The recurrence stays in the values'
+    own ring, ``int`` for an integer spec; the explicit formula divides,
+    so its value is a ``Fraction``.
 
     The explicit route's denominator runs over i = 0..k (i != j); it
     requires b_0..b_k pairwise distinct.
@@ -129,15 +133,15 @@ def mansour_u(spec: MansourSpec, n: int, k: int, method: str = "recurrence") -> 
     raise ValueError(f"unknown method {method!r}")
 
 
-def _mansour_recurrence(spec: MansourSpec, n: int, k: int) -> Fraction:
-    # Its own loop over Fraction, apart from the triangle engine: the
-    # mansour identity compares it with the engine's Whitney-Lah rows.
+def _mansour_recurrence(spec: MansourSpec, n: int, k: int) -> Fraction | int:
+    # Its own loop, apart from the triangle engine: the mansour identity
+    # compares it with the engine's Whitney-Lah rows.
     if k < 0 or k > n:
-        return Fraction(0)
-    bs = [Fraction(spec.b(j)) for j in range(k + 1)]
-    col = [Fraction(1)] + [Fraction(0)] * k  # u(m, 0..k), from m = 0 up
+        return 0
+    bs = [spec.b(j) for j in range(k + 1)]
+    col = [1] + [0] * k  # u(m, 0..k), from m = 0 up
     for m in range(1, n + 1):
-        a = Fraction(spec.a(m - 1))
+        a = spec.a(m - 1)
         for j in range(min(m, k), 0, -1):
             col[j] = col[j - 1] + (a + bs[j]) * col[j]
         col[0] *= a + bs[0]
@@ -145,15 +149,15 @@ def _mansour_recurrence(spec: MansourSpec, n: int, k: int) -> Fraction:
 
 
 def _mansour_explicit(spec: MansourSpec, n: int, k: int, denom_bound: int) -> Fraction:
-    bs = [Fraction(spec.b(j)) for j in range(max(k, denom_bound) + 1)]
+    bs = [spec.b(j) for j in range(max(k, denom_bound) + 1)]
     if len(set(bs[: k + 1])) != k + 1:
         raise DuplicateBValues(f"b_0..b_{k} must be pairwise distinct, got {bs[:k + 1]}")
     total = Fraction(0)
     for j in range(k + 1):
-        num = Fraction(1)
+        num = 1
         for i in range(n):
-            num *= bs[j] + Fraction(spec.a(i))
-        den = Fraction(1)
+            num *= bs[j] + spec.a(i)
+        den = 1
         for i in range(denom_bound + 1):
             if i != j:
                 if bs[j] == bs[i]:
@@ -161,7 +165,7 @@ def _mansour_explicit(spec: MansourSpec, n: int, k: int, denom_bound: int) -> Fr
                         f"b_{j} = b_{i} = {bs[j]} inside denominator range"
                     )
                 den *= bs[j] - bs[i]
-        total += num / den
+        total += Fraction(num, den)
     return total
 
 

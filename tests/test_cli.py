@@ -8,7 +8,6 @@ from fractions import Fraction
 
 import pytest
 
-from whitneylah.classical import _ROWS
 from whitneylah.cli import main
 from whitneylah.qwhitney import qwl_explicit
 
@@ -323,12 +322,9 @@ class TestHugeIntegers:
         assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
+@pytest.mark.usefixtures("cold_memo")
 class TestDeepInputs:
     """Values whose rows lie far past the default recursion limit."""
-
-    @pytest.fixture(autouse=True)
-    def cold_memo(self):
-        _ROWS.clear()
 
     @staticmethod
     def _check_whitney1_column2(capsys, n):

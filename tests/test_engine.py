@@ -36,13 +36,6 @@ from whitneylah.whitney import _twl_weights, dowling, dowling_qi, tw1, tw2, twl
 GOLDEN = Path(__file__).parent / "golden"
 
 
-@pytest.fixture
-def cold_memo():
-    _ROWS.clear()
-    yield
-    _ROWS.clear()
-
-
 def _stack_depth() -> int:
     frame, depth = sys._getframe(), 0
     while frame is not None:

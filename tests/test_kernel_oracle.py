@@ -17,9 +17,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from whitneylah.arith import (
+    _RUN_MIN,
     DivisionByZero,
     LaurentPoly,
     NonExactDivision,
+    _run,
     lp_div_exact,
     lp_eval_q1,
 )
@@ -300,6 +302,19 @@ def _agree_on_product_and_quotients(x, y):
 @settings(max_examples=60, deadline=None)
 def test_run_shaped_factors(run, other):
     """A run times anything: [m]_{q^b} with b > 1 is mostly zeros."""
+    _agree_on_product_and_quotients(run, other)
+
+
+@pytest.mark.parametrize("c", [1, -1, 7])
+@pytest.mark.parametrize("s", [1, 2, 3])
+@pytest.mark.parametrize("m", [_RUN_MIN, _RUN_MIN + 1])
+@given(other=st.one_of(term_maps, run_maps(), dense_maps()))
+@settings(max_examples=10, deadline=None)
+def test_runs_at_the_window_switch_over(m, s, c, other):
+    """``c q^-3 [m]_{q^s}`` on either side of the length at which a product
+    switches from term by term to window sums."""
+    run = {-3 + s * i: c for i in range(m)}
+    assert _run(LaurentPoly(run)._c, m) == (s if m > _RUN_MIN else 0)
     _agree_on_product_and_quotients(run, other)
 
 

@@ -9,6 +9,7 @@ from whitneylah.arith import LaurentPoly, lp_eval_q1, monomial
 from whitneylah.classical import lah, stirling1u, stirling2
 from whitneylah.qcalc import qfact, qint
 from whitneylah.whitney import InvalidAlpha, dowling
+from whitneylah import qwhitney
 from whitneylah.qwhitney import (
     InvalidRange,
     gqf_point,
@@ -38,6 +39,33 @@ class TestQIntSigned:
         # [m] + q^m [-m] reversed: [-m]_q = -q^(-m) [m]_q
         for m in range(1, 8):
             assert qint_signed(-m) == -1 * (monomial(-m) * qint(m))
+
+
+class TestGeneralizedQFactorial:
+    """``gqf_point`` stores every prefix [t|a]_1..n it computes, so it makes
+    one product past the longest stored prefix."""
+
+    def test_cold_sweep_makes_one_product_per_step(self, cold_memo, monkeypatch):
+        calls = []
+
+        def counted(m):
+            calls.append(m)
+            return qint_signed(m)
+
+        monkeypatch.setattr(qwhitney, "qint_signed", counted)
+        for n in range(21):
+            gqf_point(-5, 2, n)
+        assert calls == [-5 - 2 * i for i in range(20)]
+
+    @pytest.mark.parametrize("a", [1, 2, 3, -1, -2, -3])
+    def test_memo_equals_a_plain_product(self, cold_memo, a):
+        for t in (-1, -4, -7):
+            plain = [LaurentPoly.one()]
+            for i in range(30):
+                plain.append(plain[-1] * qint_signed(t - i * a))
+            # descending, then ascending, then again: each reads its prefixes
+            for n in [*range(30, -1, -7), *range(31), 30]:
+                assert gqf_point(t, a, n) == plain[n], (t, a, n)
 
 
 class TestFirstKind:

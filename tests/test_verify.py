@@ -22,6 +22,7 @@ from whitneylah.verify import (
     report_to_json,
     run_suite,
 )
+from whitneylah.qwhitney import gqf_point
 from whitneylah.whitney import tw1
 
 EXPECTED_IDS = sorted(
@@ -160,6 +161,11 @@ class TestRunSuite:
         cfg = Config(suite="q", alpha_list=(3,), n_max=3)
         assert {p["alpha"] for p in get_identity("pe1").domain(cfg)} == {3}
 
+    @pytest.mark.parametrize("alpha", [1.0, True])
+    def test_alpha_that_only_equals_an_int_is_rejected(self, alpha):
+        with pytest.raises(InvalidConfig, match=f"^alpha must be an int, got {alpha!r}$"):
+            run_suite(suite="classical", alpha_list=(alpha,), n_max=3)
+
     def test_repeated_alpha_is_rejected(self):
         with pytest.raises(InvalidConfig, match="^alpha_list repeats alpha 2$"):
             Config(alpha_list=(2, 1, 2))
@@ -286,16 +292,18 @@ class TestReport:
         assert max_n["pe2"] == 4  # n is a fixed axis 1..4
         assert max_n["qbinom_inv"] is None  # its grid has no n
 
-    def test_caches_honest_mode_only(self):
+    def test_caches_honest_mode_only(self, cold_memo):
         cfg = Config(suite="classical", alpha_list=(1, 2), n_max=4)
-        _ROWS.clear()
         cold = report_to_json(run_suite(cfg))
-        tw1(2, 40, 40)  # fill the memo: the deterministic report must not show it
+        # fill the memos: the deterministic report must not show them
+        tw1(2, 40, 40)
+        gqf_point(3, -1, 4)
         report = run_suite(cfg)
         assert report_to_json(report) == cold
         assert "caches" not in report_to_dict(report)
         caches = report_to_dict(report, deterministic=False)["caches"]
-        assert set(caches) == {"triangles"}
+        assert set(caches) == {"triangles", "gqf_points"}
+        assert caches["gqf_points"] == 4  # [3|-1]_1..4
         # rows 1..4 of the suite and row 40: 2 + 3 + 4 + 5 + 41 cells
         tw1_at_2 = {"weights": "_tw1_weights", "alpha": 2, "rows": 5, "cells": 55}
         assert tw1_at_2 in caches["triangles"]

@@ -181,6 +181,23 @@ class TestMansour:
             for k in range(n + 1):
                 assert mansour_u(spec, n, k) == mansour_u(spec, n, k, "explicit")
 
+    def test_integer_spec_stays_int(self):
+        for a in (1, 2, 3):
+            spec = MansourSpec.linear(a)
+            for n in range(9):
+                for k in range(n + 2):
+                    assert type(mansour_u(spec, n, k)) is int, (a, n, k)
+
+    def test_rational_spec_values(self):
+        spec = MansourSpec(
+            a=lambda i: Fraction(i, 2), b=lambda j: Fraction(2 * j + 1, 3)
+        )
+        for n, k, want in [(0, 0, 1), (3, 1, Fraction(71, 18)),
+                           (5, 2, Fraction(1385, 18)), (6, 6, 1), (2, 3, 0)]:
+            assert mansour_u(spec, n, k) == want, (n, k)
+            got = mansour_u(spec, n, k, "explicit")
+            assert type(got) is Fraction and got == want, (n, k)
+
     def test_duplicate_b_values_rejected(self):
         spec = MansourSpec(a=lambda i: i, b=lambda j: j % 2)
         with pytest.raises(DuplicateBValues):
