@@ -271,8 +271,9 @@ def _scaled(lo: int, cs: tuple, s: int) -> LaurentPoly:
 
 
 # A factor c (1 + q^s + ... + q^((m-1) s)) with more than this many terms is
-# multiplied by window sums rather than term by term.
-_RUN_MIN = 8
+# multiplied by window sums rather than term by term: the largest m at which
+# term by term wins most cases of tools/window_switchover.py.
+_RUN_MIN = 2
 
 
 def _run(cs: tuple, nonzero: int) -> int:
@@ -300,11 +301,10 @@ def _window_product(c: int, m: int, s: int, b: tuple) -> list:
 def _product(a: tuple, b: tuple) -> list:
     """Product of two dense coefficient tuples.
 
-    A factor that is a long strided run of one coefficient, such as
-    ``qint(m, alpha)`` for m > 8, goes through ``_window_product``. Otherwise
-    the outer loop runs over the nonzero coefficients of one factor and adds
-    a scaled copy of the other; the factor is chosen to minimise the work,
-    so a sparse factor costs one pass over the other factor per nonzero term.
+    A factor that is a strided run of more than ``_RUN_MIN`` equal
+    coefficients, such as ``qint(m, alpha)`` for m > _RUN_MIN, goes through
+    ``_window_product``; ``tools/window_switchover.py`` measures where that
+    starts to win. Any other pair goes through ``_term_product``.
     """
     na, nb = len(a) - a.count(0), len(b) - b.count(0)
     s = _run(a, na)
@@ -315,6 +315,13 @@ def _product(a: tuple, b: tuple) -> list:
         return _window_product(b[0], nb, s, a)
     if na * len(b) > nb * len(a):
         a, b = b, a
+    return _term_product(a, b)
+
+
+def _term_product(a: tuple, b: tuple) -> list:
+    """``a`` times ``b`` term by term: the loop runs over the nonzero
+    coefficients of ``a`` and adds a scaled copy of ``b`` for each, so a
+    sparse ``a`` costs one pass over ``b`` per nonzero term."""
     nb = len(b)
     out = [0] * (len(a) + nb - 1)
     for i, x in enumerate(a):

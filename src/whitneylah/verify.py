@@ -23,9 +23,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import accumulate, repeat
-from operator import mul
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .arith import (
     LaurentPoly,
@@ -91,8 +89,13 @@ class ParamsOutOfDomain(ValueError):
 
 
 class InvalidConfig(ValueError):
-    """A suite configuration names an unknown suite or mode, n_max < 1, an
-    alpha that is not an int, or one that no identity of the suite checks."""
+    """A suite configuration names an unknown suite or mode, an n_max that is
+    not an int or is below 1, an alpha that is not an int, or one that no
+    identity of the suite checks."""
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -110,13 +113,13 @@ class Config:
             raise InvalidConfig(f"suite must be one of {SUITES}, got {self.suite!r}")
         if self.mode not in MODES:
             raise InvalidConfig(f"mode must be one of {MODES}, got {self.mode!r}")
+        # 2.0 and True compare as numbers, but no grid or family takes them
+        if not _is_int(self.n_max):
+            raise InvalidConfig(f"n_max must be an int, got {self.n_max!r}")
         if self.n_max < 1:
             raise InvalidConfig(f"n_max must be at least 1, got {self.n_max}")
         object.__setattr__(self, "alpha_list", tuple(self.alpha_list))
-        # 1.0 and True equal the checked alpha 1, but no family takes them
-        not_int = [
-            a for a in self.alpha_list if not isinstance(a, int) or isinstance(a, bool)
-        ]
+        not_int = [a for a in self.alpha_list if not _is_int(a)]
         if not_int:
             raise InvalidConfig(f"alpha must be an int, got {not_int[0]!r}")
         repeated = sorted({a for a in self.alpha_list if self.alpha_list.count(a) > 1})
@@ -144,12 +147,12 @@ class Config:
         }
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """One check at one grid point: its two sides as values, rendered to
     canonical text in the suite's variable only when that text is read.
     A check that raised has its error message as ``lhs`` and ``""`` as
-    ``rhs``."""
+    ``rhs``. A result is an immutable tuple of its fields, so it also
+    compares equal to a plain tuple of the same values."""
 
     id: str
     params: dict
@@ -389,17 +392,29 @@ def _chk_dobinski(alpha, n):
 # -- q-suite checks ----------------------------------------------------------
 
 
+def _horner(coeffs: list, factor: Callable[[int], LaurentPoly]) -> LaurentPoly:
+    """``sum_k coeffs[k] * factor(0) * ... * factor(k-1)``, nested from the
+    inside out as ``coeffs[0] + factor(0) (coeffs[1] + factor(1) (...))``:
+    one product by each ``factor(k)`` for k < len(coeffs) - 1, and none
+    between two partial sums."""
+    acc = coeffs[-1]
+    for k in range(len(coeffs) - 2, -1, -1):
+        acc = coeffs[k] + factor(k) * acc
+    return acc
+
+
 def _chk_q_defs(rel, alpha, n, m):
+    # each rhs sums over the basis its lhs does not read: def1 over [t]^k
+    # against the [t - i alpha] of the lhs; def2 and def3 over [t|alpha]_k,
+    # by [t - i alpha], against [t]^n and the [t + i alpha] of [t|-alpha]_n
     t = m * alpha
     tval = qint_signed(t)
-    ks = range(n + 1)
     if rel == "def1":
-        powers = accumulate(repeat(tval, n), mul, initial=1)  # [t]^0..[t]^n
-        return gqf_point(t, alpha, n), sum(qw1(alpha, n, k) * p for k, p in zip(ks, powers))
-    if rel == "def2":
-        return tval**n, sum(qw2(alpha, n, k) * gqf_point(t, alpha, k) for k in ks)
-    lhs = gqf_point(t, -alpha, n)
-    return lhs, sum(qwl(alpha, n, k) * gqf_point(t, alpha, k) for k in ks)
+        lhs, kind, step = gqf_point(t, alpha, n), qw1, lambda k: tval
+    else:
+        lhs, kind = (tval**n, qw2) if rel == "def2" else (gqf_point(t, -alpha, n), qwl)
+        step = lambda k: qint_signed(t - k * alpha)  # [t|alpha]_(k+1) / [t|alpha]_k
+    return lhs, _horner([kind(alpha, n, k) for k in range(n + 1)], step)
 
 
 @lru_cache(maxsize=None)
@@ -415,16 +430,14 @@ def _chk_qr1_1(alpha, k, n, order=8):
 
 
 def _qr2_sum(a: int, k: int, n: int, printed: bool) -> LaurentPoly:
-    aq = qint(a)
-    lhs = LaurentPoly.zero()
-    for j in range(k + 1):
-        exp = n * j + math.comb(j + 1, 2)
-        if not printed:
-            exp *= a
-        lhs = lhs + _sign(j) * (
-            aq**j * monomial(-exp) * qwl(a, k, j) * qfact(n + j, a)
-        )
-    return lhs
+    # term j over term j - 1 is -[a] q^(-e (n+j)) [n+j]_{q^a}, that is
+    # -q^(-e (n+j)) [a (n+j)]_q, with e = 1 as printed and e = a corrected;
+    # every term holds [n]_{q^a}!
+    e = 1 if printed else a
+    return qfact(n, a) * _horner(
+        [qwl(a, k, j) for j in range(k + 1)],
+        lambda j: monomial(-e * (n + j + 1), -1) * qint(a * (n + j + 1)),
+    )
 
 
 def _qr2_sides(a: int, k: int, n: int, printed: bool):

@@ -309,10 +309,13 @@ def test_run_shaped_factors(run, other):
 @pytest.mark.parametrize("s", [1, 2, 3])
 @pytest.mark.parametrize("m", [_RUN_MIN, _RUN_MIN + 1])
 @given(other=st.one_of(term_maps, run_maps(), dense_maps()))
+@example(other={5: 3})
+@example(other={i - 40: (-1) ** i * (7919 * i + 1) << i % 70 for i in range(120)})
 @settings(max_examples=10, deadline=None)
 def test_runs_at_the_window_switch_over(m, s, c, other):
     """``c q^-3 [m]_{q^s}`` on either side of the length at which a product
-    switches from term by term to window sums."""
+    switches from term by term to window sums, against drawn operands and
+    a 1-term and a 120-term one."""
     run = {-3 + s * i: c for i in range(m)}
     assert _run(LaurentPoly(run)._c, m) == (s if m > _RUN_MIN else 0)
     _agree_on_product_and_quotients(run, other)

@@ -2,12 +2,16 @@
 and the erratum-documentation mode."""
 
 import json
+import math
 import time
 from collections import Counter
 
 import pytest
 
+from whitneylah import verify
+from whitneylah.arith import LaurentPoly, monomial
 from whitneylah.classical import _ROWS
+from whitneylah.qcalc import qfact, qint
 from whitneylah.verify import (
     Config,
     InvalidConfig,
@@ -15,6 +19,7 @@ from whitneylah.verify import (
     Report,
     UnknownIdentity,
     _cache_stats,
+    _render,
     check_identity,
     get_identity,
     registry_ids,
@@ -22,7 +27,7 @@ from whitneylah.verify import (
     report_to_json,
     run_suite,
 )
-from whitneylah.qwhitney import gqf_point
+from whitneylah.qwhitney import gqf_point, qint_signed, qw1, qw2, qwl
 from whitneylah.whitney import tw1
 
 EXPECTED_IDS = sorted(
@@ -165,6 +170,11 @@ class TestRunSuite:
     def test_alpha_that_only_equals_an_int_is_rejected(self, alpha):
         with pytest.raises(InvalidConfig, match=f"^alpha must be an int, got {alpha!r}$"):
             run_suite(suite="classical", alpha_list=(alpha,), n_max=3)
+
+    @pytest.mark.parametrize("n_max", [2.5, 3.0, True, "3", None])
+    def test_n_max_that_is_not_an_int_is_rejected(self, n_max):
+        with pytest.raises(InvalidConfig, match=f"^n_max must be an int, got {n_max!r}$"):
+            run_suite(suite="classical", alpha_list=(1,), n_max=n_max)
 
     def test_repeated_alpha_is_rejected(self):
         with pytest.raises(InvalidConfig, match="^alpha_list repeats alpha 2$"):
@@ -339,3 +349,139 @@ class TestSeriesOrderCoversTheGrid:
             lhs, rhs = get_identity("qr1.1").check(alpha=alpha, k=k, n=12)
             expected = qfact(k, alpha) * qint(alpha) ** k * qwl(alpha, 12, k)
             assert lhs == rhs == expected
+
+
+class TestCheckResult:
+    def test_fields_cannot_be_assigned(self):
+        r = check_identity("lah_rec", {"n": 3, "k": 2})
+        for name in ("passed", "lhs", "lhs_canonical"):
+            with pytest.raises(AttributeError):
+                setattr(r, name, 0)
+
+    def test_sides_render_only_when_read(self, monkeypatch):
+        rendered = []
+
+        def counted(value, var):
+            rendered.append(value)
+            return _render(value, var)
+
+        monkeypatch.setattr(verify, "_render", counted)
+        r = check_identity("q_defs", {"rel": "def2", "alpha": 1, "n": 3, "m": 2})
+        report = run_suite(suite="q", alpha_list=(1,), n_max=2)
+        assert r.passed and report.passed == report.total and rendered == []
+        assert r.lhs_canonical == r.rhs_canonical == "1 + 3*q + 3*q^2 + q^3"
+        assert rendered == [r.lhs, r.rhs]
+
+
+def _literal_q_defs(rel, alpha, n, m):
+    """The sides of ``q_defs`` as sums of one product per term."""
+    t = m * alpha
+    tval = qint_signed(t)
+    if rel == "def1":
+        lhs = gqf_point(t, alpha, n)
+        return lhs, sum(qw1(alpha, n, k) * tval**k for k in range(n + 1))
+    kind = qw2 if rel == "def2" else qwl
+    lhs = tval**n if rel == "def2" else gqf_point(t, -alpha, n)
+    return lhs, sum(kind(alpha, n, k) * gqf_point(t, alpha, k) for k in range(n + 1))
+
+
+def _literal_qr2_sum(a, k, n, printed):
+    """The alternating q-factorial sum of ``qr2`` term by term."""
+    total = LaurentPoly.zero()
+    for j in range(k + 1):
+        exp = n * j + math.comb(j + 1, 2)
+        if not printed:
+            exp *= a
+        total = total + (-1) ** j * (
+            qint(a) ** j * monomial(-exp) * qwl(a, k, j) * qfact(n + j, a)
+        )
+    return total
+
+
+class TestHornerSums:
+    """The q-checks sum by Horner's rule. Their sides equal the literal
+    term-by-term sums, above the grid's cap of 8 too, and a sum makes one
+    product per step, each by a q-integer."""
+
+    @pytest.mark.parametrize(
+        "rel, alpha",
+        [("def1", a) for a in (1, 2, 3, -1, -2, -3)]
+        + [("def2", a) for a in (1, 2, 3, -1, -2, -3)]
+        + [("def3", a) for a in (1, 2, 3)],
+    )
+    def test_q_defs_equals_the_literal_sums(self, rel, alpha):
+        for n in range(11):
+            for m in sorted({0, 1, n // 2, n}):
+                sides = verify._chk_q_defs(rel, alpha, n, m)
+                assert sides == _literal_q_defs(rel, alpha, n, m), (n, m)
+                assert sides[0] == sides[1], (n, m)
+
+    @pytest.mark.parametrize("printed", [False, True])
+    @pytest.mark.parametrize("a", [1, 2, 3])
+    def test_qr2_sum_equals_the_literal_sum(self, a, printed):
+        for k in range(1, 7):
+            for n in range(k - 1, 11):
+                expected = _literal_qr2_sum(a, k, n, printed)
+                assert verify._qr2_sum(a, k, n, printed) == expected, (k, n)
+
+    @staticmethod
+    def _trace(monkeypatch) -> tuple[list, list]:
+        """Record, from here on, every product of two Laurent polynomials as
+        the pair of its operands, leaving out those that build a step factor
+        of a Horner sum; and, per Horner sum, the products it made."""
+        products, sums = [], []
+        mul, horner = LaurentPoly.__mul__, verify._horner
+
+        def recorded(x, y):
+            products.append((x, y))
+            return mul(x, y)
+
+        def traced(coeffs, factor):
+            def step(k):
+                start = len(products)
+                out = factor(k)
+                del products[start:]
+                return out
+
+            start = len(products)
+            out = horner(coeffs, step)
+            sums.append(products[start:])
+            return out
+
+        monkeypatch.setattr(LaurentPoly, "__mul__", recorded)
+        monkeypatch.setattr(verify, "_horner", traced)
+        return products, sums
+
+    @pytest.mark.parametrize("rel", ["def1", "def2", "def3"])
+    @pytest.mark.parametrize("alpha", [1, 2])
+    def test_q_defs_rhs_makes_one_product_per_step(self, monkeypatch, rel, alpha):
+        """The rhs at (n, m) makes exactly n products, the i-th from the
+        inside by [t] (def1) or [t - i alpha] (def2, def3)."""
+        products, sums = self._trace(monkeypatch)
+        for n, m in [(0, 0), (3, 1), (8, 2), (8, 8), (10, 5)]:
+            t = m * alpha
+            steps = [qint_signed(t if rel == "def1" else t - i * alpha) for i in range(n)]
+            verify._chk_q_defs(rel, alpha, n, m)  # fill the triangle memo
+            sums.clear()
+            verify._chk_q_defs(rel, alpha, n, m)
+            assert len(sums) == 1
+            assert [x for x, _ in sums[0]] == steps[::-1], (n, m)
+
+    @pytest.mark.parametrize("printed", [False, True])
+    def test_qr2_sum_makes_order_k_products(self, monkeypatch, printed):
+        """One product per step j = k..1, by -q^(-e (n+j)) [a (n+j)]_q, and
+        one by [n]_{q^a}!: the count does not grow with n."""
+        products, sums = self._trace(monkeypatch)
+        for a, k in [(1, 1), (2, 3), (3, 6)]:
+            for n in (k - 1, 8, 10):
+                e = 1 if printed else a
+                steps = [
+                    monomial(-e * (n + j), -1) * qint(a * (n + j))
+                    for j in range(k, 0, -1)
+                ]
+                verify._qr2_sum(a, k, n, printed)  # fill the memos
+                products.clear()
+                sums.clear()
+                verify._qr2_sum(a, k, n, printed)
+                assert [x for x, _ in sums[0]] == steps, (a, k, n)
+                assert [x for x, _ in products] == steps + [qfact(n, a)], (a, k, n)
