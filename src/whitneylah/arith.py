@@ -271,8 +271,10 @@ def _scaled(lo: int, cs: tuple, s: int) -> LaurentPoly:
 
 
 # A factor c (1 + q^s + ... + q^((m-1) s)) with more than this many terms is
-# multiplied by window sums rather than term by term: the largest m at which
-# term by term wins most cases of tools/window_switchover.py.
+# multiplied by window sums rather than term by term. tools/window_switchover.py
+# times both paths: from m = 3 the window wins at stride 1, the stride of most
+# runs the checks multiply by; at larger strides it still loses against
+# operands of a few dozen terms or fewer.
 _RUN_MIN = 2
 
 
