@@ -69,7 +69,6 @@ _EXPORTS = {
         "DuplicateBValues",
         "InvalidAlpha",
         "MansourSpec",
-        "NoConvergence",
         "dowling",
         "dowling_dobinski",
         "dowling_qi",

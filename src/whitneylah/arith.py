@@ -39,12 +39,17 @@ class NonInvertibleConstantTerm(ArithmeticError):
     """Series inversion requires a unit constant coefficient."""
 
 
+def _is_int(value) -> bool:
+    """An ``int`` that is not a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _scalar(value) -> int:
     """A coefficient as a plain ``int``; any other type, ``bool`` included,
     is a TypeError."""
     if type(value) is int:
         return value
-    if isinstance(value, int) and not isinstance(value, bool):
+    if _is_int(value):
         return int(value)
     raise TypeError(f"coefficient must be int, got {value!r}")
 
@@ -67,7 +72,7 @@ class LaurentPoly:
         items = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict[int, int] = {}
         for exp, coeff in items:
-            if not isinstance(exp, int) or isinstance(exp, bool):
+            if not _is_int(exp):
                 raise TypeError(f"exponent must be int, got {exp!r}")
             acc[exp] = acc.get(exp, 0) + _scalar(coeff)
         exps = [e for e, c in acc.items() if c]
@@ -123,7 +128,7 @@ class LaurentPoly:
     def _coerce(other) -> "LaurentPoly | None":
         if isinstance(other, LaurentPoly):
             return other
-        if isinstance(other, int) and not isinstance(other, bool):
+        if _is_int(other):
             return _make(0, (int(other),)) if other else _ZERO_POLY
         return None
 
@@ -341,7 +346,7 @@ def _term_product(a: tuple, b: tuple) -> list:
 
 def monomial(exp: int, coeff: int = 1) -> LaurentPoly:
     """The single-term polynomial ``coeff * q^exp``."""
-    if not isinstance(exp, int) or isinstance(exp, bool):
+    if not _is_int(exp):
         raise TypeError(f"exponent must be int, got {exp!r}")
     c = _scalar(coeff)
     return _make(exp, (c,)) if c else _ZERO_POLY

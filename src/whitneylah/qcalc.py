@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .arith import LaurentPoly, lp_div_exact
+from .arith import LaurentPoly, _is_int, lp_div_exact
 
 
 class InvalidOrder(ValueError):
@@ -28,27 +28,32 @@ class NegativeArgument(ValueError):
     """
 
 
-def _check_base(base: int) -> None:
-    if not isinstance(base, int) or base < 1:
+def _check_args(base: int, *args: int) -> None:
+    """``base`` must be a positive int and each other argument an int; a
+    ``bool`` is neither. The caches are typed, so ``True`` never reads the
+    entry of 1."""
+    if not _is_int(base) or base < 1:
         raise ValueError(f"base must be a positive integer, got {base!r}")
+    if not all(map(_is_int, args)):
+        raise ValueError(f"arguments must be integers, got {args!r}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def qint(n: int, base: int = 1) -> LaurentPoly:
     """q-integer [n] over q^base: 1 + q^base + ... + q^((n-1)*base).
 
     ``qint(0)`` is the empty sum, i.e. 0.
     """
-    _check_base(base)
+    _check_args(base, n)
     if n < 0:
         raise NegativeArgument(f"q-integer of negative {n}")
     return LaurentPoly({i * base: 1 for i in range(n)})
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def qfact(n: int, base: int = 1) -> LaurentPoly:
     """q-factorial [n]! over q^base: the product [1][2]...[n]; [0]! = 1."""
-    _check_base(base)
+    _check_args(base, n)
     if n < 0:
         raise NegativeArgument(f"q-factorial of negative {n}")
     out = LaurentPoly.one()
@@ -57,14 +62,14 @@ def qfact(n: int, base: int = 1) -> LaurentPoly:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def qbinom(n: int, k: int, base: int = 1) -> LaurentPoly:
     """Gaussian binomial coefficient over q^base.
 
     Zero outside 0 <= k <= n. Computed as [n]!/([k]![n-k]!) by exact
     division, which doubles as a self-check of the division kernel.
     """
-    _check_base(base)
+    _check_args(base, n, k)
     if k < 0 or k > n:
         return LaurentPoly.zero()
     return lp_div_exact(qfact(n, base), qfact(k, base) * qfact(n - k, base))
@@ -72,7 +77,7 @@ def qbinom(n: int, k: int, base: int = 1) -> LaurentPoly:
 
 def qfalling(n: int, k: int, base: int = 1) -> LaurentPoly:
     """q-falling factorial [n][n-1]...[n-k+1] over q^base (= [n]!/[n-k]!)."""
-    _check_base(base)
+    _check_args(base, n, k)
     if n < 0:
         raise NegativeArgument(f"q-falling factorial of negative {n}")
     if k < 0 or k > n:

@@ -43,13 +43,14 @@ from typing import Sequence
 from .arith import (
     LaurentPoly,
     TruncSeries,
+    _is_int,
     _prefix_product,
     lp_div_exact,
     monomial,
     ts_inverse,
 )
 from .classical import _cell, _row_sum
-from .qcalc import qbinom, qfact, qint
+from .qcalc import qbinom, qfact, qfalling, qint
 from .whitney import InvalidAlpha, _check_alpha
 
 QLAH_ROUTES = ("recurrence", "explicit")
@@ -60,7 +61,7 @@ class InvalidRange(ValueError):
 
 
 def _check_alpha_nonzero(alpha: int) -> None:
-    if not isinstance(alpha, int) or alpha == 0:
+    if not _is_int(alpha) or alpha == 0:
         raise InvalidAlpha(f"alpha must be a nonzero integer, got {alpha!r}")
 
 
@@ -152,10 +153,7 @@ def qlah_gr(n: int, k: int, route: str = "recurrence") -> LaurentPoly:
         return _cell(_qwl_weights, 1, n, k, LaurentPoly.one())
     if not 1 <= k <= n:
         raise InvalidRange(f"closed formula needs 1 <= k <= n, got ({n}, {k})")
-    ratio = LaurentPoly.one()
-    for i in range(k, n):
-        ratio = ratio * qint(i)
-    return qbinom(n, k) * ratio * monomial(k * (k - 1))
+    return qbinom(n, k) * qfalling(n - 1, n - k) * monomial(k * (k - 1))
 
 
 def qdowling(alpha: int, n: int) -> LaurentPoly:

@@ -28,6 +28,7 @@ from typing import Callable, NamedTuple
 from .arith import (
     LaurentPoly,
     TruncSeries,
+    _is_int,
     _prefix_product,
     lp_div_exact,
     lp_eval_q1,
@@ -77,8 +78,6 @@ from .qwhitney import (
 SUITES = ("classical", "q", "all")
 MODES = ("corrected", "as_printed")
 
-DOBINSKI_REL_TOL = 1e-9
-
 
 class UnknownIdentity(ValueError):
     """No identity is registered under the requested id."""
@@ -92,10 +91,6 @@ class InvalidConfig(ValueError):
     """A suite configuration names an unknown suite or mode, an n_max that is
     not an int or is below 1, an alpha that is not an int, or one that no
     identity of the suite checks."""
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -370,23 +365,6 @@ def _chk_ortho(order, alpha, n, m):
     else:
         lhs = sum(_sign(n - j) * tw1(alpha, n, j) * tw2(alpha, j, m) for j in js)
     return lhs, int(n == m)
-
-
-class _Approx(float):
-    """A float that equals a number within DOBINSKI_REL_TOL of it, relative
-    to that number, and renders with six decimals: the Dobinski series is
-    the registry's only floating-point check."""
-
-    def __eq__(self, other):
-        return abs(self - other) / other < DOBINSKI_REL_TOL
-
-    def __str__(self):
-        return f"{self:.6f}"
-
-
-def _chk_dobinski(alpha, n):
-    approx = dowling_dobinski(alpha, n)
-    return _Approx(approx), _Approx(dowling(alpha, n))
 
 
 # -- q-suite checks ----------------------------------------------------------
@@ -707,7 +685,7 @@ _IDENTITIES = (
         "Dobinski-style series for translated Dowling numbers",
         "D_a(n) = e^(-1/a) sum_i (ia)^n/(i! a^i)",
         Grid(10, _CLASSICAL_ALPHAS, (_ALPHA, _N)),
-        _chk_dobinski,
+        lambda alpha, n: (dowling_dobinski(alpha, n), dowling(alpha, n)),
     ),
     _q(
         "q_defs",

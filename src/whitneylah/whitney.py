@@ -3,8 +3,9 @@
 Covers the translated Whitney numbers of the first and second kind, the
 translated Whitney-Lah numbers through four independent computation routes,
 the generic two-sequence recurrence they specialize, and the translated
-Dowling numbers (exact row sums, a Dobinski-style floating-point series,
-and the alternating Qi-type explicit formula).
+Dowling numbers (exact row sums, the alternating Qi-type explicit formula,
+and a Dobinski-style series whose exact integer value is read off from a
+bracket of certified rational bounds).
 
 The recurrence triangles are weights for the triangle engine in classical,
 whose comment block states how it builds, stores and resumes rows. Values
@@ -17,7 +18,7 @@ import math
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .arith import NonExactDivision, TruncSeries, ts_inverse, ts_pow
+from .arith import NonExactDivision, TruncSeries, _is_int, ts_inverse, ts_pow
 from .classical import _cell, _row_sum, _tw1_weights, _tw2_weights, lah
 
 TWL_METHODS = ("recurrence", "explicit", "product", "scaled")
@@ -31,12 +32,8 @@ class DuplicateBValues(ValueError):
     """The explicit two-sequence formula needs pairwise distinct b values."""
 
 
-class NoConvergence(ArithmeticError):
-    """Series truncation hit its term budget before the stopping rule."""
-
-
 def _check_alpha(alpha: int) -> None:
-    if not isinstance(alpha, int) or alpha < 1:
+    if not _is_int(alpha) or alpha < 1:
         raise InvalidAlpha(f"alpha must be a positive integer, got {alpha!r}")
 
 
@@ -182,41 +179,45 @@ def dowling(alpha: int, n: int) -> int:
     return _row_sum(_tw2_weights, alpha, n)
 
 
-DOBINSKI_STOP = 1e-12
-DOBINSKI_MAX_TERMS = 200
+def dowling_dobinski(alpha: int, n: int) -> int:
+    """Translated Dowling number as the exact value of the Dobinski-style
+    series D = e^(-1/alpha) S, S = sum_i T_i, T_i = (i alpha)^n / (i! alpha^i),
+    computed apart from the triangle engine.
 
-
-def dowling_dobinski(alpha: int, n: int) -> float:
-    """Dobinski-style series e^(-1/alpha) * sum_i (i*alpha)^n / (i! alpha^i),
-    truncated once a term drops below DOBINSKI_STOP times the partial sum;
-    ``NoConvergence`` once the partial sum overflows a float.
-
-    This is the package's only floating-point surface.
+    The term ratio r_i = T_(i+1)/T_i = (i+1)^(n-1) / (i^n alpha) falls as i
+    grows. At the first N with T_N > 0, r_N <= 1/2 and 8 T_(N+1) < 1, every
+    later ratio is at most 1/2 too, so the tail after T_N is at most
+    2 T_(N+1): S lies in [S_(N+1), S_(N+1) + T_(N+1)], narrower than 1/8.
+    The partial sums E_m of the alternating series of e^(-1/alpha), whose
+    terms never grow, fall on alternate sides of it inside [0, 1]; the first
+    pair E_m, E_(m+1) whose gap times the upper end of S is below 1/4
+    brackets it. The product of the two brackets is then narrower than 1/2
+    and holds the integer D, its lower end rounded up. A product that does
+    not show this raises ``ArithmeticError``.
     """
     _check_alpha(alpha)
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    total = 1.0 if n == 0 else 0.0
-    term = 0.0
-    for i in range(1, DOBINSKI_MAX_TERMS):
-        try:
-            if i == 1:
-                term = float(alpha) ** (n - 1)
-            else:
-                term *= (i / (i - 1)) ** n / (i * alpha)
-        except OverflowError:
-            term = math.inf
-        total += term
-        if total == math.inf:
-            raise NoConvergence(
-                f"the partial sum overflows a float (alpha={alpha}, n={n})"
-            )
-        if total > 0.0 and term < DOBINSKI_STOP * total:
-            return math.exp(-1.0 / alpha) * total
-    raise NoConvergence(
-        f"stopping rule did not fire within {DOBINSKI_MAX_TERMS} terms"
-        f" (alpha={alpha}, n={n})"
-    )
+    if not _is_int(n) or n < 0:
+        raise ValueError(f"n must be a non-negative integer, got {n!r}")
+    # S_i = p/q with q = i! alpha^i; t = (i alpha)^n is the numerator of T_i
+    p, q, i = 0**n, 1, 0
+    while True:
+        i += 1
+        t = (i * alpha) ** n
+        p, q = p * i * alpha + t, q * i * alpha
+        if 2 * i**n <= alpha * i * (i - 1) ** n and 8 * t < q:
+            break
+    # E_m = e/d with d = m! alpha^m
+    e, d, m = 1, 1, 0
+    while 4 * (p + t) >= q * d * (m + 1) * alpha:
+        m += 1
+        e, d = e * m * alpha + (-1) ** m, d * m * alpha
+    e_next = Fraction(e * (m + 1) * alpha - (-1) ** m, d * (m + 1) * alpha)
+    e_lo, e_hi = sorted((Fraction(e, d), e_next))
+    lo, hi = e_lo * Fraction(p, q), e_hi * Fraction(p + t, q)
+    value = math.ceil(lo)
+    if not (hi - lo < 1 and value <= hi):
+        raise ArithmeticError(f"the Dobinski bracket at ({alpha}, {n}) holds no single integer")
+    return value
 
 
 def dowling_qi(alpha: int, n: int) -> int:

@@ -44,6 +44,19 @@ class TestQInt:
             qint(3, 0)
 
 
+@pytest.mark.parametrize(
+    "primitive, args",
+    [(qint, (1,)), (qfact, (1,)), (qbinom, (1, 1)), (qfalling, (1, 1))],
+)
+def test_bool_argument_is_rejected(primitive, args):
+    # the entries of 1 are cached first: True must not read them
+    primitive(*args, 1)
+    with pytest.raises(ValueError, match="base must be a positive integer"):
+        primitive(*args, True)
+    with pytest.raises(ValueError, match="arguments must be integers"):
+        primitive(True, *args[1:])
+
+
 class TestQFact:
     def test_values(self):
         assert qfact(0) == 1

@@ -68,6 +68,13 @@ class TestGeneralizedQFactorial:
                 assert gqf_point(t, a, n) == plain[n], (t, a, n)
 
 
+@pytest.mark.parametrize("family", [qw1, qw2, qwl, qwl_explicit])
+def test_bool_alpha_is_rejected(family):
+    family(1, 3, 1)
+    with pytest.raises(InvalidAlpha):
+        family(True, 3, 1)
+
+
 class TestFirstKind:
     def test_values(self):
         assert qw1(1, 2, 1).to_str() == "-q^-1"

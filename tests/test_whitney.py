@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from whitneylah import whitney
 from whitneylah.arith import LaurentPoly
 from whitneylah.classical import (
     bell,
@@ -20,7 +21,6 @@ from whitneylah.whitney import (
     DuplicateBValues,
     InvalidAlpha,
     MansourSpec,
-    NoConvergence,
     dowling,
     dowling_dobinski,
     dowling_qi,
@@ -31,6 +31,24 @@ from whitneylah.whitney import (
     twl,
     twl_egf_series,
 )
+
+
+@pytest.mark.parametrize(
+    "family, args",
+    [
+        (tw1, (3, 1)),
+        (tw2, (3, 1)),
+        (twl, (3, 1)),
+        (dowling, (3,)),
+        (dowling_dobinski, (3,)),
+        (dowling_qi, (3,)),
+    ],
+)
+def test_bool_alpha_is_rejected(family, args):
+    # True == 1, but no family takes a bool for its alpha
+    family(1, *args)
+    with pytest.raises(InvalidAlpha):
+        family(True, *args)
 
 
 class TestFirstKind:
@@ -241,27 +259,44 @@ class TestDowling:
                 assert dowling_qi(a, n) == dowling(a, n), (a, n)
 
     def test_dobinski(self):
-        assert abs(dowling_dobinski(1, 3) - 5.0) < 1e-9
-        assert abs(dowling_dobinski(2, 3) - 11.0) < 1e-9
+        assert dowling_dobinski(1, 3) == 5
+        assert dowling_dobinski(2, 3) == 11
         for a in (1, 2, 3):
-            assert abs(dowling_dobinski(a, 0) - 1.0) < 1e-12
+            assert dowling_dobinski(a, 0) == 1
 
-    def test_dobinski_float_overflow(self):
-        with pytest.raises(NoConvergence, match=r"alpha=3, n=1000"):
-            dowling_dobinski(3, 1000)
+    def test_dobinski_is_exact(self):
+        for a in range(1, 6):
+            for n in range(61):
+                value = dowling_dobinski(a, n)
+                assert type(value) is int and value == dowling(a, n), (a, n)
 
     @pytest.mark.parametrize(
-        "alpha, n", [(1, 219), (1, 221), (2, 193), (3, 182), (5, 166)]
+        "alpha, n", [(3, 1000), (1, 219), (1, 221), (2, 193), (3, 182), (5, 166)]
     )
-    def test_dobinski_partial_sum_overflow(self, alpha, n):
-        # a float product overflows to inf here without raising OverflowError
-        match = rf"overflows a float \(alpha={alpha}, n={n}\)"
-        with pytest.raises(NoConvergence, match=match):
-            dowling_dobinski(alpha, n)
+    def test_dobinski_exact_where_a_float_overflows(self, alpha, n):
+        # a float partial sum overflows here; the integer bracket does not
+        value = dowling_dobinski(alpha, n)
+        assert type(value) is int and value == dowling(alpha, n)
+
+    def test_dobinski_is_apart_from_the_engine(self, monkeypatch):
+        def engine(*args):
+            raise RuntimeError("the triangle engine was read")
+
+        expected = dowling(2, 12)
+        monkeypatch.setattr(whitney, "_cell", engine)
+        monkeypatch.setattr(whitney, "_row_sum", engine)
+        assert dowling_dobinski(2, 12) == expected
+        with pytest.raises(RuntimeError):
+            dowling(2, 12)
 
     def test_dobinski_validation(self):
         with pytest.raises(InvalidAlpha):
             dowling_dobinski(0, 3)
+
+    @pytest.mark.parametrize("n", [-1, 2.5, 3.0, True, "3"])
+    def test_dobinski_rejects_n_that_is_not_a_non_negative_int(self, n):
+        with pytest.raises(ValueError, match="n must be a non-negative integer"):
+            dowling_dobinski(1, n)
 
 
 class TestGrahamIdentity:
