@@ -18,12 +18,11 @@ _EXPORTS = {
         "DivisionByZero",
         "LaurentPoly",
         "NonExactDivision",
-        "NonInvertibleConstantTerm",
         "TruncSeries",
         "lp_div_exact",
         "lp_eval_q1",
         "monomial",
-        "ts_inverse",
+        "ts_geometric",
         "ts_pow",
     ),
     "classical": (

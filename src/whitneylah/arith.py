@@ -8,12 +8,14 @@ Two building blocks used everywhere else in the package:
   package lies in this ring, Z[q, q^-1].
 * :class:`TruncSeries` -- a power series in a second formal variable,
   truncated at a fixed order, whose coefficients live in any ring that
-  supports ``+``/``-``/``*`` (rationals or Laurent polynomials).
+  supports ``+``/``-``/``*``. Its scalars are integers and Laurent
+  polynomials, and the one series it divides by is ``1 - c t``
+  (:func:`ts_geometric`).
 
-Integers and rationals themselves are Python ``int`` and
-``fractions.Fraction``: both are arbitrary precision and already canonical
-(reduced, positive denominator), so no wrapper types are introduced.
-Rationals appear only as series coefficients and scalars.
+Integers themselves are Python ``int``: arbitrary precision and already
+canonical, so no wrapper type is introduced. The kernel computes over Z
+alone; the package's one rational series, the ``1/k!`` of
+``whitney.twl_egf_series``, is formed in ``whitney.py``.
 
 All values are immutable after construction and all operations are pure,
 so instances may be shared freely between threads.
@@ -21,7 +23,6 @@ so instances may be shared freely between threads.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import add, mul, sub
 from typing import Callable, Iterable, Iterator, Mapping
@@ -33,10 +34,6 @@ class DivisionByZero(ZeroDivisionError):
 
 class NonExactDivision(ArithmeticError):
     """Laurent polynomial division left a nonzero remainder."""
-
-
-class NonInvertibleConstantTerm(ArithmeticError):
-    """Series inversion requires a unit constant coefficient."""
 
 
 def _is_int(value) -> bool:
@@ -173,7 +170,7 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
+        if not _is_int(k) or k < 0:
             raise ValueError("exponent must be a non-negative integer")
         return _power(self, k, _ONE_POLY)
 
@@ -400,8 +397,9 @@ def lp_eval_q1(a: LaurentPoly) -> int:
 class TruncSeries:
     """Power series truncated at a fixed order N (exact modulo t^(N+1)).
 
-    Coefficients may be ints, Fractions, or LaurentPoly values; they only
-    need ring arithmetic. Missing coefficients are the zero of that ring
+    Coefficients need only ring arithmetic: ints, LaurentPoly values, or
+    the rationals that ``twl_egf_series`` stores. Scalar operands are ints
+    and LaurentPoly values. Missing coefficients are the zero of the ring
     (the zero polynomial when any coefficient is a LaurentPoly, else 0).
     Binary operations between series of different orders truncate to the
     smaller order, never claiming more precision than both operands carry.
@@ -415,8 +413,8 @@ class TruncSeries:
             if not cs:
                 raise ValueError("need coefficients or an explicit order")
             order = len(cs) - 1
-        if order < 0:
-            raise ValueError("order must be non-negative")
+        if not _is_int(order) or order < 0:
+            raise ValueError("order must be a non-negative integer")
         cs = cs[: order + 1]
         if len(cs) <= order:
             zero = _ZERO_POLY if any(isinstance(c, LaurentPoly) for c in cs) else 0
@@ -447,9 +445,7 @@ class TruncSeries:
 
     @staticmethod
     def _is_scalar(other) -> bool:
-        return isinstance(other, (int, Fraction, LaurentPoly)) and not isinstance(
-            other, bool
-        )
+        return _is_int(other) or isinstance(other, LaurentPoly)
 
     def __add__(self, other):
         if isinstance(other, TruncSeries):
@@ -489,43 +485,19 @@ class TruncSeries:
         return f"TruncSeries([{body}], order={self._order})"
 
 
-def _unit_inverse(c0):
-    """Inverse of a unit coefficient: a nonzero rational, or ``±q^e`` in
-    the Laurent ring."""
-    if isinstance(c0, (int, Fraction)) and not isinstance(c0, bool):
-        if c0 == 0:
-            raise NonInvertibleConstantTerm("constant term is zero")
-        inv = 1 / Fraction(c0)
-        return inv.numerator if inv.denominator == 1 else inv
-    if isinstance(c0, LaurentPoly):
-        if c0.is_zero:
-            raise NonInvertibleConstantTerm("constant term is zero")
-        if c0._c not in ((1,), (-1,)):
-            raise NonInvertibleConstantTerm(
-                f"constant term {c0} is not a unit in the Laurent ring"
-            )
-        return _make(-c0._lo, c0._c)
-    raise NonInvertibleConstantTerm(f"unsupported coefficient {c0!r}")
-
-
-def ts_inverse(s: TruncSeries) -> TruncSeries:
-    """Multiplicative inverse modulo t^(N+1).
-
-    The constant coefficient must be a unit (a nonzero rational, or
-    ``±q^e``); otherwise :class:`NonInvertibleConstantTerm`.
-    """
-    cs = s.coeffs
-    inv0 = _unit_inverse(cs[0])
-    out = [inv0]
-    for n in range(1, s.order + 1):
-        acc = sum(map(mul, cs[1 : n + 1], out[::-1]))
-        out.append(-(inv0 * acc))
-    return TruncSeries(out, s.order)
+def ts_geometric(c, order: int) -> TruncSeries:
+    """The geometric series ``1/(1 - c t) = sum_j c^j t^j`` modulo t^(N+1),
+    for an ``int`` or :class:`LaurentPoly` ``c``: each coefficient is the
+    previous one times ``c``."""
+    cs = [c**0]  # the one of c's ring
+    while len(cs) <= order:
+        cs.append(cs[-1] * c)
+    return TruncSeries(cs, order)
 
 
 def ts_pow(s: TruncSeries, k: int) -> TruncSeries:
     """k-fold product of a truncated series with itself; k = 0 gives 1."""
-    if not isinstance(k, int) or k < 0:
+    if not _is_int(k) or k < 0:
         raise ValueError("power must be a non-negative integer")
     return _power(s, k, TruncSeries.one(s.order))
 

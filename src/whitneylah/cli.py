@@ -28,7 +28,7 @@ import sys
 from typing import Callable, Optional
 
 from . import classical, qwhitney, whitney
-from .arith import NonExactDivision, NonInvertibleConstantTerm
+from .arith import NonExactDivision
 from .qcalc import InvalidOrder, NegativeArgument
 from .whitney import InvalidAlpha
 
@@ -79,7 +79,6 @@ _DOMAIN_ERRORS = (
     InvalidOrder,
     NegativeArgument,
     NonExactDivision,
-    NonInvertibleConstantTerm,
     qwhitney.InvalidRange,
     classical.ScaleExceeded,
 )

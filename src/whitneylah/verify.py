@@ -33,7 +33,7 @@ from .arith import (
     lp_div_exact,
     lp_eval_q1,
     monomial,
-    ts_inverse,
+    ts_geometric,
 )
 from .classical import (
     _cache_stats,
@@ -480,7 +480,7 @@ def _chk_pe2(n, k):
         _GEOMETRIC_PRODUCTS,
         (order,),
         n,
-        lambda i: ts_inverse(TruncSeries([LaurentPoly.one(), -monomial(i)], order)),
+        lambda i: ts_geometric(monomial(i), order),
         TruncSeries.one(order),
     )
     return prod.coeff(k), qbinom(n + k - 1, k)

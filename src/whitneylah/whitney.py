@@ -18,7 +18,7 @@ import math
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .arith import NonExactDivision, TruncSeries, _is_int, ts_inverse, ts_pow
+from .arith import NonExactDivision, TruncSeries, _is_int, ts_geometric, ts_pow
 from .classical import _cell, _row_sum, _tw1_weights, _tw2_weights, lah
 
 TWL_METHODS = ("recurrence", "explicit", "product", "scaled")
@@ -240,6 +240,7 @@ def twl_egf_series(alpha: int, k: int, order: int) -> TruncSeries:
     _check_alpha(alpha)
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
-    geom = ts_inverse(TruncSeries([1, -alpha], order))
     t = TruncSeries([0, 1], order)
-    return ts_pow(t * geom, k) * Fraction(1, math.factorial(k))
+    kfact = math.factorial(k)
+    powered = ts_pow(t * ts_geometric(alpha, order), k)
+    return TruncSeries([Fraction(c, kfact) for c in powered.coeffs], order)

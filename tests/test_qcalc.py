@@ -12,7 +12,7 @@ from whitneylah.arith import (
     lp_div_exact,
     lp_eval_q1,
     monomial,
-    ts_inverse,
+    ts_geometric,
 )
 from whitneylah.qcalc import (
     InvalidOrder,
@@ -146,9 +146,7 @@ class TestProductIdentities:
         for n in range(1, 5):
             prod = TruncSeries.one(8)
             for i in range(n):
-                prod = prod * ts_inverse(
-                    TruncSeries([LaurentPoly.one(), -monomial(i)], 8)
-                )
+                prod = prod * ts_geometric(monomial(i), 8)
             for k in range(9):
                 assert prod.coeff(k) == qbinom(n + k - 1, k), (n, k)
 
