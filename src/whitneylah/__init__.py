@@ -22,7 +22,7 @@ _EXPORTS = {
         "lp_div_exact",
         "lp_eval_q1",
         "monomial",
-        "ts_geometric",
+        "ts_mul_geometric",
         "ts_pow",
     ),
     "classical": (

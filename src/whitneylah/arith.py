@@ -9,8 +9,9 @@ Two building blocks used everywhere else in the package:
 * :class:`TruncSeries` -- a power series in a second formal variable,
   truncated at a fixed order, whose coefficients live in any ring that
   supports ``+``/``-``/``*``. Its scalars are integers and Laurent
-  polynomials, and the one series it divides by is ``1 - c t``
-  (:func:`ts_geometric`).
+  polynomials. The one series it divides by is ``1 - c t``:
+  :func:`ts_mul_geometric` multiplies a series by ``1/(1 - c t)`` in
+  O(N) products by ``c``, with no convolution.
 
 Integers themselves are Python ``int``: arbitrary precision and already
 canonical, so no wrapper type is introduced. The kernel computes over Z
@@ -485,14 +486,14 @@ class TruncSeries:
         return f"TruncSeries([{body}], order={self._order})"
 
 
-def ts_geometric(c, order: int) -> TruncSeries:
-    """The geometric series ``1/(1 - c t) = sum_j c^j t^j`` modulo t^(N+1),
-    for an ``int`` or :class:`LaurentPoly` ``c``: each coefficient is the
-    previous one times ``c``."""
-    cs = [c**0]  # the one of c's ring
-    while len(cs) <= order:
-        cs.append(cs[-1] * c)
-    return TruncSeries(cs, order)
+def ts_mul_geometric(s: TruncSeries, c) -> TruncSeries:
+    """``s * 1/(1 - c t)`` modulo t^(N+1), for an ``int`` or
+    :class:`LaurentPoly` ``c``: ``p[n] = s[n] + c p[n-1]`` with
+    ``p[-1] = 0``, one product by ``c`` per coefficient and no convolution.
+    Every coefficient lies in the ring of ``c`` and ``s``."""
+    # p[-1] is c * 0, the zero of c's ring
+    steps = accumulate(s.coeffs, lambda p, x: x + c * p, initial=c * 0)
+    return TruncSeries(list(steps)[1:], s.order)
 
 
 def ts_pow(s: TruncSeries, k: int) -> TruncSeries:

@@ -13,9 +13,11 @@ prints both sides of the registry's own ``r3``/``qr1.1`` checks.
 
 Each command imports only the modules it runs, since a cold call pays to
 import them. ``table`` and ``eval`` load the families and the exact kernel,
-never the identity registry (``verify``) nor ``dataclasses``; only a JSON
-table loads ``json``. ``series`` imports the registry inside the command,
-``verify`` imports the registry and ``json``.
+never the identity registry (``verify``); only a JSON table loads ``json``.
+``series`` imports the registry inside the command, ``verify`` imports the
+registry and ``json``. No command loads ``dataclasses``, which would bring
+in ``inspect`` and a dozen more modules: the registry's records are
+NamedTuples and ``__slots__`` classes.
 
 Exit codes: 0 success (and all checks passed), 1 verification failure,
 2 usage or domain error.

@@ -47,7 +47,7 @@ from .arith import (
     _prefix_product,
     lp_div_exact,
     monomial,
-    ts_geometric,
+    ts_mul_geometric,
 )
 from .classical import _cell, _row_sum
 from .qcalc import qbinom, qfact, qfalling, qint
@@ -202,7 +202,7 @@ def qwl_egf_sum_series(alpha: int, k: int, order: int) -> TruncSeries:
     a = qint(alpha)
     prods = [TruncSeries.one(order)]
     for m in range(k):
-        prods.append(prods[-1] * ts_geometric(monomial(alpha * m) * a, order))
+        prods.append(ts_mul_geometric(prods[-1], monomial(alpha * m) * a))
     return _qbinom_inverse_entry(prods, k, alpha)
 
 

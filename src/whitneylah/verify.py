@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Callable, NamedTuple
@@ -33,7 +32,7 @@ from .arith import (
     lp_div_exact,
     lp_eval_q1,
     monomial,
-    ts_geometric,
+    ts_mul_geometric,
 )
 from .classical import (
     _cache_stats,
@@ -93,45 +92,84 @@ class InvalidConfig(ValueError):
     identity of the suite checks."""
 
 
-@dataclass(frozen=True)
-class Config:
+class _Frozen:
+    """A record whose slots cannot be assigned or deleted. ``_init`` sets
+    them with ``object.__setattr__``, and so does perfbench's tracer when it
+    swaps ``IdentitySpec.check``, which a NamedTuple would not allow."""
+
+    __slots__ = ()
+
+    def _init(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Config(_Frozen):
     """Grid selection for a suite run. Each identity intersects this with
-    its own registered parameter grid."""
+    its own registered parameter grid. Two configurations are equal, and
+    hash alike, when their fields are."""
 
-    suite: str = "all"
-    alpha_list: tuple[int, ...] = (1, 2)
-    n_max: int = 8
-    mode: str = "corrected"
+    __slots__ = ("suite", "alpha_list", "n_max", "mode")
 
-    def __post_init__(self):
-        if self.suite not in SUITES:
-            raise InvalidConfig(f"suite must be one of {SUITES}, got {self.suite!r}")
-        if self.mode not in MODES:
-            raise InvalidConfig(f"mode must be one of {MODES}, got {self.mode!r}")
+    def __init__(
+        self,
+        suite: str = "all",
+        alpha_list: tuple[int, ...] = (1, 2),
+        n_max: int = 8,
+        mode: str = "corrected",
+    ):
+        if suite not in SUITES:
+            raise InvalidConfig(f"suite must be one of {SUITES}, got {suite!r}")
+        if mode not in MODES:
+            raise InvalidConfig(f"mode must be one of {MODES}, got {mode!r}")
         # 2.0 and True compare as numbers, but no grid or family takes them
-        if not _is_int(self.n_max):
-            raise InvalidConfig(f"n_max must be an int, got {self.n_max!r}")
-        if self.n_max < 1:
-            raise InvalidConfig(f"n_max must be at least 1, got {self.n_max}")
-        object.__setattr__(self, "alpha_list", tuple(self.alpha_list))
-        not_int = [a for a in self.alpha_list if not _is_int(a)]
+        if not _is_int(n_max):
+            raise InvalidConfig(f"n_max must be an int, got {n_max!r}")
+        if n_max < 1:
+            raise InvalidConfig(f"n_max must be at least 1, got {n_max}")
+        alpha_list = tuple(alpha_list)
+        not_int = [a for a in alpha_list if not _is_int(a)]
         if not_int:
             raise InvalidConfig(f"alpha must be an int, got {not_int[0]!r}")
-        repeated = sorted({a for a in self.alpha_list if self.alpha_list.count(a) > 1})
+        repeated = sorted({a for a in alpha_list if alpha_list.count(a) > 1})
         if repeated:
             # each alpha's checks would run once per listing
             raise InvalidConfig(
                 f"alpha_list repeats alpha {', '.join(map(str, repeated))}"
             )
-        specs = [s for s in _REGISTRY.values() if self.suite in ("all", s.suite)]
+        specs = [s for s in _REGISTRY.values() if suite in ("all", s.suite)]
         checked = sorted({a for s in specs for a in s.grid.alphas})
-        unchecked = [a for a in self.alpha_list if a not in checked]
+        unchecked = [a for a in alpha_list if a not in checked]
         if unchecked:
             raise InvalidConfig(
-                f"no identity of suite {self.suite!r} checks alpha"
+                f"no identity of suite {suite!r} checks alpha"
                 f" {', '.join(map(str, unchecked))}; the alphas it checks are"
                 f" {', '.join(map(str, checked))}"
             )
+        self._init(suite, alpha_list, n_max, mode)
+
+    def _fields(self) -> tuple:
+        return (self.suite, self.alpha_list, self.n_max, self.mode)
+
+    def __eq__(self, other):
+        if type(other) is not Config:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"Config(suite={self.suite!r}, alpha_list={self.alpha_list!r},"
+            f" n_max={self.n_max!r}, mode={self.mode!r})"
+        )
 
     def as_dict(self) -> dict:
         return {
@@ -166,8 +204,7 @@ class CheckResult(NamedTuple):
         return _render(self.rhs, self.var)
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     total: int
     passed: int
     failed: list[CheckResult]
@@ -197,8 +234,7 @@ _SPANS = {
 }
 
 
-@dataclass(frozen=True)
-class Grid:
+class Grid(NamedTuple):
     """An identity's parameter grid, declared by its axes.
 
     ``axes`` lists ``(name, values)`` pairs from the outermost loop in;
@@ -233,19 +269,24 @@ class Grid:
         return points
 
 
-@dataclass(frozen=True)
-class IdentitySpec:
+class IdentitySpec(_Frozen):
     """One registered identity: an id, a citation anchor, a parameter grid,
     and a check that takes a grid point as keyword arguments and returns
     the identity's two sides as values, ``(lhs, rhs)``."""
 
-    id: str
-    description: str
-    paper_anchor: str
-    grid: Grid
-    check: Callable[..., tuple]
-    suite: str
-    modes: tuple[str, ...] = ("corrected",)
+    __slots__ = ("id", "description", "paper_anchor", "grid", "check", "suite", "modes")
+
+    def __init__(
+        self,
+        id: str,
+        description: str,
+        paper_anchor: str,
+        grid: Grid,
+        check: Callable[..., tuple],
+        suite: str,
+        modes: tuple[str, ...] = ("corrected",),
+    ):
+        self._init(id, description, paper_anchor, grid, check, suite, modes)
 
     def domain(self, cfg: Config) -> list[dict]:
         mode = cfg.mode if cfg.mode in self.modes else "corrected"
@@ -480,7 +521,7 @@ def _chk_pe2(n, k):
         _GEOMETRIC_PRODUCTS,
         (order,),
         n,
-        lambda i: ts_geometric(monomial(i), order),
+        lambda i: ts_mul_geometric(TruncSeries.one(order), monomial(i)),
         TruncSeries.one(order),
     )
     return prod.coeff(k), qbinom(n + k - 1, k)
@@ -882,11 +923,16 @@ def check_identity(ident: str, params: dict) -> CheckResult:
 
 def run_suite(config: Config | None = None, **kwargs) -> Report:
     """Run every registered identity over its grid intersected with the
-    configuration. Failures are data: they never abort the run.
+    configuration: ``config``, or one built from the keywords; both at once
+    is a TypeError. Failures are data: they never abort the run.
     """
     start = time.perf_counter()
     import json  # here and in report_to_json only: ``series`` runs without it
 
+    if config is not None and kwargs:
+        raise TypeError(
+            f"run_suite takes a Config or keywords, not both; got {sorted(kwargs)}"
+        )
     cfg = config if config is not None else Config(**kwargs)
     specs = [s for _, s in sorted(_REGISTRY.items()) if cfg.suite in ("all", s.suite)]
     results = [_run_one(spec, params) for spec in specs for params in spec.domain(cfg)]

@@ -18,7 +18,7 @@ import math
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .arith import NonExactDivision, TruncSeries, _is_int, ts_geometric, ts_pow
+from .arith import NonExactDivision, TruncSeries, _is_int, ts_mul_geometric
 from .classical import _cell, _row_sum, _tw1_weights, _tw2_weights, lah
 
 TWL_METHODS = ("recurrence", "explicit", "product", "scaled")
@@ -235,12 +235,17 @@ def twl_egf_series(alpha: int, k: int, order: int) -> TruncSeries:
     """Exponential generating function of the Whitney-Lah column k:
     (1/k!) (t/(1 - alpha t))^k, truncated at the given order.
 
-    Its t^n coefficient times n! recovers twl(alpha, n, k) exactly.
+    Its t^n coefficient times n! recovers twl(alpha, n, k) exactly. The
+    power is t^k multiplied k times by 1/(1 - alpha t): k O(N) passes over
+    the integers, no series product.
     """
     _check_alpha(alpha)
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
-    t = TruncSeries([0, 1], order)
+    if k > order:  # t^k vanishes modulo t^(order+1)
+        return TruncSeries.zero(order)
+    powered = TruncSeries([0] * k + [1], order)
+    for _ in range(k):
+        powered = ts_mul_geometric(powered, alpha)
     kfact = math.factorial(k)
-    powered = ts_pow(t * ts_geometric(alpha, order), k)
     return TruncSeries([Fraction(c, kfact) for c in powered.coeffs], order)

@@ -15,7 +15,7 @@ from whitneylah.arith import (
     lp_div_exact,
     lp_eval_q1,
     monomial,
-    ts_geometric,
+    ts_mul_geometric,
     ts_pow,
 )
 
@@ -116,28 +116,37 @@ class TestIntegerCoefficients:
 
 
 class TestTruncSeries:
-    def test_geometric_int_ratio(self):
-        assert ts_geometric(1, 3) == TruncSeries([1, 1, 1, 1], 3)
-        assert ts_geometric(-2, 4) == TruncSeries([1, -2, 4, -8, 16], 4)
-        assert ts_geometric(7, 0) == TruncSeries.one(0)
+    def test_mul_geometric_int_ratio(self):
+        one = TruncSeries.one
+        assert ts_mul_geometric(one(3), 1) == TruncSeries([1, 1, 1, 1], 3)
+        assert ts_mul_geometric(one(4), -2) == TruncSeries([1, -2, 4, -8, 16], 4)
+        assert ts_mul_geometric(one(0), 7) == one(0)
+        # p[n] = s[n] + c p[n-1]: by 1/(1 - t), a series becomes its partial sums
+        assert ts_mul_geometric(TruncSeries([1, 2, 3], 3), 1) == TruncSeries([1, 3, 6, 6], 3)
+        assert ts_mul_geometric(TruncSeries([0, 0, 1], 4), 3) == TruncSeries(
+            [0, 0, 1, 3, 9], 4
+        )
 
-    def test_geometric_zero_ratio_is_one(self):
-        assert ts_geometric(0, 5) == TruncSeries.one(5)
-        assert ts_geometric(LaurentPoly.zero(), 3) == TruncSeries.one(3)
+    def test_mul_geometric_zero_ratio_is_identity(self):
+        s = TruncSeries([4, -1, 0, 2], 5)
+        assert ts_mul_geometric(s, 0) == s
+        assert ts_mul_geometric(TruncSeries.one(3), LaurentPoly.zero()) == TruncSeries.one(3)
+        assert ts_mul_geometric(TruncSeries.zero(3), q) == TruncSeries.zero(3)
 
-    def test_geometric_laurent_coeffs(self):
-        assert list(ts_geometric(q, 2).coeffs) == [LaurentPoly.one(), q, q**2]
-        # every coefficient lies in the ratio's ring, the first one too
-        for order in (0, 3):
-            cs = ts_geometric(monomial(-1, 2), order).coeffs
-            assert all(isinstance(c, LaurentPoly) for c in cs), cs
+    def test_mul_geometric_laurent_coeffs(self):
+        cs = ts_mul_geometric(TruncSeries.one(2), q).coeffs
+        assert list(cs) == [LaurentPoly.one(), q, q**2]
+        # every coefficient lies in the ring of c and s, the first one too,
+        # also where every coefficient of s is an int
+        c = monomial(-1, 2)
+        for s in (TruncSeries.one(0), TruncSeries.one(3), TruncSeries([3, 0, -1], 4)):
+            cs = ts_mul_geometric(s, c).coeffs
+            assert all(isinstance(x, LaurentPoly) for x in cs), cs
 
     def test_order_must_be_a_non_negative_int(self):
         for order in (True, False, 2.5, -1):
             with pytest.raises(ValueError, match="order"):
                 TruncSeries([1], order)
-            with pytest.raises(ValueError, match="order"):
-                ts_geometric(2, order)
 
     def test_pow(self):
         t = TruncSeries([0, 1], 4)
@@ -199,8 +208,22 @@ def test_canonical_form_is_construction_order_independent(pairs):
     assert built.to_str() == rebuilt.to_str()
 
 
-@given(st.one_of(coeffs, polys), st.integers(min_value=0, max_value=6))
+@given(
+    st.lists(st.one_of(coeffs, polys), max_size=7),
+    st.one_of(coeffs, polys),
+    st.integers(min_value=0, max_value=6),
+)
 @settings(max_examples=60)
-def test_geometric_inverts_one_minus_ct(c, order):
-    geom = ts_geometric(c, order)
-    assert geom * TruncSeries([1, -c], order) == TruncSeries.one(order)
+def test_mul_geometric_inverts_one_minus_ct(cs, c, order):
+    s = TruncSeries(cs, order)
+    assert ts_mul_geometric(s, c) * TruncSeries([1, -c], order) == s
+
+
+@given(st.lists(coeffs, max_size=7), st.integers(min_value=0, max_value=6))
+@settings(max_examples=30)
+def test_mul_geometric_is_the_product_by_the_geometric_series(cs, order):
+    # against the convolution by sum_j c^j t^j, the series it stands for
+    for c in (-3, 0, 1, 2, q, monomial(-1, 2) + 1):
+        s = TruncSeries(cs, order)
+        geometric = TruncSeries([c**j for j in range(order + 1)], order)
+        assert ts_mul_geometric(s, c) == s * geometric

@@ -23,7 +23,7 @@ SRC = Path(whitneylah.__file__).resolve().parents[1]
 EXPORTS = {
     "arith": [
         "DivisionByZero", "LaurentPoly", "NonExactDivision", "TruncSeries",
-        "lp_div_exact", "lp_eval_q1", "monomial", "ts_geometric", "ts_pow",
+        "lp_div_exact", "lp_eval_q1", "monomial", "ts_mul_geometric", "ts_pow",
     ],
     "classical": [
         "ScaleExceeded", "bell", "binomial", "falling_poly", "genfact_poly", "lah",
@@ -114,7 +114,7 @@ class TestFreshInterpreterCli:
 # Prints, one per line, the modules of ``watched`` that the calls loaded.
 _LOADED_BY = """
 import contextlib, io, sys
-watched = {"whitneylah.verify", "dataclasses", "json"}
+watched = {"whitneylah.verify", "dataclasses", "inspect", "json"}
 before = set(sys.modules)
 from whitneylah.cli import main
 for argv in sys.argv[1:]:
@@ -146,7 +146,12 @@ class TestImportSet:
     def test_series_loads_no_json(self):
         run = fresh_python(_LOADED_BY, "series --id qr1.1 --alpha 2 --k 1 --order 3")
         assert run.returncode == 0, run.stderr
-        assert run.stdout.split() == ["dataclasses", "whitneylah.verify"]
+        assert run.stdout.split() == ["whitneylah.verify"]
+
+    def test_json_verify_loads_json_and_the_registry_only(self):
+        run = fresh_python(_LOADED_BY, "verify --n-max 1 --format json")
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == ["json", "whitneylah.verify"]
 
     def test_json_table_loads_json_only(self):
         run = fresh_python(_LOADED_BY, "table --family bell --n-max 3 --format json")

@@ -5,9 +5,9 @@ import math
 
 import pytest
 
-from whitneylah.arith import LaurentPoly, lp_eval_q1, monomial
+from whitneylah.arith import LaurentPoly, TruncSeries, lp_eval_q1, monomial
 from whitneylah.classical import lah, stirling1u, stirling2
-from whitneylah.qcalc import qfact, qint
+from whitneylah.qcalc import qbinom, qfact, qint
 from whitneylah.whitney import InvalidAlpha, dowling
 from whitneylah import qwhitney
 from whitneylah.qwhitney import (
@@ -22,6 +22,7 @@ from whitneylah.qwhitney import (
     qw1,
     qw2,
     qwl,
+    qwl_egf_sum_series,
     qwl_explicit,
 )
 
@@ -175,6 +176,29 @@ class TestThirdKind:
                     signed = (-1) ** (n - k) * qw1(a, n, k)
                     for e, c in signed.items():
                         assert c > 0, (a, n, k)
+
+
+class TestEgfSumSeries:
+    @staticmethod
+    def reference(a, k, order):
+        # sum_j (-1)^(k-j) q^(a C(k-j,2)) C(k,j)_{q^a} prod_{m<j} G_m, each
+        # G_m = sum_i c_m^i t^i with c_m = q^(a m) [a]_q, multiplied out
+        total = TruncSeries.zero(order)
+        prod = TruncSeries.one(order)
+        for j in range(k + 1):
+            sign = (-1) ** (k - j)
+            weight = monomial(a * math.comb(k - j, 2), sign) * qbinom(k, j, a)
+            total = total + prod * weight
+            c = monomial(a * j) * qint(a)
+            prod = prod * TruncSeries([c**i for i in range(order + 1)], order)
+        return total
+
+    def test_equals_the_product_of_geometric_series(self):
+        for a in (1, 2, 3):
+            for k in range(6):
+                for order in range(9):
+                    expected = self.reference(a, k, order)
+                    assert qwl_egf_sum_series(a, k, order) == expected, (a, k, order)
 
 
 class TestGarsiaRemmel:

@@ -14,6 +14,8 @@ from whitneylah.classical import _ROWS
 from whitneylah.qcalc import qfact, qint
 from whitneylah.verify import (
     Config,
+    Grid,
+    IdentitySpec,
     InvalidConfig,
     ParamsOutOfDomain,
     Report,
@@ -189,6 +191,11 @@ class TestRunSuite:
         assert all("alpha" not in p for p in points if p["family"] == "qlah")
         assert sum(p["family"] == "qlah" for p in points) == 45
 
+    def test_config_and_keywords_together_are_rejected(self):
+        # the keywords were dropped: this ran 372 classical checks at n_max 2
+        with pytest.raises(TypeError, match="not both"):
+            run_suite(Config(suite="classical", n_max=2), suite="q", n_max=5)
+
     def test_check_is_looked_up_at_every_grid_point(self):
         # perfbench/tracer.py times each identity by replacing spec.check
         calls = Counter()
@@ -349,6 +356,53 @@ class TestSeriesOrderCoversTheGrid:
             lhs, rhs = get_identity("qr1.1").check(alpha=alpha, k=k, n=12)
             expected = qfact(k, alpha) * qint(alpha) ** k * qwl(alpha, 12, k)
             assert lhs == rhs == expected
+
+
+class TestRecords:
+    def records(self):
+        spec = get_identity("lah_rec")
+        return [(Config(), "n_max"), (spec.grid, "cap"), (spec, "check")]
+
+    def test_fields_cannot_be_assigned_added_or_deleted(self):
+        for record, name in self.records():
+            with pytest.raises(AttributeError):
+                setattr(record, name, getattr(record, name))
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+            with pytest.raises(AttributeError):
+                record.extra = 1
+            assert getattr(record, name) is not None
+
+    def test_equal_configs_compare_and_hash_equal(self):
+        a = Config(suite="q", alpha_list=[1, 2], n_max=3)
+        b = Config(suite="q", alpha_list=(1, 2), n_max=3)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != Config(suite="q", alpha_list=(2, 1), n_max=3)
+        assert a != Config(suite="q", alpha_list=(1, 2), n_max=4)
+        assert a != ("q", (1, 2), 3, "corrected")
+
+    def test_positional_config_equals_the_keyword_form(self):
+        assert Config("q", (1,), 3) == Config(suite="q", alpha_list=(1,), n_max=3)
+        assert Config("all", (1, 2), 8, "corrected") == Config()
+
+    def test_config_repr(self):
+        assert repr(Config()) == (
+            "Config(suite='all', alpha_list=(1, 2), n_max=8, mode='corrected')"
+        )
+
+    def test_grid_and_report_are_tuples(self):
+        grid = Grid(3, (1,), (("n", "0..top"),))
+        assert grid == (3, (1,), (("n", "0..top"),), ())
+        assert [p["n"] for p in grid.points((1,), 8, "corrected")] == [0, 1, 2, 3]
+        report = run_suite(suite="classical", alpha_list=(1,), n_max=1)
+        assert report._fields == (
+            "total", "passed", "failed", "wall_time", "config", "identities", "caches"
+        )
+
+    def test_identity_spec_keeps_its_fields(self):
+        spec = IdentitySpec("x", "d", "a", Grid(1, (), ()), max, "q")
+        assert (spec.id, spec.suite, spec.modes, spec.check) == ("x", "q", ("corrected",), max)
 
 
 class TestCheckResult:

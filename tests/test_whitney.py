@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from whitneylah import whitney
-from whitneylah.arith import LaurentPoly
+from whitneylah.arith import LaurentPoly, TruncSeries, ts_pow
 from whitneylah.classical import (
     bell,
     binomial,
@@ -129,6 +129,24 @@ class TestWhitneyLah:
                 series = twl_egf_series(a, k, 10)
                 for n in range(11):
                     assert series.coeff(n) * math.factorial(n) == twl(a, n, k)
+
+    def test_egf_series_equals_the_power_of_t_over_one_minus_alpha_t(self):
+        # the reference squares t/(1 - alpha t) by convolution, its
+        # geometric factor written out as sum_j alpha^j t^j
+        for a in (1, 2, 3):
+            for order in range(41):
+                t = TruncSeries([0, 1], order)
+                geometric = TruncSeries([a**j for j in range(order + 1)], order)
+                for k in range(7):
+                    powered = ts_pow(t * geometric, k)
+                    expected = [Fraction(c, math.factorial(k)) for c in powered.coeffs]
+                    assert twl_egf_series(a, k, order) == TruncSeries(expected, order), (
+                        a, k, order
+                    )
+
+    def test_egf_series_past_its_order_is_zero(self):
+        # t^k vanishes modulo t^(order+1): no k passes and no k!
+        assert twl_egf_series(2, 10**6, 3) == TruncSeries.zero(3)
 
 
 class TestHorizontalGeneratingFunctions:
