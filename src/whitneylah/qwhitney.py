@@ -33,11 +33,16 @@ generating-function side ``qwl_egf_sum_series`` and
 ``_qbinom_inverse_entry``. The translated q-Whitney-Lah and q-Dowling
 families take positive alpha and reject any other with ``InvalidAlpha``;
 the first and second kinds take any nonzero alpha.
+
+``qwl_egf_check`` is the ``qr1.1`` identity of the registry, that
+generating-function side against the engine's triangle; the CLI's
+``series`` runs it without loading the registry.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Sequence
 
 from .arith import (
@@ -204,6 +209,23 @@ def qwl_egf_sum_series(alpha: int, k: int, order: int) -> TruncSeries:
     for m in range(k):
         prods.append(ts_mul_geometric(prods[-1], monomial(alpha * m) * a))
     return _qbinom_inverse_entry(prods, k, alpha)
+
+
+@lru_cache(maxsize=None)
+def _qwl_egf_cached(alpha: int, k: int, order: int) -> TruncSeries:
+    return qwl_egf_sum_series(alpha, k, order)
+
+
+def qwl_egf_check(
+    alpha: int, k: int, n: int, order: int = 8
+) -> tuple[LaurentPoly, LaurentPoly]:
+    """Both sides of the q-Whitney-Lah generating-function identity
+    (``qr1.1``) at (alpha, k, n): [n]_{q^alpha}! times the t^n coefficient
+    of ``qwl_egf_sum_series``, truncated at max(order, n), and
+    [k]_{q^alpha}! [alpha]_q^k ``qwl(alpha, n, k)`` from the triangle engine."""
+    # the series comes first: it rejects a bad alpha with InvalidAlpha
+    lhs = _qwl_egf_cached(alpha, k, max(order, n)).coeff(n) * qfact(n, alpha)
+    return lhs, qfact(k, alpha) * qint(alpha) ** k * qwl(alpha, n, k)
 
 
 def qbinom_transform(f: Sequence[LaurentPoly], alpha: int = 1) -> list[LaurentPoly]:

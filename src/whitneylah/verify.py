@@ -48,6 +48,7 @@ from .classical import (
 from .qcalc import qbinom, qfact, qfalling, qint
 from .whitney import (
     MansourSpec,
+    _egf_series_cached,
     dowling,
     dowling_dobinski,
     dowling_qi,
@@ -56,11 +57,12 @@ from .whitney import (
     tw1,
     tw2,
     twl,
-    twl_egf_series,
+    twl_egf_check,
 )
 from .qwhitney import (
     _GQF_POINTS,
     _qbinom_inverse_entry,
+    _qwl_egf_cached,
     gqf_point,
     qbinom_transform,
     qdowling,
@@ -70,7 +72,7 @@ from .qwhitney import (
     qw1,
     qw2,
     qwl,
-    qwl_egf_sum_series,
+    qwl_egf_check,
     qwl_explicit,
 )
 
@@ -214,7 +216,7 @@ class Report(NamedTuple):
     # "max_n" (the largest n checked, None without an n)}
     identities: dict[str, dict]
     # the memos at the end of the run: the triangles, as ``_cache_stats``
-    # gives them, and the number of stored generalized q-factorials
+    # gives them, and the entries of every other memo, by name
     caches: dict
 
 
@@ -316,11 +318,6 @@ _CLASSICAL_ALPHAS = (1, 2, 3)
 _Q_ALPHAS = (1, 2)
 
 # -- classical-suite checks --------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _egf_series_cached(alpha: int, k: int, order: int) -> TruncSeries:
-    return twl_egf_series(alpha, k, order)
 
 
 def _chk_stirling_hgf(rel, n):
@@ -434,18 +431,6 @@ def _chk_q_defs(rel, alpha, n, m):
         lhs, kind = (tval**n, qw2) if rel == "def2" else (gqf_point(t, -alpha, n), qwl)
         step = lambda k: qint_signed(t - k * alpha)  # [t|alpha]_(k+1) / [t|alpha]_k
     return lhs, _horner([kind(alpha, n, k) for k in range(n + 1)], step)
-
-
-@lru_cache(maxsize=None)
-def _qwl_egf_cached(alpha: int, k: int, order: int) -> TruncSeries:
-    return qwl_egf_sum_series(alpha, k, order)
-
-
-def _chk_qr1_1(alpha, k, n, order=8):
-    # the series comes first: it rejects a bad alpha with InvalidAlpha; its
-    # order covers the coefficient read
-    lhs = _qwl_egf_cached(alpha, k, max(order, n)).coeff(n) * qfact(n, alpha)
-    return lhs, qfact(k, alpha) * qint(alpha) ** k * qwl(alpha, n, k)
 
 
 def _qr2_sum(a: int, k: int, n: int, printed: bool) -> LaurentPoly:
@@ -564,7 +549,7 @@ _IDENTITIES = (
         "sum_n L(n,k) t^n/n! = (1/k!) (t/(1-t))^k",
         Grid(12, (), (("k", range(7)), _N)),
         lambda k, n: (
-            _egf_series_cached(1, k, 12).coeff(n),
+            _egf_series_cached(1, k, max(12, n)).coeff(n),
             Fraction(lah(n, k), math.factorial(n)),
         ),
     ),
@@ -677,10 +662,7 @@ _IDENTITIES = (
         "Whitney-Lah exponential generating function",
         "sum_n wl(n,k) t^n/n! = (1/k!) (t/(1-at))^k",
         Grid(12, _CLASSICAL_ALPHAS, (_ALPHA, ("k", range(7)), _N)),
-        lambda alpha, k, n, order=12: (
-            _egf_series_cached(alpha, k, order).coeff(n) * math.factorial(n),
-            twl(alpha, n, k),
-        ),
+        twl_egf_check,
     ),
     _classical(
         "graham",
@@ -774,7 +756,7 @@ _IDENTITIES = (
         "[n]_{q^a}! [t^n] sum_j (-1)^(k-j) q^(aC(k-j,2)) C(k,j)_{q^a}"
         " prod_m (1-q^(am)[a]t)^(-1) = [k]_{q^a}! [a]^k qwl(n,k)",
         Grid(8, _Q_ALPHAS, (_ALPHA, ("k", range(5)), _N)),
-        _chk_qr1_1,
+        qwl_egf_check,
     ),
     _q(
         "qr2",
@@ -890,6 +872,17 @@ def _run_one(spec: IdentitySpec, params: dict) -> CheckResult:
     return CheckResult(spec.id, params, passed, lhs, rhs, _VARIABLE[spec.suite], elapsed)
 
 
+# The lru_caches whose entries ``Report.caches`` counts, bound at import: a
+# tracer may rebind the public names to wrappers without ``cache_info``.
+_LRU_CACHE_INFO = {
+    "egf_series": _egf_series_cached.cache_info,
+    "qwl_egf_series": _qwl_egf_cached.cache_info,
+    "qint": qint.cache_info,
+    "qfact": qfact.cache_info,
+    "qbinom": qbinom.cache_info,
+}
+
+
 @lru_cache(maxsize=None)
 def _intrinsic_domain(ident: str, mode: str) -> frozenset:
     spec = get_identity(ident)
@@ -958,7 +951,12 @@ def run_suite(config: Config | None = None, **kwargs) -> Report:
         tally["seconds"] += r.elapsed
         if "n" in r.params:
             tally["max_n"] = max(r.params["n"], tally["max_n"] or 0)
-    caches = {**_cache_stats(), "gqf_points": len(_GQF_POINTS)}
+    caches = {
+        **_cache_stats(),
+        "gqf_points": len(_GQF_POINTS),
+        "geometric_products": len(_GEOMETRIC_PRODUCTS),
+        **{name: info().currsize for name, info in _LRU_CACHE_INFO.items()},
+    }
     return Report(
         total=len(results),
         passed=len(results) - len(failed),
@@ -980,8 +978,11 @@ def report_to_dict(report: Report, *, deterministic: bool = True) -> dict:
     checked (None if its grid has no n or it ran no check); and, under
     ``caches``, the memos at the end of the run: ``triangles`` lists per
     weights function and alpha the stored rows and cells of the triangle
-    engine, and ``gqf_points`` counts the stored generalized q-factorials
-    [t|alpha]_n."""
+    engine; ``gqf_points`` counts the stored generalized q-factorials
+    [t|alpha]_n, ``geometric_products`` the stored series products of
+    ``pe2``, ``egf_series`` and ``qwl_egf_series`` the stored series of
+    ``r3``/``lah_egf`` and ``qr1.1``, and ``qint``, ``qfact`` and
+    ``qbinom`` the entries of those q-primitives' caches."""
     doc = {
         "config": report.config.as_dict(),
         "total": report.total,

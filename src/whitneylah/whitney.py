@@ -10,12 +10,17 @@ bracket of certified rational bounds).
 The recurrence triangles are weights for the triangle engine in classical,
 whose comment block states how it builds, stores and resumes rows. Values
 and row sums are read through the engine's ``_cell`` and ``_row_sum``.
+
+``twl_egf_check`` is the ``r3`` identity of the registry, the EGF of a
+Whitney-Lah column against the engine's triangle; the CLI's ``series``
+runs it without loading the registry.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from .arith import NonExactDivision, TruncSeries, _is_int, ts_mul_geometric
@@ -249,3 +254,17 @@ def twl_egf_series(alpha: int, k: int, order: int) -> TruncSeries:
         powered = ts_mul_geometric(powered, alpha)
     kfact = math.factorial(k)
     return TruncSeries([Fraction(c, kfact) for c in powered.coeffs], order)
+
+
+@lru_cache(maxsize=None)
+def _egf_series_cached(alpha: int, k: int, order: int) -> TruncSeries:
+    return twl_egf_series(alpha, k, order)
+
+
+def twl_egf_check(alpha: int, k: int, n: int, order: int = 12) -> tuple[Fraction, int]:
+    """Both sides of the Whitney-Lah EGF identity (``r3``) at (alpha, k, n):
+    n! times the t^n coefficient of ``twl_egf_series``, truncated at
+    max(order, n), and ``twl(alpha, n, k)`` from the triangle engine."""
+    # the series comes first: it rejects a bad alpha with InvalidAlpha
+    lhs = _egf_series_cached(alpha, k, max(order, n)).coeff(n) * math.factorial(n)
+    return lhs, twl(alpha, n, k)

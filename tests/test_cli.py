@@ -1,6 +1,7 @@
 """CLI tests: subcommand behavior, output formats, determinism, and the
 0/1/2 exit-code contract."""
 
+import importlib
 import json
 import math
 import sys
@@ -186,6 +187,28 @@ class TestSeries:
     def test_unknown_id_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "series", "--id", "r9", "--k", "1", "--order", "3")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "ident, module, name",
+        [("r3", "whitney", "twl_egf_check"), ("qr1.1", "qwhitney", "qwl_egf_check")],
+    )
+    def test_runs_the_registry_check(self, capsys, monkeypatch, ident, module, name):
+        """The registry's check for the id is the family function that
+        ``series`` calls, so the two cannot drift apart."""
+        from whitneylah.verify import get_identity
+
+        family = importlib.import_module(f"whitneylah.{module}")
+        check = get_identity(ident).check
+        assert check is getattr(family, name)
+        ns = []
+
+        def spy(**kwargs):
+            ns.append(kwargs["n"])
+            return check(**kwargs)
+
+        monkeypatch.setattr(family, name, spy)
+        code, out, _ = run_cli(capsys, "series", "--id", ident, "--k", "1", "--order", "3")
+        assert (code, ns, out.splitlines()[-1]) == (0, [0, 1, 2, 3], "match,yes")
 
 
 class TestDeterminism:

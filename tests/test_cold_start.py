@@ -75,6 +75,10 @@ class TestFreshInterpreterCli:
             ("table", "--family", "q-lah", "--n-max", "4", "--format", "json"),
             ("eval", "--family", "whitney-lah", "--alpha", "2", "--n", "9", "--k", "3"),
             ("series", "--id", "r3", "--alpha", "2", "--k", "2", "--order", "6"),
+            pytest.param(
+                ("series", "--id", "qr1.1", "--alpha", "2", "--k", "2", "--order", "5"),
+                id="series-qr1.1",
+            ),
             ("verify", "--format", "text", "--n-max", "4"),
             ("verify", "--format", "text", "--n-max", "3", "--mode", "as_printed"),
         ],
@@ -144,9 +148,14 @@ class TestImportSet:
         assert run.stdout.split() == []
 
     def test_series_loads_no_json(self):
-        run = fresh_python(_LOADED_BY, "series --id qr1.1 --alpha 2 --k 1 --order 3")
+        """Nor the registry: ``series`` reads its checks off the families."""
+        run = fresh_python(
+            _LOADED_BY,
+            "series --id r3 --alpha 2 --k 3 --order 5",
+            "series --id qr1.1 --alpha 2 --k 1 --order 3",
+        )
         assert run.returncode == 0, run.stderr
-        assert run.stdout.split() == ["whitneylah.verify"]
+        assert run.stdout.split() == []
 
     def test_json_verify_loads_json_and_the_registry_only(self):
         run = fresh_python(_LOADED_BY, "verify --n-max 1 --format json")

@@ -5,13 +5,14 @@ import json
 import math
 import time
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from whitneylah import verify
 from whitneylah.arith import LaurentPoly, monomial
-from whitneylah.classical import _ROWS
-from whitneylah.qcalc import qfact, qint
+from whitneylah.classical import _ROWS, lah
+from whitneylah.qcalc import qbinom, qfact, qint
 from whitneylah.verify import (
     Config,
     Grid,
@@ -29,8 +30,8 @@ from whitneylah.verify import (
     report_to_json,
     run_suite,
 )
-from whitneylah.qwhitney import gqf_point, qint_signed, qw1, qw2, qwl
-from whitneylah.whitney import tw1
+from whitneylah.qwhitney import _qwl_egf_cached, gqf_point, qint_signed, qw1, qw2, qwl
+from whitneylah.whitney import _egf_series_cached, tw1, twl
 
 EXPECTED_IDS = sorted(
     [
@@ -310,17 +311,35 @@ class TestReport:
         assert max_n["qbinom_inv"] is None  # its grid has no n
 
     def test_caches_honest_mode_only(self, cold_memo):
+        lru_caches = {
+            "egf_series": _egf_series_cached,
+            "qwl_egf_series": _qwl_egf_cached,
+            "qint": qint,
+            "qfact": qfact,
+            "qbinom": qbinom,
+        }
+        for memo in lru_caches.values():
+            memo.cache_clear()
+        verify._GEOMETRIC_PRODUCTS.clear()
         cfg = Config(suite="classical", alpha_list=(1, 2), n_max=4)
         cold = report_to_json(run_suite(cfg))
         # fill the memos: the deterministic report must not show them
         tw1(2, 40, 40)
         gqf_point(3, -1, 4)
+        get_identity("qr1.1").check(alpha=2, k=1, n=3)
+        get_identity("pe2").check(n=3, k=2)
         report = run_suite(cfg)
         assert report_to_json(report) == cold
         assert "caches" not in report_to_dict(report)
         caches = report_to_dict(report, deterministic=False)["caches"]
-        assert set(caches) == {"triangles", "gqf_points"}
+        assert set(caches) == {"triangles", "gqf_points", "geometric_products", *lru_caches}
         assert caches["gqf_points"] == 4  # [3|-1]_1..4
+        assert caches["geometric_products"] == 3  # prod_{i<n} 1/(1 - q^i t), n = 1..3
+        # r3 at alpha 1 and 2, k = 0..6, order 12; lah_egf reads r3's alpha 1
+        assert caches["egf_series"] == 14
+        assert caches["qwl_egf_series"] == 1  # qr1.1 at (2, 1), order 8
+        for name in ("qint", "qfact", "qbinom"):
+            assert caches[name] == lru_caches[name].cache_info().currsize > 0
         # rows 1..4 of the suite and row 40: 2 + 3 + 4 + 5 + 41 cells
         tw1_at_2 = {"weights": "_tw1_weights", "alpha": 2, "rows": 5, "cells": 55}
         assert tw1_at_2 in caches["triangles"]
@@ -337,8 +356,9 @@ def test_cache_stats_count_stored_rows_and_cells():
 
 
 class TestSeriesOrderCoversTheGrid:
-    """``pe2`` and ``qr1.1`` read coefficient k (resp. n) of a truncated
-    series; its order grows with that index past the default 8."""
+    """``pe2``, ``qr1.1``, ``r3`` and ``lah_egf`` read coefficient k (resp.
+    n) of a truncated series; its order grows with that index past the
+    default, 8 for the q-identities and 12 for the classical ones."""
 
     def test_pe2_at_k_12(self):
         from whitneylah.qcalc import qbinom
@@ -356,6 +376,19 @@ class TestSeriesOrderCoversTheGrid:
             lhs, rhs = get_identity("qr1.1").check(alpha=alpha, k=k, n=12)
             expected = qfact(k, alpha) * qint(alpha) ** k * qwl(alpha, 12, k)
             assert lhs == rhs == expected
+
+    @pytest.mark.parametrize("alpha", [1, 2, 3])
+    def test_r3_at_n_13_to_16(self, alpha):
+        for k in (3, 6):
+            for n in range(13, 17):
+                lhs, rhs = get_identity("r3").check(alpha=alpha, k=k, n=n)
+                assert lhs == rhs == twl(alpha, n, k, method="product")
+
+    def test_lah_egf_at_n_13_to_16(self):
+        for k in (3, 6):
+            for n in range(13, 17):
+                lhs, rhs = get_identity("lah_egf").check(k=k, n=n)
+                assert lhs == rhs == Fraction(lah(n, k), math.factorial(n))
 
 
 class TestRecords:
