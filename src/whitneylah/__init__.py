@@ -23,7 +23,6 @@ _EXPORTS = {
         "lp_eval_q1",
         "monomial",
         "ts_mul_geometric",
-        "ts_pow",
     ),
     "classical": (
         "ScaleExceeded",

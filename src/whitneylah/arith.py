@@ -171,9 +171,17 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
+        """By repeated squaring: about log2(k) products, none against 1."""
         if not _is_int(k) or k < 0:
             raise ValueError("exponent must be a non-negative integer")
-        return _power(self, k, _ONE_POLY)
+        result, x = None, self
+        while k:
+            if k & 1:
+                result = x if result is None else result * x
+            k >>= 1
+            if k:
+                x = x * x
+        return _ONE_POLY if result is None else result
 
     def __eq__(self, other) -> bool:
         o = self._coerce(other)
@@ -494,26 +502,6 @@ def ts_mul_geometric(s: TruncSeries, c) -> TruncSeries:
     # p[-1] is c * 0, the zero of c's ring
     steps = accumulate(s.coeffs, lambda p, x: x + c * p, initial=c * 0)
     return TruncSeries(list(steps)[1:], s.order)
-
-
-def ts_pow(s: TruncSeries, k: int) -> TruncSeries:
-    """k-fold product of a truncated series with itself; k = 0 gives 1."""
-    if not _is_int(k) or k < 0:
-        raise ValueError("power must be a non-negative integer")
-    return _power(s, k, TruncSeries.one(s.order))
-
-
-def _power(x, k: int, one):
-    """``x`` to the power ``k > 0`` by repeated squaring, or ``one`` for
-    ``k = 0``: about log2(k) products, none of them against ``one``."""
-    result = None
-    while k:
-        if k & 1:
-            result = x if result is None else result * x
-        k >>= 1
-        if k:
-            x = x * x
-    return one if result is None else result
 
 
 def _prefix_product(memo: dict, key: tuple, n: int, factor: Callable, one):

@@ -7,13 +7,14 @@ validation apart. A brute-force enumeration oracle for the Lah numbers is
 included for end-to-end validation at small scale.
 
 This module also holds the package's one triangle engine: every recurrence
-triangle, classical, translated or q, is a weights function handed to it
-that gives the weights of a range of columns of one row. Rows are built in
-a loop, so any depth works. A request for column k builds only columns
-0..k of each row below it, and only the rows that callers request are
-memoized, per (family, alpha), each as an exact prefix of its row. Every
-family reads its values through ``_cell`` and its row sums through
-``_row_sum``, which also hold the zero outside the triangle.
+triangle, classical, translated or q, the Gaussian binomials included, is a
+weights function handed to it that gives the weights of a range of columns
+of one row. Rows are built in a loop, so any depth works. A request for
+column k builds only columns 0..k of each row below it, and only the rows
+that callers request are memoized, per (family, alpha), each as an exact
+prefix of its row. Every family reads its values through ``_cell`` and its
+row sums through ``_row_sum``, which also hold the zero outside the
+triangle.
 
 Also provides the rising/falling/generalized factorial polynomials in a
 formal variable t (as Laurent polynomials with integer coefficients), used
@@ -34,8 +35,9 @@ class ScaleExceeded(ValueError):
 
 # -- the triangle engine ------------------------------------------------------
 #
-# Every recurrence triangle of the package is one case of the paper's
-# two-sequence recurrence, with a weight on the left term as well:
+# Every recurrence triangle of the package, the Gaussian binomials' q-Pascal
+# rule in ``qcalc`` included, is one case of the paper's two-sequence
+# recurrence, with a weight on the left term as well:
 #
 #     u(n, k) = l_k u(n-1, k-1) + r_k u(n-1, k),    u(0, 0) = 1.
 #

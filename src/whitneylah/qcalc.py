@@ -6,13 +6,17 @@ quantities like [n] over q^a live in the same Laurent ring as everything
 else and mixed-base expressions compose directly. The generalized
 q-factorial [t|alpha]_n, which needs the reflection rule for negative
 arguments, is ``qwhitney.gqf_point``.
+
+The Gaussian binomials are the q-Pascal triangle of the engine in
+``classical``, whose row memo is their cache; no primitive here divides.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .arith import LaurentPoly, _is_int, lp_div_exact
+from .arith import LaurentPoly, _is_int, monomial
+from .classical import _cell
 
 
 class InvalidOrder(ValueError):
@@ -62,17 +66,20 @@ def qfact(n: int, base: int = 1) -> LaurentPoly:
     return out
 
 
-@lru_cache(maxsize=None, typed=True)
-def qbinom(n: int, k: int, base: int = 1) -> LaurentPoly:
-    """Gaussian binomial coefficient over q^base.
+def _qbinom_weights(base: int, n: int, lo: int, hi: int) -> tuple[list, list]:
+    """q-Pascal: u(n,k) = u(n-1,k-1) + q^(base k) u(n-1,k)."""
+    ones = [LaurentPoly.one()] * (hi - lo + 1)
+    return ones, [monomial(base * k) for k in range(lo, hi + 1)]
 
-    Zero outside 0 <= k <= n. Computed as [n]!/([k]![n-k]!) by exact
-    division, which doubles as a self-check of the division kernel.
+
+def qbinom(n: int, k: int, base: int = 1) -> LaurentPoly:
+    """Gaussian binomial coefficient over q^base: zero outside 0 <= k <= n.
+
+    Column min(k, n - k) of the engine's triangle of ``_qbinom_weights``,
+    by the symmetry C(n, k) = C(n, n - k): a k near 0 or n is cheap at any n.
     """
     _check_args(base, n, k)
-    if k < 0 or k > n:
-        return LaurentPoly.zero()
-    return lp_div_exact(qfact(n, base), qfact(k, base) * qfact(n - k, base))
+    return _cell(_qbinom_weights, base, n, min(k, n - k), LaurentPoly.one())
 
 
 def qfalling(n: int, k: int, base: int = 1) -> LaurentPoly:

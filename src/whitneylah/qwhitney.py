@@ -126,11 +126,13 @@ def _qbinom_inverse_entry(F: Sequence, k: int, alpha: int):
     """Entry k >= 0 of the inverse Gaussian-binomial transform over q^alpha
     of F_0..F_k, Laurent polynomials or series with Laurent coefficients:
     sum_{j<=k} (-1)^(k-j) q^(alpha C(k-j,2)) C(k,j)_{q^alpha} F_j."""
-    weights = (
-        (-1) ** (k - j) * monomial(alpha * math.comb(k - j, 2)) * qbinom(k, j, alpha)
+    # j = k // 2 first: its read builds columns 0..k // 2 of row k, which the
+    # reads below it hit, and C(k, j) = C(k, k - j) gives the rest
+    half = [qbinom(k, j, alpha) for j in range(k // 2, -1, -1)][::-1]
+    return sum(
+        F[j] * ((-1) ** (k - j) * monomial(alpha * math.comb(k - j, 2)) * half[min(j, k - j)])
         for j in range(k + 1)
     )
-    return sum(F[j] * w for j, w in enumerate(weights))
 
 
 def qwl_explicit(alpha: int, n: int, k: int) -> LaurentPoly:

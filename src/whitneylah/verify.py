@@ -879,7 +879,6 @@ _LRU_CACHE_INFO = {
     "qwl_egf_series": _qwl_egf_cached.cache_info,
     "qint": qint.cache_info,
     "qfact": qfact.cache_info,
-    "qbinom": qbinom.cache_info,
 }
 
 
@@ -978,11 +977,12 @@ def report_to_dict(report: Report, *, deterministic: bool = True) -> dict:
     checked (None if its grid has no n or it ran no check); and, under
     ``caches``, the memos at the end of the run: ``triangles`` lists per
     weights function and alpha the stored rows and cells of the triangle
-    engine; ``gqf_points`` counts the stored generalized q-factorials
+    engine, the Gaussian binomials' ``_qbinom_weights`` keyed by base
+    among them; ``gqf_points`` counts the stored generalized q-factorials
     [t|alpha]_n, ``geometric_products`` the stored series products of
     ``pe2``, ``egf_series`` and ``qwl_egf_series`` the stored series of
-    ``r3``/``lah_egf`` and ``qr1.1``, and ``qint``, ``qfact`` and
-    ``qbinom`` the entries of those q-primitives' caches."""
+    ``r3``/``lah_egf`` and ``qr1.1``, and ``qint`` and ``qfact`` the
+    entries of those q-primitives' caches."""
     doc = {
         "config": report.config.as_dict(),
         "total": report.total,

@@ -16,7 +16,6 @@ from whitneylah.arith import (
     lp_eval_q1,
     monomial,
     ts_mul_geometric,
-    ts_pow,
 )
 
 q = LaurentPoly.var()
@@ -147,19 +146,6 @@ class TestTruncSeries:
         for order in (True, False, 2.5, -1):
             with pytest.raises(ValueError, match="order"):
                 TruncSeries([1], order)
-
-    def test_pow(self):
-        t = TruncSeries([0, 1], 4)
-        assert ts_pow(t, 2) == TruncSeries([0, 0, 1], 4)
-        assert ts_pow(TruncSeries([1, 1], 4), 2) == TruncSeries([1, 2, 1], 4)
-        assert ts_pow(TruncSeries([0, 1, 1], 3), 2) == TruncSeries([0, 0, 1, 2], 3)
-        assert ts_pow(TruncSeries([5, 1], 3), 0) == TruncSeries.one(3)
-
-    def test_pow_rejects_bool_exponent(self):
-        s = TruncSeries([1, 1], 3)
-        for k in (True, False, -1):
-            with pytest.raises(ValueError):
-                ts_pow(s, k)
 
     def test_order_mixing_takes_minimum(self):
         a = TruncSeries([1, 1, 1, 1], 3)

@@ -1,34 +1,41 @@
-"""A kernel-free witness for the q-triangles.
+"""A kernel-free witness for the q-triangles and the Gaussian binomials.
 
-Substituting q = 2 is a ring homomorphism from Laurent polynomials to the
-rationals, and it shares no code with ``LaurentPoly`` arithmetic. Each
-q-Whitney triangle is built here by the triangle engine over the Laurent
-kernel, substituted at q = 2 over ``Fraction``, and compared cell by cell
-with the family's recurrence run over ``Fraction`` alone, where
+Substituting an integer q is a ring homomorphism from Laurent polynomials
+to the rationals, and it shares no code with ``LaurentPoly`` arithmetic.
+Each q-Whitney triangle is built here by the triangle engine over the
+Laurent kernel, substituted at q = 2 over ``Fraction``, and compared cell
+by cell with the family's recurrence run over ``Fraction`` alone, where
 [m]_2 = 2^m - 1 for every integer m. A row is built from monomial shifts,
 window sums by q-integers and additions; a fault in any of them corrupts a
 cell and shows here, even where it would corrupt both sides of an identity
-check alike. The rows go to n = 30, and to n = 40 for one family.
+check alike. The rows go to n = 30, and to n = 40 for one family. The
+Gaussian binomials, the engine's q-Pascal triangle, are compared at q = 2
+and q = 3 with their product formula.
 """
 
 from fractions import Fraction
 
 import pytest
 
+from whitneylah.classical import _cache_stats
+from whitneylah.qcalc import qbinom
 from whitneylah.qwhitney import qw1, qw2, qwl
 
 TWO = Fraction(2)
 FAMILIES = {"qw1": qw1, "qw2": qw2, "qwl": qwl}
 
 
-def at_2(p) -> Fraction:
-    """p(2), exactly: the integer sum of c 2^(e - lo) over the terms,
-    times 2^lo for the lowest exponent lo."""
+def at(p, q: int) -> Fraction:
+    """p(q), exactly, from the terms of p alone: Horner's rule from the
+    highest exponent down to the lowest, lo, then times q^lo."""
     terms = list(p.items())
     if not terms:
         return Fraction(0)
-    lo = min(e for e, _ in terms)
-    return sum(c << (e - lo) for e, c in terms) * TWO**lo
+    value, lo = 0, terms[-1][0]
+    for e, c in reversed(terms):
+        value = value * q ** (lo - e) + c
+        lo = e
+    return value * Fraction(q) ** lo
 
 
 def qnum(m: int) -> Fraction:
@@ -73,6 +80,27 @@ def test_triangle_at_q_2_is_the_recurrence_over_fraction(cold_memo, family, alph
     expected = rows_at_2(family, alpha, n_max)
     value = FAMILIES[family]
     for n in range(n_max + 1):
-        got = [at_2(value(alpha, n, k)) for k in range(n + 1)]
+        got = [at(value(alpha, n, k), 2) for k in range(n + 1)]
         assert got == expected[n], (family, alpha, n)
 
+
+def gaussian_binomial_at(q: int, n: int, k: int, b: int) -> Fraction:
+    """C(n, k) over q^b at an integer q: the product of
+    (q^(b (n-k+i)) - 1) / (q^(b i) - 1) for i = 1..k."""
+    value = Fraction(1)
+    for i in range(1, k + 1):
+        value *= Fraction(q ** (b * (n - k + i)) - 1, q ** (b * i) - 1)
+    return value
+
+
+def test_gaussian_binomials_at_q_2_and_3_are_the_product_formula(cold_memo):
+    # j = 30 first: C(60, j) is column min(j, 60 - j), so that read builds
+    # the band of row 60 that every other j reads
+    cases = [(120, 60, 3)] + [(60, j, 2) for j in [*range(30, -1, -1), *range(31, 61)]]
+    for n, k, b in cases:
+        value = qbinom(n, k, b)
+        for q in (2, 3):
+            assert at(value, q) == gaussian_binomial_at(q, n, k, b), (q, n, k, b)
+    # they came from the engine's q-Pascal triangle, at each base
+    built = {(t["weights"], t["alpha"]) for t in _cache_stats()["triangles"]}
+    assert {("_qbinom_weights", 3), ("_qbinom_weights", 2)} <= built

@@ -14,6 +14,7 @@ from whitneylah.arith import (
     monomial,
     ts_mul_geometric,
 )
+from whitneylah.classical import _cache_stats
 from whitneylah.qcalc import (
     InvalidOrder,
     NegativeArgument,
@@ -90,18 +91,28 @@ class TestQBinom:
         assert qbinom(-2, 0).is_zero
 
     def test_symmetry(self):
+        # qbinom reads C(n, n - k) from the cell of C(n, k); the palindrome
+        # C(n, k) = q^(a k (n-k)) C(n, k) at q^-1, over q^a, is no restatement
         for a in (1, 2):
             for n in range(13):
                 for k in range(n + 1):
-                    assert qbinom(n, k, a) == qbinom(n, n - k, a), (a, n, k)
+                    value = qbinom(n, k, a)
+                    mirror = LaurentPoly({a * k * (n - k) - e: c for e, c in value.items()})
+                    assert qbinom(n, n - k, a) == value == mirror, (a, n, k)
 
-    def test_pascal_rule(self):
-        for a in (1, 2):
-            for n in range(1, 13):
-                for k in range(1, n + 1):
-                    expected = qbinom(n - 1, k - 1, a) + monomial(a * k) * qbinom(
-                        n - 1, k, a
-                    )
+    def test_band_is_the_narrower_column(self, cold_memo):
+        # C(300, 298) is column 2 of row 300, a band three columns wide
+        assert lp_eval_q1(qbinom(300, 298)) == math.comb(300, 2)
+        assert _cache_stats()["triangles"] == [
+            {"weights": "_qbinom_weights", "alpha": 1, "rows": 1, "cells": 3}
+        ]
+
+    def test_equals_the_factorial_quotient(self):
+        # [n]! / ([k]! [n-k]!) by long division, not the q-Pascal rule
+        for a in (1, 2, 3):
+            for n in range(13):
+                for k in range(n + 1):
+                    expected = lp_div_exact(qfact(n, a), qfact(k, a) * qfact(n - k, a))
                     assert qbinom(n, k, a) == expected, (a, n, k)
 
 

@@ -9,7 +9,7 @@ from whitneylah.arith import LaurentPoly, TruncSeries, lp_eval_q1, monomial
 from whitneylah.classical import lah, stirling1u, stirling2
 from whitneylah.qcalc import qbinom, qfact, qint
 from whitneylah.whitney import InvalidAlpha, dowling
-from whitneylah import qwhitney
+from whitneylah import qcalc, qwhitney
 from whitneylah.qwhitney import (
     InvalidRange,
     gqf_point,
@@ -199,6 +199,23 @@ class TestEgfSumSeries:
                 for order in range(9):
                     expected = self.reference(a, k, order)
                     assert qwl_egf_sum_series(a, k, order) == expected, (a, k, order)
+
+    def test_reads_row_k_in_one_build(self, cold_memo, monkeypatch):
+        """C(k, j) is column min(j, k - j) of row k, and j = k // 2 is read
+        first, so the band of row k is built once, one weights call per row
+        below it, and every other j hits it. An ascending read of j widens
+        the band one column at a time and rebuilds the rows below for each:
+        840 calls at k = 40."""
+        weights, rows = qcalc._qbinom_weights, []
+
+        def counted(base, n, lo, hi):
+            rows.append(n)
+            return weights(base, n, lo, hi)
+
+        monkeypatch.setattr(qcalc, "_qbinom_weights", counted)
+        # every coefficient below t^k vanishes
+        assert qwl_egf_sum_series(1, 40, 3) == TruncSeries.zero(3)
+        assert len(rows) <= 2 * 40
 
 
 class TestGarsiaRemmel:

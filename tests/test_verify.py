@@ -12,7 +12,7 @@ import pytest
 from whitneylah import verify
 from whitneylah.arith import LaurentPoly, monomial
 from whitneylah.classical import _ROWS, lah
-from whitneylah.qcalc import qbinom, qfact, qint
+from whitneylah.qcalc import qfact, qint
 from whitneylah.verify import (
     Config,
     Grid,
@@ -316,7 +316,6 @@ class TestReport:
             "qwl_egf_series": _qwl_egf_cached,
             "qint": qint,
             "qfact": qfact,
-            "qbinom": qbinom,
         }
         for memo in lru_caches.values():
             memo.cache_clear()
@@ -338,11 +337,14 @@ class TestReport:
         # r3 at alpha 1 and 2, k = 0..6, order 12; lah_egf reads r3's alpha 1
         assert caches["egf_series"] == 14
         assert caches["qwl_egf_series"] == 1  # qr1.1 at (2, 1), order 8
-        for name in ("qint", "qfact", "qbinom"):
+        for name in ("qint", "qfact"):
             assert caches[name] == lru_caches[name].cache_info().currsize > 0
         # rows 1..4 of the suite and row 40: 2 + 3 + 4 + 5 + 41 cells
         tw1_at_2 = {"weights": "_tw1_weights", "alpha": 2, "rows": 5, "cells": 55}
         assert tw1_at_2 in caches["triangles"]
+        # pe2 at (3, 2) reads C(4, 2)_q: columns 0..2 of row 4
+        qbinom_at_1 = {"weights": "_qbinom_weights", "alpha": 1, "rows": 1, "cells": 3}
+        assert qbinom_at_1 in caches["triangles"]
 
 
 def test_cache_stats_count_stored_rows_and_cells():
