@@ -36,14 +36,21 @@ _EXPORTS = {
         "stirling1u",
         "stirling2",
     ),
-    "qcalc": ("InvalidOrder", "NegativeArgument", "qbinom", "qfact", "qfalling", "qint"),
+    "qcalc": (
+        "InvalidOrder",
+        "NegativeArgument",
+        "qbinom",
+        "qfact",
+        "qfalling",
+        "qint",
+        "qint_signed",
+    ),
     "qwhitney": (
         "InvalidRange",
         "qbinom_inverse_transform",
         "qbinom_transform",
         "qdowling",
         "qdowling_qi",
-        "qint_signed",
         "qlah_gr",
         "qw1",
         "qw2",

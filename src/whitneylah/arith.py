@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from itertools import accumulate, repeat
 from operator import add, mul, sub
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -503,14 +503,3 @@ def ts_mul_geometric(s: TruncSeries, c) -> TruncSeries:
     steps = accumulate(s.coeffs, lambda p, x: x + c * p, initial=c * 0)
     return TruncSeries(list(steps)[1:], s.order)
 
-
-def _prefix_product(memo: dict, key: tuple, n: int, factor: Callable, one):
-    """``factor(0) * ... * factor(n-1)``, or ``one`` for n <= 0, read from
-    ``memo`` under ``key + (n,)``: one product for each factor past the
-    longest prefix stored there, and each new prefix is stored."""
-    i = next((i for i in range(n, 0, -1) if key + (i,) in memo), 0)
-    out = memo[key + (i,)] if i else one
-    for i in range(i, n):
-        out = out * factor(i)
-        memo[key + (i + 1,)] = out
-    return out

@@ -223,10 +223,7 @@ def binomial(r: int, k: int) -> int:
         return 0
     if r >= 0:
         return math.comb(r, k)
-    num = 1
-    for i in range(k):
-        num *= r - i
-    q, rem = divmod(num, math.factorial(k))
+    q, rem = divmod(math.prod(range(r, r - k, -1)), math.factorial(k))
     if rem:
         raise NonExactDivision(f"falling product of {r} is not divisible by {k}!")
     return q

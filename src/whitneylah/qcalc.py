@@ -1,11 +1,17 @@
 """q-arithmetic primitives, all returned as Laurent polynomials: q-integers,
-q-factorials, Gaussian binomials and q-falling factorials.
+the generalized q-factorial and its two special cases, the q-factorial and
+the q-falling factorial, and the Gaussian binomials.
 
 The optional ``base`` argument realizes the substitution q -> q^base, so
 quantities like [n] over q^a live in the same Laurent ring as everything
-else and mixed-base expressions compose directly. The generalized
-q-factorial [t|alpha]_n, which needs the reflection rule for negative
-arguments, is ``qwhitney.gqf_point``.
+else and mixed-base expressions compose directly. ``qint_signed`` takes any
+integer by the reflection rule [-m] = -q^(-m base) [m] over q^base.
+
+A product of q-integers in arithmetic progression is a generalized
+q-factorial [t|alpha]_n = [t][t - alpha]...[t - (n-1) alpha], built in one
+place, ``gqf_point``, whose memo stores each prefix it computes:
+``qfact(n)`` is [1|-1]_n and ``qfalling(n, k)`` is [n|1]_k, so a sweep over
+n or k costs one product per step.
 
 The Gaussian binomials are the q-Pascal triangle of the engine in
 ``classical``, whose row memo is their cache; no primitive here divides.
@@ -26,9 +32,8 @@ class InvalidOrder(ValueError):
 class NegativeArgument(ValueError):
     """A q-integer of a negative integer was requested.
 
-    Callers that genuinely need one must apply the reflection
-    [-m]_q = -q^(-m) [m]_q themselves, keeping its sign and q-power
-    conventions visible at the call site.
+    Callers that genuinely need one call ``qint_signed``, which names the
+    reflection [-m]_q = -q^(-m) [m]_q and its sign and q-power conventions.
     """
 
 
@@ -54,16 +59,42 @@ def qint(n: int, base: int = 1) -> LaurentPoly:
     return LaurentPoly({i * base: 1 for i in range(n)})
 
 
-@lru_cache(maxsize=None, typed=True)
+def qint_signed(m: int, base: int = 1) -> LaurentPoly:
+    """[m] over q^base for any integer m, via the reflection
+    [-m] = -q^(-m base) [m] over q^base."""
+    if m >= 0:
+        return qint(m, base)
+    return -1 * (monomial(m * base) * qint(-m, base))
+
+
+# [t|alpha]_n over q^base by (t, alpha, base, n), for every n computed so far.
+# One entry per n: two threads that fill one key at once store equal values.
+_GQF_POINTS: dict[tuple[int, int, int, int], LaurentPoly] = {}
+
+
+def gqf_point(t: int, alpha: int, n: int, base: int = 1) -> LaurentPoly:
+    """The generalized q-factorial [t|alpha]_n over q^base at an integer
+    point t: the product of [t - i*alpha] over q^base for i = 0..n-1, with
+    negative arguments resolved by the reflection rule, and 1 for n <= 0.
+    alpha may be negative. One product for each factor past the longest
+    prefix stored, and each new prefix is stored."""
+    i = n
+    while i > 0 and (t, alpha, base, i) not in _GQF_POINTS:
+        i -= 1
+    out = _GQF_POINTS[t, alpha, base, i] if i else LaurentPoly.one()
+    for i in range(i, n):
+        out = out * qint_signed(t - i * alpha, base)
+        _GQF_POINTS[t, alpha, base, i + 1] = out
+    return out
+
+
 def qfact(n: int, base: int = 1) -> LaurentPoly:
-    """q-factorial [n]! over q^base: the product [1][2]...[n]; [0]! = 1."""
+    """q-factorial [n]! over q^base: the product [1][2]...[n], that is
+    [1|-1]_n; [0]! = 1."""
     _check_args(base, n)
     if n < 0:
         raise NegativeArgument(f"q-factorial of negative {n}")
-    out = LaurentPoly.one()
-    for m in range(1, n + 1):
-        out = out * qint(m, base)
-    return out
+    return gqf_point(1, -1, n, base)
 
 
 def _qbinom_weights(base: int, n: int, lo: int, hi: int) -> tuple[list, list]:
@@ -83,13 +114,11 @@ def qbinom(n: int, k: int, base: int = 1) -> LaurentPoly:
 
 
 def qfalling(n: int, k: int, base: int = 1) -> LaurentPoly:
-    """q-falling factorial [n][n-1]...[n-k+1] over q^base (= [n]!/[n-k]!)."""
+    """q-falling factorial [n][n-1]...[n-k+1] over q^base, that is [n|1]_k
+    (= [n]!/[n-k]!)."""
     _check_args(base, n, k)
     if n < 0:
         raise NegativeArgument(f"q-falling factorial of negative {n}")
     if k < 0 or k > n:
         raise InvalidOrder(f"order {k} outside 0 <= k <= n = {n}")
-    out = LaurentPoly.one()
-    for i in range(k):
-        out = out * qint(n - i, base)
-    return out
+    return gqf_point(n, 1, k, base)

@@ -15,8 +15,9 @@ so that
     w2[n+1, k] = q^((k-1) a) w2[n, k-1] + [k a]_q w2[n, k]
 
 Negative alpha (needed by the convolution and Dowling identities) enters
-through the reflection [-m]_q = -q^(-m) [m]_q applied inside the
-recurrences. Values are Laurent polynomials; negative exponents are normal.
+through the reflection [-m]_q = -q^(-m) [m]_q of ``qcalc.qint_signed``
+applied inside the recurrences. Values are Laurent polynomials; negative
+exponents are normal.
 
 The triangles are weights for the triangle engine in classical, whose
 comment block states how it builds, stores and resumes rows. A band of
@@ -25,10 +26,10 @@ are read through the engine's ``_cell`` and ``_row_sum`` with the
 polynomial 1 as u(0, 0), so a value outside the triangle is the zero
 polynomial.
 
-The generalized q-factorial [t|alpha]_n at integer points is ``gqf_point``,
-which stores every prefix [t|alpha]_1..n it computes.
-The Gaussian-binomial inversion sum, on which ``qwl_explicit``, the
-generating-function side ``qwl_egf_sum_series`` and
+The generalized q-factorial [t|alpha]_n at integer points is
+``qcalc.gqf_point``, which stores every prefix [t|alpha]_1..n it computes,
+the q-factorials' among them. The Gaussian-binomial inversion sum, on which
+``qwl_explicit``, the generating-function side ``qwl_egf_sum_series`` and
 ``qbinom_inverse_transform`` rest, is written once, in
 ``_qbinom_inverse_entry``. The translated q-Whitney-Lah and q-Dowling
 families take positive alpha and reject any other with ``InvalidAlpha``;
@@ -49,13 +50,12 @@ from .arith import (
     LaurentPoly,
     TruncSeries,
     _is_int,
-    _prefix_product,
     lp_div_exact,
     monomial,
     ts_mul_geometric,
 )
 from .classical import _cell, _row_sum
-from .qcalc import qbinom, qfact, qfalling, qint
+from .qcalc import gqf_point, qbinom, qfact, qfalling, qint, qint_signed
 from .whitney import InvalidAlpha, _check_alpha
 
 QLAH_ROUTES = ("recurrence", "explicit")
@@ -68,13 +68,6 @@ class InvalidRange(ValueError):
 def _check_alpha_nonzero(alpha: int) -> None:
     if not _is_int(alpha) or alpha == 0:
         raise InvalidAlpha(f"alpha must be a nonzero integer, got {alpha!r}")
-
-
-def qint_signed(m: int) -> LaurentPoly:
-    """[m]_q for any integer m, via the reflection [-m]_q = -q^(-m) [m]_q."""
-    if m >= 0:
-        return qint(m)
-    return -1 * (monomial(m) * qint(-m))
 
 
 # Weights of the q-triangles for the engine in classical; the Garsia-Remmel
@@ -178,21 +171,6 @@ def qdowling_qi(alpha: int, n: int) -> LaurentPoly:
     for j in range(n + 1):
         total = total + _row_sum(_qwl_weights, alpha, j, one) * qw2(-alpha, n, j)
     return total
-
-
-# [t|alpha]_n by (t, alpha, n), for every n computed so far: a sweep over n
-# costs one product per step. Two threads that fill one key at once store
-# equal values.
-_GQF_POINTS: dict[tuple[int, int, int], LaurentPoly] = {}
-
-
-def gqf_point(t: int, alpha: int, n: int) -> LaurentPoly:
-    """The generalized q-factorial [t|alpha]_n at an integer point t:
-    the product of [t - i*alpha]_q for i = 0..n-1, with negative arguments
-    resolved by the reflection rule. alpha may be negative."""
-    return _prefix_product(
-        _GQF_POINTS, (t, alpha), n, lambda i: qint_signed(t - i * alpha), LaurentPoly.one()
-    )
 
 
 def qwl_egf_sum_series(alpha: int, k: int, order: int) -> TruncSeries:

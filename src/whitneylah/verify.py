@@ -28,7 +28,6 @@ from .arith import (
     LaurentPoly,
     TruncSeries,
     _is_int,
-    _prefix_product,
     lp_div_exact,
     lp_eval_q1,
     monomial,
@@ -45,7 +44,15 @@ from .classical import (
     stirling1u,
     stirling2,
 )
-from .qcalc import qbinom, qfact, qfalling, qint
+from .qcalc import (
+    _GQF_POINTS,
+    gqf_point,
+    qbinom,
+    qfact,
+    qfalling,
+    qint,
+    qint_signed,
+)
 from .whitney import (
     MansourSpec,
     _egf_series_cached,
@@ -60,14 +67,11 @@ from .whitney import (
     twl_egf_check,
 )
 from .qwhitney import (
-    _GQF_POINTS,
     _qbinom_inverse_entry,
     _qwl_egf_cached,
-    gqf_point,
     qbinom_transform,
     qdowling,
     qdowling_qi,
-    qint_signed,
     qlah_gr,
     qw1,
     qw2,
@@ -449,9 +453,7 @@ def _qr2_sides(a: int, k: int, n: int, printed: bool):
     rhs = _sign(k) * (qint(a) ** k) * qfact(n, a)
     if not printed:
         rhs = rhs * monomial(-a * (k * (n + 1) - math.comb(k, 2)))
-    for i in range(n - k + 2, n + 2):
-        rhs = rhs * qint(i, a)
-    return lhs, rhs
+    return lhs, rhs * qfalling(n + 1, k, a)  # [n+1]!/[n-k+1]!
 
 
 def _chk_qr2_1(k, n, mode):
@@ -487,29 +489,26 @@ def _chk_qbinom_inv(alpha, sample, k):
 
 def _chk_pe1(rel, alpha, j, n):
     if rel == "product":
-        lhs = gqf_point(alpha * j, -alpha, n)
-        rhs = qint(alpha) ** n
-        for i in range(n):
-            rhs = rhs * qint(j + i, alpha)
-        return lhs, rhs
+        # [aj|-a]_n against [a]^n [j|-1]_n over q^a: a shared primitive,
+        # not a shared route
+        rhs = qint(alpha) ** n * gqf_point(j, -1, n, alpha)
+        return gqf_point(alpha * j, -alpha, n), rhs
     lhs = lp_div_exact(qfalling(j + n - 1, n, alpha), qfact(n, alpha))
     return lhs, qbinom(j + n - 1, n, alpha)
 
 
-# prod_{i<n} 1/(1 - q^i t) by (order, n), for every n computed so far
-_GEOMETRIC_PRODUCTS: dict[tuple[int, int], TruncSeries] = {}
+@lru_cache(maxsize=None)
+def _geometric_product(n: int, order: int) -> TruncSeries:
+    """prod_{i<n} 1/(1 - q^i t), truncated at ``order``."""
+    prod = TruncSeries.one(order)
+    for i in range(n):
+        prod = ts_mul_geometric(prod, monomial(i))
+    return prod
 
 
 def _chk_pe2(n, k):
-    order = max(8, k)  # covers the coefficient read
-    prod = _prefix_product(
-        _GEOMETRIC_PRODUCTS,
-        (order,),
-        n,
-        lambda i: ts_mul_geometric(TruncSeries.one(order), monomial(i)),
-        TruncSeries.one(order),
-    )
-    return prod.coeff(k), qbinom(n + k - 1, k)
+    # order max(8, k) covers the coefficient read
+    return _geometric_product(n, max(8, k)).coeff(k), qbinom(n + k - 1, k)
 
 
 def _chk_q_limits(family, n, k=None, alpha=None):
@@ -876,9 +875,9 @@ def _run_one(spec: IdentitySpec, params: dict) -> CheckResult:
 # tracer may rebind the public names to wrappers without ``cache_info``.
 _LRU_CACHE_INFO = {
     "egf_series": _egf_series_cached.cache_info,
+    "geometric_products": _geometric_product.cache_info,
     "qwl_egf_series": _qwl_egf_cached.cache_info,
     "qint": qint.cache_info,
-    "qfact": qfact.cache_info,
 }
 
 
@@ -953,7 +952,6 @@ def run_suite(config: Config | None = None, **kwargs) -> Report:
     caches = {
         **_cache_stats(),
         "gqf_points": len(_GQF_POINTS),
-        "geometric_products": len(_GEOMETRIC_PRODUCTS),
         **{name: info().currsize for name, info in _LRU_CACHE_INFO.items()},
     }
     return Report(
@@ -979,10 +977,11 @@ def report_to_dict(report: Report, *, deterministic: bool = True) -> dict:
     weights function and alpha the stored rows and cells of the triangle
     engine, the Gaussian binomials' ``_qbinom_weights`` keyed by base
     among them; ``gqf_points`` counts the stored generalized q-factorials
-    [t|alpha]_n, ``geometric_products`` the stored series products of
+    [t|alpha]_n over q^base, the prefixes of ``qfact`` and ``qfalling``
+    among them; ``geometric_products`` the stored series products of
     ``pe2``, ``egf_series`` and ``qwl_egf_series`` the stored series of
-    ``r3``/``lah_egf`` and ``qr1.1``, and ``qint`` and ``qfact`` the
-    entries of those q-primitives' caches."""
+    ``r3``/``lah_egf`` and ``qr1.1``, and ``qint`` the entries of that
+    q-primitive's cache."""
     doc = {
         "config": report.config.as_dict(),
         "total": report.total,

@@ -59,14 +59,6 @@ def tw2(alpha: int, n: int, k: int) -> int:
     return _cell(_tw2_weights, alpha, n, k)
 
 
-def _rising_value(j: int, n: int) -> int:
-    """Rising factorial j(j+1)...(j+n-1) at an integer point."""
-    out = 1
-    for i in range(n):
-        out *= j + i
-    return out
-
-
 def twl(alpha: int, n: int, k: int, method: str = "recurrence") -> int:
     """Translated Whitney-Lah number by one of four independent routes.
 
@@ -87,7 +79,7 @@ def twl(alpha: int, n: int, k: int, method: str = "recurrence") -> int:
     if method == "explicit":
         acc = 0
         for j in range(k + 1):
-            acc += (-1) ** (k - j) * math.comb(k, j) * _rising_value(j, n)
+            acc += (-1) ** (k - j) * math.comb(k, j) * math.prod(range(j, j + n))
         q, rem = divmod(acc, math.factorial(k))
         if rem:
             raise NonExactDivision(f"rising sum for ({n}, {k}) is not divisible by {k}!")

@@ -29,10 +29,13 @@ EXPORTS = {
         "ScaleExceeded", "bell", "binomial", "falling_poly", "genfact_poly", "lah",
         "lah_oracle", "rising_poly", "stirling1u", "stirling2",
     ],
-    "qcalc": ["InvalidOrder", "NegativeArgument", "qbinom", "qfact", "qfalling", "qint"],
+    "qcalc": [
+        "InvalidOrder", "NegativeArgument", "qbinom", "qfact", "qfalling", "qint",
+        "qint_signed",
+    ],
     "qwhitney": [
         "InvalidRange", "qbinom_inverse_transform", "qbinom_transform", "qdowling",
-        "qdowling_qi", "qint_signed", "qlah_gr", "qw1", "qw2", "qwl", "qwl_explicit",
+        "qdowling_qi", "qlah_gr", "qw1", "qw2", "qwl", "qwl_explicit",
     ],
     "verify": [
         "CheckResult", "Config", "IdentitySpec", "InvalidConfig", "ParamsOutOfDomain",

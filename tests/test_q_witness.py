@@ -10,7 +10,9 @@ window sums by q-integers and additions; a fault in any of them corrupts a
 cell and shows here, even where it would corrupt both sides of an identity
 check alike. The rows go to n = 30, and to n = 40 for one family. The
 Gaussian binomials, the engine's q-Pascal triangle, are compared at q = 2
-and q = 3 with their product formula.
+and q = 3 with their product formula, and so are the generalized
+q-factorials of ``gqf_point`` and their special cases ``qfact`` and
+``qfalling``, over q^b for b = 1..3, negative arguments included.
 """
 
 from fractions import Fraction
@@ -18,7 +20,7 @@ from fractions import Fraction
 import pytest
 
 from whitneylah.classical import _cache_stats
-from whitneylah.qcalc import qbinom
+from whitneylah.qcalc import gqf_point, qbinom, qfact, qfalling
 from whitneylah.qwhitney import qw1, qw2, qwl
 
 TWO = Fraction(2)
@@ -104,3 +106,35 @@ def test_gaussian_binomials_at_q_2_and_3_are_the_product_formula(cold_memo):
     # they came from the engine's q-Pascal triangle, at each base
     built = {(t["weights"], t["alpha"]) for t in _cache_stats()["triangles"]}
     assert {("_qbinom_weights", 3), ("_qbinom_weights", 2)} <= built
+
+
+def generalized_q_factorials_at(q: int, t: int, alpha: int, n: int, b: int) -> list:
+    """[t|alpha]_0..n over q^b at an integer q: the running products of
+    (q^(b (t - i alpha)) - 1) / (q^b - 1) for i = 0..n-1, where a negative
+    exponent stands for the reflection [-m] = -q^(-m b) [m]."""
+    values = [Fraction(1)]
+    for i in range(n):
+        factor = (Fraction(q) ** (b * (t - i * alpha)) - 1) / (q**b - 1)
+        values.append(values[-1] * factor)
+    return values
+
+
+@pytest.mark.parametrize("b", [1, 2, 3])
+def test_generalized_q_factorials_at_q_2_and_3_are_the_product_formula(cold_memo, b):
+    for t in range(-6, 7):
+        for alpha in (1, 2, 3, -1, -2, -3):
+            for q in (2, 3):
+                expected = generalized_q_factorials_at(q, t, alpha, 12, b)
+                got = [at(gqf_point(t, alpha, n, b), q) for n in range(13)]
+                assert got == expected, (q, t, alpha, b)
+
+
+@pytest.mark.parametrize("b", [1, 2, 3])
+def test_q_factorials_at_q_2_and_3_are_the_product_formula(cold_memo, b):
+    for q in (2, 3):
+        # [n]! is [1|-1]_n and the falling [n][n-1]...[n-k+1] is [n|1]_k
+        factorials = generalized_q_factorials_at(q, 1, -1, 20, b)
+        assert [at(qfact(n, b), q) for n in range(21)] == factorials, (q, b)
+        for n in range(21):
+            falling = generalized_q_factorials_at(q, n, 1, n, b)
+            assert [at(qfalling(n, k, b), q) for k in range(n + 1)] == falling, (q, n, b)

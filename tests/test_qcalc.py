@@ -3,6 +3,7 @@ q-falling factorials, generalized q-factorials at integer points."""
 
 import math
 import sys
+import threading
 
 import pytest
 
@@ -14,16 +15,18 @@ from whitneylah.arith import (
     monomial,
     ts_mul_geometric,
 )
+from whitneylah import qcalc
 from whitneylah.classical import _cache_stats
 from whitneylah.qcalc import (
     InvalidOrder,
     NegativeArgument,
+    gqf_point,
     qbinom,
     qfact,
     qfalling,
     qint,
+    qint_signed,
 )
-from whitneylah.qwhitney import gqf_point
 
 
 class TestQInt:
@@ -64,11 +67,10 @@ class TestQFact:
         assert qfact(3).to_str() == "1 + 2*q + 2*q^2 + q^3"
         assert lp_eval_q1(qfact(4)) == 24
 
-    def test_cold_build_needs_no_recursion(self):
+    def test_cold_build_needs_no_recursion(self, cold_memo):
         frame, depth = sys._getframe(), 0
         while frame is not None:
             frame, depth = frame.f_back, depth + 1
-        qfact.cache_clear()
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(depth + 100)
         try:
@@ -77,6 +79,71 @@ class TestQFact:
             sys.setrecursionlimit(limit)
         assert lp_eval_q1(value) == math.factorial(60)
         assert value == qfact(59) * qint(60)
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """The arguments of every q-integer that ``gqf_point`` multiplies by,
+    one per product, with the memo cleared before and after."""
+    calls = []
+
+    def counted(m, base=1):
+        calls.append((m, base))
+        return qint_signed(m, base)
+
+    qcalc._GQF_POINTS.clear()
+    monkeypatch.setattr(qcalc, "qint_signed", counted)
+    yield calls
+    qcalc._GQF_POINTS.clear()
+
+
+class TestOneProductPerStep:
+    """``qfact`` and ``qfalling`` read the prefixes that ``gqf_point``
+    stores, so the next one costs a single product."""
+
+    @pytest.mark.parametrize("base", [1, 2])
+    def test_qfact_after_its_predecessor(self, products, base):
+        qfact(11, base)
+        for n in range(12, 20):
+            products.clear()
+            assert qfact(n, base) == qfact(n - 1, base) * qint(n, base)
+            assert products == [(n, base)]
+
+    @pytest.mark.parametrize("base", [1, 3])
+    def test_qfalling_sweep_over_k(self, products, base):
+        n = 15
+        for k in range(n + 1):
+            qfalling(n, k, base)
+            assert products == [(n - i, base) for i in range(k)]
+
+
+def test_threads_that_sweep_one_key_store_equal_prefixes(cold_memo):
+    # one entry per n: a thread that reads a prefix another thread is
+    # storing finds the whole value or none, never a shifted one
+    plain = [LaurentPoly.one()]
+    for i in range(24):
+        plain.append(plain[-1] * qint_signed(-3 + 2 * i, 2))
+    orders = [range(25), range(24, -1, -1), range(0, 25, 3), [24, 5, 17, 0, 24]]
+    errors = []
+
+    def sweep(order):
+        for n in order:
+            if gqf_point(-3, -2, n, 2) != plain[n]:
+                errors.append(n)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=sweep, args=(o,)) for o in orders * 2]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert all(qcalc._GQF_POINTS[-3, -2, 2, n] == plain[n] for n in range(1, 25))
 
 
 class TestQBinom:

@@ -7,17 +7,15 @@ import pytest
 
 from whitneylah.arith import LaurentPoly, TruncSeries, lp_eval_q1, monomial
 from whitneylah.classical import lah, stirling1u, stirling2
-from whitneylah.qcalc import qbinom, qfact, qint
+from whitneylah.qcalc import gqf_point, qbinom, qfact, qint, qint_signed
 from whitneylah.whitney import InvalidAlpha, dowling
-from whitneylah import qcalc, qwhitney
+from whitneylah import qcalc
 from whitneylah.qwhitney import (
     InvalidRange,
-    gqf_point,
     qbinom_inverse_transform,
     qbinom_transform,
     qdowling,
     qdowling_qi,
-    qint_signed,
     qlah_gr,
     qw1,
     qw2,
@@ -49,11 +47,11 @@ class TestGeneralizedQFactorial:
     def test_cold_sweep_makes_one_product_per_step(self, cold_memo, monkeypatch):
         calls = []
 
-        def counted(m):
+        def counted(m, base=1):
             calls.append(m)
-            return qint_signed(m)
+            return qint_signed(m, base)
 
-        monkeypatch.setattr(qwhitney, "qint_signed", counted)
+        monkeypatch.setattr(qcalc, "qint_signed", counted)
         for n in range(21):
             gqf_point(-5, 2, n)
         assert calls == [-5 - 2 * i for i in range(20)]

@@ -12,7 +12,7 @@ import pytest
 from whitneylah import verify
 from whitneylah.arith import LaurentPoly, monomial
 from whitneylah.classical import _ROWS, lah
-from whitneylah.qcalc import qfact, qint
+from whitneylah.qcalc import gqf_point, qfact, qint, qint_signed
 from whitneylah.verify import (
     Config,
     Grid,
@@ -30,7 +30,7 @@ from whitneylah.verify import (
     report_to_json,
     run_suite,
 )
-from whitneylah.qwhitney import _qwl_egf_cached, gqf_point, qint_signed, qw1, qw2, qwl
+from whitneylah.qwhitney import _qwl_egf_cached, qw1, qw2, qwl
 from whitneylah.whitney import _egf_series_cached, tw1, twl
 
 EXPECTED_IDS = sorted(
@@ -313,13 +313,12 @@ class TestReport:
     def test_caches_honest_mode_only(self, cold_memo):
         lru_caches = {
             "egf_series": _egf_series_cached,
+            "geometric_products": verify._geometric_product,
             "qwl_egf_series": _qwl_egf_cached,
             "qint": qint,
-            "qfact": qfact,
         }
         for memo in lru_caches.values():
             memo.cache_clear()
-        verify._GEOMETRIC_PRODUCTS.clear()
         cfg = Config(suite="classical", alpha_list=(1, 2), n_max=4)
         cold = report_to_json(run_suite(cfg))
         # fill the memos: the deterministic report must not show them
@@ -331,14 +330,14 @@ class TestReport:
         assert report_to_json(report) == cold
         assert "caches" not in report_to_dict(report)
         caches = report_to_dict(report, deterministic=False)["caches"]
-        assert set(caches) == {"triangles", "gqf_points", "geometric_products", *lru_caches}
-        assert caches["gqf_points"] == 4  # [3|-1]_1..4
-        assert caches["geometric_products"] == 3  # prod_{i<n} 1/(1 - q^i t), n = 1..3
+        assert set(caches) == {"triangles", "gqf_points", *lru_caches}
+        # [3|-1]_1..4, and qr1.1's [3]! over q^2, that is [1|-1]_1..3 over q^2
+        assert caches["gqf_points"] == 4 + 3
+        assert caches["geometric_products"] == 1  # prod_{i<3} 1/(1 - q^i t)
         # r3 at alpha 1 and 2, k = 0..6, order 12; lah_egf reads r3's alpha 1
         assert caches["egf_series"] == 14
         assert caches["qwl_egf_series"] == 1  # qr1.1 at (2, 1), order 8
-        for name in ("qint", "qfact"):
-            assert caches[name] == lru_caches[name].cache_info().currsize > 0
+        assert caches["qint"] == qint.cache_info().currsize > 0
         # rows 1..4 of the suite and row 40: 2 + 3 + 4 + 5 + 41 cells
         tw1_at_2 = {"weights": "_tw1_weights", "alpha": 2, "rows": 5, "cells": 55}
         assert tw1_at_2 in caches["triangles"]
