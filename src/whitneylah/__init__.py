@@ -25,6 +25,7 @@ _EXPORTS = {
         "ts_mul_geometric",
     ),
     "classical": (
+        "InvalidAlpha",
         "ScaleExceeded",
         "bell",
         "binomial",
@@ -72,7 +73,6 @@ _EXPORTS = {
     ),
     "whitney": (
         "DuplicateBValues",
-        "InvalidAlpha",
         "MansourSpec",
         "dowling",
         "dowling_dobinski",

@@ -204,30 +204,42 @@ class LaurentPoly:
         coefficients on a variable part are elided (``q^2``, ``-q^2``).
         This rendering is bit-exact for equal polynomials.
         """
-        if not self._c:
+        cs = self._c
+        if not cs:
             return "0"
-        parts = []
-        for e, c in self.items():
+        lo, end = self._lo, self._lo + len(cs)
+        # the indices of exponents 0 and 2, clipped to the tuple
+        i0, i2 = min(max(-lo, 0), len(cs)), min(max(2 - lo, 0), len(cs))
+        parts = _power_terms(lo, cs[:i0], var)
+        if lo <= 0 < end and (c := cs[-lo]):
+            parts.append(f" - {-c}" if c < 0 else f" + {c}")
+        if lo <= 1 < end and (c := cs[1 - lo]):
             if c < 0:
-                parts.append(" - ")
-                c = -c
+                parts.append(f" - {var}" if c == -1 else f" - {-c}*{var}")
             else:
-                parts.append(" + ")
-            if e == 0:
-                parts.append(str(c))
-                continue
-            if c != 1:
-                parts.append(f"{c}*")
-            parts.append(var if e == 1 else f"{var}^{e}")
+                parts.append(f" + {var}" if c == 1 else f" + {c}*{var}")
+        parts += _power_terms(lo + i2, cs[i2:], var)
+        text = "".join(parts)
         # the first separator becomes a bare sign, or nothing
-        parts[0] = "-" if parts[0] == " - " else ""
-        return "".join(parts)
+        return text[3:] if text[1] == "+" else "-" + text[3:]
 
     def __str__(self) -> str:
         return self.to_str()
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self.to_str()!r})"
+
+
+def _power_terms(lo: int, cs: tuple, var: str) -> list[str]:
+    """The text of the nonzero terms ``c*var^e`` of coefficients ``cs`` from
+    exponent ``lo``, each with its separator; no exponent may be 0 or 1."""
+    return [
+        (f" - {var}^{e}" if c == -1 else f" - {-c}*{var}^{e}")
+        if c < 0
+        else (f" + {var}^{e}" if c == 1 else f" + {c}*{var}^{e}")
+        for e, c in enumerate(cs, lo)
+        if c
+    ]
 
 
 def _make(lo: int, cs: tuple) -> LaurentPoly:

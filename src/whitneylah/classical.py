@@ -18,7 +18,10 @@ triangle.
 
 Also provides the rising/falling/generalized factorial polynomials in a
 formal variable t (as Laurent polynomials with integer coefficients), used
-to verify horizontal generating-function identities by dense expansion.
+to verify horizontal generating-function identities by dense expansion,
+and ``InvalidAlpha``, the error of every family that takes a translation
+parameter, which ``whitney`` and ``qwhitney`` share without importing each
+other.
 """
 
 from __future__ import annotations
@@ -26,11 +29,20 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from .arith import LaurentPoly, NonExactDivision
+from .arith import LaurentPoly, NonExactDivision, _is_int
 
 
 class ScaleExceeded(ValueError):
     """Brute-force enumeration requested beyond its supported size."""
+
+
+class InvalidAlpha(ValueError):
+    """The translation parameter must be a positive integer."""
+
+
+def _check_alpha(alpha: int) -> None:
+    if not _is_int(alpha) or alpha < 1:
+        raise InvalidAlpha(f"alpha must be a positive integer, got {alpha!r}")
 
 
 # -- the triangle engine ------------------------------------------------------

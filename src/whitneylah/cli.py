@@ -14,12 +14,16 @@ and ``qwhitney.qwl_egf_check``, the very functions the registry holds for
 those ids.
 
 Each command imports only the modules it runs, since a cold call pays to
-import them. ``table``, ``eval`` and ``series`` load the families and the
-exact kernel, never the identity registry (``verify``); only a JSON table
-loads ``json``. ``verify`` imports the registry and ``json`` inside the
-command. No command loads ``dataclasses``, which would bring in ``inspect``
-and a dozen more modules: the registry's records are NamedTuples and
-``__slots__`` classes.
+import them. Every call loads the kernel (``arith``, ``qcalc``) and the
+engine module ``classical``, which defines ``InvalidAlpha``. A family's
+value imports its family module when it is first called: the q-families
+and ``series --id qr1.1`` load ``qwhitney``; ``whitney1``, ``whitney2``,
+``whitney-lah``, ``dowling`` and ``series --id r3`` load ``whitney``,
+which imports ``fractions``; the classical families load neither. No
+command but ``verify`` imports the identity registry (``verify``); only a
+JSON table and ``verify`` load ``json``. No command loads ``dataclasses``,
+which would bring in ``inspect`` and a dozen more modules: the registry's
+records are NamedTuples and ``__slots__`` classes.
 
 Exit codes: 0 success (and all checks passed), 1 verification failure,
 2 usage or domain error.
@@ -29,12 +33,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from importlib import import_module
 from typing import Callable, Optional
 
-from . import classical, qwhitney, whitney
 from .arith import NonExactDivision
+from .classical import InvalidAlpha, ScaleExceeded
 from .qcalc import InvalidOrder, NegativeArgument
-from .whitney import InvalidAlpha
 
 
 class _Family:
@@ -43,7 +47,8 @@ class _Family:
     library checks it) and its ``value`` function, (alpha, n[, k]) ->
     int | LaurentPoly."""
 
-    # not a NamedTuple: perfbench's tracer swaps ``value`` by object.__setattr__
+    # not a NamedTuple, and ``value`` a plain slot, not a property:
+    # perfbench's tracer reads ``value`` and swaps it by object.__setattr__
     __slots__ = ("kind", "takes_alpha", "value")
 
     def __init__(self, kind: str, takes_alpha: bool, value: Callable):
@@ -58,35 +63,55 @@ class _Family:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+def _late(module: str, name: str, takes_alpha: bool) -> Callable:
+    """(alpha, n[, k]) -> ``whitneylah.<module>.<name>`` at those arguments,
+    the alpha dropped if the function takes none. The module is imported and
+    the name read at each call, so a cold call loads only the family module
+    it runs, and a rebound name (perfbench's tracer wraps them) is the one
+    run."""
+    path = f"whitneylah.{module}"
+
+    def value(alpha, *args):
+        fn = getattr(import_module(path), name)
+        return fn(alpha, *args) if takes_alpha else fn(*args)
+
+    return value
+
+
 FAMILIES: dict[str, _Family] = {
-    "lah": _Family("triangle", False, lambda a, n, k: classical.lah(n, k)),
-    "stirling1u": _Family(
-        "triangle", False, lambda a, n, k: classical.stirling1u(n, k)
-    ),
-    "stirling2": _Family("triangle", False, lambda a, n, k: classical.stirling2(n, k)),
-    "bell": _Family("sequence", False, lambda a, n: classical.bell(n)),
-    "whitney1": _Family("triangle", True, whitney.tw1),
-    "whitney2": _Family("triangle", True, whitney.tw2),
-    "whitney-lah": _Family("triangle", True, whitney.twl),
-    "dowling": _Family("sequence", True, whitney.dowling),
-    "q-whitney1": _Family("triangle", True, qwhitney.qw1),
-    "q-whitney2": _Family("triangle", True, qwhitney.qw2),
-    "q-whitney-lah": _Family("triangle", True, qwhitney.qwl),
-    "q-lah": _Family("triangle", False, lambda a, n, k: qwhitney.qlah_gr(n, k)),
-    "q-dowling": _Family("sequence", True, qwhitney.qdowling),
+    family: _Family(kind, takes_alpha, _late(module, name, takes_alpha))
+    for family, kind, takes_alpha, module, name in (
+        ("lah", "triangle", False, "classical", "lah"),
+        ("stirling1u", "triangle", False, "classical", "stirling1u"),
+        ("stirling2", "triangle", False, "classical", "stirling2"),
+        ("bell", "sequence", False, "classical", "bell"),
+        ("whitney1", "triangle", True, "whitney", "tw1"),
+        ("whitney2", "triangle", True, "whitney", "tw2"),
+        ("whitney-lah", "triangle", True, "whitney", "twl"),
+        ("dowling", "sequence", True, "whitney", "dowling"),
+        ("q-whitney1", "triangle", True, "qwhitney", "qw1"),
+        ("q-whitney2", "triangle", True, "qwhitney", "qw2"),
+        ("q-whitney-lah", "triangle", True, "qwhitney", "qwl"),
+        ("q-lah", "triangle", False, "qwhitney", "qlah_gr"),
+        ("q-dowling", "sequence", True, "qwhitney", "qdowling"),
+    )
 }
 
-# series id -> the family module and the name of its check, read at call
-# time so that a rebound name (perfbench's tracer wraps them) is the one run
-SERIES_CHECKS = {"r3": (whitney, "twl_egf_check"), "qr1.1": (qwhitney, "qwl_egf_check")}
+# series id -> the family module and the name of its check, imported and
+# read at call time, as a family's value is
+SERIES_CHECKS = {
+    "r3": ("whitney", "twl_egf_check"),
+    "qr1.1": ("qwhitney", "qwl_egf_check"),
+}
 
+# qwhitney.InvalidRange is left out: only the explicit route of qlah_gr
+# raises it, and no command takes that route
 _DOMAIN_ERRORS = (
     InvalidAlpha,
     InvalidOrder,
     NegativeArgument,
     NonExactDivision,
-    qwhitney.InvalidRange,
-    classical.ScaleExceeded,
+    ScaleExceeded,
 )
 
 
@@ -180,7 +205,8 @@ def _cmd_series(args) -> int:
         raise _UsageError("--order must be non-negative")
     if args.k < 0:
         raise _UsageError("--k must be non-negative")
-    check = getattr(*SERIES_CHECKS[args.id])
+    module, name = SERIES_CHECKS[args.id]
+    check = getattr(import_module(f"whitneylah.{module}"), name)
     alpha = 1 if args.alpha is None else args.alpha
     pairs = [
         tuple(map(str, check(alpha=alpha, k=args.k, n=n, order=args.order)))

@@ -54,9 +54,8 @@ from .arith import (
     monomial,
     ts_mul_geometric,
 )
-from .classical import _cell, _row_sum
+from .classical import InvalidAlpha, _cell, _check_alpha, _row_sum
 from .qcalc import gqf_point, qbinom, qfact, qfalling, qint, qint_signed
-from .whitney import InvalidAlpha, _check_alpha
 
 QLAH_ROUTES = ("recurrence", "explicit")
 

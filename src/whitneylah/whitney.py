@@ -24,22 +24,21 @@ from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from .arith import NonExactDivision, TruncSeries, _is_int, ts_mul_geometric
-from .classical import _cell, _row_sum, _tw1_weights, _tw2_weights, lah
+from .classical import (
+    InvalidAlpha,
+    _cell,
+    _check_alpha,
+    _row_sum,
+    _tw1_weights,
+    _tw2_weights,
+    lah,
+)
 
 TWL_METHODS = ("recurrence", "explicit", "product", "scaled")
 
 
-class InvalidAlpha(ValueError):
-    """The translation parameter must be a positive integer."""
-
-
 class DuplicateBValues(ValueError):
     """The explicit two-sequence formula needs pairwise distinct b values."""
-
-
-def _check_alpha(alpha: int) -> None:
-    if not _is_int(alpha) or alpha < 1:
-        raise InvalidAlpha(f"alpha must be a positive integer, got {alpha!r}")
 
 
 def _twl_weights(alpha: int, n: int, lo: int, hi: int) -> tuple[list[int], list[int]]:

@@ -211,6 +211,62 @@ class TestSeries:
         assert (code, ns, out.splitlines()[-1]) == (0, [0, 1, 2, 3], "match,yes")
 
 
+class TestFamilies:
+    @pytest.mark.parametrize("command", ["table", "eval"])
+    @pytest.mark.parametrize(
+        "family, module, name",
+        [("q-whitney1", "qwhitney", "qw1"), ("whitney1", "whitney", "tw1")],
+    )
+    def test_runs_the_name_bound_in_the_family_module(
+        self, capsys, monkeypatch, command, family, module, name
+    ):
+        """A family's value reads its function off the module at call time,
+        so a wrapper bound there (perfbench's tracer binds one) is what
+        ``table`` and ``eval`` run."""
+        mod = importlib.import_module(f"whitneylah.{module}")
+        fn = getattr(mod, name)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return fn(*args)
+
+        monkeypatch.setattr(mod, name, counting)
+        if command == "table":
+            code, out, _ = run_cli(
+                capsys, "table", "--family", family, "--alpha", "2", "--n-max", "2"
+            )
+            cells = [(2, n, k) for n in range(3) for k in range(n + 1)]
+            assert (code, calls) == (0, cells)
+            assert out.splitlines()[-1] == f"2,2,{fn(2, 2, 2)}"
+        else:
+            code, out, _ = run_cli(
+                capsys, "eval", "--family", family, "--alpha", "2", "--n", "3",
+                "--k", "1",
+            )
+            assert (code, calls, out) == (0, [(2, 3, 1)], f"{fn(2, 3, 1)}\n")
+
+    def test_value_is_swapped_by_object_setattr_only(self, capsys):
+        """perfbench's tracer swaps ``value`` by ``object.__setattr__``; a
+        plain assignment is refused."""
+        from whitneylah.cli import FAMILIES
+
+        family = FAMILIES["q-whitney1"]
+        original = family.value
+        with pytest.raises(AttributeError):
+            family.value = None
+        object.__setattr__(family, "value", lambda a, n, k: f"<{a},{n},{k}>")
+        try:
+            result = run_cli(
+                capsys, "eval", "--family", "q-whitney1", "--alpha", "2", "--n", "3",
+                "--k", "1",
+            )
+        finally:
+            object.__setattr__(family, "value", original)
+        assert result == (0, "<2,3,1>\n", "")
+        assert FAMILIES["q-whitney1"].value is original
+
+
 class TestDeterminism:
     EXAMPLES = [
         ("table", "--family", "whitney-lah", "--alpha", "2", "--n-max", "3",

@@ -26,7 +26,7 @@ EXPORTS = {
         "lp_div_exact", "lp_eval_q1", "monomial", "ts_mul_geometric",
     ],
     "classical": [
-        "ScaleExceeded", "bell", "binomial", "falling_poly", "genfact_poly", "lah",
+        "InvalidAlpha", "ScaleExceeded", "bell", "binomial", "falling_poly", "genfact_poly", "lah",
         "lah_oracle", "rising_poly", "stirling1u", "stirling2",
     ],
     "qcalc": [
@@ -43,7 +43,7 @@ EXPORTS = {
         "report_to_json", "run_suite",
     ],
     "whitney": [
-        "DuplicateBValues", "InvalidAlpha", "MansourSpec", "dowling",
+        "DuplicateBValues", "MansourSpec", "dowling",
         "dowling_dobinski", "dowling_qi", "mansour_u", "tw1", "tw2", "twl",
     ],
 }
@@ -117,11 +117,30 @@ class TestFreshInterpreterCli:
         assert (cold.returncode, cold.stdout, cold.stderr) == (2, "", line + "\n")
         assert warm_cli(capsys, *argv) == (2, "", line + "\n")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("table", "--family", "q-whitney-lah", "--alpha", "0", "--n-max", "2"),
+            ("eval", "--family", "whitney1", "--alpha", "0", "--n", "2", "--k", "1"),
+        ],
+        ids=lambda argv: argv[2],
+    )
+    def test_an_alpha_a_family_module_rejects_exits_2_with_one_line(self, capsys, argv):
+        """The family module is imported only when the value is asked for,
+        and its ``InvalidAlpha`` is the one the CLI catches."""
+        line = "error: alpha must be a positive integer, got 0\n"
+        cold = cold_cli(*argv)
+        assert (cold.returncode, cold.stdout, cold.stderr) == (2, "", line)
+        assert warm_cli(capsys, *argv) == (2, "", line)
+
 
 # Prints, one per line, the modules of ``watched`` that the calls loaded.
 _LOADED_BY = """
 import contextlib, io, sys
-watched = {"whitneylah.verify", "dataclasses", "inspect", "json"}
+watched = {
+    "whitneylah.verify", "dataclasses", "inspect", "json",
+    "whitneylah.whitney", "whitneylah.qwhitney", "fractions",
+}
 before = set(sys.modules)
 from whitneylah.cli import main
 for argv in sys.argv[1:]:
@@ -129,6 +148,16 @@ for argv in sys.argv[1:]:
         assert main(argv.split()) == 0, argv
 print("\\n".join(sorted(watched & (set(sys.modules) - before))))
 """
+
+
+def loaded_by(*argvs: str) -> list[str]:
+    """The watched modules that the calls, run in one fresh interpreter, loaded."""
+    run = fresh_python(_LOADED_BY, *argvs)
+    assert run.returncode == 0, run.stderr
+    return run.stdout.split()
+
+
+BOTH_FAMILY_MODULES = ["fractions", "whitneylah.qwhitney", "whitneylah.whitney"]
 
 
 class TestImportSet:
@@ -141,34 +170,56 @@ class TestImportSet:
         assert run.stdout == "[]\n"
 
     def test_table_and_eval_load_neither_the_registry_nor_dataclasses_nor_json(self):
-        run = fresh_python(
-            _LOADED_BY,
+        loaded = loaded_by(
             "table --family q-whitney1 --alpha 2 --n-max 3",
             "eval --family dowling --alpha 2 --n 5",
             "eval --family q-lah --n 4 --k 2",
         )
-        assert run.returncode == 0, run.stderr
-        assert run.stdout.split() == []
+        assert loaded == BOTH_FAMILY_MODULES
 
     def test_series_loads_no_json(self):
         """Nor the registry: ``series`` reads its checks off the families."""
-        run = fresh_python(
-            _LOADED_BY,
+        loaded = loaded_by(
             "series --id r3 --alpha 2 --k 3 --order 5",
             "series --id qr1.1 --alpha 2 --k 1 --order 3",
         )
-        assert run.returncode == 0, run.stderr
-        assert run.stdout.split() == []
+        assert loaded == BOTH_FAMILY_MODULES
+
+    def test_q_tables_and_qr1_1_load_neither_whitney_nor_fractions(self):
+        loaded = loaded_by(
+            "table --family q-whitney1 --alpha -2 --n-max 3",
+            "table --family q-whitney2 --alpha 2 --n-max 3",
+            "table --family q-whitney-lah --alpha 2 --n-max 3",
+            "table --family q-lah --n-max 3",
+            "table --family q-dowling --alpha 2 --n-max 3",
+            "series --id qr1.1 --alpha 2 --k 1 --order 3",
+        )
+        assert loaded == ["whitneylah.qwhitney"]
+
+    def test_classical_evals_load_no_family_module(self):
+        loaded = loaded_by(
+            "eval --family lah --n 5 --k 2",
+            "eval --family stirling2 --n 5 --k 2",
+            "eval --family bell --n 5",
+        )
+        assert loaded == []
+
+    def test_r3_and_whitney1_load_no_q_family(self):
+        loaded = loaded_by(
+            "series --id r3 --alpha 2 --k 3 --order 5",
+            "eval --family whitney1 --alpha 2 --n 5 --k 2",
+        )
+        assert loaded == ["fractions", "whitneylah.whitney"]
 
     def test_json_verify_loads_json_and_the_registry_only(self):
-        run = fresh_python(_LOADED_BY, "verify --n-max 1 --format json")
-        assert run.returncode == 0, run.stderr
-        assert run.stdout.split() == ["json", "whitneylah.verify"]
+        """Besides the family modules that the registry checks."""
+        loaded = loaded_by("verify --n-max 1 --format json")
+        assert sorted(set(loaded) - set(BOTH_FAMILY_MODULES)) == [
+            "json", "whitneylah.verify",
+        ]
 
     def test_json_table_loads_json_only(self):
-        run = fresh_python(_LOADED_BY, "table --family bell --n-max 3 --format json")
-        assert run.returncode == 0, run.stderr
-        assert run.stdout.split() == ["json"]
+        assert loaded_by("table --family bell --n-max 3 --format json") == ["json"]
 
 
 class TestLazyPackage:
@@ -188,6 +239,14 @@ class TestLazyPackage:
         exec("from whitneylah import *", namespace)
         assert sorted(set(namespace) - {"__builtins__"}) == ALL_NAMES
         assert all(namespace[name] is getattr(whitneylah, name) for name in ALL_NAMES)
+
+    def test_invalid_alpha_has_one_definition(self):
+        """``whitney`` re-exports the engine module's ``InvalidAlpha``, so
+        ``qwhitney`` need not import ``whitney`` for it."""
+        from whitneylah import classical, qwhitney, whitney
+
+        assert whitney.InvalidAlpha is classical.InvalidAlpha
+        assert qwhitney.InvalidAlpha is classical.InvalidAlpha
 
     def test_dir_lists_every_name(self):
         assert set(ALL_NAMES) <= set(dir(whitneylah))

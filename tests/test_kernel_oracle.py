@@ -325,3 +325,40 @@ def test_runs_at_the_window_switch_over(m, s, c, other):
 @settings(max_examples=20, deadline=None)
 def test_large_dense_operands(dense, other):
     _agree_on_product_and_quotients(dense, other)
+
+
+# Coefficients the renderer treats apart: 0 (skipped), ±1 (elided on a
+# variable part), ±2, and ±40-digit integers.
+render_coeffs = st.one_of(
+    st.sampled_from([0, 1, -1, 2, -2]),
+    st.builds(
+        lambda m, sign: sign * m,
+        st.integers(min_value=10**39, max_value=10**40 - 1),
+        st.sampled_from([1, -1]),
+    ),
+)
+
+
+@st.composite
+def render_maps(draw):
+    """Up to 7 consecutive coefficients from an exponent in -4..3, so that
+    the spans straddle -1, 0, 1 and 2; the empty map is the zero polynomial."""
+    lo = draw(st.integers(min_value=-4, max_value=3))
+    cs = draw(st.lists(render_coeffs, max_size=7))
+    return {lo + i: c for i, c in enumerate(cs)}
+
+
+@given(render_maps(), st.sampled_from(["q", "t"]))
+@example({}, "q")
+@example({0: 1}, "q")
+@example({0: -1}, "t")
+@example({1: 1}, "q")
+@example({1: -1}, "t")
+@example({1: -2}, "q")
+@example({-1: -1, 0: 0, 1: 0, 2: 1}, "q")
+@settings(max_examples=300, deadline=None)
+def test_to_str_against_the_term_by_term_renderer(terms, var):
+    """``to_str`` renders exponents below 0, 0, 1 and from 2 up apart; the
+    reference renders the dict form one term at a time."""
+    assert LaurentPoly(terms).to_str(var) == DictLaurent(terms).to_str(var)
+
