@@ -13,6 +13,12 @@ Two building blocks used everywhere else in the package:
   :func:`ts_mul_geometric` multiplies a series by ``1/(1 - c t)`` in
   O(N) products by ``c``, with no convolution.
 
+A product of two Laurent polynomials takes one of four paths, chosen by
+the shape of its factors: by a scalar or a monomial, a shift and scale;
+by a strided run of equal coefficients (a q-integer), window sums; when
+both factors have at least ``_KRONECKER_MIN`` nonzero terms, Kronecker
+substitution, one product of two big ints; otherwise term by term.
+
 Integers themselves are Python ``int``: arbitrary precision and already
 canonical, so no wrapper type is introduced. The kernel computes over Z
 alone; the package's one rational series, the ``1/k!`` of
@@ -24,6 +30,7 @@ so instances may be shared freely between threads.
 
 from __future__ import annotations
 
+import struct
 from itertools import accumulate, repeat
 from operator import add, mul, sub
 from typing import Iterable, Iterator, Mapping
@@ -300,6 +307,14 @@ def _scaled(lo: int, cs: tuple, s: int) -> LaurentPoly:
 # operands of a few dozen terms or fewer.
 _RUN_MIN = 2
 
+# Two factors that both have at least this many nonzero terms are multiplied
+# by Kronecker substitution rather than term by term. tools/window_switchover.py
+# times both paths on dense operands: Kronecker wins most of its cases from 5
+# terms on, and in sum from 6 or 7, where 40-digit coefficients weigh most.
+# On the dense pairs that the benchmark's workloads multiply, whose
+# coefficients have a few digits, thresholds 4 and 5 cost least.
+_KRONECKER_MIN = 5
+
 
 def _run(cs: tuple, nonzero: int) -> int:
     """The stride s when the ``nonzero`` terms of ``cs`` are one coefficient
@@ -324,12 +339,16 @@ def _window_product(c: int, m: int, s: int, b: tuple) -> list:
 
 
 def _product(a: tuple, b: tuple) -> list:
-    """Product of two dense coefficient tuples.
+    """Product of two dense coefficient tuples of two terms or more.
 
-    A factor that is a strided run of more than ``_RUN_MIN`` equal
-    coefficients, such as ``qint(m, alpha)`` for m > _RUN_MIN, goes through
-    ``_window_product``; ``tools/window_switchover.py`` measures where that
-    starts to win. Any other pair goes through ``_term_product``.
+    ``LaurentPoly.__mul__`` has already taken the scalar and monomial
+    products. Of the rest, a factor that is a strided run of more than
+    ``_RUN_MIN`` equal coefficients, such as ``qint(m, alpha)`` for
+    m > _RUN_MIN, goes through ``_window_product``; a pair of which both
+    have at least ``_KRONECKER_MIN`` nonzero terms goes through
+    ``_kronecker_product``; any other pair goes through ``_term_product``.
+    ``tools/window_switchover.py`` measures where the first two start to
+    win over the last.
     """
     na, nb = len(a) - a.count(0), len(b) - b.count(0)
     s = _run(a, na)
@@ -338,9 +357,54 @@ def _product(a: tuple, b: tuple) -> list:
     s = _run(b, nb)
     if s:
         return _window_product(b[0], nb, s, a)
+    if na >= _KRONECKER_MIN and nb >= _KRONECKER_MIN:
+        return _kronecker_product(a, b)
     if na * len(b) > nb * len(a):
         a, b = b, a
     return _term_product(a, b)
+
+
+def _kronecker_product(a: tuple, b: tuple) -> list:
+    """``a`` times ``b`` by Kronecker substitution (D. Harvey, J. Symbolic
+    Comput. 2009): the coefficients of each factor are laid into
+    fixed-width byte slots of one ``int``, the two ints are multiplied once,
+    and the slots of the product are its coefficients. A slot holds
+    ``max|a| max|b| min(len)``, a bound on every output coefficient, so no
+    slot carries into the next; a slot of up to 8 bytes is widened to 1, 2,
+    4 or 8 bytes, which ``struct`` packs and unpacks in one call. If a
+    factor has a negative coefficient, the slot gains a sign bit and each
+    coefficient is offset by half the slot, h, while it is packed and
+    unpacked, so that every slot holds a non-negative value; the offsets
+    are taken out of the packed ints."""
+    n = len(a) + len(b) - 1
+    signed = min(a) < 0 or min(b) < 0
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    w = (bound.bit_length() + signed + 7) // 8
+    if w <= 8:  # a slot of 1, 2, 4 or 8 bytes, which struct packs in C
+        w = 1 << (w - 1).bit_length()
+        fmt = "<%d" + "BHIQ"[w.bit_length() - 1]
+
+    def pack(cs, m: int) -> int:
+        if w <= 8:
+            return int.from_bytes(struct.pack(fmt % m, *cs), "little")
+        data = b"".join(map(int.to_bytes, cs, repeat(w), repeat("little")))
+        return int.from_bytes(data, "little")
+
+    if signed:
+        h = 1 << (8 * w - 1)
+        slot = bytes(w - 1) + b"\x80"  # h, as one slot's bytes
+        x = pack(map(add, a, repeat(h)), len(a)) - int.from_bytes(slot * len(a), "little")
+        y = pack(map(add, b, repeat(h)), len(b)) - int.from_bytes(slot * len(b), "little")
+        c = x * y + int.from_bytes(slot * n, "little")
+    else:
+        c = pack(a, len(a)) * pack(b, len(b))
+    data = c.to_bytes(n * w, "little")
+    if w <= 8:
+        out = struct.unpack(fmt % n, data)
+    else:
+        it = iter(data)
+        out = map(int.from_bytes, map(bytes, zip(*[it] * w)), repeat("little"))
+    return list(map(sub, out, repeat(h))) if signed else list(out)
 
 
 def _term_product(a: tuple, b: tuple) -> list:

@@ -34,6 +34,7 @@ from __future__ import annotations
 import argparse
 import sys
 from importlib import import_module
+from itertools import chain
 from typing import Callable, Optional
 
 from .arith import NonExactDivision
@@ -128,28 +129,35 @@ def _resolve_alpha(family: str, alpha: Optional[int]) -> int:
 
 
 def _cmd_table(args) -> int:
+    """A CSV table prints each row as it is computed, so it holds one row in
+    memory; row 0 is computed before the header, so that an alpha the
+    library rejects exits 2 with nothing on stdout. A JSON table is one
+    document, printed once every row is computed."""
     fam = FAMILIES[args.family]
     alpha = _resolve_alpha(args.family, args.alpha)
     if args.n_max < 0:
         raise _UsageError("--n-max must be non-negative")
     ns = range(args.n_max + 1)
-    if fam.kind == "triangle":
-        header, key = "n,k,value", "rows"
-        rows = [[str(fam.value(alpha, n, k)) for k in range(n + 1)] for n in ns]
-        lines = (f"{n},{k},{v}" for n, r in enumerate(rows) for k, v in enumerate(r))
+    triangle = fam.kind == "triangle"
+    if triangle:
+        rows = ([str(fam.value(alpha, n, k)) for k in range(n + 1)] for n in ns)
     else:
-        header, key = "n,value", "values"
-        rows = [str(fam.value(alpha, n)) for n in ns]
-        lines = (f"{n},{v}" for n, v in enumerate(rows))
-    if args.format == "csv":
-        print(header)
-        for line in lines:
-            print(line)
-    else:
+        rows = (str(fam.value(alpha, n)) for n in ns)
+    if args.format == "json":
         import json
 
-        doc = {"family": args.family, "alpha": alpha, "n_max": args.n_max, key: rows}
+        key = "rows" if triangle else "values"
+        doc = {"family": args.family, "alpha": alpha, "n_max": args.n_max, key: list(rows)}
         print(json.dumps(doc, sort_keys=True, indent=2))
+        return 0
+    first = next(rows)
+    print("n,k,value" if triangle else "n,value")
+    for n, row in enumerate(chain([first], rows)):
+        if triangle:
+            for k, value in enumerate(row):
+                print(f"{n},{k},{value}")
+        else:
+            print(f"{n},{row}")
     return 0
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from whitneylah import arith
 from whitneylah.classical import _ROWS
 from whitneylah.qcalc import _GQF_POINTS
 
@@ -15,3 +16,18 @@ def cold_memo():
     yield
     _ROWS.clear()
     _GQF_POINTS.clear()
+
+
+@pytest.fixture
+def kronecker_calls(monkeypatch):
+    """The (len(a), len(b)) of every product ``arith._product`` sends down
+    its Kronecker path while the test runs, in order."""
+    calls = []
+    kronecker = arith._kronecker_product
+
+    def counted(a, b):
+        calls.append((len(a), len(b)))
+        return kronecker(a, b)
+
+    monkeypatch.setattr(arith, "_kronecker_product", counted)
+    return calls

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from whitneylah.cli import main
+from whitneylah.cli import FAMILIES, main
 from whitneylah.qwhitney import qwl_explicit
 
 
@@ -69,6 +69,41 @@ class TestTable:
         assert code == 0
         doc = json.loads(out)
         assert doc["values"] == ["1", "1", "3", "11"]
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_csv_lists_the_cells_of_the_json_table(self, capsys, family):
+        alpha = ["--alpha", "2"] if FAMILIES[family].takes_alpha else []
+        argv = ["table", "--family", family, *alpha, "--n-max", "6"]
+        code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        doc = json.loads(run_cli(capsys, *argv, "--format", "json")[1])
+        if FAMILIES[family].kind == "triangle":
+            cells = [f"{n},{k},{v}" for n, row in enumerate(doc["rows"]) for k, v in enumerate(row)]
+            header = "n,k,value"
+        else:
+            cells = [f"{n},{v}" for n, v in enumerate(doc["values"])]
+            header = "n,value"
+        assert (code, out) == (0, "".join(f"{line}\n" for line in [header, *cells]))
+
+    def test_csv_prints_each_row_before_the_next_is_computed(self, capsys, monkeypatch):
+        """Row 0 is computed before the header, so that a rejected alpha
+        prints nothing; then each row is printed before the next is computed."""
+        qwhitney = importlib.import_module("whitneylah.qwhitney")
+        qw1, events = qwhitney.qw1, []
+
+        def logged(alpha, n, k):
+            events.extend(capsys.readouterr().out.splitlines())
+            events.append(f"cell {n},{k}")
+            return qw1(alpha, n, k)
+
+        monkeypatch.setattr(qwhitney, "qw1", logged)
+        assert main(["table", "--family", "q-whitney1", "--alpha", "2", "--n-max", "2"]) == 0
+        events.extend(capsys.readouterr().out.splitlines())
+        expected = []
+        for n in range(3):
+            expected += [f"cell {n},{k}" for k in range(n + 1)]
+            expected += ["n,k,value"] if n == 0 else []
+            expected += [f"{n},{k},{qw1(2, n, k)}" for k in range(n + 1)]
+        assert events == expected
 
     def test_alpha_rejected_for_fixed_families(self, capsys):
         code, _, err = run_cli(

@@ -109,6 +109,10 @@ class TestFreshInterpreterCli:
                 ("eval", "--family", "q-lah", "--alpha", "2", "--n", "3", "--k", "1"),
                 "error: family 'q-lah' does not take --alpha",
             ),
+            (
+                ("table", "--family", "q-whitney1", "--alpha", "0", "--n-max", "3"),
+                "error: alpha must be a nonzero integer, got 0",
+            ),
         ],
         ids=lambda v: v[0] if isinstance(v, tuple) else None,
     )

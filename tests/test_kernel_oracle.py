@@ -13,10 +13,11 @@ byte for byte, and on ``==`` and ``hash``.
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from whitneylah.arith import (
+    _KRONECKER_MIN,
     _RUN_MIN,
     DivisionByZero,
     LaurentPoly,
@@ -325,6 +326,114 @@ def test_runs_at_the_window_switch_over(m, s, c, other):
 @settings(max_examples=20, deadline=None)
 def test_large_dense_operands(dense, other):
     _agree_on_product_and_quotients(dense, other)
+
+
+K = _KRONECKER_MIN
+
+
+def _factor(cs: list, lo: int = -4) -> dict:
+    """The terms of ``sum(cs[i] q^(lo + i))``; negative exponents by default."""
+    return {lo + i: c for i, c in enumerate(cs)}
+
+
+def _units(m: int) -> list:
+    """m coefficients ±1 in the pattern + + - + + -, which is no run."""
+    return [-1 if i % 3 == 2 else 1 for i in range(m)]
+
+
+def _byte_boundary_cases() -> dict:
+    """Factors whose coefficients are exactly 2^(8j) - 1 and 2^(8j), and
+    factors that put the slot bound max|a| max|b| min(len) at exactly
+    2^(8j) (8 terms) and 2^(8j) - 1 (15 terms), unsigned and signed, for
+    slots packed by ``struct`` (up to 8 bytes) and by ``to_bytes``. The
+    middle coefficients of the latter come within a few terms of the bound,
+    so a slot one bit too narrow, the sign bit left out, corrupts them."""
+    cases = {}
+    for j in (1, 2, 3, 4, 8, 9, 16):
+        top = 1 << (8 * j)
+        for c in (top - 1, top):
+            cases[f"coefficient-{c}"] = ([c, 1, c, 2, c, 1, c], [c, c, 1, c, c, 2, c, 3])
+            cases[f"coefficient--{c}"] = ([c, 1, -c, 2, c, 1, c], [-c, c, 1, c, -c, 2, c])
+        for bound, terms in ((top, 8), (top - 1, 15)):
+            big = bound // terms
+            assert big * terms == bound
+            # neither factor is a run: a ends in big - 1, the ones skip a place
+            a, ones = [big] * (terms - 1) + [big - 1], [1, 1, 1, 0] + [1] * (terms - 3)
+            cases[f"bound-{bound}"] = (a, ones)
+            cases[f"bound-{bound}-signed"] = (a, [-1] + ones[1:])
+    return cases
+
+
+KRONECKER_CASES = {
+    **{
+        f"{m}-terms": (
+            [(-1) ** i * (2 * i + 3) for i in range(m)],
+            [(i * i + 1) * (1 - i % 2) for i in range(2 * m - 1)],
+        )
+        for m in (K - 1, K, K + 1)
+    },
+    "interior-zeros": (
+        [5, 0, 0, -3, 7, 0, 2, 9, 0, 0, 1, 4, 8, 0, 6],
+        [2, 0, 1, 1, 0, 0, 0, 3, 5, 0, 8, 13, 0, 21],
+    ),
+    "units": (_units(K + 2), [(-1) ** i for i in range(K + 5)]),
+    "all-negative": ([-(i + 1) for i in range(K + 1)], [-(5**i) for i in range(K + 3)]),
+    "mixed-sign": (
+        [(-1) ** (i // 2) * 3**i for i in range(K + 4)],
+        [7, -2, 0, 5, -11, 13, 0, -1, 4, 9, -6],
+    ),
+    "300-digit": ([10**299 + 37 * i for i in range(K + 2)], [10**299 - i for i in range(K)]),
+    "300-digit-signed": (
+        [(-1) ** i * (10**299 + 37 * i) for i in range(K + 2)],
+        [10**299 - i for i in range(K)],
+    ),
+    **_byte_boundary_cases(),
+}
+
+
+@pytest.mark.parametrize("x, y", KRONECKER_CASES.values(), ids=KRONECKER_CASES)
+def test_kronecker_products(x, y, kronecker_calls):
+    """Each case is a product of two factors of at least ``_KRONECKER_MIN``
+    nonzero terms, except ``K-1``-terms, which stops one term short and must
+    not take the Kronecker path."""
+    _agree_on_product_and_quotients(_factor(x), _factor(y, 3))
+    nonzero = min(len(x) - x.count(0), len(y) - y.count(0))
+    assert len(kronecker_calls) == (2 if nonzero >= K else 0)
+
+
+kronecker_coeffs = st.one_of(
+    st.just(0),
+    st.sampled_from([1, -1]),
+    ints,
+    big_ints,
+    st.integers(min_value=-(10**300), max_value=10**300),
+)
+
+
+@st.composite
+def kronecker_maps(draw):
+    """``_KRONECKER_MIN`` to 40 consecutive coefficients from an exponent in
+    -6..6, nonzero at both ends: zeros, ±1, small, 30-digit and 300-digit
+    integers, of either sign."""
+    lo = draw(exponents)
+    ends = kronecker_coeffs.filter(bool)
+    cs = [draw(ends), *draw(st.lists(kronecker_coeffs, min_size=K - 2, max_size=38)), draw(ends)]
+    return _factor(cs, lo)
+
+
+@given(kronecker_maps(), kronecker_maps())
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+def test_kronecker_against_drawn_operands(kronecker_calls, x, y):
+    """Drawn operands, which take the Kronecker path whenever both have at
+    least ``_KRONECKER_MIN`` nonzero terms and neither is a run."""
+    before = len(kronecker_calls)
+    _agree_on_product_and_quotients(x, y)
+    a, b = LaurentPoly(x)._c, LaurentPoly(y)._c
+    na, nb = len(a) - a.count(0), len(b) - b.count(0)
+    dense = min(na, nb) >= K and not _run(a, na) and not _run(b, nb)
+    assert len(kronecker_calls) - before == (2 if dense else 0)
 
 
 # Coefficients the renderer treats apart: 0 (skipped), ±1 (elided on a

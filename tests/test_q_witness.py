@@ -12,16 +12,22 @@ check alike. The rows go to n = 30, and to n = 40 for one family. The
 Gaussian binomials, the engine's q-Pascal triangle, are compared at q = 2
 and q = 3 with their product formula, and so are the generalized
 q-factorials of ``gqf_point`` and their special cases ``qfact`` and
-``qfalling``, over q^b for b = 1..3, negative arguments included.
+``qfalling``, over q^b for b = 1..3, negative arguments included. Products
+of random dense operands, which the kernel multiplies by Kronecker
+substitution, are compared at q = 2 and q = 3 with the products of their
+values, and so are both sides of the ``qr1.1`` generating-function check
+with the value of its series at q.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from whitneylah.arith import _KRONECKER_MIN, LaurentPoly
 from whitneylah.classical import _cache_stats
 from whitneylah.qcalc import gqf_point, qbinom, qfact, qfalling
-from whitneylah.qwhitney import qw1, qw2, qwl
+from whitneylah.qwhitney import _qwl_egf_cached, qw1, qw2, qwl, qwl_egf_check
 
 TWO = Fraction(2)
 FAMILIES = {"qw1": qw1, "qw2": qw2, "qwl": qwl}
@@ -138,3 +144,64 @@ def test_q_factorials_at_q_2_and_3_are_the_product_formula(cold_memo, b):
         for n in range(21):
             falling = generalized_q_factorials_at(q, n, 1, n, b)
             assert [at(qfalling(n, k, b), q) for k in range(n + 1)] == falling, (q, n, b)
+
+
+def random_dense(rng: random.Random) -> LaurentPoly:
+    """``_KRONECKER_MIN`` to 80 nonzero coefficients of up to 60 digits and
+    either sign, with a zero now and then, from an exponent in -20..20."""
+    terms = rng.randrange(_KRONECKER_MIN, 81)
+    digits = rng.choice((1, 5, 20, 60))
+    cs = [rng.choice((-1, 1)) * rng.randrange(1, 10**digits) for _ in range(terms)]
+    for i in rng.sample(range(1, terms - 1), terms // 8):
+        cs.insert(i, 0)
+    lo = rng.randrange(-20, 21)
+    return LaurentPoly({lo + i: c for i, c in enumerate(cs)})
+
+
+def test_dense_products_at_q_2_and_3_are_the_products_of_the_values(kronecker_calls):
+    rng = random.Random(2004_13415)
+    pairs = [(random_dense(rng), random_dense(rng)) for _ in range(40)]
+    for x, y in pairs:
+        product = x * y
+        for q in (2, 3):
+            assert at(product, q) == at(x, q) * at(y, q), (x, y, q)
+    # every one of them took the Kronecker path
+    assert len(kronecker_calls) == len(pairs)
+
+
+def homogeneous(n: int, roots: list) -> Fraction:
+    """h_n(roots), the t^n coefficient of prod 1/(1 - r t) over the roots."""
+    h = [Fraction(1)] + [Fraction(0)] * n
+    for r in roots:
+        for m in range(1, n + 1):
+            h[m] += r * h[m - 1]
+    return h[n]
+
+
+def qwl_egf_side_at(q: int, a: int, k: int, n: int) -> Fraction:
+    """[n]_{q^a}! times the t^n coefficient of the ``qr1.1`` series at an
+    integer q: sum_j (-1)^(k-j) q^(a C(k-j,2)) C(k,j)_{q^a} h_n(r_0..r_(j-1)),
+    with r_m = q^(a m) [a]_q."""
+    qa = Fraction(q**a - 1, q - 1)
+    roots = [q ** (a * m) * qa for m in range(k)]
+    total = sum(
+        (-1) ** (k - j)
+        * q ** (a * ((k - j) * (k - j - 1) // 2))
+        * gaussian_binomial_at(q, k, j, a)
+        * homogeneous(n, roots[:j])
+        for j in range(k + 1)
+    )
+    return total * generalized_q_factorials_at(q, 1, -1, n, a)[n]
+
+
+def test_qr1_1_sides_at_q_2_and_3_are_the_series_value(cold_memo, kronecker_calls):
+    """Both sides of the generating-function check at alpha 3, k 4, n <= 12;
+    the identity makes the series' value at q the value of each side."""
+    _qwl_egf_cached.cache_clear()
+    for n in range(13):
+        lhs, rhs = qwl_egf_check(3, 4, n)
+        for q in (2, 3):
+            expected = qwl_egf_side_at(q, 3, 4, n)
+            assert at(lhs, q) == expected, (n, q)
+            assert at(rhs, q) == expected, (n, q)
+    assert kronecker_calls

@@ -1,20 +1,33 @@
-"""Where window sums start to beat term-by-term products.
+"""Where window sums and Kronecker products start to beat term-by-term
+products.
 
-``arith._product`` multiplies a factor ``c (1 + q^s + ... + q^((m-1) s))``
-by window sums when it has more than ``arith._RUN_MIN`` terms, and term by
-term otherwise. This script times both paths on the same operands, for
-runs of m = 2..9 terms at strides 1, 2, 3 and 6 (the alphas of ``qint(m,
-alpha)`` that the benchmark's workloads reach) against dense operands of 4,
-12, 40 and 120 random coefficients. It prints one row per case, the two
-times in microseconds (the best of ROUNDS rounds) and which path won, and
-then per m the number of cases the window won.
+This script sets two constants of ``arith._product``. Each section times
+the path that a constant switches to against ``_term_product`` on the same
+operands, prints one row per case, the two times in microseconds (the
+best of ROUNDS rounds) and which path won, and then a count of the cases
+each path won.
+
+* ``_RUN_MIN``: a factor ``c (1 + q^s + ... + q^((m-1) s))`` with more
+  than ``_RUN_MIN`` terms is multiplied by window sums. The cases are runs
+  of m = 2..9 terms at strides 1, 2, 3 and 6 (the alphas of ``qint(m,
+  alpha)`` that the benchmark's workloads reach) against dense operands of
+  4, 12, 40 and 120 random coefficients.
+* ``_KRONECKER_MIN``: two factors that both have at least
+  ``_KRONECKER_MIN`` nonzero terms are multiplied by Kronecker
+  substitution. The cases are dense factors of m = 2..16 terms against
+  dense operands of 4, 12, 40 and 120 terms, with coefficients of 1, 5 and
+  40 digits, all positive or of random sign. The product takes the
+  Kronecker path when both factors have at least the constant's terms, so
+  the summary counts, for each m, the cases whose operand has at least m
+  terms and sums their times, and names the least m from which the
+  Kronecker path wins most of them, and wins in sum.
 
     PYTHONPATH=src python tools/window_switchover.py
 
 Every case counts once here, whatever its share of the products a real
-run makes, so the table shows where the switch-over lies but does not set
-``_RUN_MIN`` alone: a new value has to win end to end as well. Timings
-depend on the machine and the interpreter; the table is a guide, not a
+run makes, so the tables show where the switch-overs lie but do not set
+the constants alone: a new value has to win end to end as well. Timings
+depend on the machine and the interpreter; the tables are a guide, not a
 gate.
 """
 
@@ -23,24 +36,25 @@ from __future__ import annotations
 import random
 import timeit
 
-from whitneylah.arith import _term_product, _window_product
+from whitneylah.arith import _kronecker_product, _term_product, _window_product
 
 RUN_LENGTHS = range(2, 10)
 STRIDES = (1, 2, 3, 6)
 OPERAND_TERMS = (4, 12, 40, 120)
+FACTOR_TERMS = range(2, 17)
+DIGITS = (1, 5, 40)
 ROUNDS = 9
 CALLS = 200
 SEED = 0
 
 
-def _time(fn) -> float:
-    """Best time of one call of ``fn`` over ROUNDS rounds of CALLS calls,
-    in microseconds."""
-    return min(timeit.repeat(fn, repeat=ROUNDS, number=CALLS)) / CALLS * 1e6
+def _time(fn, calls: int = CALLS) -> float:
+    """Best time of one call of ``fn`` over ROUNDS rounds of ``calls``
+    calls, in microseconds."""
+    return min(timeit.repeat(fn, repeat=ROUNDS, number=calls)) / calls * 1e6
 
 
-def main() -> None:
-    rng = random.Random(SEED)
+def windows(rng: random.Random) -> None:
     wins = {}
     print(f"{'m':>2} {'s':>2} {'terms':>5} {'term_us':>9} {'window_us':>9}  faster")
     for m in RUN_LENGTHS:
@@ -60,6 +74,63 @@ def main() -> None:
     cases = len(STRIDES) * len(OPERAND_TERMS)
     for m, won in wins.items():
         print(f"m={m}: window won {won} of {cases}")
+
+
+def dense(rng: random.Random, terms: int, digits: int, signed: bool) -> tuple:
+    """``terms`` nonzero coefficients of ``digits`` decimal digits, all
+    positive or each of random sign."""
+    low = 10 ** (digits - 1) if digits > 1 else 1
+    return tuple(
+        rng.randrange(low, 10**digits) * (rng.choice((1, -1)) if signed else 1)
+        for _ in range(terms)
+    )
+
+
+def kronecker(rng: random.Random) -> None:
+    # per m: [cases won by the Kronecker path, cases, term_us, kron_us], over
+    # the cases whose operand has at least m terms
+    totals = {m: [0, 0, 0.0, 0.0] for m in FACTOR_TERMS}
+    print(
+        f"{'m':>2} {'terms':>5} {'digits':>6} {'signed':>6} "
+        f"{'term_us':>9} {'kron_us':>9}  faster"
+    )
+    for m in FACTOR_TERMS:
+        for terms in OPERAND_TERMS:
+            for digits in DIGITS:
+                for signed in (False, True):
+                    a = dense(rng, m, digits, signed)
+                    b = dense(rng, terms, digits, signed)
+                    if _kronecker_product(a, b) != _term_product(a, b):
+                        raise SystemExit(f"the two paths disagree at m={m}, terms={terms}")
+                    term = _time(lambda: _term_product(a, b), CALLS // 4)
+                    kron = _time(lambda: _kronecker_product(a, b), CALLS // 4)
+                    if terms >= m:
+                        t = totals[m]
+                        t[0] += kron < term
+                        t[1] += 1
+                        t[2] += term
+                        t[3] += kron
+                    faster = "kron" if kron < term else "term"
+                    print(
+                        f"{m:>2} {terms:>5} {digits:>6} {signed:>6d} "
+                        f"{term:>9.2f} {kron:>9.2f}  {faster}"
+                    )
+    for m, (won, cases, term, kron) in totals.items():
+        print(f"m={m}: kronecker won {won} of {cases}, {kron:.0f} us against {term:.0f} us")
+    for name, won in (
+        ("most cases", lambda t: 2 * t[0] > t[1]),
+        ("in sum", lambda t: t[3] < t[2]),
+    ):
+        losing = [m for m, t in totals.items() if not won(t)]
+        first = max(losing, default=FACTOR_TERMS[0] - 1) + 1
+        print(f"kronecker wins {name} from m={first} on")
+
+
+def main() -> None:
+    rng = random.Random(SEED)
+    windows(rng)
+    print()
+    kronecker(rng)
 
 
 if __name__ == "__main__":
