@@ -18,6 +18,9 @@ the shape of its factors: by a scalar or a monomial, a shift and scale;
 by a strided run of equal coefficients (a q-integer), window sums; when
 both factors have at least ``_KRONECKER_MIN`` nonzero terms, Kronecker
 substitution, one product of two big ints; otherwise term by term.
+An exact quotient by a strided run ``c q^e [m]_{q^s}``, a single term
+among them, is a product by ``1 - q^s`` and a running sum at stride
+``m s``, both O(len); by any other divisor, ascending long division.
 
 Integers themselves are Python ``int``: arbitrary precision and already
 canonical, so no wrapper type is introduced. The kernel computes over Z
@@ -316,10 +319,10 @@ _RUN_MIN = 2
 _KRONECKER_MIN = 5
 
 
-def _run(cs: tuple, nonzero: int) -> int:
+def _run(cs: tuple, nonzero: int, fewest: int = _RUN_MIN) -> int:
     """The stride s when the ``nonzero`` terms of ``cs`` are one coefficient
-    repeated at stride s, more than ``_RUN_MIN`` of them; else 0."""
-    if nonzero <= _RUN_MIN or (len(cs) - 1) % (nonzero - 1):
+    repeated at stride s, more than ``fewest`` of them; else 0."""
+    if nonzero <= fewest or (len(cs) - 1) % (nonzero - 1):
         return 0
     s = (len(cs) - 1) // (nonzero - 1)
     return s if cs[::s].count(cs[0]) == nonzero else 0
@@ -437,22 +440,64 @@ def monomial(exp: int, coeff: int = 1) -> LaurentPoly:
 def lp_div_exact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """Exact quotient ``a / b`` in the Laurent ring Z[q, q^-1].
 
-    Performs ascending-exponent long division after shifting both operands
-    so the divisor's lowest exponent is zero. A quotient coefficient that
-    the divisor's lowest coefficient does not divide, or a nonzero
-    remainder, raises :class:`NonExactDivision`; nothing is ever truncated
-    silently.
+    A divisor that is a strided run ``c q^e [m]_{q^s}``, a single term
+    among them, such as a q-integer, goes through
+    ``_run_quotient`` in O(len(a)); any other divisor goes through
+    ascending long division. A quotient coefficient that is not an
+    integer, or a nonzero remainder, raises :class:`NonExactDivision` on
+    either path; nothing is ever truncated silently.
     """
     if b.is_zero:
         raise DivisionByZero("division by the zero polynomial")
     if a.is_zero:
         return _ZERO_POLY
-    rem = list(a._c)
     div = b._c
+    nd = len(div) - div.count(0)
+    s = _run(div, nd, 1) if nd > 1 else 1
+    quot = _run_quotient(a._c, div[0], nd, s) if s else _long_quotient(a._c, div)
+    if quot is None:
+        raise NonExactDivision(f"{a.to_str()!s} is not divisible by {b.to_str()!s}")
+    # an exact quotient's end coefficients are those of a over those of b
+    return _make(a._lo - b._lo, tuple(quot))
+
+
+def _run_quotient(a: tuple, c: int, m: int, s: int) -> list | None:
+    """``a`` over ``c (1 + q^s + ... + q^((m-1) s))`` in O(len(a)), or None
+    if the quotient is not exact. Times ``1 - q^s`` the divisor is ``c (1 -
+    q^(m s))``, so the quotient of b = a (1 - q^s) by ``1 - q^(m s)`` is
+    p[i] = b[i] + p[i - m s], a running sum in each residue class mod m s.
+    It is exact iff p vanishes past len(a) - (m - 1) s, the length of an
+    exact quotient (the recurrence then carries those zeros to every later
+    coefficient), and c divides what is left."""
+    nq = len(a) - (m - 1) * s
+    if nq < 1:
+        return None
+    pad = (0,) * s
+    p = list(map(sub, a + pad, pad + a))
+    w = m * s
+    # a class r >= len(p) - w holds one term, its own running sum
+    for r in range(min(w, len(p) - w)):
+        p[r::w] = accumulate(p[r::w])
+    if any(p[nq:]):
+        return None
+    del p[nq:]
+    if c != 1:
+        if any(x % c for x in p):
+            return None
+        p = [x // c for x in p]
+    return p
+
+
+def _long_quotient(a: tuple, div: tuple) -> list | None:
+    """``a`` over ``div`` by ascending long division, or None if a quotient
+    coefficient is not an integer or a remainder is left; an exact
+    quotient has len(a) - len(div) + 1 coefficients."""
+    rem = list(a)
     nd = len(div)
     lead = div[0]
-    # exact quotients are bounded in degree by deg(a) - deg(b)
-    nq = max(len(rem) - nd + 1, 0)
+    nq = len(rem) - nd + 1
+    if nq < 1:
+        return None
     quot = [0] * nq
     for i in range(nq):
         c = rem[i]
@@ -460,14 +505,11 @@ def lp_div_exact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
             continue
         qc, r = divmod(c, lead)
         if r:
-            break
+            return None
         quot[i] = qc
         j = i + nd
         rem[i:j] = map(sub, rem[i:j], map(mul, repeat(qc), div))
-    else:
-        if not any(rem[nq:]):
-            return _trimmed(a._lo - b._lo, quot)
-    raise NonExactDivision(f"{a.to_str()!s} is not divisible by {b.to_str()!s}")
+    return None if any(rem[nq:]) else quot
 
 
 def lp_eval_q1(a: LaurentPoly) -> int:

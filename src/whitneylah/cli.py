@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from importlib import import_module
 from itertools import chain
 from typing import Callable, Optional
@@ -228,7 +229,10 @@ def _cmd_series(args) -> int:
     return 0 if matched else 1
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call of a process and
+    reused by every later one: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="whitneylah",
         description="Exact Lah/Stirling/Whitney/Dowling number families, their"

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .arith import LaurentPoly, _is_int, monomial
+from .arith import LaurentPoly, _is_int, _make, monomial
 from .classical import _cell
 
 
@@ -61,10 +61,12 @@ def qint(n: int, base: int = 1) -> LaurentPoly:
 
 def qint_signed(m: int, base: int = 1) -> LaurentPoly:
     """[m] over q^base for any integer m, via the reflection
-    [-m] = -q^(-m base) [m] over q^base."""
+    [-m] = -q^(-m base) [m] over q^base: for m < 0, the run
+    -(q^(m base) + q^((m+1) base) + ... + q^(-base)), built directly."""
     if m >= 0:
         return qint(m, base)
-    return -1 * (monomial(m * base) * qint(-m, base))
+    _check_args(base, m)
+    return _make(m * base, ((-1,) + (0,) * (base - 1)) * (-m - 1) + (-1,))
 
 
 # [t|alpha]_n over q^base by (t, alpha, base, n), for every n computed so far.

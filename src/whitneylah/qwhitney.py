@@ -131,7 +131,10 @@ def qwl_explicit(alpha: int, n: int, k: int) -> LaurentPoly:
     """Translated q-Whitney-Lah number by the alternating Gaussian-binomial
     sum, divided exactly by [k]_{q^alpha}! [alpha]_q^k.
 
-    The division is mathematically exact; a remainder would signal a
+    The sum is divided by the 2k q-integers of that denominator one at a
+    time, [1]_{q^alpha}, ..., [k]_{q^alpha} and then [alpha]_q k times,
+    each a run division in O(len); a factor [1] = 1 is skipped. Every
+    division is mathematically exact; a remainder would signal a
     transcription fault, so it is allowed to raise.
     """
     _check_alpha(alpha)
@@ -139,8 +142,13 @@ def qwl_explicit(alpha: int, n: int, k: int) -> LaurentPoly:
         return LaurentPoly.zero()
     points = [gqf_point(alpha * j, -alpha, n) for j in range(k + 1)]
     acc = _qbinom_inverse_entry(points, k, alpha)
-    denom = qfact(k, alpha) * qint(alpha) ** k
-    return lp_div_exact(acc, denom)
+    for i in range(2, k + 1):
+        acc = lp_div_exact(acc, qint(i, alpha))
+    if alpha > 1:
+        a = qint(alpha)
+        for _ in range(k):
+            acc = lp_div_exact(acc, a)
+    return acc
 
 
 def qlah_gr(n: int, k: int, route: str = "recurrence") -> LaurentPoly:
@@ -207,14 +215,17 @@ def qwl_egf_check(
     return lhs, qfact(k, alpha) * qint(alpha) ** k * qwl(alpha, n, k)
 
 
+def _qbinom_transform_entry(f: Sequence[LaurentPoly], k: int, alpha: int) -> LaurentPoly:
+    """Entry k of the forward Gaussian-binomial transform over q^alpha of
+    f_0..f_k: sum_{j<=k} C(k,j)_{q^alpha} f_j."""
+    return sum(qbinom(k, j, alpha) * f[j] for j in range(k + 1))
+
+
 def qbinom_transform(f: Sequence[LaurentPoly], alpha: int = 1) -> list[LaurentPoly]:
     """Forward Gaussian-binomial transform over q^alpha:
     F_k = sum_{j<=k} C(k,j)_{q^alpha} f_j."""
     _check_alpha(alpha)
-    return [
-        sum(qbinom(k, j, alpha) * f[j] for j in range(k + 1))
-        for k in range(len(f))
-    ]
+    return [_qbinom_transform_entry(f, k, alpha) for k in range(len(f))]
 
 
 def qbinom_inverse_transform(F: Sequence[LaurentPoly], alpha: int = 1) -> list[LaurentPoly]:

@@ -4,9 +4,11 @@ Every identity handled by this package is registered here as a
 parameterized, machine-checkable claim: one entry of a table that declares
 its parameter grid as data and gives a check returning both sides of the
 identity at a grid point as exact values (integers, rationals, or Laurent
-polynomials). One runner compares the two sides with ``==``, renders them to
-canonical text, times every check and isolates its errors; a suite run
-produces a deterministic report whose failures carry both rendered sides.
+polynomials). One routine runs a check, compares the two sides with ``==``
+and isolates its errors; a suite run counts each identity's checks and
+passes inline, times each identity once, keeps a record only of a failed
+point, and produces a deterministic report whose failures carry both sides,
+rendered to canonical text when read.
 
 Three identities also exist in an ``as_printed`` variant that evaluates a
 known-defective published form verbatim instead of the corrected one, so
@@ -68,8 +70,8 @@ from .whitney import (
 )
 from .qwhitney import (
     _qbinom_inverse_entry,
+    _qbinom_transform_entry,
     _qwl_egf_cached,
-    qbinom_transform,
     qdowling,
     qdowling_qi,
     qlah_gr,
@@ -190,8 +192,11 @@ class CheckResult(NamedTuple):
     """One check at one grid point: its two sides as values, rendered to
     canonical text in the suite's variable only when that text is read.
     A check that raised has its error message as ``lhs`` and ``""`` as
-    ``rhs``. A result is an immutable tuple of its fields, so it also
-    compares equal to a plain tuple of the same values."""
+    ``rhs``. ``check_identity`` returns one for its point, with the
+    seconds the check took as ``elapsed``. A suite run builds one only for
+    a failed point; it times each identity once, not each point, so its
+    records carry 0.0. A result is an immutable tuple of its fields, so it
+    also compares equal to a plain tuple of the same values."""
 
     id: str
     params: dict
@@ -216,8 +221,9 @@ class Report(NamedTuple):
     failed: list[CheckResult]
     wall_time: float
     config: Config
-    # id -> {"checks", "passed", "seconds" (summed check time), "skipped_alphas",
-    # "max_n" (the largest n checked, None without an n)}
+    # id -> {"checks", "passed", "seconds" (the wall time of the identity's
+    # loop over its points), "skipped_alphas", "max_n" (the largest n
+    # checked, None without an n)}
     identities: dict[str, dict]
     # the memos at the end of the run: the triangles, as ``_cache_stats``
     # gives them, and the entries of every other memo, by name
@@ -473,18 +479,18 @@ def _chk_inv_qtw(order, alpha, n, m):
     return lhs, LaurentPoly.one() if n == m else LaurentPoly.zero()
 
 
-def _qbinom_inv_sample(sample: int, length: int) -> list[LaurentPoly]:
-    q = LaurentPoly.var()
+def _qbinom_inv_sample(sample: int, j: int) -> LaurentPoly:
+    """f_j of the sequence ``sample``: q^j, (1 + q)^j or q^-j + j."""
     if sample == 0:
-        return [monomial(j) for j in range(length)]
+        return monomial(j)
     if sample == 1:
-        return [(1 + q) ** j for j in range(length)]
-    return [monomial(-j) + j for j in range(length)]
+        return (1 + LaurentPoly.var()) ** j
+    return monomial(-j) + j
 
 
 def _chk_qbinom_inv(alpha, sample, k):
-    f = _qbinom_inv_sample(sample, k + 1)
-    return _qbinom_inverse_entry(qbinom_transform(f, alpha), k, alpha), f[k]
+    F = [_forward_entry(alpha, sample, j) for j in range(k + 1)]
+    return _qbinom_inverse_entry(F, k, alpha), _qbinom_inv_sample(sample, k)
 
 
 def _chk_pe1(rel, alpha, j, n):
@@ -493,7 +499,11 @@ def _chk_pe1(rel, alpha, j, n):
         # not a shared route
         rhs = qint(alpha) ** n * gqf_point(j, -1, n, alpha)
         return gqf_point(alpha * j, -alpha, n), rhs
-    lhs = lp_div_exact(qfalling(j + n - 1, n, alpha), qfact(n, alpha))
+    # [j+n-1]_{q^a,n} divided by [2]_{q^a}, ..., [n]_{q^a} in turn ([1] is
+    # 1), against the q-Pascal triangle, which divides nowhere
+    lhs = qfalling(j + n - 1, n, alpha)
+    for i in range(2, n + 1):
+        lhs = lp_div_exact(lhs, qint(i, alpha))
     return lhs, qbinom(j + n - 1, n, alpha)
 
 
@@ -504,6 +514,14 @@ def _geometric_product(n: int, order: int) -> TruncSeries:
     for i in range(n):
         prod = ts_mul_geometric(prod, monomial(i))
     return prod
+
+
+@lru_cache(maxsize=None)
+def _forward_entry(alpha: int, sample: int, j: int) -> LaurentPoly:
+    """F_j, entry j of the forward Gaussian-binomial transform over q^alpha
+    of the ``qbinom_inv`` sequence ``sample``: every k >= j reads it."""
+    f = [_qbinom_inv_sample(sample, i) for i in range(j + 1)]
+    return _qbinom_transform_entry(f, j, alpha)
 
 
 def _chk_pe2(n, k):
@@ -860,25 +878,36 @@ def _render(value, var: str) -> str:
     return value.to_str(var) if isinstance(value, LaurentPoly) else str(value)
 
 
-def _run_one(spec: IdentitySpec, params: dict) -> CheckResult:
-    start = time.perf_counter()
+def _outcome(spec: IdentitySpec, params: dict) -> tuple:
+    """``(passed, lhs, rhs)`` of the check of ``spec`` at one grid point,
+    the one place that runs a check. A check that raised has its error
+    message as ``lhs`` and ``""`` as ``rhs``."""
     try:
         lhs, rhs = spec.check(**params)
-        passed = lhs == rhs
+        return lhs == rhs, lhs, rhs
     except Exception as exc:  # isolation: a broken check is a failure, not an abort
-        passed, lhs, rhs = False, f"<error: {type(exc).__name__}: {exc}>", ""
-    elapsed = time.perf_counter() - start
-    return CheckResult(spec.id, params, passed, lhs, rhs, _VARIABLE[spec.suite], elapsed)
+        return False, f"<error: {type(exc).__name__}: {exc}>", ""
 
 
 # The lru_caches whose entries ``Report.caches`` counts, bound at import: a
 # tracer may rebind the public names to wrappers without ``cache_info``.
 _LRU_CACHE_INFO = {
     "egf_series": _egf_series_cached.cache_info,
+    "forward_entries": _forward_entry.cache_info,
     "geometric_products": _geometric_product.cache_info,
     "qwl_egf_series": _qwl_egf_cached.cache_info,
     "qint": qint.cache_info,
 }
+
+
+def _memo_counts() -> dict:
+    """How full the memos are: the triangles, as ``_cache_stats`` gives
+    them, and the entries of every other memo, by name."""
+    return {
+        **_cache_stats(),
+        "gqf_points": len(_GQF_POINTS),
+        **{name: info().currsize for name, info in _LRU_CACHE_INFO.items()},
+    }
 
 
 @lru_cache(maxsize=None)
@@ -909,7 +938,10 @@ def check_identity(ident: str, params: dict) -> CheckResult:
         raise ParamsOutOfDomain(
             f"params {params!r} outside the registered grid of {ident!r}"
         )
-    return _run_one(spec, point)
+    start = time.perf_counter()
+    passed, lhs, rhs = _outcome(spec, point)
+    elapsed = time.perf_counter() - start
+    return CheckResult(ident, point, passed, lhs, rhs, _VARIABLE[spec.suite], elapsed)
 
 
 def run_suite(config: Config | None = None, **kwargs) -> Report:
@@ -926,42 +958,40 @@ def run_suite(config: Config | None = None, **kwargs) -> Report:
         )
     cfg = config if config is not None else Config(**kwargs)
     specs = [s for _, s in sorted(_REGISTRY.items()) if cfg.suite in ("all", s.suite)]
-    results = [_run_one(spec, params) for spec in specs for params in spec.domain(cfg)]
-    failed = [r for r in results if not r.passed]
-    failed.sort(key=lambda r: (r.id, json.dumps(r.params, sort_keys=True)))
-    # an identity without alphas skips none; one with alphas skips those it lacks
-    identities = {
-        s.id: {
-            "checks": 0,
-            "passed": 0,
-            "seconds": 0.0,
+    perf = time.perf_counter
+    failed, identities = [], {}
+    for spec in specs:
+        points = spec.domain(cfg)
+        var = _VARIABLE[spec.suite]
+        passed = 0
+        # the clock is read once per identity, not per point
+        begun = perf()
+        for params in points:
+            ok, lhs, rhs = _outcome(spec, params)
+            if ok:
+                passed += 1
+            else:
+                failed.append(CheckResult(spec.id, params, False, lhs, rhs, var, 0.0))
+        # an identity without alphas skips none; one with alphas skips those it lacks
+        identities[spec.id] = {
+            "checks": len(points),
+            "passed": passed,
+            "seconds": perf() - begun if points else 0.0,
             "skipped_alphas": [
-                a for a in cfg.alpha_list if s.grid.alphas and a not in s.grid.alphas
+                a for a in cfg.alpha_list if spec.grid.alphas and a not in spec.grid.alphas
             ],
-            "max_n": None,
+            "max_n": max((p["n"] for p in points if "n" in p), default=None),
         }
-        for s in specs
-    }
-    for r in results:
-        tally = identities[r.id]
-        tally["checks"] += 1
-        tally["passed"] += r.passed
-        tally["seconds"] += r.elapsed
-        if "n" in r.params:
-            tally["max_n"] = max(r.params["n"], tally["max_n"] or 0)
-    caches = {
-        **_cache_stats(),
-        "gqf_points": len(_GQF_POINTS),
-        **{name: info().currsize for name, info in _LRU_CACHE_INFO.items()},
-    }
+    failed.sort(key=lambda r: (r.id, json.dumps(r.params, sort_keys=True)))
+    total = sum(t["checks"] for t in identities.values())
     return Report(
-        total=len(results),
-        passed=len(results) - len(failed),
+        total=total,
+        passed=total - len(failed),
         failed=failed,
         wall_time=time.perf_counter() - start,
         config=cfg,
         identities=identities,
-        caches=caches,
+        caches=_memo_counts(),
     )
 
 
@@ -970,7 +1000,8 @@ def report_to_dict(report: Report, *, deterministic: bool = True) -> dict:
     field so that identical configurations serialize byte-identically;
     without it the dict also carries, under ``identities``, every identity
     the suite selected, those that ran no check included: its check count,
-    passed count, summed check seconds, ``skipped_alphas``, the configured
+    passed count, ``seconds``, the wall time of its loop over its grid
+    points (0.0 if it ran no check), ``skipped_alphas``, the configured
     alphas outside the identity's own set, and ``max_n``, the largest n it
     checked (None if its grid has no n or it ran no check); and, under
     ``caches``, the memos at the end of the run: ``triangles`` lists per
@@ -979,9 +1010,10 @@ def report_to_dict(report: Report, *, deterministic: bool = True) -> dict:
     among them; ``gqf_points`` counts the stored generalized q-factorials
     [t|alpha]_n over q^base, the prefixes of ``qfact`` and ``qfalling``
     among them; ``geometric_products`` the stored series products of
-    ``pe2``, ``egf_series`` and ``qwl_egf_series`` the stored series of
-    ``r3``/``lah_egf`` and ``qr1.1``, and ``qint`` the entries of that
-    q-primitive's cache."""
+    ``pe2``, ``forward_entries`` the stored forward-transform entries F_j
+    of ``qbinom_inv`` by (alpha, sample, j), ``egf_series`` and
+    ``qwl_egf_series`` the stored series of ``r3``/``lah_egf`` and
+    ``qr1.1``, and ``qint`` the entries of that q-primitive's cache."""
     doc = {
         "config": report.config.as_dict(),
         "total": report.total,

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from whitneylah import cli
 from whitneylah.cli import FAMILIES, main
 from whitneylah.qwhitney import qwl_explicit
 
@@ -192,6 +193,28 @@ class TestVerify:
     def test_bad_suite_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--suite", "imaginary")
         assert code == 2
+
+
+class TestParser:
+    def test_two_calls_build_the_parser_once(self, capsys):
+        cli._build_parser.cache_clear()
+        assert run_cli(capsys, "eval", "--family", "lah", "--n", "3", "--k", "2")[:2] == (0, "6\n")
+        assert run_cli(capsys, "eval", "--family", "q-lah", "--n", "2", "--k", "1")[:2] == (
+            0, "1 + q\n"
+        )
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_bad_family_after_a_good_call_exits_2_as_a_first_call_does(self, capsys):
+        bad = ("table", "--family", "q-nothing", "--n-max", "2")
+        cli._build_parser.cache_clear()
+        first = run_cli(capsys, *bad)
+        assert run_cli(capsys, "eval", "--family", "lah", "--n", "3", "--k", "2")[0] == 0
+        again = run_cli(capsys, *bad)
+        assert again == first
+        assert again[0] == 2 and again[1] == ""
+        assert "invalid choice: 'q-nothing'" in again[2]
+        assert cli._build_parser.cache_info().misses == 1
 
 
 class TestSeries:

@@ -471,3 +471,108 @@ def test_to_str_against_the_term_by_term_renderer(terms, var):
     reference renders the dict form one term at a time."""
     assert LaurentPoly(terms).to_str(var) == DictLaurent(terms).to_str(var)
 
+
+# -- run division ------------------------------------------------------------
+
+
+def _run_divisor(m: int, s: int, c: int = 1, e: int = 0) -> dict:
+    """The terms of ``c q^e [m]_{q^s}``."""
+    return {e + s * i: c for i in range(m)}
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+@pytest.mark.parametrize("m", range(2, 13))
+@given(
+    quot=term_maps.filter(lambda t: any(t.values())),
+    c=st.sampled_from([1, -1, 6, -35]),
+    e=exponents,
+)
+@settings(
+    max_examples=8, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+def test_run_division_against_the_reference(run_quotients, m, s, quot, c, e):
+    """``c q^e [m]_{q^s}`` divides its products exactly through the run
+    path, negative exponents and a scalar c != ±1 included, and leaves an
+    off-by-one dividend non-exact."""
+    div = _run_divisor(m, s, c, e)
+    b, rb = LaurentPoly(div), DictLaurent(div)
+    a, ra = LaurentPoly(quot) * b, DictLaurent(quot) * rb
+    before = len(run_quotients)
+    agree(lp_div_exact(a, b), dict_div_exact(ra, rb))
+    assert run_quotients[before:] == [(len(a._c), m, s)]
+    # a dividend off by one term at each end, or by one unit of c
+    for bad in (a + _just_outside(a, -1), a + _just_outside(a, 1), a + 1):
+        if _reference_divides(bad, b):
+            continue
+        with pytest.raises(NonExactDivision):
+            lp_div_exact(bad, b)
+
+
+def _just_outside(a: LaurentPoly, side: int) -> LaurentPoly:
+    """q^e for the exponent just below (side -1) or above (side 1) ``a``."""
+    exps = [e for e, _ in a.items()]
+    return LaurentPoly({(min(exps) - 1) if side < 0 else (max(exps) + 1): 1})
+
+
+def _reference_divides(a: LaurentPoly, b: LaurentPoly) -> bool:
+    """The reference finds an integer quotient of ``a`` by ``b``."""
+    try:
+        quot = dict_div_exact(DictLaurent(dict(a.items())), DictLaurent(dict(b.items())))
+    except NonExactDivision:
+        return False
+    return all(c.denominator == 1 for c in quot._terms.values())
+
+
+@given(pairs(int_term_maps), st.sampled_from([1, -1, 3, -7]), exponents)
+def test_one_term_divisor(x, c, e):
+    """A one-term divisor, a run of one, shifts and scales; a coefficient
+    that c does not divide is non-exact."""
+    a, ra = x
+    b, rb = LaurentPoly({e: c}), DictLaurent({e: c})
+    expected = dict_div_exact(ra, rb)
+    if all(v.denominator == 1 for v in expected._terms.values()):
+        agree(lp_div_exact(a, b), expected)
+    else:
+        with pytest.raises(NonExactDivision):
+            lp_div_exact(a, b)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        # the quotient would be 1/2 + ..., exact only over the rationals
+        ({0: 1, 1: 1}, {0: 2, 1: 2}),
+        # the running sums of the run path do not vanish past the quotient
+        ({0: 1, 1: 1, 2: 1, 3: 1}, {0: 1, 1: 1, 2: 1}),
+        # [2]_{q^2} does not divide [2]_q, nor [3]_q its square less q^4
+        ({0: 1, 1: 1}, {0: 1, 2: 1}),
+        ({0: 1, 1: 2, 2: 3, 3: 2}, {0: 1, 1: 1, 2: 1}),
+        # shorter than the divisor
+        ({-3: 5}, {0: 1, 1: 1}),
+        ({0: 1, 3: 1}, {0: 1, 2: 1, 4: 1, 6: 1}),
+    ],
+)
+def test_run_division_of_a_non_exact_dividend_raises(a, b, run_quotients):
+    with pytest.raises(NonExactDivision):
+        lp_div_exact(LaurentPoly(a), LaurentPoly(b))
+    assert len(run_quotients) == 1
+
+
+def test_q_integer_divisors_take_the_run_path_and_dense_ones_do_not(run_quotients):
+    from whitneylah.qcalc import qfact, qint
+
+    x = LaurentPoly({-2: 3, 0: -1, 1: 4, 5: 2})
+    for m, s in [(2, 1), (3, 2), (12, 3), (40, 1)]:
+        assert lp_div_exact(x * qint(m, s), qint(m, s)) == x
+    assert run_quotients == [
+        (len((x * qint(m, s))._c), m, s) for m, s in [(2, 1), (3, 2), (12, 3), (40, 1)]
+    ]
+    run_quotients.clear()
+    # [4]! and a dense divisor are no runs
+    dense = LaurentPoly({0: 1, 1: 2, 2: 1, 3: 5})
+    assert lp_div_exact(x * qfact(4), qfact(4)) == x
+    assert lp_div_exact(x * dense, dense) == x
+    assert run_quotients == []
+    # a single term is a run of one
+    assert lp_div_exact(x * LaurentPoly({-3: -1}), LaurentPoly({-3: -1})) == x
+    assert run_quotients == [(len(x._c), 1, 1)]

@@ -16,7 +16,9 @@ q-factorials of ``gqf_point`` and their special cases ``qfact`` and
 of random dense operands, which the kernel multiplies by Kronecker
 substitution, are compared at q = 2 and q = 3 with the products of their
 values, and so are both sides of the ``qr1.1`` generating-function check
-with the value of its series at q.
+with the value of its series at q. ``qwl_explicit``, whose sum is divided
+by one q-integer at a time through the kernel's run division, is compared
+at q = 2 and q = 3 with the q-Whitney-Lah recurrence over ``Fraction``.
 """
 
 import random
@@ -27,7 +29,7 @@ import pytest
 from whitneylah.arith import _KRONECKER_MIN, LaurentPoly
 from whitneylah.classical import _cache_stats
 from whitneylah.qcalc import gqf_point, qbinom, qfact, qfalling
-from whitneylah.qwhitney import _qwl_egf_cached, qw1, qw2, qwl, qwl_egf_check
+from whitneylah.qwhitney import _qwl_egf_cached, qw1, qw2, qwl, qwl_egf_check, qwl_explicit
 
 TWO = Fraction(2)
 FAMILIES = {"qw1": qw1, "qw2": qw2, "qwl": qwl}
@@ -205,3 +207,27 @@ def test_qr1_1_sides_at_q_2_and_3_are_the_series_value(cold_memo, kronecker_call
             assert at(lhs, q) == expected, (n, q)
             assert at(rhs, q) == expected, (n, q)
     assert kronecker_calls
+
+
+def qwl_at(q: int, a: int, n: int, k: int) -> Fraction:
+    """qwl(a, n, k) at an integer q by its recurrence over ``Fraction``:
+    u(n,k) = q^((n+k-2) a) u(n-1,k-1) + [(n-1+k) a]_q u(n-1,k)."""
+    row = [Fraction(1)]
+    for m in range(1, n + 1):
+        prev = row + [Fraction(0)]
+        row = [
+            (Fraction(q) ** ((m + j - 2) * a) * prev[j - 1] if j else 0)
+            + Fraction(q ** ((m - 1 + j) * a) - 1, q - 1) * prev[j]
+            for j in range(min(m, k) + 1)
+        ]
+    return row[k]
+
+
+def test_qwl_explicit_at_q_2_and_3_is_the_recurrence_over_fraction(cold_memo, run_quotients):
+    """(3, 40, 20): the sum is divided by [2]_{q^3}, ..., [20]_{q^3} and
+    then by [3]_q twenty times, each through the run path."""
+    value = qwl_explicit(3, 40, 20)
+    for q in (2, 3):
+        assert at(value, q) == qwl_at(q, 3, 40, 20), q
+    runs = [(i, 3) for i in range(2, 21)] + [(3, 1)] * 20
+    assert [(m, s) for _, m, s in run_quotients] == runs

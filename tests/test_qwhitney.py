@@ -39,6 +39,15 @@ class TestQIntSigned:
         for m in range(1, 8):
             assert qint_signed(-m) == -1 * (monomial(-m) * qint(m))
 
+    @pytest.mark.parametrize("base", [1, 2, 3])
+    def test_reflection_over_q_to_the_base(self, base):
+        # built as a run of -1 at stride base, with no product
+        for m in range(-12, 0):
+            expected = -1 * monomial(m * base) * qint(-m, base)
+            value = qint_signed(m, base)
+            assert value == expected, (m, base)
+            assert dict(value.items()) == {e: -1 for e in range(m * base, 0, base)}
+
 
 class TestGeneralizedQFactorial:
     """``gqf_point`` stores every prefix [t|a]_1..n it computes, so it makes

@@ -253,8 +253,8 @@ class TestReport:
         assert keys == sorted(keys)
 
     def test_wall_time_is_the_runs_wall_clock(self):
-        # the runner's own clock, not the sum of the per-check times, which
-        # leaves out grid building and result bookkeeping (about a fifth here)
+        # the runner's own clock, not the sum of the identities' seconds,
+        # which leaves out grid building and the report's bookkeeping
         cfg = Config(suite="classical", alpha_list=(1, 2), n_max=6)
         ratios = []
         for _ in range(3):
@@ -313,12 +313,11 @@ class TestReport:
     def test_caches_honest_mode_only(self, cold_memo):
         lru_caches = {
             "egf_series": _egf_series_cached,
+            "forward_entries": verify._forward_entry,
             "geometric_products": verify._geometric_product,
             "qwl_egf_series": _qwl_egf_cached,
             "qint": qint,
         }
-        for memo in lru_caches.values():
-            memo.cache_clear()
         cfg = Config(suite="classical", alpha_list=(1, 2), n_max=4)
         cold = report_to_json(run_suite(cfg))
         # fill the memos: the deterministic report must not show them
@@ -326,6 +325,7 @@ class TestReport:
         gqf_point(3, -1, 4)
         get_identity("qr1.1").check(alpha=2, k=1, n=3)
         get_identity("pe2").check(n=3, k=2)
+        get_identity("qbinom_inv").check(alpha=2, sample=1, k=3)
         report = run_suite(cfg)
         assert report_to_json(report) == cold
         assert "caches" not in report_to_dict(report)
@@ -337,6 +337,7 @@ class TestReport:
         # r3 at alpha 1 and 2, k = 0..6, order 12; lah_egf reads r3's alpha 1
         assert caches["egf_series"] == 14
         assert caches["qwl_egf_series"] == 1  # qr1.1 at (2, 1), order 8
+        assert caches["forward_entries"] == 4  # F_0..F_3 of sample 1 at alpha 2
         assert caches["qint"] == qint.cache_info().currsize > 0
         # rows 1..4 of the suite and row 40: 2 + 3 + 4 + 5 + 41 cells
         tw1_at_2 = {"weights": "_tw1_weights", "alpha": 2, "rows": 5, "cells": 55}
@@ -344,6 +345,47 @@ class TestReport:
         # pe2 at (3, 2) reads C(4, 2)_q: columns 0..2 of row 4
         qbinom_at_1 = {"weights": "_qbinom_weights", "alpha": 1, "rows": 1, "cells": 3}
         assert qbinom_at_1 in caches["triangles"]
+
+    def test_forward_entries_are_computed_once_each(self, cold_memo, monkeypatch):
+        # qbinom_inv reads F_0..F_k at every k: a cold suite computes each
+        # (alpha, sample, j) once, 2 alphas x 3 samples x j = 0..6
+        calls = []
+        entry = verify._qbinom_transform_entry
+
+        def counted(f, j, alpha):
+            calls.append((alpha, j))
+            return entry(f, j, alpha)
+
+        monkeypatch.setattr(verify, "_qbinom_transform_entry", counted)
+        report = run_suite(alpha_list=(1, 2), n_max=6)
+        assert report.failed == []
+        # one call per sample at each (alpha, j)
+        assert Counter(calls) == {(a, j): 3 for a in (1, 2) for j in range(7)}
+        assert report.caches["forward_entries"] == 42
+        run_suite(suite="q", alpha_list=(1, 2), n_max=6)
+        assert len(calls) == 42
+
+    def test_a_failed_point_keeps_every_field_of_its_check(self):
+        # the suite records failures only, untimed; check_identity times its point
+        report = run_suite(suite="q", alpha_list=(1,), n_max=2, mode="as_printed")
+        assert report.failed
+        for r in report.failed:
+            single = check_identity(r.id, r.params)
+            assert r[:-1] == single[:-1] and r.passed is False and r.var == "q"
+            assert r.elapsed == 0.0 < single.elapsed
+            assert r.lhs_canonical == single.lhs_canonical
+
+    def test_an_identity_that_ran_no_check_took_no_time(self):
+        tallies = run_suite(suite="q", alpha_list=(3,), n_max=2).identities
+        idle = {i for i, t in tallies.items() if t["checks"] == 0}
+        assert idle and all(tallies[i]["seconds"] == 0.0 for i in idle)
+        assert all(t["seconds"] > 0 for i, t in tallies.items() if i not in idle)
+
+    def test_cold_memo_empties_every_memo_the_report_counts(self, cold_memo):
+        caches = verify._memo_counts()
+        assert caches.pop("triangles") == []
+        assert set(caches) == {"gqf_points", *verify._LRU_CACHE_INFO}
+        assert all(count == 0 for count in caches.values()), caches
 
 
 def test_cache_stats_count_stored_rows_and_cells():

@@ -1,9 +1,11 @@
 """Where window sums and Kronecker products start to beat term-by-term
-products.
+products, and run division starts to beat long division.
 
-This script sets two constants of ``arith._product``. Each section times
-the path that a constant switches to against ``_term_product`` on the same
-operands, prints one row per case, the two times in microseconds (the
+This script sets two constants of ``arith._product``, and checks the
+choice of ``arith.lp_div_exact`` to divide every strided run by run
+division. Each section times a path against the one it replaces on the
+same operands (``_term_product`` for a product, ``_long_quotient`` for a
+quotient), prints one row per case, the two times in microseconds (the
 best of ROUNDS rounds) and which path won, and then a count of the cases
 each path won.
 
@@ -21,6 +23,12 @@ each path won.
   the summary counts, for each m, the cases whose operand has at least m
   terms and sums their times, and names the least m from which the
   Kronecker path wins most of them, and wins in sum.
+* Run division: a divisor ``c (1 + q^s + ... + q^((m-1) s))`` is divided
+  by the run recurrence of ``_run_quotient``, whatever m is. The cases are
+  q-integers of m = 2..40 terms at strides 1, 2 and 3, each dividing its
+  product with a quotient of random coefficients, for dividends of 5, 12,
+  40 and 200 terms where the divisor fits. The summary prints, for each
+  m, how many cases run division won.
 
     PYTHONPATH=src python tools/window_switchover.py
 
@@ -36,13 +44,22 @@ from __future__ import annotations
 import random
 import timeit
 
-from whitneylah.arith import _kronecker_product, _term_product, _window_product
+from whitneylah.arith import (
+    _kronecker_product,
+    _long_quotient,
+    _run_quotient,
+    _term_product,
+    _window_product,
+)
 
 RUN_LENGTHS = range(2, 10)
 STRIDES = (1, 2, 3, 6)
 OPERAND_TERMS = (4, 12, 40, 120)
 FACTOR_TERMS = range(2, 17)
 DIGITS = (1, 5, 40)
+DIVISOR_TERMS = range(2, 41)
+DIV_STRIDES = (1, 2, 3)
+DIVIDEND_TERMS = (5, 12, 40, 200)
 ROUNDS = 9
 CALLS = 200
 SEED = 0
@@ -126,11 +143,38 @@ def kronecker(rng: random.Random) -> None:
         print(f"kronecker wins {name} from m={first} on")
 
 
+def division(rng: random.Random) -> None:
+    wins = {}
+    print(f"{'m':>2} {'s':>2} {'terms':>5} {'long_us':>9} {'run_us':>9}  faster")
+    for m in DIVISOR_TERMS:
+        won = cases = 0
+        for s in DIV_STRIDES:
+            run = tuple(1 if i % s == 0 else 0 for i in range((m - 1) * s + 1))
+            for terms in DIVIDEND_TERMS:
+                if terms < len(run):
+                    continue
+                quot = dense(rng, terms - len(run) + 1, 5, True)
+                a = tuple(_term_product(run, quot))
+                if not _run_quotient(a, 1, m, s) == _long_quotient(a, run) == list(quot):
+                    raise SystemExit(f"the two paths disagree at m={m}, s={s}")
+                long = _time(lambda: _long_quotient(a, run), CALLS // 10)
+                fast = _time(lambda: _run_quotient(a, 1, m, s), CALLS // 10)
+                won += fast < long
+                cases += 1
+                faster = "run" if fast < long else "long"
+                print(f"{m:>2} {s:>2} {terms:>5} {long:>9.2f} {fast:>9.2f}  {faster}")
+        wins[m] = (won, cases)
+    for m, (won, cases) in wins.items():
+        print(f"m={m}: run won {won} of {cases}")
+
+
 def main() -> None:
     rng = random.Random(SEED)
     windows(rng)
     print()
     kronecker(rng)
+    print()
+    division(rng)
 
 
 if __name__ == "__main__":
