@@ -20,6 +20,7 @@ _EXPORTS = {
         "NonExactDivision",
         "TruncSeries",
         "lp_div_exact",
+        "lp_dot",
         "lp_eval_q1",
         "monomial",
         "ts_mul_geometric",

@@ -14,10 +14,14 @@ Two building blocks used everywhere else in the package:
   O(N) products by ``c``, with no convolution.
 
 A product of two Laurent polynomials takes one of four paths, chosen by
-the shape of its factors: by a scalar or a monomial, a shift and scale;
-by a strided run of equal coefficients (a q-integer), window sums; when
-both factors have at least ``_KRONECKER_MIN`` nonzero terms, Kronecker
-substitution, one product of two big ints; otherwise term by term.
+the shape of its factors in ``_times``: by a scalar or a monomial, a shift
+and scale; by a strided run of equal coefficients (a q-integer), window
+sums; when both factors have at least ``_KRONECKER_MIN`` nonzero terms,
+Kronecker substitution, one product of two big ints; otherwise term by
+term. A fifth entry, :func:`lp_dot`, sums products: each takes its path,
+is added into one coefficient list, and the sum is trimmed and wrapped
+once, where ``sum(a * b ...)`` would wrap every product and every partial
+sum.
 An exact quotient by a strided run ``c q^e [m]_{q^s}``, a single term
 among them, is a product by ``1 - q^s`` and a running sum at stride
 ``m s``, both O(len); by any other divisor, ascending long division.
@@ -49,7 +53,7 @@ class NonExactDivision(ArithmeticError):
 
 def _is_int(value) -> bool:
     """An ``int`` that is not a ``bool``."""
-    return isinstance(value, int) and not isinstance(value, bool)
+    return type(value) is int or isinstance(value, int) and not isinstance(value, bool)
 
 
 def _scalar(value) -> int:
@@ -132,8 +136,12 @@ class LaurentPoly:
 
     # -- ring operations -----------------------------------------------
 
+    # Each operator takes an exact LaurentPoly operand as it is, and lifts
+    # any other through _coerce: an exact int first, a bool never.
     @staticmethod
     def _coerce(other) -> "LaurentPoly | None":
+        if type(other) is int:
+            return _make(0, (other,)) if other else _ZERO_POLY
         if isinstance(other, LaurentPoly):
             return other
         if _is_int(other):
@@ -141,7 +149,7 @@ class LaurentPoly:
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is LaurentPoly else self._coerce(other)
         if o is None:
             return NotImplemented
         return _combine(self, o, add)
@@ -152,31 +160,23 @@ class LaurentPoly:
         return _make(self._lo, tuple([-c for c in self._c]))
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is LaurentPoly else self._coerce(other)
         if o is None:
             return NotImplemented
         return _combine(self, o, sub)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is LaurentPoly else self._coerce(other)
         if o is None:
             return NotImplemented
         return _combine(o, self, sub)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is LaurentPoly else self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self._c, o._c
-        if not a or not b:
-            return _ZERO_POLY
-        lo = self._lo + o._lo
-        if len(a) == 1:
-            return _scaled(lo, b, a[0])
-        if len(b) == 1:
-            return _scaled(lo, a, b[0])
-        # the product of two nonzero polynomials has nonzero end terms
-        return _make(lo, tuple(_product(a, b)))
+        lo, cs, s = _times(self, o)
+        return _scaled(lo, cs, s)
 
     __rmul__ = __mul__
 
@@ -194,7 +194,7 @@ class LaurentPoly:
         return _ONE_POLY if result is None else result
 
     def __eq__(self, other) -> bool:
-        o = self._coerce(other)
+        o = other if type(other) is LaurentPoly else self._coerce(other)
         if o is None:
             return NotImplemented
         return self._lo == o._lo and self._c == o._c
@@ -274,7 +274,7 @@ def _trimmed(lo: int, cs: list) -> LaurentPoly:
         start += 1
     if not end:
         return _ZERO_POLY
-    return _make(lo + start, tuple(cs[start:end]))
+    return _make(lo + start, tuple(cs[start:end] if end - start < len(cs) else cs))
 
 
 def _combine(p: LaurentPoly, o: LaurentPoly, op) -> LaurentPoly:
@@ -293,11 +293,12 @@ def _combine(p: LaurentPoly, o: LaurentPoly, op) -> LaurentPoly:
     return _trimmed(lo, out)
 
 
-def _scaled(lo: int, cs: tuple, s: int) -> LaurentPoly:
-    """``s * q^lo * sum(cs[i] q^i)`` for a nonzero scalar ``s``: a shift and
-    scale in O(len); a unit scalar reuses the tuple."""
+def _scaled(lo: int, cs, s: int) -> LaurentPoly:
+    """``s * q^lo * sum(cs[i] q^i)`` for coefficients ``cs`` without end
+    zeros and a nonzero scalar ``s``: a shift and scale in O(len); a unit
+    scalar reuses a tuple."""
     if s == 1:
-        return _make(lo, cs)
+        return _make(lo, tuple(cs)) if cs else _ZERO_POLY
     if s == -1:
         return _make(lo, tuple([-c for c in cs]))
     return _make(lo, tuple([c * s for c in cs]))
@@ -341,11 +342,73 @@ def _window_product(c: int, m: int, s: int, b: tuple) -> list:
     return out
 
 
+def _times(p: LaurentPoly, o: LaurentPoly) -> tuple:
+    """The product ``p o`` as ``(lo, cs, s)``: ``s`` times the coefficients
+    ``cs`` from exponent ``lo``, with no end zeros. Every product of two
+    polynomials, by ``__mul__`` or in ``lp_dot``, is made here: by a scalar
+    or a monomial, ``cs`` is the other factor's tuple and ``s`` the scalar;
+    any other pair goes through ``_product``, with ``s`` = 1."""
+    a, b = p._c, o._c
+    if not a or not b:
+        return 0, (), 1
+    lo = p._lo + o._lo
+    if len(a) == 1:
+        return lo, b, a[0]
+    if len(b) == 1:
+        return lo, a, b[0]
+    # the product of two nonzero polynomials has nonzero end terms
+    return lo, _product(a, b), 1
+
+
+def lp_dot(pairs: Iterable[tuple]) -> LaurentPoly:
+    """``sum(a * b for a, b in pairs)`` for factors that are LaurentPoly
+    values or ints, the zero polynomial for no pairs. Each product of two
+    polynomials takes its path through ``_times``, a product by an int is a
+    scale, and every product is added into one coefficient list, which is
+    trimmed and wrapped once. That list is the first product's own when it
+    is a fresh one, as ``_product`` returns. A ``bool`` or any other factor
+    is a TypeError."""
+    out = None
+    for a, b in pairs:
+        if type(a) is LaurentPoly and type(b) is LaurentPoly:
+            start, cs, s = _times(a, b)
+        elif type(a) is LaurentPoly and type(b) is int:
+            start, cs, s = a._lo, a._c, b
+        elif type(a) is int and type(b) is LaurentPoly:
+            start, cs, s = b._lo, b._c, a
+        else:
+            x, y = LaurentPoly._coerce(a), LaurentPoly._coerce(b)
+            if x is None or y is None:
+                raise TypeError(f"cannot multiply {a!r} by {b!r} in Z[q, q^-1]")
+            start, cs, s = _times(x, y)
+        if not cs or not s:
+            continue
+        if out is None:
+            if type(cs) is list:  # a fresh product, with s = 1
+                lo, out = start, cs
+                continue
+            lo, out = start, [0] * len(cs)
+        i = start - lo
+        if i < 0:
+            out[:0] = repeat(0, -i)
+            lo, i = start, 0
+        j = i + len(cs)
+        if j > len(out):
+            out += repeat(0, j - len(out))
+        if s == 1:
+            out[i:j] = map(add, out[i:j], cs)
+        elif s == -1:
+            out[i:j] = map(sub, out[i:j], cs)
+        else:
+            out[i:j] = map(add, out[i:j], map(mul, repeat(s), cs))
+    return _ZERO_POLY if out is None else _trimmed(lo, out)
+
+
 def _product(a: tuple, b: tuple) -> list:
     """Product of two dense coefficient tuples of two terms or more.
 
-    ``LaurentPoly.__mul__`` has already taken the scalar and monomial
-    products. Of the rest, a factor that is a strided run of more than
+    ``_times`` has already taken the scalar and monomial products. Of the
+    rest, a factor that is a strided run of more than
     ``_RUN_MIN`` equal coefficients, such as ``qint(m, alpha)`` for
     m > _RUN_MIN, goes through ``_window_product``; a pair of which both
     have at least ``_KRONECKER_MIN`` nonzero terms goes through

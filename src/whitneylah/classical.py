@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from .arith import LaurentPoly, NonExactDivision, _is_int
+from .arith import LaurentPoly, NonExactDivision, _is_int, lp_dot
 
 
 class ScaleExceeded(ValueError):
@@ -41,7 +41,7 @@ class InvalidAlpha(ValueError):
 
 
 def _check_alpha(alpha: int) -> None:
-    if not _is_int(alpha) or alpha < 1:
+    if not (type(alpha) is int or _is_int(alpha)) or alpha < 1:
         raise InvalidAlpha(f"alpha must be a positive integer, got {alpha!r}")
 
 
@@ -119,7 +119,8 @@ def _cell(weights: Callable, alpha: int, n: int, k: int, one=1):
     ``one``: its zero outside 0 <= k <= n."""
     if n < 0 or k < 0 or k > n:
         return one - one
-    return _row(weights, alpha, n, k, one)[k]
+    row = _ROWS.get((weights, alpha), {}).get(n, ())
+    return row[k] if k < len(row) else _row(weights, alpha, n, k, one)[k]
 
 
 def _row_sum(weights: Callable, alpha: int, n: int, one=1):
@@ -260,5 +261,6 @@ def genfact_poly(n: int, alpha: int) -> LaurentPoly:
     t = LaurentPoly.var()
     out = LaurentPoly.one()
     for i in range(n):
-        out = out * (t - i * alpha)
+        # out (t - i alpha) as out t + (-i alpha) out: a shift and a scale
+        out = lp_dot(((out, t), (out, -i * alpha)))
     return out

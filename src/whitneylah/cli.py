@@ -16,7 +16,8 @@ those ids.
 Each command imports only the modules it runs, since a cold call pays to
 import them. Every call loads the kernel (``arith``, ``qcalc``) and the
 engine module ``classical``, which defines ``InvalidAlpha``. A family's
-value imports its family module when it is first called: the q-families
+function is read off its family module once per command, which imports
+that module on a cold call: the q-families
 and ``series --id qr1.1`` load ``qwhitney``; ``whitney1``, ``whitney2``,
 ``whitney-lah``, ``dowling`` and ``series --id r3`` load ``whitney``,
 which imports ``fractions``; the classical families load neither. No
@@ -47,7 +48,7 @@ class _Family:
     """An immutable CLI family: its ``kind`` ("triangle" or "sequence"),
     whether it ``takes_alpha`` (if not, --alpha is a usage error; if so, the
     library checks it) and its ``value`` function, (alpha, n[, k]) ->
-    int | LaurentPoly."""
+    int | LaurentPoly, which a command reads once, through ``_bound``."""
 
     # not a NamedTuple, and ``value`` a plain slot, not a property:
     # perfbench's tracer reads ``value`` and swaps it by object.__setattr__
@@ -65,23 +66,36 @@ class _Family:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-def _late(module: str, name: str, takes_alpha: bool) -> Callable:
+class _Late:
     """(alpha, n[, k]) -> ``whitneylah.<module>.<name>`` at those arguments,
-    the alpha dropped if the function takes none. The module is imported and
-    the name read at each call, so a cold call loads only the family module
+    the alpha dropped if the function takes none. ``bind`` imports the
+    module and reads the name, so a cold call loads only the family module
     it runs, and a rebound name (perfbench's tracer wraps them) is the one
-    run."""
-    path = f"whitneylah.{module}"
+    run; a call binds and runs it once."""
 
-    def value(alpha, *args):
-        fn = getattr(import_module(path), name)
-        return fn(alpha, *args) if takes_alpha else fn(*args)
+    __slots__ = ("path", "name", "takes_alpha")
 
-    return value
+    def __init__(self, module: str, name: str, takes_alpha: bool):
+        self.path, self.name, self.takes_alpha = f"whitneylah.{module}", name, takes_alpha
+
+    def bind(self) -> Callable:
+        fn = getattr(import_module(self.path), self.name)
+        return fn if self.takes_alpha else lambda alpha, *args: fn(*args)
+
+    def __call__(self, alpha, *args):
+        return self.bind()(alpha, *args)
+
+
+def _bound(fam: _Family) -> Callable:
+    """The function of ``fam.value`` for one command's calls: a ``_Late``
+    value bound once, any other value, such as a wrapper put in its slot,
+    as it is."""
+    value = fam.value
+    return value.bind() if type(value) is _Late else value
 
 
 FAMILIES: dict[str, _Family] = {
-    family: _Family(kind, takes_alpha, _late(module, name, takes_alpha))
+    family: _Family(kind, takes_alpha, _Late(module, name, takes_alpha))
     for family, kind, takes_alpha, module, name in (
         ("lah", "triangle", False, "classical", "lah"),
         ("stirling1u", "triangle", False, "classical", "stirling1u"),
@@ -100,7 +114,7 @@ FAMILIES: dict[str, _Family] = {
 }
 
 # series id -> the family module and the name of its check, imported and
-# read at call time, as a family's value is
+# read once per command, as a family's value is
 SERIES_CHECKS = {
     "r3": ("whitney", "twl_egf_check"),
     "qr1.1": ("qwhitney", "qwl_egf_check"),
@@ -140,10 +154,11 @@ def _cmd_table(args) -> int:
         raise _UsageError("--n-max must be non-negative")
     ns = range(args.n_max + 1)
     triangle = fam.kind == "triangle"
+    value = _bound(fam)
     if triangle:
-        rows = ([str(fam.value(alpha, n, k)) for k in range(n + 1)] for n in ns)
+        rows = ([str(value(alpha, n, k)) for k in range(n + 1)] for n in ns)
     else:
-        rows = (str(fam.value(alpha, n)) for n in ns)
+        rows = (str(value(alpha, n)) for n in ns)
     if args.format == "json":
         import json
 
@@ -153,10 +168,10 @@ def _cmd_table(args) -> int:
         return 0
     first = next(rows)
     print("n,k,value" if triangle else "n,value")
+    # one print per row: on an unbuffered stdout each print is two writes
     for n, row in enumerate(chain([first], rows)):
         if triangle:
-            for k, value in enumerate(row):
-                print(f"{n},{k},{value}")
+            print("\n".join([f"{n},{k},{cell}" for k, cell in enumerate(row)]))
         else:
             print(f"{n},{row}")
     return 0
@@ -221,11 +236,9 @@ def _cmd_series(args) -> int:
         tuple(map(str, check(alpha=alpha, k=args.k, n=n, order=args.order)))
         for n in range(args.order + 1)
     ]
-    print("n,lhs,rhs")
-    for n, (lhs, rhs) in enumerate(pairs):
-        print(f"{n},{lhs},{rhs}")
     matched = all(lhs == rhs for lhs, rhs in pairs)
-    print(f"match,{'yes' if matched else 'no'}")
+    lines = [f"{n},{lhs},{rhs}" for n, (lhs, rhs) in enumerate(pairs)]
+    print("\n".join(["n,lhs,rhs", *lines, f"match,{'yes' if matched else 'no'}"]))
     return 0 if matched else 1
 
 

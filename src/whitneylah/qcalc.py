@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .arith import LaurentPoly, _is_int, _make, monomial
+from .arith import _ONE_POLY, LaurentPoly, _is_int, _make, monomial
 from .classical import _cell
 
 
@@ -101,8 +101,7 @@ def qfact(n: int, base: int = 1) -> LaurentPoly:
 
 def _qbinom_weights(base: int, n: int, lo: int, hi: int) -> tuple[list, list]:
     """q-Pascal: u(n,k) = u(n-1,k-1) + q^(base k) u(n-1,k)."""
-    ones = [LaurentPoly.one()] * (hi - lo + 1)
-    return ones, [monomial(base * k) for k in range(lo, hi + 1)]
+    return [_ONE_POLY] * (hi - lo + 1), [monomial(base * k) for k in range(lo, hi + 1)]
 
 
 def qbinom(n: int, k: int, base: int = 1) -> LaurentPoly:
@@ -112,7 +111,7 @@ def qbinom(n: int, k: int, base: int = 1) -> LaurentPoly:
     by the symmetry C(n, k) = C(n, n - k): a k near 0 or n is cheap at any n.
     """
     _check_args(base, n, k)
-    return _cell(_qbinom_weights, base, n, min(k, n - k), LaurentPoly.one())
+    return _cell(_qbinom_weights, base, n, min(k, n - k), _ONE_POLY)
 
 
 def qfalling(n: int, k: int, base: int = 1) -> LaurentPoly:

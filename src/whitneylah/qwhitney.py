@@ -47,10 +47,12 @@ from functools import lru_cache
 from typing import Sequence
 
 from .arith import (
+    _ONE_POLY,
     LaurentPoly,
     TruncSeries,
     _is_int,
     lp_div_exact,
+    lp_dot,
     monomial,
     ts_mul_geometric,
 )
@@ -65,7 +67,7 @@ class InvalidRange(ValueError):
 
 
 def _check_alpha_nonzero(alpha: int) -> None:
-    if not _is_int(alpha) or alpha == 0:
+    if not (type(alpha) is int or _is_int(alpha)) or alpha == 0:
         raise InvalidAlpha(f"alpha must be a nonzero integer, got {alpha!r}")
 
 
@@ -99,32 +101,45 @@ def _qwl_weights(alpha: int, n: int, lo: int, hi: int) -> tuple[list, list]:
 def qw1(alpha: int, n: int, k: int) -> LaurentPoly:
     """Translated q-Whitney number of the first kind."""
     _check_alpha_nonzero(alpha)
-    return _cell(_qw1_weights, alpha, n, k, LaurentPoly.one())
+    return _cell(_qw1_weights, alpha, n, k, _ONE_POLY)
 
 
 def qw2(alpha: int, n: int, k: int) -> LaurentPoly:
     """Translated q-Whitney number of the second kind."""
     _check_alpha_nonzero(alpha)
-    return _cell(_qw2_weights, alpha, n, k, LaurentPoly.one())
+    return _cell(_qw2_weights, alpha, n, k, _ONE_POLY)
 
 
 def qwl(alpha: int, n: int, k: int) -> LaurentPoly:
     """Translated q-Whitney-Lah number, by its triangle recurrence."""
     _check_alpha(alpha)
-    return _cell(_qwl_weights, alpha, n, k, LaurentPoly.one())
+    return _cell(_qwl_weights, alpha, n, k, _ONE_POLY)
+
+
+@lru_cache(maxsize=None)
+def _inverse_weights(alpha: int, k: int) -> tuple[LaurentPoly, ...]:
+    """The weights (-1)^(k-j) q^(alpha C(k-j,2)) C(k,j)_{q^alpha} of the
+    inverse Gaussian-binomial transform's entry k, for j = 0..k."""
+    # j = k // 2 first: its read builds columns 0..k // 2 of row k, which the
+    # reads below it hit, and C(k, j) = C(k, k - j) gives the rest
+    half = [qbinom(k, j, alpha) for j in range(k // 2, -1, -1)][::-1]
+    return tuple(
+        monomial(alpha * math.comb(k - j, 2), (-1) ** (k - j)) * half[min(j, k - j)]
+        for j in range(k + 1)
+    )
 
 
 def _qbinom_inverse_entry(F: Sequence, k: int, alpha: int):
     """Entry k >= 0 of the inverse Gaussian-binomial transform over q^alpha
     of F_0..F_k, Laurent polynomials or series with Laurent coefficients:
-    sum_{j<=k} (-1)^(k-j) q^(alpha C(k-j,2)) C(k,j)_{q^alpha} F_j."""
-    # j = k // 2 first: its read builds columns 0..k // 2 of row k, which the
-    # reads below it hit, and C(k, j) = C(k, k - j) gives the rest
-    half = [qbinom(k, j, alpha) for j in range(k // 2, -1, -1)][::-1]
-    return sum(
-        F[j] * ((-1) ** (k - j) * monomial(alpha * math.comb(k - j, 2)) * half[min(j, k - j)])
-        for j in range(k + 1)
-    )
+    sum_{j<=k} (-1)^(k-j) q^(alpha C(k-j,2)) C(k,j)_{q^alpha} F_j, one
+    ``lp_dot`` per coefficient of a series."""
+    weights = _inverse_weights(alpha, k)
+    if isinstance(F[0], TruncSeries):
+        # zip stops at the shortest series, so the sum has the smallest order
+        columns = zip(*(f.coeffs for f in F[: k + 1]))
+        return TruncSeries([lp_dot(zip(weights, col)) for col in columns])
+    return lp_dot(zip(F, weights))
 
 
 def qwl_explicit(alpha: int, n: int, k: int) -> LaurentPoly:
@@ -157,7 +172,7 @@ def qlah_gr(n: int, k: int, route: str = "recurrence") -> LaurentPoly:
     if route not in QLAH_ROUTES:
         raise ValueError(f"unknown route {route!r}")
     if route == "recurrence":
-        return _cell(_qwl_weights, 1, n, k, LaurentPoly.one())
+        return _cell(_qwl_weights, 1, n, k, _ONE_POLY)
     if not 1 <= k <= n:
         raise InvalidRange(f"closed formula needs 1 <= k <= n, got ({n}, {k})")
     return qbinom(n, k) * qfalling(n - 1, n - k) * monomial(k * (k - 1))
@@ -166,7 +181,7 @@ def qlah_gr(n: int, k: int, route: str = "recurrence") -> LaurentPoly:
 def qdowling(alpha: int, n: int) -> LaurentPoly:
     """Translated q-Dowling number: row sum of the second-kind triangle."""
     _check_alpha(alpha)
-    return _row_sum(_qw2_weights, alpha, n, LaurentPoly.one())
+    return _row_sum(_qw2_weights, alpha, n, _ONE_POLY)
 
 
 def qdowling_qi(alpha: int, n: int) -> LaurentPoly:
@@ -174,10 +189,9 @@ def qdowling_qi(alpha: int, n: int) -> LaurentPoly:
     sum_j (sum_{k<=j} qwl(alpha,j,k)) qw2(-alpha,n,j); the sign of the
     classical alternating formula is carried by the negated alpha."""
     _check_alpha(alpha)
-    total, one = LaurentPoly.zero(), LaurentPoly.one()
-    for j in range(n + 1):
-        total = total + _row_sum(_qwl_weights, alpha, j, one) * qw2(-alpha, n, j)
-    return total
+    return lp_dot(
+        (_row_sum(_qwl_weights, alpha, j, _ONE_POLY), qw2(-alpha, n, j)) for j in range(n + 1)
+    )
 
 
 def qwl_egf_sum_series(alpha: int, k: int, order: int) -> TruncSeries:
@@ -218,7 +232,7 @@ def qwl_egf_check(
 def _qbinom_transform_entry(f: Sequence[LaurentPoly], k: int, alpha: int) -> LaurentPoly:
     """Entry k of the forward Gaussian-binomial transform over q^alpha of
     f_0..f_k: sum_{j<=k} C(k,j)_{q^alpha} f_j."""
-    return sum(qbinom(k, j, alpha) * f[j] for j in range(k + 1))
+    return lp_dot((qbinom(k, j, alpha), f[j]) for j in range(k + 1))
 
 
 def qbinom_transform(f: Sequence[LaurentPoly], alpha: int = 1) -> list[LaurentPoly]:

@@ -31,6 +31,7 @@ from .arith import (
     TruncSeries,
     _is_int,
     lp_div_exact,
+    lp_dot,
     lp_eval_q1,
     monomial,
     ts_mul_geometric,
@@ -69,6 +70,7 @@ from .whitney import (
     twl_egf_check,
 )
 from .qwhitney import (
+    _inverse_weights,
     _qbinom_inverse_entry,
     _qbinom_transform_entry,
     _qwl_egf_cached,
@@ -331,13 +333,12 @@ _Q_ALPHAS = (1, 2)
 
 
 def _chk_stirling_hgf(rel, n):
-    t = LaurentPoly.var()
     if rel == "falling":
-        rhs = sum(_sign(n - k) * stirling1u(n, k) * t**k for k in range(n + 1))
+        rhs = lp_dot((_sign(n - k) * stirling1u(n, k), monomial(k)) for k in range(n + 1))
         return falling_poly(n), rhs
     if rel == "power":
-        return t**n, sum(stirling2(n, k) * falling_poly(k) for k in range(n + 1))
-    return rising_poly(n), sum(stirling1u(n, k) * t**k for k in range(n + 1))
+        return monomial(n), lp_dot((stirling2(n, k), falling_poly(k)) for k in range(n + 1))
+    return rising_poly(n), lp_dot((stirling1u(n, k), monomial(k)) for k in range(n + 1))
 
 
 def _chk_qi_bell(n):
@@ -349,11 +350,10 @@ def _chk_qi_bell(n):
 
 
 def _chk_w_hgf(rel, alpha, n):
-    t = LaurentPoly.var()
     if rel == "first":
-        rhs = sum(tw1(alpha, n, k) * t**k for k in range(n + 1))
+        rhs = lp_dot((tw1(alpha, n, k), monomial(k)) for k in range(n + 1))
         return genfact_poly(n, -alpha), rhs
-    return t**n, sum(tw2(alpha, n, k) * genfact_poly(k, alpha) for k in range(n + 1))
+    return monomial(n), lp_dot((tw2(alpha, n, k), genfact_poly(k, alpha)) for k in range(n + 1))
 
 
 def _chk_wl_rec(alpha, n, k):
@@ -378,8 +378,9 @@ def _chk_twl_route(alpha, n, k, route):
 
 
 def _chk_graham(l, m, s, n):
+    # 0 <= m + j <= l: math.comb takes the first binomial
     lhs = sum(
-        binomial(l, m + j) * binomial(s + j, n) * _sign(j)
+        math.comb(l, m + j) * binomial(s + j, n) * _sign(j)
         for j in range(-m, l - m + 1)
     )
     return lhs, _sign(l + m) * binomial(s - m, n - l)
@@ -421,11 +422,12 @@ def _chk_ortho(order, alpha, n, m):
 def _horner(coeffs: list, factor: Callable[[int], LaurentPoly]) -> LaurentPoly:
     """``sum_k coeffs[k] * factor(0) * ... * factor(k-1)``, nested from the
     inside out as ``coeffs[0] + factor(0) (coeffs[1] + factor(1) (...))``:
-    one product by each ``factor(k)`` for k < len(coeffs) - 1, and none
+    one product by each ``factor(k)`` for k < len(coeffs) - 1, to which
+    ``coeffs[k]`` is added in the product's own list by ``lp_dot``, and none
     between two partial sums."""
     acc = coeffs[-1]
     for k in range(len(coeffs) - 2, -1, -1):
-        acc = coeffs[k] + factor(k) * acc
+        acc = lp_dot(((factor(k), acc), (coeffs[k], 1)))
     return acc
 
 
@@ -473,9 +475,9 @@ def _chk_qr2_1(k, n, mode):
 
 def _chk_inv_qtw(order, alpha, n, m):
     if order == "w1w2":
-        lhs = sum(qw1(alpha, n, j) * qw2(alpha, j, m) for j in range(m, n + 1))
+        lhs = lp_dot((qw1(alpha, n, j), qw2(alpha, j, m)) for j in range(m, n + 1))
     else:
-        lhs = sum(qw2(alpha, n, j) * qw1(alpha, j, m) for j in range(m, n + 1))
+        lhs = lp_dot((qw2(alpha, n, j), qw1(alpha, j, m)) for j in range(m, n + 1))
     return lhs, LaurentPoly.one() if n == m else LaurentPoly.zero()
 
 
@@ -577,7 +579,7 @@ _IDENTITIES = (
         Grid(10, (), (_N,)),
         lambda n: (
             rising_poly(n),
-            sum(lah(n, k) * falling_poly(k) for k in range(n + 1)),
+            lp_dot((lah(n, k), falling_poly(k)) for k in range(n + 1)),
         ),
     ),
     _classical(
@@ -626,7 +628,7 @@ _IDENTITIES = (
         Grid(10, _CLASSICAL_ALPHAS, (_ALPHA, _N)),
         lambda alpha, n: (
             genfact_poly(n, -alpha),
-            sum(twl(alpha, n, k) * genfact_poly(k, alpha) for k in range(n + 1)),
+            lp_dot((twl(alpha, n, k), genfact_poly(k, alpha)) for k in range(n + 1)),
         ),
     ),
     _classical(
@@ -756,7 +758,7 @@ _IDENTITIES = (
         Grid(8, _Q_ALPHAS, _TRIANGLE),
         lambda alpha, n, k: (
             qwl(alpha, n, k),
-            sum(qw1(-alpha, n, j) * qw2(alpha, j, k) for j in range(n + 1)),
+            lp_dot((qw1(-alpha, n, j), qw2(alpha, j, k)) for j in range(n + 1)),
         ),
     ),
     _q(
@@ -895,6 +897,7 @@ _LRU_CACHE_INFO = {
     "egf_series": _egf_series_cached.cache_info,
     "forward_entries": _forward_entry.cache_info,
     "geometric_products": _geometric_product.cache_info,
+    "inverse_weights": _inverse_weights.cache_info,
     "qwl_egf_series": _qwl_egf_cached.cache_info,
     "qint": qint.cache_info,
 }
@@ -1011,7 +1014,8 @@ def report_to_dict(report: Report, *, deterministic: bool = True) -> dict:
     [t|alpha]_n over q^base, the prefixes of ``qfact`` and ``qfalling``
     among them; ``geometric_products`` the stored series products of
     ``pe2``, ``forward_entries`` the stored forward-transform entries F_j
-    of ``qbinom_inv`` by (alpha, sample, j), ``egf_series`` and
+    of ``qbinom_inv`` by (alpha, sample, j), ``inverse_weights`` the stored
+    weights of the inverse transform's entries by (alpha, k), ``egf_series`` and
     ``qwl_egf_series`` the stored series of ``r3``/``lah_egf`` and
     ``qr1.1``, and ``qint`` the entries of that q-primitive's cache."""
     doc = {

@@ -20,6 +20,19 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def count_writes(monkeypatch) -> list:
+    """Every string written to stdout from here on, one entry per write."""
+    writes = []
+
+    class Counting:
+        def write(self, text):
+            writes.append(text)
+            return len(text)
+
+    monkeypatch.setattr(sys, "stdout", Counting())
+    return writes
+
+
 class TestTable:
     def test_whitney_lah_csv(self, capsys):
         code, out, err = run_cli(
@@ -105,6 +118,15 @@ class TestTable:
             expected += ["n,k,value"] if n == 0 else []
             expected += [f"{n},{k},{qw1(2, n, k)}" for k in range(n + 1)]
         assert events == expected
+
+    @pytest.mark.parametrize("family", ["q-whitney1", "q-dowling"])
+    def test_csv_writes_one_print_per_row(self, monkeypatch, family):
+        """The header and each row are one ``print`` each, a text and its
+        newline: two writes, however many cells the row holds."""
+        writes = count_writes(monkeypatch)
+        assert main(["table", "--family", family, "--alpha", "2", "--n-max", "4"]) == 0
+        assert len(writes) == 2 * (1 + 5)
+        assert writes[2] == "0,0,1" if family == "q-whitney1" else "0,1"
 
     def test_alpha_rejected_for_fixed_families(self, capsys):
         code, _, err = run_cli(
@@ -269,6 +291,15 @@ class TestSeries:
         assert (code, ns, out.splitlines()[-1]) == (0, [0, 1, 2, 3], "match,yes")
 
 
+    def test_prints_in_one_write(self, capsys, monkeypatch):
+        argv = ["series", "--id", "qr1.1", "--alpha", "2", "--k", "1", "--order", "3"]
+        _, out, _ = run_cli(capsys, *argv)
+        writes = count_writes(monkeypatch)
+        assert main(argv) == 0
+        assert writes == [out[:-1], "\n"]  # the text and print's newline
+        assert len(out.splitlines()) == 1 + 4 + 1
+
+
 class TestFamilies:
     @pytest.mark.parametrize("command", ["table", "eval"])
     @pytest.mark.parametrize(
@@ -303,6 +334,21 @@ class TestFamilies:
                 "--k", "1",
             )
             assert (code, calls, out) == (0, [(2, 3, 1)], f"{fn(2, 3, 1)}\n")
+
+    @pytest.mark.parametrize("family", ["q-whitney1", "lah"])
+    def test_a_table_reads_the_family_function_once(self, capsys, monkeypatch, family):
+        """A command imports the family module and reads the name once, not
+        once per cell."""
+        lookups = []
+
+        def import_module(path):
+            lookups.append(path)
+            return importlib.import_module(path)
+
+        monkeypatch.setattr(cli, "import_module", import_module)
+        code, out, _ = run_cli(capsys, "table", "--family", family, "--n-max", "5")
+        assert (code, len(out.splitlines())) == (0, 1 + 21)
+        assert lookups == [f"whitneylah.{'qwhitney' if family[0] == 'q' else 'classical'}"]
 
     def test_value_is_swapped_by_object_setattr_only(self, capsys):
         """perfbench's tracer swaps ``value`` by ``object.__setattr__``; a

@@ -248,3 +248,23 @@ def test_a_miss_resumes_from_the_nearest_row_that_covers_its_band(cold_memo):
     # row 25 holds column 0 only, so rows 21..30 come from row 20, 3 wide
     assert _row(counted, 2, 30, 2) == full[30][:3]
     assert sum(cells) == 30
+
+
+def test_a_stored_cell_is_read_without_the_row_builder(cold_memo, monkeypatch):
+    """``_cell`` answers from a stored prefix; a cell past it goes to ``_row``."""
+    from whitneylah import classical
+
+    rows = []
+    row = classical._row
+
+    def counted(weights, alpha, n, k, one=1):
+        rows.append((n, k))
+        return row(weights, alpha, n, k, one)
+
+    monkeypatch.setattr(classical, "_row", counted)
+    assert qw2(2, 6, 3) == _full_rows(_qw2_weights, 2, 6, Q1)[6][3]
+    assert rows == [(6, 3)]
+    assert [qw2(2, 6, k) for k in range(4)] == list(_row(_qw2_weights, 2, 6, 3, Q1)[:4])
+    assert rows == [(6, 3)]
+    qw2(2, 6, 5)
+    assert rows == [(6, 3), (6, 5)]

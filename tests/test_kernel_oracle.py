@@ -4,10 +4,11 @@ kernel it replaced, kept here as a reference implementation.
 Hypothesis draws polynomials with small and big integer coefficients and
 negative exponents, and operands shaped like the q-families' own: runs of
 equal coefficients at a stride, ``c q^s [m]_{q^b}``, and long dense ones.
-Both kernels must agree on every ring operation, on exact division (exact
-and non-exact cases, where a quotient the reference finds only over the
-rationals is non-exact over the integers), on the canonical text form
-byte for byte, and on ``==`` and ``hash``.
+Both kernels must agree on every ring operation, on ``lp_dot``'s sums of
+products, on exact division (exact and non-exact cases, where a quotient
+the reference finds only over the rationals is non-exact over the
+integers), on the canonical text form byte for byte, and on ``==`` and
+``hash``.
 """
 
 from fractions import Fraction
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from whitneylah import arith
 from whitneylah.arith import (
     _KRONECKER_MIN,
     _RUN_MIN,
@@ -24,6 +26,7 @@ from whitneylah.arith import (
     NonExactDivision,
     _run,
     lp_div_exact,
+    lp_dot,
     lp_eval_q1,
 )
 
@@ -576,3 +579,123 @@ def test_q_integer_divisors_take_the_run_path_and_dense_ones_do_not(run_quotient
     # a single term is a run of one
     assert lp_div_exact(x * LaurentPoly({-3: -1}), LaurentPoly({-3: -1})) == x
     assert run_quotients == [(len(x._c), 1, 1)]
+
+
+# -- lp_dot: sums of products in one buffer ----------------------------------
+
+
+@st.composite
+def dot_factors(draw):
+    """A factor of ``lp_dot`` and its reference twin: an int, zero among
+    them, or a polynomial shaped like any the kernel multiplies (sparse,
+    a run, dense enough for Kronecker substitution)."""
+    kind = draw(st.sampled_from(["int", "terms", "run", "kronecker"]))
+    if kind == "int":
+        c = draw(scalars)
+        return c, c
+    maps = {"terms": term_maps, "run": run_maps(), "kronecker": kronecker_maps()}[kind]
+    terms = draw(maps)
+    return LaurentPoly(terms), DictLaurent(terms)
+
+
+def reference_dot(pairs) -> DictLaurent:
+    total = DictLaurent()
+    for x, y in pairs:
+        total = total + (DictLaurent({0: x * y}) if isinstance(x * y, int) else x * y)
+    return total
+
+
+@given(st.lists(st.tuples(dot_factors(), dot_factors()), max_size=6))
+@settings(max_examples=80, deadline=None)
+def test_dot_against_the_reference(terms):
+    pairs = [(a, b) for (a, _), (b, _) in terms]
+    result = lp_dot(iter(pairs))
+    assert type(result) is LaurentPoly
+    agree(result, reference_dot([(ra, rb) for (_, ra), (_, rb) in terms]))
+    # the operands are untouched, and a second sum is the first
+    assert [(a, b) for (a, _), (b, _) in terms] == pairs
+    assert lp_dot(pairs) == result
+
+
+def test_dot_takes_every_product_path(monkeypatch):
+    """Each path of ``_times`` and the scale by an int, counted: a product
+    of two polynomials passes ``_times`` once, and so does one of two ints,
+    lifted to constants; a polynomial times an int is a scale, never."""
+    counts = {"times": 0, "window": 0, "kronecker": 0, "term": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(arith, fn.__name__, wrapper)
+
+    counted("times", arith._times)
+    counted("window", arith._window_product)
+    counted("kronecker", arith._kronecker_product)
+    counted("term", arith._term_product)
+    dense = _factor([3, -1, 4, 1, -5, 9, 2, -6])
+    run = {-2 + 2 * i: -3 for i in range(5)}  # -3 q^-2 [5]_{q^2}
+    sparse = {-3: 2, 0: -1, 4: 7}
+    cases = [
+        (7, sparse),  # int times a polynomial
+        (sparse, -2),  # a polynomial times an int
+        (5, -6),  # two ints
+        (0, dense),  # a zero int
+        ({}, dense),  # the zero polynomial
+        ({-4: -1}, dense),  # a monomial, either side
+        (dense, {3: 2}),
+        (run, dense),  # window sums, either side
+        (sparse, run),
+        (dense, _factor([2, 7, -1, 8, 2, 8], 5)),  # Kronecker substitution
+        (sparse, {1: 1, 2: -1}),  # term by term
+    ]
+    poly = lambda x: LaurentPoly(x) if isinstance(x, dict) else x
+    ref = lambda x: DictLaurent(x) if isinstance(x, dict) else x
+    result = lp_dot((poly(x), poly(y)) for x, y in cases)
+    agree(result, reference_dot([(ref(x), ref(y)) for x, y in cases]))
+    both = sum(isinstance(x, dict) == isinstance(y, dict) for x, y in cases)
+    assert counts == {"times": both, "window": 2, "kronecker": 1, "term": 1}
+
+
+@given(pairs(), pairs())
+def test_dot_cancels_to_zero(x, y):
+    (a, _), (b, _) = x, y
+    cancelling = ([(a, b), (-a, b)], [(a, b), (b, -a)], [(a, 1), (a, -1)], [(a, b), (-1, a * b)])
+    for terms in cancelling:
+        zero = lp_dot(terms)
+        assert zero.is_zero and zero == LaurentPoly.zero()
+        agree(zero, DictLaurent())
+
+
+def test_dot_of_no_pairs_is_the_zero_polynomial():
+    assert type(lp_dot([])) is LaurentPoly
+    assert lp_dot(iter(())).is_zero
+
+
+def test_dot_with_negative_exponents_grows_its_buffer_down_and_up():
+    """A later product reaching below and above the first one's span."""
+    a, b = LaurentPoly({0: 1, 1: 1, 2: 1}), LaurentPoly({0: 2, 1: 3})
+    low, high = LaurentPoly({-9: 5}), LaurentPoly({12: -4})
+    result = lp_dot([(a, b), (low, 1), (high, b)])
+    ref = DictLaurent({0: 1, 1: 1, 2: 1}) * DictLaurent({0: 2, 1: 3})
+    agree(result, ref + DictLaurent({-9: 5}) + DictLaurent({12: -8, 13: -12}))
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [(True, 1), (1, False), (LaurentPoly({1: 1}), True), (False, LaurentPoly({1: 1})),
+     (Fraction(1, 2), LaurentPoly({1: 1})), (LaurentPoly({1: 1}), 2.0), ("q", 1)],
+    ids=repr,
+)
+def test_dot_rejects_bool_and_non_integer_factors(pair):
+    with pytest.raises(TypeError):
+        lp_dot([(LaurentPoly({0: 1}), 1), pair])
+
+
+def test_dot_kronecker_products_are_counted(kronecker_calls):
+    x, y = KRONECKER_CASES["mixed-sign"]
+    a, b = LaurentPoly(_factor(x)), LaurentPoly(_factor(y, 3))
+    assert lp_dot([(a, b), (b, a), (a, 1)]) == a * b + b * a + a
+    # two in the dot, two in the check against ``*``
+    assert kronecker_calls == [(len(x), len(y)), (len(y), len(x))] * 2

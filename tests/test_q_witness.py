@@ -15,7 +15,8 @@ q-factorials of ``gqf_point`` and their special cases ``qfact`` and
 ``qfalling``, over q^b for b = 1..3, negative arguments included. Products
 of random dense operands, which the kernel multiplies by Kronecker
 substitution, are compared at q = 2 and q = 3 with the products of their
-values, and so are both sides of the ``qr1.1`` generating-function check
+values, ``lp_dot``'s sums of such products, of q-integers and of ints with
+the sums of those products, and so are both sides of the ``qr1.1`` generating-function check
 with the value of its series at q. ``qwl_explicit``, whose sum is divided
 by one q-integer at a time through the kernel's run division, is compared
 at q = 2 and q = 3 with the q-Whitney-Lah recurrence over ``Fraction``.
@@ -26,9 +27,9 @@ from fractions import Fraction
 
 import pytest
 
-from whitneylah.arith import _KRONECKER_MIN, LaurentPoly
+from whitneylah.arith import _KRONECKER_MIN, LaurentPoly, lp_dot
 from whitneylah.classical import _cache_stats
-from whitneylah.qcalc import gqf_point, qbinom, qfact, qfalling
+from whitneylah.qcalc import gqf_point, qbinom, qfact, qfalling, qint_signed
 from whitneylah.qwhitney import _qwl_egf_cached, qw1, qw2, qwl, qwl_egf_check, qwl_explicit
 
 TWO = Fraction(2)
@@ -169,6 +170,31 @@ def test_dense_products_at_q_2_and_3_are_the_products_of_the_values(kronecker_ca
             assert at(product, q) == at(x, q) * at(y, q), (x, y, q)
     # every one of them took the Kronecker path
     assert len(kronecker_calls) == len(pairs)
+
+
+def test_dots_at_q_2_and_3_are_the_sums_of_the_products_of_the_values(kronecker_calls):
+    """Sums of up to six products of dense polynomials, q-integers over q^b
+    at any integer argument and ints, zero among them."""
+    rng = random.Random(2004_13416)
+
+    def factor():
+        kind = rng.randrange(3)
+        if kind == 0:
+            return random_dense(rng)
+        if kind == 1:
+            return qint_signed(rng.randrange(-12, 13), rng.randrange(1, 4))
+        return rng.choice((0, 1, -1, rng.randrange(-(10**20), 10**20)))
+
+    def value(x, q: int) -> Fraction:
+        return at(x, q) if isinstance(x, LaurentPoly) else Fraction(x)
+
+    for _ in range(60):
+        pairs = [(factor(), factor()) for _ in range(rng.randrange(7))]
+        total = lp_dot(pairs)
+        for q in (2, 3):
+            expected = sum((value(x, q) * value(y, q) for x, y in pairs), Fraction(0))
+            assert at(total, q) == expected, (pairs, q)
+    assert kronecker_calls
 
 
 def homogeneous(n: int, roots: list) -> Fraction:

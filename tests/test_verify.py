@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from whitneylah import verify
+from whitneylah import arith, verify
 from whitneylah.arith import LaurentPoly, monomial
 from whitneylah.classical import _ROWS, lah
 from whitneylah.qcalc import gqf_point, qfact, qint, qint_signed
@@ -315,6 +315,7 @@ class TestReport:
             "egf_series": _egf_series_cached,
             "forward_entries": verify._forward_entry,
             "geometric_products": verify._geometric_product,
+            "inverse_weights": verify._inverse_weights,
             "qwl_egf_series": _qwl_egf_cached,
             "qint": qint,
         }
@@ -338,6 +339,8 @@ class TestReport:
         assert caches["egf_series"] == 14
         assert caches["qwl_egf_series"] == 1  # qr1.1 at (2, 1), order 8
         assert caches["forward_entries"] == 4  # F_0..F_3 of sample 1 at alpha 2
+        # the weights of entry 1 (qr1.1) and entry 3 (qbinom_inv) at alpha 2
+        assert caches["inverse_weights"] == 2
         assert caches["qint"] == qint.cache_info().currsize > 0
         # rows 1..4 of the suite and row 40: 2 + 3 + 4 + 5 + 41 cells
         tw1_at_2 = {"weights": "_tw1_weights", "alpha": 2, "rows": 5, "cells": 55}
@@ -558,13 +561,14 @@ class TestHornerSums:
     def _trace(monkeypatch) -> tuple[list, list]:
         """Record, from here on, every product of two Laurent polynomials as
         the pair of its operands, leaving out those that build a step factor
-        of a Horner sum; and, per Horner sum, the products it made."""
+        of a Horner sum; and, per Horner sum, the products it made. Every
+        such product, by ``*`` or in ``lp_dot``, passes ``arith._times``."""
         products, sums = [], []
-        mul, horner = LaurentPoly.__mul__, verify._horner
+        times, horner = arith._times, verify._horner
 
         def recorded(x, y):
             products.append((x, y))
-            return mul(x, y)
+            return times(x, y)
 
         def traced(coeffs, factor):
             def step(k):
@@ -578,7 +582,7 @@ class TestHornerSums:
             sums.append(products[start:])
             return out
 
-        monkeypatch.setattr(LaurentPoly, "__mul__", recorded)
+        monkeypatch.setattr(arith, "_times", recorded)
         monkeypatch.setattr(verify, "_horner", traced)
         return products, sums
 
