@@ -18,13 +18,17 @@ the shape of its factors in ``_times``: by a scalar or a monomial, a shift
 and scale; by a strided run of equal coefficients (a q-integer), window
 sums; when both factors have at least ``_KRONECKER_MIN`` nonzero terms,
 Kronecker substitution, one product of two big ints; otherwise term by
-term. A fifth entry, :func:`lp_dot`, sums products: each takes its path,
-is added into one coefficient list, and the sum is trimmed and wrapped
-once, where ``sum(a * b ...)`` would wrap every product and every partial
-sum.
+term. A fifth entry, :func:`lp_dot`, adds products into one coefficient
+list and wraps the sum once.
 An exact quotient by a strided run ``c q^e [m]_{q^s}``, a single term
 among them, is a product by ``1 - q^s`` and a running sum at stride
 ``m s``, both O(len); by any other divisor, ascending long division.
+
+The canonical text of a polynomial, ``LaurentPoly.to_str``, is one ``%``
+format: a table per variable holds the format of each exponent,
+``%d*q^e``; the formats of the nonzero terms are joined by `` + ``, every
+coefficient is filled in at once, and two replacements turn ``+ -c`` into
+``- c`` and drop a unit coefficient's ``1*``.
 
 Integers themselves are Python ``int``: arbitrary precision and already
 canonical, so no wrapper type is introduced. The kernel computes over Z
@@ -38,7 +42,7 @@ so instances may be shared freely between threads.
 from __future__ import annotations
 
 import struct
-from itertools import accumulate, repeat
+from itertools import accumulate, compress, repeat
 from operator import add, mul, sub
 from typing import Iterable, Iterator, Mapping
 
@@ -212,26 +216,27 @@ class LaurentPoly:
 
         Exponent 0 omits the variable, exponent 1 drops ``^1``, and unit
         coefficients on a variable part are elided (``q^2``, ``-q^2``).
-        This rendering is bit-exact for equal polynomials.
+        This rendering is bit-exact for equal polynomials. ``var`` must be
+        an identifier: the formats embed it, and the fixes below hold only
+        if it has no space, ``+``, ``*`` or ``%``.
         """
+        if not var.isidentifier():
+            raise ValueError(f"variable must be an identifier, got {var!r}")
         cs = self._c
         if not cs:
             return "0"
-        lo, end = self._lo, self._lo + len(cs)
-        # the indices of exponents 0 and 2, clipped to the tuple
-        i0, i2 = min(max(-lo, 0), len(cs)), min(max(2 - lo, 0), len(cs))
-        parts = _power_terms(lo, cs[:i0], var)
-        if lo <= 0 < end and (c := cs[-lo]):
-            parts.append(f" - {-c}" if c < 0 else f" + {c}")
-        if lo <= 1 < end and (c := cs[1 - lo]):
-            if c < 0:
-                parts.append(f" - {var}" if c == -1 else f" - {-c}*{var}")
-            else:
-                parts.append(f" + {var}" if c == 1 else f" + {c}*{var}")
-        parts += _power_terms(lo + i2, cs[i2:], var)
-        text = "".join(parts)
-        # the first separator becomes a bare sign, or nothing
-        return text[3:] if text[1] == "+" else "-" + text[3:]
+        lo = self._lo
+        base, fmts = _formats(var, lo, lo + len(cs))
+        fmts = fmts[lo - base : lo - base + len(cs)]
+        if 0 in cs:
+            fmts, cs = compress(fmts, cs), tuple(compress(cs, cs))
+        # "c*q^e" joined by " + ", then "+ -c" -> "- c" and " 1*q" -> " q"
+        text = (" + ".join(fmts) % cs).replace("+ -", "- ").replace(" 1*", " ")
+        if text.startswith("1*"):
+            return text[2:]
+        if text.startswith("-1*"):
+            return "-" + text[3:]
+        return text
 
     def __str__(self) -> str:
         return self.to_str()
@@ -240,16 +245,24 @@ class LaurentPoly:
         return f"LaurentPoly({self.to_str()!r})"
 
 
-def _power_terms(lo: int, cs: tuple, var: str) -> list[str]:
-    """The text of the nonzero terms ``c*var^e`` of coefficients ``cs`` from
-    exponent ``lo``, each with its separator; no exponent may be 0 or 1."""
-    return [
-        (f" - {var}^{e}" if c == -1 else f" - {-c}*{var}^{e}")
-        if c < 0
-        else (f" + {var}^{e}" if c == 1 else f" + {c}*{var}^{e}")
-        for e, c in enumerate(cs, lo)
-        if c
-    ]
+# var -> (lowest exponent, the format of each exponent from it up), replaced
+# whole: no reader sees half a growth; one lost in a race is redone
+_FORMATS: dict[str, tuple[int, tuple]] = {}
+
+
+def _formats(var: str, lo: int, hi: int) -> tuple[int, tuple]:
+    """``_FORMATS[var]``, grown on each side exponents lo..hi-1 pass."""
+    base, fmts = _FORMATS.get(var, (lo, ()))
+    top = base + len(fmts)
+    if lo < base or top < hi:
+
+        def made(e):
+            return "%d" if e == 0 else f"%d*{var}" if e == 1 else f"%d*{var}^{e}"
+
+        fmts = (*map(made, range(lo, base)), *fmts, *map(made, range(top, hi)))
+        base = min(base, lo)
+        _FORMATS[var] = base, fmts
+    return base, fmts
 
 
 def _make(lo: int, cs: tuple) -> LaurentPoly:
@@ -294,9 +307,8 @@ def _combine(p: LaurentPoly, o: LaurentPoly, op) -> LaurentPoly:
 
 
 def _scaled(lo: int, cs, s: int) -> LaurentPoly:
-    """``s * q^lo * sum(cs[i] q^i)`` for coefficients ``cs`` without end
-    zeros and a nonzero scalar ``s``: a shift and scale in O(len); a unit
-    scalar reuses a tuple."""
+    """``s * q^lo * sum(cs[i] q^i)`` for ``cs`` without end zeros and a
+    nonzero ``s``: a shift and scale in O(len); a unit ``s`` reuses a tuple."""
     if s == 1:
         return _make(lo, tuple(cs)) if cs else _ZERO_POLY
     if s == -1:
@@ -405,17 +417,11 @@ def lp_dot(pairs: Iterable[tuple]) -> LaurentPoly:
 
 
 def _product(a: tuple, b: tuple) -> list:
-    """Product of two dense coefficient tuples of two terms or more.
-
-    ``_times`` has already taken the scalar and monomial products. Of the
-    rest, a factor that is a strided run of more than
-    ``_RUN_MIN`` equal coefficients, such as ``qint(m, alpha)`` for
-    m > _RUN_MIN, goes through ``_window_product``; a pair of which both
-    have at least ``_KRONECKER_MIN`` nonzero terms goes through
-    ``_kronecker_product``; any other pair goes through ``_term_product``.
-    ``tools/window_switchover.py`` measures where the first two start to
-    win over the last.
-    """
+    """Product of two dense coefficient tuples of two terms or more (``_times``
+    takes the scalar and monomial products): by ``_window_product`` if a
+    factor is a strided run of more than ``_RUN_MIN`` equal coefficients,
+    such as ``qint(m, alpha)``; by ``_kronecker_product`` if both have at
+    least ``_KRONECKER_MIN`` nonzero terms; else by ``_term_product``."""
     na, nb = len(a) - a.count(0), len(b) - b.count(0)
     s = _run(a, na)
     if s:
@@ -432,15 +438,13 @@ def _product(a: tuple, b: tuple) -> list:
 
 def _kronecker_product(a: tuple, b: tuple) -> list:
     """``a`` times ``b`` by Kronecker substitution (D. Harvey, J. Symbolic
-    Comput. 2009): the coefficients of each factor are laid into
-    fixed-width byte slots of one ``int``, the two ints are multiplied once,
-    and the slots of the product are its coefficients. A slot holds
-    ``max|a| max|b| min(len)``, a bound on every output coefficient, so no
-    slot carries into the next; a slot of up to 8 bytes is widened to 1, 2,
-    4 or 8 bytes, which ``struct`` packs and unpacks in one call. If a
-    factor has a negative coefficient, the slot gains a sign bit and each
-    coefficient is offset by half the slot, h, while it is packed and
-    unpacked, so that every slot holds a non-negative value; the offsets
+    Comput. 2009): each factor's coefficients fill fixed-width byte slots of
+    one ``int``, the two ints are multiplied once, and the product's slots
+    are its coefficients. A slot holds ``max|a| max|b| min(len)``, a bound
+    on every output coefficient, so none carries; one of up to 8 bytes is
+    widened to 1, 2, 4 or 8, which ``struct`` packs in one call. With a
+    negative coefficient, the slot gains a sign bit and each coefficient is
+    offset by half the slot, h, so every slot is non-negative; the offsets
     are taken out of the packed ints."""
     n = len(a) + len(b) - 1
     signed = min(a) < 0 or min(b) < 0
@@ -503,10 +507,9 @@ def monomial(exp: int, coeff: int = 1) -> LaurentPoly:
 def lp_div_exact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """Exact quotient ``a / b`` in the Laurent ring Z[q, q^-1].
 
-    A divisor that is a strided run ``c q^e [m]_{q^s}``, a single term
-    among them, such as a q-integer, goes through
-    ``_run_quotient`` in O(len(a)); any other divisor goes through
-    ascending long division. A quotient coefficient that is not an
+    A strided run ``c q^e [m]_{q^s}`` divisor, a single term or a q-integer
+    among them, goes through ``_run_quotient`` in O(len(a)); any other
+    through ascending long division. A quotient coefficient that is not an
     integer, or a nonzero remainder, raises :class:`NonExactDivision` on
     either path; nothing is ever truncated silently.
     """
@@ -576,11 +579,8 @@ def _long_quotient(a: tuple, div: tuple) -> list | None:
 
 
 def lp_eval_q1(a: LaurentPoly) -> int:
-    """Value at the point q = 1, i.e. the sum of all coefficients.
-
-    Negative exponents contribute like non-negative ones since 1^e = 1.
-    This is a ring homomorphism onto the integers.
-    """
+    """The value at q = 1, the sum of the coefficients: a ring homomorphism
+    onto the integers."""
     return sum(a._c)
 
 

@@ -27,6 +27,7 @@ from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
 from .arith import (
+    _FORMATS,
     LaurentPoly,
     TruncSeries,
     _is_int,
@@ -378,9 +379,12 @@ def _chk_twl_route(alpha, n, k, route):
 
 
 def _chk_graham(l, m, s, n):
-    # 0 <= m + j <= l: math.comb takes the first binomial
+    # 0 <= m + j <= l: math.comb takes the first binomial, and the second
+    # unless its upper argument s + j is negative (n >= 0 on the grid)
     lhs = sum(
-        math.comb(l, m + j) * binomial(s + j, n) * _sign(j)
+        math.comb(l, m + j)
+        * (math.comb(s + j, n) if s + j >= 0 else binomial(s + j, n))
+        * _sign(j)
         for j in range(-m, l - m + 1)
     )
     return lhs, _sign(l + m) * binomial(s - m, n - l)
@@ -910,6 +914,8 @@ def _memo_counts() -> dict:
         **_cache_stats(),
         "gqf_points": len(_GQF_POINTS),
         **{name: info().currsize for name, info in _LRU_CACHE_INFO.items()},
+        # list(...): another thread may grow a table while this one counts
+        "render_formats": sum(len(fmts) for _, fmts in list(_FORMATS.values())),
     }
 
 
@@ -1017,7 +1023,9 @@ def report_to_dict(report: Report, *, deterministic: bool = True) -> dict:
     of ``qbinom_inv`` by (alpha, sample, j), ``inverse_weights`` the stored
     weights of the inverse transform's entries by (alpha, k), ``egf_series`` and
     ``qwl_egf_series`` the stored series of ``r3``/``lah_egf`` and
-    ``qr1.1``, and ``qint`` the entries of that q-primitive's cache."""
+    ``qr1.1``, ``qint`` the entries of that q-primitive's cache, and
+    ``render_formats`` the exponent formats ``LaurentPoly.to_str`` holds,
+    over every variable it has rendered."""
     doc = {
         "config": report.config.as_dict(),
         "total": report.total,

@@ -10,11 +10,13 @@ from whitneylah.qcalc import _GQF_POINTS
 def clear_memos() -> None:
     """Empty every memo that ``Report.caches`` counts: the triangle
     engine's rows, the stored generalized q-factorials (the q-factorials
-    among them) and each ``lru_cache`` of ``verify._LRU_CACHE_INFO``."""
+    among them), each ``lru_cache`` of ``verify._LRU_CACHE_INFO`` and the
+    format tables of ``LaurentPoly.to_str``."""
     from whitneylah.verify import _LRU_CACHE_INFO
 
     _ROWS.clear()
     _GQF_POINTS.clear()
+    arith._FORMATS.clear()
     for info in _LRU_CACHE_INFO.values():
         info.__self__.cache_clear()
 

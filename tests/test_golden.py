@@ -6,7 +6,9 @@ preceded the dense integer kernel; each case is (file name, expected exit
 code, argv).
 """
 
+import contextlib
 import hashlib
+import io
 import json
 from pathlib import Path
 
@@ -75,3 +77,31 @@ def checks_digest(mode: str) -> dict:
 @pytest.mark.parametrize("mode", ["corrected", "as_printed"])
 def test_every_check_matches_golden(mode):
     assert checks_digest(mode) == json.loads((GOLDEN / CHECKS).read_text())[mode]
+
+
+# Every q-family table at n_max 30, in both formats, at alpha 3, -3 and 1
+# (q-lah, which takes no alpha, at 1 alone): family -> format -> alpha ->
+# [exit code, sha256 of stdout]. A table that rejects its alpha exits 2 with
+# nothing on stdout. Captured from the term-by-term renderer that preceded
+# the one-format-per-polynomial ``to_str``.
+Q_TABLES = "q_tables_n30.json"
+
+
+def q_tables_digest() -> dict:
+    digest = {}
+    for family, fam in cli.FAMILIES.items():
+        if not family.startswith("q-"):
+            continue
+        for fmt in ("csv", "json"):
+            for alpha in (3, -3, 1) if fam.takes_alpha else (1,):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                    argv = ["table", "--family", family, "--alpha", str(alpha)]
+                    rc = cli.main(argv + ["--n-max", "30", "--format", fmt])
+                sha = hashlib.sha256(out.getvalue().encode()).hexdigest()
+                digest.setdefault(family, {}).setdefault(fmt, {})[str(alpha)] = [rc, sha]
+    return digest
+
+
+def test_q_tables_match_golden():
+    assert q_tables_digest() == json.loads((GOLDEN / Q_TABLES).read_text())

@@ -11,6 +11,10 @@ integers), on the canonical text form byte for byte, and on ``==`` and
 ``hash``.
 """
 
+import itertools
+import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -473,6 +477,127 @@ def test_to_str_against_the_term_by_term_renderer(terms, var):
     """``to_str`` renders exponents below 0, 0, 1 and from 2 up apart; the
     reference renders the dict form one term at a time."""
     assert LaurentPoly(terms).to_str(var) == DictLaurent(terms).to_str(var)
+
+
+@pytest.fixture
+def formats():
+    """``to_str``'s format tables, empty before and after the test."""
+    arith._FORMATS.clear()
+    yield arith._FORMATS
+    arith._FORMATS.clear()
+
+
+def test_far_spans_grow_each_table_on_the_side_they_pass(formats):
+    """Renders in ``q`` and ``t`` take turns, over spans from -600 to 3000;
+    each table grows on the side a span passes and on no other."""
+    rng = random.Random(23)
+    spans = [(0, 40), (-600, 5), (2900, 3000), (-3, 3), (-40, 2999), (-601, -598)]
+    for i, (lo, hi) in enumerate(spans):
+        terms = {rng.randint(lo, hi): rng.randint(-9, 9) for _ in range(30)}
+        terms.update({lo: rng.choice([1, -1, 7]), hi: -2})
+        for var in ("q", "t") if i % 2 else ("t", "q"):
+            assert LaurentPoly(terms).to_str(var) == DictLaurent(terms).to_str(var)
+        lows, highs = zip(*spans[: i + 1])
+        for var in ("q", "t"):
+            base, fmts = formats[var]
+            assert (base, base + len(fmts)) == (min(lows), max(highs) + 1)
+    assert formats["q"][1][601:604] == ("%d", "%d*q", "%d*q^2")
+    assert formats["t"][1][:2] == ("%d*t^-601", "%d*t^-600")
+
+
+@pytest.mark.parametrize("lo", [-1, 0, 1, 2])
+def test_runs_of_units_across_exponents_0_and_1(lo):
+    """Every pattern of -1, 0 and 1 over four exponents from ``lo``, in
+    runs that cross -1, 0, 1 and 2, and beside them 11, -11 and 21, whose
+    digits end in 1."""
+    for cs in itertools.product((-1, 0, 1, 11, -11, 21), repeat=4):
+        terms = {lo + i: c for i, c in enumerate(cs)}
+        for var in ("q", "t"):
+            assert LaurentPoly(terms).to_str(var) == DictLaurent(terms).to_str(var)
+
+
+def test_interior_zeros_and_300_digit_coefficients():
+    rng = random.Random(300)
+    big = [rng.choice([1, -1]) * rng.randrange(10**299, 10**300) for _ in range(60)]
+    terms = {e: big[i] if i % 3 else 0 for i, e in enumerate(range(-20, 40))}
+    terms[-20] = big[0]
+    terms.update({-19: 1, 1: -1, 2: 1})
+    assert LaurentPoly(terms).to_str() == DictLaurent(terms).to_str()
+    assert LaurentPoly(terms).to_str("t") == DictLaurent(terms).to_str("t")
+
+
+def test_a_second_render_does_not_grow_the_table(formats):
+    p = LaurentPoly({-5: 3, 0: 1, 9: -1})
+    first = p.to_str()
+    table = formats["q"]
+    assert p.to_str() == first
+    assert LaurentPoly({-2: 1, 4: 2}).to_str() == "q^-2 + 2*q^4"
+    assert formats["q"] is table
+    assert (table[0], len(table[1])) == (-5, 15)
+
+
+def test_threads_growing_one_table_render_every_polynomial_right(formats):
+    """Eight threads render in turns polynomials whose spans push the table
+    of ``q`` down and up; a growth one thread loses to another's is made
+    again, and every text matches the reference."""
+    polys = [{e: 3, e + 1: -1, -e: 1} for e in range(1, 400, 7)]
+    want = [DictLaurent(t).to_str() for t in polys]
+    wrong = []
+
+    def render(k):
+        for i in range(k % 3, len(polys), 3):
+            if LaurentPoly(polys[i]).to_str() != want[i]:
+                wrong.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=render, args=(k,)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    base, fmts = formats["q"]
+    assert all(f == {0: "%d", 1: "%d*q"}.get(e, f"%d*q^{e}") for e, f in enumerate(fmts, base))
+
+
+@pytest.mark.parametrize("var", ["", "q t", "q+", "q*", "%d", "1q", "q^", "-q"])
+def test_to_str_rejects_a_variable_that_is_not_an_identifier(var, formats):
+    for p in (LaurentPoly({-1: 2, 1: -1}), LaurentPoly()):
+        with pytest.raises(ValueError, match="identifier"):
+            p.to_str(var)
+    assert var not in formats
+
+
+@pytest.fixture
+def digit_limit():
+    """Restores CPython's int->str digit limit after the test."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("no int->str digit limit in this Python")
+    limit = sys.get_int_max_str_digits()
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+def test_a_coefficient_past_the_digit_limit(digit_limit):
+    """Under the default limit of 4300 digits, a 5000-digit coefficient
+    raises the ValueError of ``str(int)``; with the limit lifted, as the
+    CLI lifts it, it renders in full."""
+    c = 10**4999 + 7
+    p = LaurentPoly({0: 1, 3: -c})
+    sys.set_int_max_str_digits(4300)
+    with pytest.raises(ValueError) as rendered:
+        p.to_str()
+    with pytest.raises(ValueError) as converted:
+        str(c)
+    assert str(rendered.value) == str(converted.value)
+    sys.set_int_max_str_digits(0)
+    assert p.to_str() == f"1 - {c}*q^3"
+    assert p.to_str() == DictLaurent({0: 1, 3: -c}).to_str()
 
 
 # -- run division ------------------------------------------------------------

@@ -331,7 +331,7 @@ class TestReport:
         assert report_to_json(report) == cold
         assert "caches" not in report_to_dict(report)
         caches = report_to_dict(report, deterministic=False)["caches"]
-        assert set(caches) == {"triangles", "gqf_points", *lru_caches}
+        assert set(caches) == {"triangles", "gqf_points", "render_formats", *lru_caches}
         # [3|-1]_1..4, and qr1.1's [3]! over q^2, that is [1|-1]_1..3 over q^2
         assert caches["gqf_points"] == 4 + 3
         assert caches["geometric_products"] == 1  # prod_{i<3} 1/(1 - q^i t)
@@ -387,7 +387,7 @@ class TestReport:
     def test_cold_memo_empties_every_memo_the_report_counts(self, cold_memo):
         caches = verify._memo_counts()
         assert caches.pop("triangles") == []
-        assert set(caches) == {"gqf_points", *verify._LRU_CACHE_INFO}
+        assert set(caches) == {"gqf_points", "render_formats", *verify._LRU_CACHE_INFO}
         assert all(count == 0 for count in caches.values()), caches
 
 
