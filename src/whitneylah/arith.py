@@ -32,8 +32,8 @@ coefficient is filled in at once, and two replacements turn ``+ -c`` into
 
 Integers themselves are Python ``int``: arbitrary precision and already
 canonical, so no wrapper type is introduced. The kernel computes over Z
-alone; the package's one rational series, the ``1/k!`` of
-``whitney.twl_egf_series``, is formed in ``whitney.py``.
+alone, as does the ``r3`` check; only ``whitney.twl_egf_series`` divides
+its series by k!, in ``whitney.py``.
 
 All values are immutable after construction and all operations are pure,
 so instances may be shared freely between threads.
@@ -588,7 +588,7 @@ class TruncSeries:
     """Power series truncated at a fixed order N (exact modulo t^(N+1)).
 
     Coefficients need only ring arithmetic: ints, LaurentPoly values, or
-    the rationals that ``twl_egf_series`` stores. Scalar operands are ints
+    the rationals of ``twl_egf_series``. Scalar operands are ints
     and LaurentPoly values. Missing coefficients are the zero of the ring
     (the zero polynomial when any coefficient is a LaurentPoly, else 0).
     Binary operations between series of different orders truncate to the

@@ -19,10 +19,10 @@ engine module ``classical``, which defines ``InvalidAlpha``. A family's
 function is read off its family module once per command, which imports
 that module on a cold call: the q-families
 and ``series --id qr1.1`` load ``qwhitney``; ``whitney1``, ``whitney2``,
-``whitney-lah``, ``dowling`` and ``series --id r3`` load ``whitney``,
-which imports ``fractions``; the classical families load neither. No
-command but ``verify`` imports the identity registry (``verify``); only a
-JSON table and ``verify`` load ``json``. No command loads ``dataclasses``,
+``whitney-lah``, ``dowling`` and ``series --id r3`` load ``whitney``; the
+classical families load neither. Only ``verify`` imports the identity
+registry (``verify``) and ``fractions``; only a JSON table and ``verify``
+load ``json``. No command loads ``dataclasses``,
 which would bring in ``inspect`` and a dozen more modules: the registry's
 records are NamedTuples and ``__slots__`` classes.
 
@@ -232,13 +232,19 @@ def _cmd_series(args) -> int:
     module, name = SERIES_CHECKS[args.id]
     check = getattr(import_module(f"whitneylah.{module}"), name)
     alpha = 1 if args.alpha is None else args.alpha
-    pairs = [
-        tuple(map(str, check(alpha=alpha, k=args.k, n=n, order=args.order)))
-        for n in range(args.order + 1)
-    ]
-    matched = all(lhs == rhs for lhs, rhs in pairs)
-    lines = [f"{n},{lhs},{rhs}" for n, (lhs, rhs) in enumerate(pairs)]
-    print("\n".join(["n,lhs,rhs", *lines, f"match,{'yes' if matched else 'no'}"]))
+    # a row matches when its sides are equal values, as in ``verify``; equal
+    # values have one canonical text, so a matching row renders it once
+    lines, matched = ["n,lhs,rhs"], True
+    for n in range(args.order + 1):
+        lhs, rhs = check(alpha=alpha, k=args.k, n=n, order=args.order)
+        text = str(lhs)
+        if lhs == rhs:
+            lines.append(f"{n},{text},{text}")
+        else:
+            matched = False
+            lines.append(f"{n},{text},{rhs}")
+    lines.append(f"match,{'yes' if matched else 'no'}")
+    print("\n".join(lines))
     return 0 if matched else 1
 
 

@@ -572,7 +572,7 @@ _IDENTITIES = (
         "sum_n L(n,k) t^n/n! = (1/k!) (t/(1-t))^k",
         Grid(12, (), (("k", range(7)), _N)),
         lambda k, n: (
-            _egf_series_cached(1, k, max(12, n)).coeff(n),
+            Fraction(_egf_series_cached(1, k, max(12, n)).coeff(n), math.factorial(k)),
             Fraction(lah(n, k), math.factorial(n)),
         ),
     ),

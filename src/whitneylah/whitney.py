@@ -12,16 +12,18 @@ whose comment block states how it builds, stores and resumes rows. Values
 and row sums are read through the engine's ``_cell`` and ``_row_sum``.
 
 ``twl_egf_check`` is the ``r3`` identity of the registry, the EGF of a
-Whitney-Lah column against the engine's triangle; the CLI's ``series``
-runs it without loading the registry.
+Whitney-Lah column against the engine's triangle, computed over the
+integers; the CLI's ``series`` runs it without loading the registry. Only
+``twl_egf_series``, the explicit two-sequence formula and the Dobinski
+bracket compute with rationals, and they import ``fractions`` when called,
+so the Whitney and Dowling families and ``r3`` run without it.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .arith import NonExactDivision, TruncSeries, _is_int, ts_mul_geometric
 from .classical import (
@@ -33,6 +35,9 @@ from .classical import (
     _tw2_weights,
     lah,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 TWL_METHODS = ("recurrence", "explicit", "product", "scaled")
 
@@ -142,6 +147,8 @@ def _mansour_recurrence(spec: MansourSpec, n: int, k: int) -> Fraction | int:
 
 
 def _mansour_explicit(spec: MansourSpec, n: int, k: int, denom_bound: int) -> Fraction:
+    from fractions import Fraction
+
     bs = [spec.b(j) for j in range(max(k, denom_bound) + 1)]
     if len(set(bs[: k + 1])) != k + 1:
         raise DuplicateBValues(f"b_0..b_{k} must be pairwise distinct, got {bs[:k + 1]}")
@@ -191,6 +198,8 @@ def dowling_dobinski(alpha: int, n: int) -> int:
     and holds the integer D, its lower end rounded up. A product that does
     not show this raises ``ArithmeticError``.
     """
+    from fractions import Fraction
+
     _check_alpha(alpha)
     if not _is_int(n) or n < 0:
         raise ValueError(f"n must be a non-negative integer, got {n!r}")
@@ -232,9 +241,23 @@ def twl_egf_series(alpha: int, k: int, order: int) -> TruncSeries:
     (1/k!) (t/(1 - alpha t))^k, truncated at the given order.
 
     Its t^n coefficient times n! recovers twl(alpha, n, k) exactly. The
-    power is t^k multiplied k times by 1/(1 - alpha t): k O(N) passes over
-    the integers, no series product.
+    ``Fraction`` series divides the stored integer series of
+    ``_egf_series_cached`` by k!, coefficient by coefficient.
     """
+    from fractions import Fraction
+
+    powered = _egf_series_cached(alpha, k, order)
+    if k > order:  # the zero series, with no k! to compute
+        return powered
+    kfact = math.factorial(k)
+    return TruncSeries([Fraction(c, kfact) for c in powered.coeffs], order)
+
+
+@lru_cache(maxsize=None)
+def _egf_series_cached(alpha: int, k: int, order: int) -> TruncSeries:
+    """(t/(1 - alpha t))^k, k! times the EGF of the Whitney-Lah column k,
+    over the integers and truncated at the given order: t^k multiplied k
+    times by 1/(1 - alpha t), k O(N) passes and no series product."""
     _check_alpha(alpha)
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
@@ -243,19 +266,19 @@ def twl_egf_series(alpha: int, k: int, order: int) -> TruncSeries:
     powered = TruncSeries([0] * k + [1], order)
     for _ in range(k):
         powered = ts_mul_geometric(powered, alpha)
-    kfact = math.factorial(k)
-    return TruncSeries([Fraction(c, kfact) for c in powered.coeffs], order)
+    return powered
 
 
-@lru_cache(maxsize=None)
-def _egf_series_cached(alpha: int, k: int, order: int) -> TruncSeries:
-    return twl_egf_series(alpha, k, order)
-
-
-def twl_egf_check(alpha: int, k: int, n: int, order: int = 12) -> tuple[Fraction, int]:
-    """Both sides of the Whitney-Lah EGF identity (``r3``) at (alpha, k, n):
-    n! times the t^n coefficient of ``twl_egf_series``, truncated at
-    max(order, n), and ``twl(alpha, n, k)`` from the triangle engine."""
+def twl_egf_check(alpha: int, k: int, n: int, order: int = 12) -> tuple[int, int]:
+    """Both sides of the Whitney-Lah EGF identity (``r3``) at (alpha, k, n),
+    as exact integers: n! times the t^n coefficient of (t/(1 - alpha t))^k,
+    truncated at max(order, n), divided by k!, and ``twl(alpha, n, k)``
+    from the triangle engine. A division that leaves a remainder raises
+    ``NonExactDivision``."""
     # the series comes first: it rejects a bad alpha with InvalidAlpha
-    lhs = _egf_series_cached(alpha, k, max(order, n)).coeff(n) * math.factorial(n)
+    scaled = _egf_series_cached(alpha, k, max(order, n)).coeff(n) * math.factorial(n)
+    # a zero side needs no k!, which is costly for a k far past n
+    lhs, rem = divmod(scaled, math.factorial(k)) if scaled else (0, 0)
+    if rem:
+        raise NonExactDivision(f"{n}! times the t^{n} coefficient is not divisible by {k}!")
     return lhs, twl(alpha, n, k)

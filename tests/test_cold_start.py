@@ -143,7 +143,7 @@ _LOADED_BY = """
 import contextlib, io, sys
 watched = {
     "whitneylah.verify", "dataclasses", "inspect", "json",
-    "whitneylah.whitney", "whitneylah.qwhitney", "fractions",
+    "whitneylah.whitney", "whitneylah.qwhitney", "fractions", "decimal",
 }
 before = set(sys.modules)
 from whitneylah.cli import main
@@ -161,7 +161,7 @@ def loaded_by(*argvs: str) -> list[str]:
     return run.stdout.split()
 
 
-BOTH_FAMILY_MODULES = ["fractions", "whitneylah.qwhitney", "whitneylah.whitney"]
+BOTH_FAMILY_MODULES = ["whitneylah.qwhitney", "whitneylah.whitney"]
 
 
 class TestImportSet:
@@ -213,13 +213,25 @@ class TestImportSet:
             "series --id r3 --alpha 2 --k 3 --order 5",
             "eval --family whitney1 --alpha 2 --n 5 --k 2",
         )
-        assert loaded == ["fractions", "whitneylah.whitney"]
+        assert loaded == ["whitneylah.whitney"]
+
+    def test_r3_and_the_whitney_families_load_neither_fractions_nor_decimal(self):
+        """``r3`` runs over the integers, and ``whitney`` imports
+        ``fractions`` (and with it ``decimal``) only where it divides."""
+        loaded = loaded_by(
+            "series --id r3 --alpha 3 --k 2 --order 40",
+            "eval --family whitney1 --alpha 2 --n 5 --k 2",
+            "eval --family dowling --alpha 2 --n 5",
+            "table --family whitney-lah --alpha 2 --n-max 5",
+        )
+        assert loaded == ["whitneylah.whitney"]
 
     def test_json_verify_loads_json_and_the_registry_only(self):
-        """Besides the family modules that the registry checks."""
+        """Besides the family modules that the registry checks, and
+        ``fractions``, which its rational checks use."""
         loaded = loaded_by("verify --n-max 1 --format json")
         assert sorted(set(loaded) - set(BOTH_FAMILY_MODULES)) == [
-            "json", "whitneylah.verify",
+            "decimal", "fractions", "json", "whitneylah.verify",
         ]
 
     def test_json_table_loads_json_only(self):

@@ -105,3 +105,30 @@ def q_tables_digest() -> dict:
 
 def test_q_tables_match_golden():
     assert q_tables_digest() == json.loads((GOLDEN / Q_TABLES).read_text())
+
+
+# ``series`` rows of both ids, deep and at the edges (k = 0, k > order,
+# order 0): id -> "alpha,k,order" -> [exit code, sha256 of stdout].
+# Captured from the ``Fraction`` series whose every row rendered both sides.
+SERIES_ROWS = "series_rows.json"
+SERIES_CASES = {
+    "r3": ((2, 2, 350), (3, 3, 300), (1, 0, 40), (2, 7, 40), (3, 9, 4), (1, 2, 0), (2, 3, 1200)),
+    "qr1.1": ((3, 3, 10), (6, 2, 8), (1, 4, 12), (2, 0, 6)),
+}
+
+
+def series_rows_digest() -> dict:
+    digest = {}
+    for ident, cases in SERIES_CASES.items():
+        for alpha, k, order in cases:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                argv = ["series", "--id", ident, "--alpha", str(alpha), "--k", str(k)]
+                rc = cli.main(argv + ["--order", str(order)])
+            sha = hashlib.sha256(out.getvalue().encode()).hexdigest()
+            digest.setdefault(ident, {})[f"{alpha},{k},{order}"] = [rc, sha]
+    return digest
+
+
+def test_series_rows_match_golden():
+    assert series_rows_digest() == json.loads((GOLDEN / SERIES_ROWS).read_text())
