@@ -253,11 +253,13 @@ def twl_egf_series(alpha: int, k: int, order: int) -> TruncSeries:
     return TruncSeries([Fraction(c, kfact) for c in powered.coeffs], order)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _egf_series_cached(alpha: int, k: int, order: int) -> TruncSeries:
     """(t/(1 - alpha t))^k, k! times the EGF of the Whitney-Lah column k,
     over the integers and truncated at the given order: t^k multiplied k
-    times by 1/(1 - alpha t), k O(N) passes and no series product."""
+    times by 1/(1 - alpha t), k O(N) passes and no series product. The
+    memo is typed, so ``True`` or ``1.0`` never reads the entry of 1 and
+    meets ``_check_alpha`` instead."""
     _check_alpha(alpha)
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")

@@ -209,16 +209,11 @@ class TestImportSet:
         assert loaded == []
 
     def test_r3_and_whitney1_load_no_q_family(self):
+        """Nor ``fractions`` or ``decimal``: ``r3`` runs over the integers,
+        and ``whitney`` imports ``fractions`` (and with it ``decimal``)
+        only where it divides."""
         loaded = loaded_by(
             "series --id r3 --alpha 2 --k 3 --order 5",
-            "eval --family whitney1 --alpha 2 --n 5 --k 2",
-        )
-        assert loaded == ["whitneylah.whitney"]
-
-    def test_r3_and_the_whitney_families_load_neither_fractions_nor_decimal(self):
-        """``r3`` runs over the integers, and ``whitney`` imports
-        ``fractions`` (and with it ``decimal``) only where it divides."""
-        loaded = loaded_by(
             "series --id r3 --alpha 3 --k 2 --order 40",
             "eval --family whitney1 --alpha 2 --n 5 --k 2",
             "eval --family dowling --alpha 2 --n 5",

@@ -29,6 +29,7 @@ from whitneylah.whitney import (
     tw1,
     tw2,
     twl,
+    twl_egf_check,
     twl_egf_series,
 )
 
@@ -42,6 +43,8 @@ from whitneylah.whitney import (
         (dowling, (3,)),
         (dowling_dobinski, (3,)),
         (dowling_qi, (3,)),
+        (twl_egf_series, (3, 5)),
+        (twl_egf_check, (3, 5)),
     ],
 )
 def test_bool_alpha_is_rejected(family, args):
@@ -49,6 +52,16 @@ def test_bool_alpha_is_rejected(family, args):
     family(1, *args)
     with pytest.raises(InvalidAlpha):
         family(True, *args)
+
+
+def test_float_alpha_misses_the_egf_memo():
+    # the memo is typed: 2.0 == 2 hashes alike, but must not read 2's entry
+    twl_egf_series(2, 3, 10)
+    twl_egf_check(2, 3, 5)
+    with pytest.raises(InvalidAlpha):
+        twl_egf_series(2.0, 3, 10)
+    with pytest.raises(InvalidAlpha):
+        twl_egf_check(2.0, 3, 5)
 
 
 class TestFirstKind:

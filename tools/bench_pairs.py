@@ -9,9 +9,10 @@ DIR is the root of a checkout, each side with its own ``perfbench/`` and
 ``src/``. Pair i runs both sides at seed ``seed-base + i``, one after the
 other, the parent first when i is even and the change first when it is
 odd, so neither side always meets the machine in the same state. Each run
-is ``python3 perfbench/run.py --workload W --seed S --seconds T --trace 0``
-in its own checkout, one process at a time; its last stdout line, one JSON
-object, is kept whole under ``runs``.
+is ``python3 perfbench/run.py --workload W --seed S --trace 0`` in its own
+checkout, one process at a time, for the run length that ``run.py`` sets
+itself; its last stdout line, one JSON object, is kept whole under
+``runs``.
 
 Per workload and end-to-end metric, ``summary`` holds each side's median
 and quartiles (``statistics.quantiles``, inclusive method), the change's
@@ -40,10 +41,10 @@ import sys
 from pathlib import Path
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(root: Path, workload: str, seed: int) -> dict:
     """One benchmark run in the checkout at ``root``: its JSON result line."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
-            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+            "--seed", str(seed), "--trace", "0"]
     done = subprocess.run(argv, cwd=root, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
@@ -93,7 +94,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True, action="append", help="repeat for several")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed-base", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=15)
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args(argv)
     if args.pairs < 2:
@@ -103,7 +103,6 @@ def main(argv=None) -> int:
 
     doc = {
         "command": "tools/bench_pairs.py " + " ".join(sys.argv[1:] if argv is None else argv),
-        "seconds": args.seconds,
         "pairs": args.pairs,
         "seed_base": args.seed_base,
         "python": platform.python_version(),
@@ -116,7 +115,7 @@ def main(argv=None) -> int:
             seed = args.seed_base + i
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                result = run_once(roots[side], workload, seed, args.seconds)
+                result = run_once(roots[side], workload, seed)
                 runs.append({"pair": i, "side": side, "seed": seed, "result": result})
                 value = result["metrics"]["warm_wall_s"]["value"]
                 print(f"{workload} pair {i} {side}: warm_wall_s {value:.4f}", file=sys.stderr)
