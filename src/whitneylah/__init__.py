@@ -19,6 +19,7 @@ _EXPORTS = {
         "LaurentPoly",
         "NonExactDivision",
         "TruncSeries",
+        "clear_caches",
         "lp_div_exact",
         "lp_dot",
         "lp_eval_q1",

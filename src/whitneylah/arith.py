@@ -44,7 +44,7 @@ from __future__ import annotations
 import struct
 from itertools import accumulate, compress, repeat
 from operator import add, mul, sub
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -245,9 +245,38 @@ class LaurentPoly:
         return f"LaurentPoly({self.to_str()!r})"
 
 
+# Every memo of the package by its name in ``Report.caches``: a function that
+# counts its entries and one that empties it, entered where the memo is defined.
+_MEMOS: dict[str, tuple[Callable[[], object], Callable[[], None]]] = {}
+
+
+def _lru_memo(name: str) -> Callable:
+    """Decorator: enter the ``lru_cache`` below it as ``name``, by methods
+    bound here: a tracer may rebind its name to a wrapper without them."""
+
+    def enter(cached):
+        info = cached.cache_info
+        _MEMOS[name] = (lambda: info().currsize), cached.cache_clear
+        return cached
+
+    return enter
+
+
+def clear_caches() -> None:
+    """Empty every memo of the package that ``Report.caches`` counts. A
+    module not imported yet has entered no memo, and holds none."""
+    for _, clear in list(_MEMOS.values()):
+        clear()
+
+
 # var -> (lowest exponent, the format of each exponent from it up), replaced
 # whole: no reader sees half a growth; one lost in a race is redone
 _FORMATS: dict[str, tuple[int, tuple]] = {}
+# list(...): another thread may grow a table while this one counts
+_MEMOS["render_formats"] = (
+    lambda: sum(len(fmts) for _, fmts in list(_FORMATS.values())),
+    _FORMATS.clear,
+)
 
 
 def _formats(var: str, lo: int, hi: int) -> tuple[int, tuple]:

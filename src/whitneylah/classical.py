@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from .arith import LaurentPoly, NonExactDivision, _is_int, lp_dot
+from .arith import _MEMOS, LaurentPoly, NonExactDivision, _is_int, lp_dot
 
 
 class ScaleExceeded(ValueError):
@@ -73,7 +73,7 @@ def _check_alpha(alpha: int) -> None:
 _ROWS: dict[tuple[Callable, int], dict[int, tuple]] = {}
 
 
-def _cache_stats() -> dict:
+def _triangles() -> list[dict]:
     """How full the triangle engine's memo is: each triangle's stored rows
     and cells, by weights function and alpha."""
     triangles = [
@@ -86,7 +86,10 @@ def _cache_stats() -> dict:
         # list(...): another thread may store a row while this one counts
         for (weights, alpha), rows in list(_ROWS.items())
     ]
-    return {"triangles": sorted(triangles, key=lambda t: (t["weights"], t["alpha"]))}
+    return sorted(triangles, key=lambda t: (t["weights"], t["alpha"]))
+
+
+_MEMOS["triangles"] = _triangles, _ROWS.clear
 
 
 def _row(weights: Callable, alpha: int, n: int, k: int, one=1) -> tuple:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .arith import _ONE_POLY, LaurentPoly, _is_int, _make, monomial
+from .arith import _MEMOS, _ONE_POLY, LaurentPoly, _is_int, _lru_memo, _make, monomial
 from .classical import _cell
 
 
@@ -47,6 +47,7 @@ def _check_args(base: int, *args: int) -> None:
         raise ValueError(f"arguments must be integers, got {args!r}")
 
 
+@_lru_memo("qint")
 @lru_cache(maxsize=None, typed=True)
 def qint(n: int, base: int = 1) -> LaurentPoly:
     """q-integer [n] over q^base: 1 + q^base + ... + q^((n-1)*base).
@@ -72,6 +73,7 @@ def qint_signed(m: int, base: int = 1) -> LaurentPoly:
 # [t|alpha]_n over q^base by (t, alpha, base, n), for every n computed so far.
 # One entry per n: two threads that fill one key at once store equal values.
 _GQF_POINTS: dict[tuple[int, int, int, int], LaurentPoly] = {}
+_MEMOS["gqf_points"] = (lambda: len(_GQF_POINTS)), _GQF_POINTS.clear
 
 
 def gqf_point(t: int, alpha: int, n: int, base: int = 1) -> LaurentPoly:

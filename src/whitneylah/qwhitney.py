@@ -51,6 +51,7 @@ from .arith import (
     LaurentPoly,
     TruncSeries,
     _is_int,
+    _lru_memo,
     lp_div_exact,
     lp_dot,
     monomial,
@@ -116,6 +117,7 @@ def qwl(alpha: int, n: int, k: int) -> LaurentPoly:
     return _cell(_qwl_weights, alpha, n, k, _ONE_POLY)
 
 
+@_lru_memo("inverse_weights")
 @lru_cache(maxsize=None)
 def _inverse_weights(alpha: int, k: int) -> tuple[LaurentPoly, ...]:
     """The weights (-1)^(k-j) q^(alpha C(k-j,2)) C(k,j)_{q^alpha} of the
@@ -212,8 +214,10 @@ def qwl_egf_sum_series(alpha: int, k: int, order: int) -> TruncSeries:
     return _qbinom_inverse_entry(prods, k, alpha)
 
 
-@lru_cache(maxsize=None)
+@_lru_memo("qwl_egf_series")
+@lru_cache(maxsize=None, typed=True)
 def _qwl_egf_cached(alpha: int, k: int, order: int) -> TruncSeries:
+    """Typed, so ``True`` or ``1.0`` meets ``_check_alpha``, not 1's entry."""
     return qwl_egf_sum_series(alpha, k, order)
 
 

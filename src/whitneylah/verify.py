@@ -27,10 +27,11 @@ from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
 from .arith import (
-    _FORMATS,
+    _MEMOS,
     LaurentPoly,
     TruncSeries,
     _is_int,
+    _lru_memo,
     lp_div_exact,
     lp_dot,
     lp_eval_q1,
@@ -38,7 +39,6 @@ from .arith import (
     ts_mul_geometric,
 )
 from .classical import (
-    _cache_stats,
     bell,
     binomial,
     falling_poly,
@@ -49,7 +49,6 @@ from .classical import (
     stirling2,
 )
 from .qcalc import (
-    _GQF_POINTS,
     gqf_point,
     qbinom,
     qfact,
@@ -71,10 +70,8 @@ from .whitney import (
     twl_egf_check,
 )
 from .qwhitney import (
-    _inverse_weights,
     _qbinom_inverse_entry,
     _qbinom_transform_entry,
-    _qwl_egf_cached,
     qdowling,
     qdowling_qi,
     qlah_gr,
@@ -228,8 +225,7 @@ class Report(NamedTuple):
     # loop over its points), "skipped_alphas", "max_n" (the largest n
     # checked, None without an n)}
     identities: dict[str, dict]
-    # the memos at the end of the run: the triangles, as ``_cache_stats``
-    # gives them, and the entries of every other memo, by name
+    # the memos at the end of the run by name, as ``arith._MEMOS`` counts them
     caches: dict
 
 
@@ -513,6 +509,7 @@ def _chk_pe1(rel, alpha, j, n):
     return lhs, qbinom(j + n - 1, n, alpha)
 
 
+@_lru_memo("geometric_products")
 @lru_cache(maxsize=None)
 def _geometric_product(n: int, order: int) -> TruncSeries:
     """prod_{i<n} 1/(1 - q^i t), truncated at ``order``."""
@@ -522,6 +519,7 @@ def _geometric_product(n: int, order: int) -> TruncSeries:
     return prod
 
 
+@_lru_memo("forward_entries")
 @lru_cache(maxsize=None)
 def _forward_entry(alpha: int, sample: int, j: int) -> LaurentPoly:
     """F_j, entry j of the forward Gaussian-binomial transform over q^alpha
@@ -895,30 +893,6 @@ def _outcome(spec: IdentitySpec, params: dict) -> tuple:
         return False, f"<error: {type(exc).__name__}: {exc}>", ""
 
 
-# The lru_caches whose entries ``Report.caches`` counts, bound at import: a
-# tracer may rebind the public names to wrappers without ``cache_info``.
-_LRU_CACHE_INFO = {
-    "egf_series": _egf_series_cached.cache_info,
-    "forward_entries": _forward_entry.cache_info,
-    "geometric_products": _geometric_product.cache_info,
-    "inverse_weights": _inverse_weights.cache_info,
-    "qwl_egf_series": _qwl_egf_cached.cache_info,
-    "qint": qint.cache_info,
-}
-
-
-def _memo_counts() -> dict:
-    """How full the memos are: the triangles, as ``_cache_stats`` gives
-    them, and the entries of every other memo, by name."""
-    return {
-        **_cache_stats(),
-        "gqf_points": len(_GQF_POINTS),
-        **{name: info().currsize for name, info in _LRU_CACHE_INFO.items()},
-        # list(...): another thread may grow a table while this one counts
-        "render_formats": sum(len(fmts) for _, fmts in list(_FORMATS.values())),
-    }
-
-
 @lru_cache(maxsize=None)
 def _intrinsic_domain(ident: str, mode: str) -> frozenset:
     spec = get_identity(ident)
@@ -1000,7 +974,7 @@ def run_suite(config: Config | None = None, **kwargs) -> Report:
         wall_time=time.perf_counter() - start,
         config=cfg,
         identities=identities,
-        caches=_memo_counts(),
+        caches={name: count() for name, (count, _) in sorted(_MEMOS.items())},
     )
 
 
@@ -1025,7 +999,9 @@ def report_to_dict(report: Report, *, deterministic: bool = True) -> dict:
     ``qwl_egf_series`` the stored series of ``r3``/``lah_egf`` and
     ``qr1.1``, ``qint`` the entries of that q-primitive's cache, and
     ``render_formats`` the exponent formats ``LaurentPoly.to_str`` holds,
-    over every variable it has rendered."""
+    over every variable it has rendered. Each memo registers itself in
+    ``arith._MEMOS`` where it is defined; ``caches`` reads that table and
+    ``clear_caches()`` empties it."""
     doc = {
         "config": report.config.as_dict(),
         "total": report.total,

@@ -25,7 +25,7 @@ import math
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .arith import NonExactDivision, TruncSeries, _is_int, ts_mul_geometric
+from .arith import NonExactDivision, TruncSeries, _is_int, _lru_memo, ts_mul_geometric
 from .classical import (
     InvalidAlpha,
     _cell,
@@ -253,6 +253,7 @@ def twl_egf_series(alpha: int, k: int, order: int) -> TruncSeries:
     return TruncSeries([Fraction(c, kfact) for c in powered.coeffs], order)
 
 
+@_lru_memo("egf_series")
 @lru_cache(maxsize=None, typed=True)
 def _egf_series_cached(alpha: int, k: int, order: int) -> TruncSeries:
     """(t/(1 - alpha t))^k, k! times the EGF of the Whitney-Lah column k,

@@ -3,31 +3,15 @@
 import pytest
 
 from whitneylah import arith
-from whitneylah.classical import _ROWS
-from whitneylah.qcalc import _GQF_POINTS
-
-
-def clear_memos() -> None:
-    """Empty every memo that ``Report.caches`` counts: the triangle
-    engine's rows, the stored generalized q-factorials (the q-factorials
-    among them), each ``lru_cache`` of ``verify._LRU_CACHE_INFO`` and the
-    format tables of ``LaurentPoly.to_str``."""
-    from whitneylah.verify import _LRU_CACHE_INFO
-
-    _ROWS.clear()
-    _GQF_POINTS.clear()
-    arith._FORMATS.clear()
-    for info in _LRU_CACHE_INFO.values():
-        info.__self__.cache_clear()
 
 
 @pytest.fixture
 def cold_memo():
     """Every memo that ``Report.caches`` counts is empty before and after
     the test."""
-    clear_memos()
+    arith.clear_caches()
     yield
-    clear_memos()
+    arith.clear_caches()
 
 
 @pytest.fixture

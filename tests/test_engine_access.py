@@ -1,8 +1,9 @@
 """Only the engine's own module names ``_row`` and its memo ``_ROWS``:
 every other module reads the triangle engine through ``classical._cell`` and
 ``classical._row_sum``, which hold the zero outside the triangle, so no
-family restates that rule or indexes a row itself, and counts the memo
-through ``classical._cache_stats``."""
+family restates that rule or indexes a row itself. The memo registers itself
+in ``arith._MEMOS`` where it is defined, so ``Report.caches`` and
+``clear_caches()`` reach it through that table, not by name."""
 
 import ast
 from pathlib import Path

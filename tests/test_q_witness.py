@@ -28,9 +28,9 @@ from fractions import Fraction
 import pytest
 
 from whitneylah.arith import _KRONECKER_MIN, LaurentPoly, lp_dot
-from whitneylah.classical import _cache_stats
+from whitneylah.classical import _triangles
 from whitneylah.qcalc import gqf_point, qbinom, qfact, qfalling, qint_signed
-from whitneylah.qwhitney import _qwl_egf_cached, qw1, qw2, qwl, qwl_egf_check, qwl_explicit
+from whitneylah.qwhitney import qw1, qw2, qwl, qwl_egf_check, qwl_explicit
 
 TWO = Fraction(2)
 FAMILIES = {"qw1": qw1, "qw2": qw2, "qwl": qwl}
@@ -113,7 +113,7 @@ def test_gaussian_binomials_at_q_2_and_3_are_the_product_formula(cold_memo):
         for q in (2, 3):
             assert at(value, q) == gaussian_binomial_at(q, n, k, b), (q, n, k, b)
     # they came from the engine's q-Pascal triangle, at each base
-    built = {(t["weights"], t["alpha"]) for t in _cache_stats()["triangles"]}
+    built = {(t["weights"], t["alpha"]) for t in _triangles()}
     assert {("_qbinom_weights", 3), ("_qbinom_weights", 2)} <= built
 
 
@@ -225,7 +225,6 @@ def qwl_egf_side_at(q: int, a: int, k: int, n: int) -> Fraction:
 def test_qr1_1_sides_at_q_2_and_3_are_the_series_value(cold_memo, kronecker_calls):
     """Both sides of the generating-function check at alpha 3, k 4, n <= 12;
     the identity makes the series' value at q the value of each side."""
-    _qwl_egf_cached.cache_clear()
     for n in range(13):
         lhs, rhs = qwl_egf_check(3, 4, n)
         for q in (2, 3):

@@ -16,7 +16,7 @@ from whitneylah.arith import (
     ts_mul_geometric,
 )
 from whitneylah import qcalc
-from whitneylah.classical import _cache_stats
+from whitneylah.classical import _triangles
 from whitneylah.qcalc import (
     InvalidOrder,
     NegativeArgument,
@@ -170,7 +170,7 @@ class TestQBinom:
     def test_band_is_the_narrower_column(self, cold_memo):
         # C(300, 298) is column 2 of row 300, a band three columns wide
         assert lp_eval_q1(qbinom(300, 298)) == math.comb(300, 2)
-        assert _cache_stats()["triangles"] == [
+        assert _triangles() == [
             {"weights": "_qbinom_weights", "alpha": 1, "rows": 1, "cells": 3}
         ]
 

@@ -9,9 +9,9 @@ from fractions import Fraction
 
 import pytest
 
-from whitneylah import arith, verify
-from whitneylah.arith import LaurentPoly, monomial
-from whitneylah.classical import _ROWS, lah
+from whitneylah import arith, classical, cli, qcalc, qwhitney, verify, whitney
+from whitneylah.arith import _MEMOS, LaurentPoly, clear_caches, monomial
+from whitneylah.classical import _ROWS, _triangles, lah
 from whitneylah.qcalc import gqf_point, qfact, qint, qint_signed
 from whitneylah.verify import (
     Config,
@@ -21,7 +21,6 @@ from whitneylah.verify import (
     ParamsOutOfDomain,
     Report,
     UnknownIdentity,
-    _cache_stats,
     _render,
     check_identity,
     get_identity,
@@ -30,7 +29,7 @@ from whitneylah.verify import (
     report_to_json,
     run_suite,
 )
-from whitneylah.qwhitney import _qwl_egf_cached, qw1, qw2, qwl
+from whitneylah.qwhitney import _inverse_weights, _qwl_egf_cached, qw1, qw2, qwl
 from whitneylah.whitney import _egf_series_cached, tw1, twl
 
 EXPECTED_IDS = sorted(
@@ -315,7 +314,7 @@ class TestReport:
             "egf_series": _egf_series_cached,
             "forward_entries": verify._forward_entry,
             "geometric_products": verify._geometric_product,
-            "inverse_weights": verify._inverse_weights,
+            "inverse_weights": _inverse_weights,
             "qwl_egf_series": _qwl_egf_cached,
             "qint": qint,
         }
@@ -385,19 +384,46 @@ class TestReport:
         assert all(t["seconds"] > 0 for i, t in tallies.items() if i not in idle)
 
     def test_cold_memo_empties_every_memo_the_report_counts(self, cold_memo):
-        caches = verify._memo_counts()
+        monomial(3).to_str()  # the formats of ``LaurentPoly.to_str``
+        filled = run_suite(alpha_list=(1, 2), n_max=4).caches
+        assert all(filled.values()), filled
+        clear_caches()
+        caches = {name: count() for name, (count, _) in _MEMOS.items()}
+        assert set(caches) == set(filled)
         assert caches.pop("triangles") == []
-        assert set(caches) == {"gqf_points", "render_formats", *verify._LRU_CACHE_INFO}
         assert all(count == 0 for count in caches.values()), caches
+
+    def test_a_rebound_qint_is_still_counted_and_cleared(self, cold_memo, monkeypatch):
+        # the table took qint's cache_info and cache_clear at import, so a
+        # wrapper without them, as a tracer installs, hides nothing
+        cached = qcalc.qint
+        monkeypatch.setattr(qcalc, "qint", lambda n, base=1: cached(n, base))
+        report = run_suite(suite="q", alpha_list=(1,), n_max=2)
+        assert report.caches["qint"] == cached.cache_info().currsize > 0
+        clear_caches()
+        assert cached.cache_info().currsize == 0
+
+
+def test_every_lru_cache_enters_the_memo_table():
+    # the parser and each identity's intrinsic grid hold no computed value
+    exempt = {id(cli._build_parser), id(verify._intrinsic_domain)}
+    entered = {id(getattr(clear, "__self__", None)) for _, clear in _MEMOS.values()}
+    missing = [
+        f"{module.__name__}.{name}"
+        for module in (arith, classical, qcalc, whitney, qwhitney, verify, cli)
+        for name, value in vars(module).items()
+        if hasattr(value, "cache_info")
+        and value.__module__ == module.__name__
+        and id(value) not in entered | exempt
+    ]
+    assert missing == []
 
 
 def test_cache_stats_count_stored_rows_and_cells():
     _ROWS.clear()
     tw1(2, 30, 3)
     tw1(2, 31, 0)
-    assert _cache_stats() == {
-        "triangles": [{"weights": "_tw1_weights", "alpha": 2, "rows": 2, "cells": 5}]
-    }
+    assert _triangles() == [{"weights": "_tw1_weights", "alpha": 2, "rows": 2, "cells": 5}]
     _ROWS.clear()
 
 

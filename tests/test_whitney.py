@@ -16,6 +16,7 @@ from whitneylah.classical import (
     stirling1u,
     stirling2,
 )
+from whitneylah.qwhitney import qwl_egf_check
 from whitneylah.whitney import (
     TWL_METHODS,
     DuplicateBValues,
@@ -62,6 +63,14 @@ def test_float_alpha_misses_the_egf_memo():
         twl_egf_series(2.0, 3, 10)
     with pytest.raises(InvalidAlpha):
         twl_egf_check(2.0, 3, 5)
+
+
+@pytest.mark.parametrize("alpha", [True, 1.0])
+def test_bool_and_float_alpha_miss_the_q_egf_memo(alpha):
+    # the qr1.1 memo is typed too: alpha 1 fills it first
+    qwl_egf_check(1, 1, 2)
+    with pytest.raises(InvalidAlpha):
+        qwl_egf_check(alpha, 1, 2)
 
 
 class TestFirstKind:
