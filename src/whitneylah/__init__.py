@@ -28,13 +28,11 @@ _EXPORTS = {
     ),
     "classical": (
         "InvalidAlpha",
-        "ScaleExceeded",
         "bell",
         "binomial",
         "falling_poly",
         "genfact_poly",
         "lah",
-        "lah_oracle",
         "rising_poly",
         "stirling1u",
         "stirling2",
@@ -50,8 +48,6 @@ _EXPORTS = {
     ),
     "qwhitney": (
         "InvalidRange",
-        "qbinom_inverse_transform",
-        "qbinom_transform",
         "qdowling",
         "qdowling_qi",
         "qlah_gr",

@@ -7,11 +7,12 @@ Two building blocks used everywhere else in the package:
   plus a tuple of Python ``int`` coefficients. Every q-analogue of the
   package lies in this ring, Z[q, q^-1].
 * :class:`TruncSeries` -- a power series in a second formal variable,
-  truncated at a fixed order, whose coefficients live in any ring that
-  supports ``+``/``-``/``*``. Its scalars are integers and Laurent
-  polynomials. The one series it divides by is ``1 - c t``:
-  :func:`ts_mul_geometric` multiplies a series by ``1/(1 - c t)`` in
-  O(N) products by ``c``, with no convolution.
+  truncated at a fixed order, whose coefficients are integers or Laurent
+  polynomials. The package builds every series with
+  :func:`ts_mul_geometric`, which multiplies a series by ``1/(1 - c t)``
+  in O(N) products by ``c``, with no convolution, and reads it through
+  ``coeffs`` and ``coeff``. Its ``*`` is the convolution, kept as the
+  reference the tests check that route against.
 
 A product of two Laurent polynomials takes one of four paths, chosen by
 the shape of its factors in ``_times``: by a scalar or a monomial, a shift
@@ -32,8 +33,7 @@ coefficient is filled in at once, and two replacements turn ``+ -c`` into
 
 Integers themselves are Python ``int``: arbitrary precision and already
 canonical, so no wrapper type is introduced. The kernel computes over Z
-alone, as does the ``r3`` check; only ``whitney.twl_egf_series`` divides
-its series by k!, in ``whitney.py``.
+alone, as does the ``r3`` check.
 
 All values are immutable after construction and all operations are pure,
 so instances may be shared freely between threads.
@@ -616,12 +616,11 @@ def lp_eval_q1(a: LaurentPoly) -> int:
 class TruncSeries:
     """Power series truncated at a fixed order N (exact modulo t^(N+1)).
 
-    Coefficients need only ring arithmetic: ints, LaurentPoly values, or
-    the rationals of ``twl_egf_series``. Scalar operands are ints
-    and LaurentPoly values. Missing coefficients are the zero of the ring
-    (the zero polynomial when any coefficient is a LaurentPoly, else 0).
-    Binary operations between series of different orders truncate to the
-    smaller order, never claiming more precision than both operands carry.
+    Coefficients are ints or LaurentPoly values, and so are the scalar
+    operands of ``*``. Missing coefficients are the zero of the ring (the
+    zero polynomial when any coefficient is a LaurentPoly, else 0). The
+    product of series of different orders truncates to the smaller order,
+    never claiming more precision than both operands carry.
     """
 
     __slots__ = ("_order", "_coeffs")
@@ -662,31 +661,13 @@ class TruncSeries:
             raise IndexError(f"coefficient {n} outside truncation order {self._order}")
         return self._coeffs[n]
 
-    @staticmethod
-    def _is_scalar(other) -> bool:
-        return _is_int(other) or isinstance(other, LaurentPoly)
-
-    def __add__(self, other):
-        if isinstance(other, TruncSeries):
-            n = min(self._order, other._order)
-            return TruncSeries(
-                [self._coeffs[i] + other._coeffs[i] for i in range(n + 1)], n
-            )
-        if self._is_scalar(other):
-            cs = list(self._coeffs)
-            cs[0] = cs[0] + other
-            return TruncSeries(cs, self._order)
-        return NotImplemented
-
-    __radd__ = __add__
-
     def __mul__(self, other):
         if isinstance(other, TruncSeries):
             n = min(self._order, other._order)
             a, b = self._coeffs, other._coeffs
             out = [sum(map(mul, a[: m + 1], b[m::-1])) for m in range(n + 1)]
             return TruncSeries(out, n)
-        if self._is_scalar(other):
+        if _is_int(other) or isinstance(other, LaurentPoly):
             return TruncSeries([c * other for c in self._coeffs], self._order)
         return NotImplemented
 

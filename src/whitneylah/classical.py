@@ -3,8 +3,7 @@
 These are the alpha = 1 / q = 1 reference layer. The Stirling triangles are
 built by their additive recurrences; the generating relations that define
 them are checked separately by the identity suite, keeping construction and
-validation apart. A brute-force enumeration oracle for the Lah numbers is
-included for end-to-end validation at small scale.
+validation apart.
 
 This module also holds the package's one triangle engine: every recurrence
 triangle, classical, translated or q, the Gaussian binomials included, is a
@@ -30,10 +29,6 @@ import math
 from typing import Callable
 
 from .arith import _MEMOS, LaurentPoly, NonExactDivision, _is_int, lp_dot
-
-
-class ScaleExceeded(ValueError):
-    """Brute-force enumeration requested beyond its supported size."""
 
 
 class InvalidAlpha(ValueError):
@@ -186,45 +181,6 @@ def lah(n: int, k: int) -> int:
     if n < 1 or k < 1 or k > n:
         return 0
     return math.factorial(n) // math.factorial(k) * math.comb(n - 1, k - 1)
-
-
-def lah_oracle(n: int, k: int) -> int:
-    """Independent Lah count: enumerate set partitions of {1..n} into k
-    blocks and weigh each block by the number of its linear orders.
-
-    Enumeration is exponential; refuses n > 10.
-    """
-    if n > 10:
-        raise ScaleExceeded(f"enumeration oracle supports n <= 10, got {n}")
-    if n == 0 and k == 0:
-        return 1
-    if n < 1 or k < 1 or k > n:
-        return 0
-    total = 0
-    sizes: list[int] = []
-
-    def place(i: int) -> None:
-        nonlocal total
-        if i == n:
-            if len(sizes) == k:
-                w = 1
-                for s in sizes:
-                    w *= math.factorial(s)
-                total += w
-            return
-        if len(sizes) + (n - i) < k:
-            return
-        for b in range(len(sizes)):
-            sizes[b] += 1
-            place(i + 1)
-            sizes[b] -= 1
-        if len(sizes) < k:
-            sizes.append(1)
-            place(i + 1)
-            sizes.pop()
-
-    place(0)
-    return total
 
 
 def bell(n: int) -> int:

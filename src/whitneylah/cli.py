@@ -37,41 +37,18 @@ import sys
 from functools import cache
 from importlib import import_module
 from itertools import chain
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .arith import NonExactDivision
-from .classical import InvalidAlpha, ScaleExceeded
+from .classical import InvalidAlpha
 from .qcalc import InvalidOrder, NegativeArgument
 
 
-class _Family:
-    """An immutable CLI family: its ``kind`` ("triangle" or "sequence"),
-    whether it ``takes_alpha`` (if not, --alpha is a usage error; if so, the
-    library checks it) and its ``value`` function, (alpha, n[, k]) ->
-    int | LaurentPoly, which a command reads once, through ``_bound``."""
-
-    # not a NamedTuple, and ``value`` a plain slot, not a property:
-    # perfbench's tracer reads ``value`` and swaps it by object.__setattr__
-    __slots__ = ("kind", "takes_alpha", "value")
-
-    def __init__(self, kind: str, takes_alpha: bool, value: Callable):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "takes_alpha", takes_alpha)
-        object.__setattr__(self, "value", value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-
 class _Late:
-    """(alpha, n[, k]) -> ``whitneylah.<module>.<name>`` at those arguments,
-    the alpha dropped if the function takes none. ``bind`` imports the
-    module and reads the name, so a cold call loads only the family module
-    it runs, and a rebound name (perfbench's tracer wraps them) is the one
-    run; a call binds and runs it once."""
+    """``whitneylah.<module>.<name>``, read when a command binds it. ``bind``
+    imports the module and reads the name, so a cold call loads only the
+    family module it runs, and a rebound name (perfbench's tracer wraps
+    them) is the one run; a command binds its family once."""
 
     __slots__ = ("path", "name", "takes_alpha")
 
@@ -79,19 +56,21 @@ class _Late:
         self.path, self.name, self.takes_alpha = f"whitneylah.{module}", name, takes_alpha
 
     def bind(self) -> Callable:
+        """(alpha, n[, k]) -> the function at those arguments, the alpha
+        dropped if the function takes none."""
         fn = getattr(import_module(self.path), self.name)
         return fn if self.takes_alpha else lambda alpha, *args: fn(*args)
 
-    def __call__(self, alpha, *args):
-        return self.bind()(alpha, *args)
 
+class _Family(NamedTuple):
+    """A CLI family: its ``kind`` ("triangle" or "sequence"), whether it
+    ``takes_alpha`` (if not, --alpha is a usage error; if so, the library
+    checks it) and its ``value``, bound once per command to (alpha, n[, k])
+    -> int | LaurentPoly."""
 
-def _bound(fam: _Family) -> Callable:
-    """The function of ``fam.value`` for one command's calls: a ``_Late``
-    value bound once, any other value, such as a wrapper put in its slot,
-    as it is."""
-    value = fam.value
-    return value.bind() if type(value) is _Late else value
+    kind: str
+    takes_alpha: bool
+    value: _Late
 
 
 FAMILIES: dict[str, _Family] = {
@@ -122,13 +101,7 @@ SERIES_CHECKS = {
 
 # qwhitney.InvalidRange is left out: only the explicit route of qlah_gr
 # raises it, and no command takes that route
-_DOMAIN_ERRORS = (
-    InvalidAlpha,
-    InvalidOrder,
-    NegativeArgument,
-    NonExactDivision,
-    ScaleExceeded,
-)
+_DOMAIN_ERRORS = (InvalidAlpha, InvalidOrder, NegativeArgument, NonExactDivision)
 
 
 class _UsageError(Exception):
@@ -154,7 +127,7 @@ def _cmd_table(args) -> int:
         raise _UsageError("--n-max must be non-negative")
     ns = range(args.n_max + 1)
     triangle = fam.kind == "triangle"
-    value = _bound(fam)
+    value = fam.value.bind()
     if triangle:
         rows = ([str(value(alpha, n, k)) for k in range(n + 1)] for n in ns)
     else:
@@ -183,11 +156,11 @@ def _cmd_eval(args) -> int:
     if fam.kind == "triangle":
         if args.k is None:
             raise _UsageError(f"family {args.family!r} needs --k")
-        value = fam.value(alpha, args.n, args.k)
+        value = fam.value.bind()(alpha, args.n, args.k)
     else:
         if args.k is not None:
             raise _UsageError(f"family {args.family!r} does not take --k")
-        value = fam.value(alpha, args.n)
+        value = fam.value.bind()(alpha, args.n)
     print(value)
     return 0
 

@@ -29,9 +29,10 @@ polynomial.
 The generalized q-factorial [t|alpha]_n at integer points is
 ``qcalc.gqf_point``, which stores every prefix [t|alpha]_1..n it computes,
 the q-factorials' among them. The Gaussian-binomial inversion sum, on which
-``qwl_explicit``, the generating-function side ``qwl_egf_sum_series`` and
-``qbinom_inverse_transform`` rest, is written once, in
-``_qbinom_inverse_entry``. The translated q-Whitney-Lah and q-Dowling
+``qwl_explicit`` and the generating-function side ``qwl_egf_sum_series``
+rest, is written once, in ``_qbinom_inverse_entry``; it and the forward
+entry ``_qbinom_transform_entry`` are the two sides of the registry's
+``qbinom_inv``. The translated q-Whitney-Lah and q-Dowling
 families take positive alpha and reject any other with ``InvalidAlpha``;
 the first and second kinds take any nonzero alpha.
 
@@ -237,17 +238,3 @@ def _qbinom_transform_entry(f: Sequence[LaurentPoly], k: int, alpha: int) -> Lau
     """Entry k of the forward Gaussian-binomial transform over q^alpha of
     f_0..f_k: sum_{j<=k} C(k,j)_{q^alpha} f_j."""
     return lp_dot((qbinom(k, j, alpha), f[j]) for j in range(k + 1))
-
-
-def qbinom_transform(f: Sequence[LaurentPoly], alpha: int = 1) -> list[LaurentPoly]:
-    """Forward Gaussian-binomial transform over q^alpha:
-    F_k = sum_{j<=k} C(k,j)_{q^alpha} f_j."""
-    _check_alpha(alpha)
-    return [_qbinom_transform_entry(f, k, alpha) for k in range(len(f))]
-
-
-def qbinom_inverse_transform(F: Sequence[LaurentPoly], alpha: int = 1) -> list[LaurentPoly]:
-    """Inverse Gaussian-binomial transform over q^alpha:
-    f_k = sum_{j<=k} (-1)^(k-j) q^(alpha C(k-j,2)) C(k,j)_{q^alpha} F_j."""
-    _check_alpha(alpha)
-    return [_qbinom_inverse_entry(F, k, alpha) for k in range(len(F))]

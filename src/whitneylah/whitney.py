@@ -14,9 +14,9 @@ and row sums are read through the engine's ``_cell`` and ``_row_sum``.
 ``twl_egf_check`` is the ``r3`` identity of the registry, the EGF of a
 Whitney-Lah column against the engine's triangle, computed over the
 integers; the CLI's ``series`` runs it without loading the registry. Only
-``twl_egf_series``, the explicit two-sequence formula and the Dobinski
-bracket compute with rationals, and they import ``fractions`` when called,
-so the Whitney and Dowling families and ``r3`` run without it.
+the explicit two-sequence formula and the Dobinski bracket compute with
+rationals, and they import ``fractions`` when called, so the Whitney and
+Dowling families and ``r3`` run without it.
 """
 
 from __future__ import annotations
@@ -234,23 +234,6 @@ def dowling_qi(alpha: int, n: int) -> int:
         inner = _row_sum(_twl_weights, alpha, j)
         total += (-1) ** (n - j) * inner * tw2(alpha, n, j)
     return total
-
-
-def twl_egf_series(alpha: int, k: int, order: int) -> TruncSeries:
-    """Exponential generating function of the Whitney-Lah column k:
-    (1/k!) (t/(1 - alpha t))^k, truncated at the given order.
-
-    Its t^n coefficient times n! recovers twl(alpha, n, k) exactly. The
-    ``Fraction`` series divides the stored integer series of
-    ``_egf_series_cached`` by k!, coefficient by coefficient.
-    """
-    from fractions import Fraction
-
-    powered = _egf_series_cached(alpha, k, order)
-    if k > order:  # the zero series, with no k! to compute
-        return powered
-    kfact = math.factorial(k)
-    return TruncSeries([Fraction(c, kfact) for c in powered.coeffs], order)
 
 
 @_lru_memo("egf_series")

@@ -10,8 +10,9 @@ import json
 import math
 import time
 
+from independent import lah_oracle, whitney_lah
 from whitneylah.arith import lp_eval_q1
-from whitneylah.classical import lah, lah_oracle, stirling1u, stirling2
+from whitneylah.classical import lah, stirling1u, stirling2
 from whitneylah.cli import main as cli_main
 from whitneylah.qcalc import qfact, qint
 from whitneylah.qwhitney import qdowling, qdowling_qi, qlah_gr, qw1, qw2, qwl
@@ -24,7 +25,7 @@ from whitneylah.whitney import (
     tw1,
     tw2,
     twl,
-    twl_egf_series,
+    twl_egf_check,
 )
 
 
@@ -157,13 +158,9 @@ def test_criterion_07_generating_functions():
     with _Budget(7, "EGF coefficient agreement, classical and q", 10.0):
         for a in (1, 2, 3):
             for k in range(7):
-                series = twl_egf_series(a, k, 12)
                 for n in range(13):
-                    assert series.coeff(n) * math.factorial(n) == twl(a, n, k), (
-                        a,
-                        k,
-                        n,
-                    )
+                    expected = whitney_lah(a, n, k)
+                    assert twl_egf_check(a, k, n) == (expected, expected), (a, k, n)
         from whitneylah.qwhitney import qwl_egf_sum_series
 
         for a in (1, 2):

@@ -151,7 +151,6 @@ class TestTruncSeries:
         a = TruncSeries([1, 1, 1, 1], 3)
         b = TruncSeries([1, 2], 1)
         assert (a * b).order == 1
-        assert (a + b).order == 1
 
 
 # -- randomized properties ---------------------------------------------------

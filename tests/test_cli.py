@@ -350,26 +350,6 @@ class TestFamilies:
         assert (code, len(out.splitlines())) == (0, 1 + 21)
         assert lookups == [f"whitneylah.{'qwhitney' if family[0] == 'q' else 'classical'}"]
 
-    def test_value_is_swapped_by_object_setattr_only(self, capsys):
-        """perfbench's tracer swaps ``value`` by ``object.__setattr__``; a
-        plain assignment is refused."""
-        from whitneylah.cli import FAMILIES
-
-        family = FAMILIES["q-whitney1"]
-        original = family.value
-        with pytest.raises(AttributeError):
-            family.value = None
-        object.__setattr__(family, "value", lambda a, n, k: f"<{a},{n},{k}>")
-        try:
-            result = run_cli(
-                capsys, "eval", "--family", "q-whitney1", "--alpha", "2", "--n", "3",
-                "--k", "1",
-            )
-        finally:
-            object.__setattr__(family, "value", original)
-        assert result == (0, "<2,3,1>\n", "")
-        assert FAMILIES["q-whitney1"].value is original
-
 
 class TestDeterminism:
     EXAMPLES = [

@@ -12,8 +12,8 @@ from whitneylah.whitney import InvalidAlpha, dowling
 from whitneylah import qcalc
 from whitneylah.qwhitney import (
     InvalidRange,
-    qbinom_inverse_transform,
-    qbinom_transform,
+    _qbinom_inverse_entry,
+    _qbinom_transform_entry,
     qdowling,
     qdowling_qi,
     qlah_gr,
@@ -190,15 +190,15 @@ class TestEgfSumSeries:
     def reference(a, k, order):
         # sum_j (-1)^(k-j) q^(a C(k-j,2)) C(k,j)_{q^a} prod_{m<j} G_m, each
         # G_m = sum_i c_m^i t^i with c_m = q^(a m) [a]_q, multiplied out
-        total = TruncSeries.zero(order)
+        total = TruncSeries.zero(order).coeffs
         prod = TruncSeries.one(order)
         for j in range(k + 1):
             sign = (-1) ** (k - j)
             weight = monomial(a * math.comb(k - j, 2), sign) * qbinom(k, j, a)
-            total = total + prod * weight
+            total = [x + y for x, y in zip(total, (prod * weight).coeffs)]
             c = monomial(a * j) * qint(a)
             prod = prod * TruncSeries([c**i for i in range(order + 1)], order)
-        return total
+        return TruncSeries(total, order)
 
     def test_equals_the_product_of_geometric_series(self):
         for a in (1, 2, 3):
@@ -292,7 +292,8 @@ class TestQBinomialInversion:
         ]
         for a in (1, 2):
             for f in samples:
-                assert qbinom_inverse_transform(qbinom_transform(f, a), a) == f
+                F = [_qbinom_transform_entry(f, k, a) for k in range(len(f))]
+                assert [_qbinom_inverse_entry(F, k, a) for k in range(len(F))] == f
 
 
 class TestFactorialSumIdentity:

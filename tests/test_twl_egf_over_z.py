@@ -1,27 +1,18 @@
 """The Whitney-Lah EGF check (``r3``) over the integers: the rows ``series``
-prints against the closed form computed from ``math`` alone, the two
-``int`` sides of ``twl_egf_check`` against the ``Fraction`` series, and a
-stored coefficient that k! does not divide, which is a domain error."""
+prints and the two ``int`` sides of ``twl_egf_check`` against the closed
+form computed from ``math`` alone, and a stored coefficient that k! does
+not divide, which is a domain error."""
 
 import contextlib
 import io
-import math
 
 import pytest
 
+from independent import whitney_lah
 from whitneylah import cli, whitney
 from whitneylah.arith import NonExactDivision, TruncSeries
 from whitneylah.verify import get_identity, run_suite
-from whitneylah.whitney import twl_egf_check, twl_egf_series
-
-
-def closed_form(alpha: int, n: int, k: int) -> int:
-    """wl(n,k) = alpha^(n-k) n!/k! C(n-1,n-k), 0 off the support, 1 at n = k = 0."""
-    if n == k == 0:
-        return 1
-    if k == 0 or k > n:
-        return 0
-    return alpha ** (n - k) * math.factorial(n) // math.factorial(k) * math.comb(n - 1, n - k)
+from whitneylah.whitney import twl_egf_check
 
 
 def series_rows(alpha: int, k: int, order: int) -> tuple[int, list[str]]:
@@ -36,7 +27,7 @@ def series_rows(alpha: int, k: int, order: int) -> tuple[int, list[str]]:
 @pytest.mark.parametrize("k", range(6))
 def test_series_rows_are_the_closed_form_at_order_200(alpha, k):
     rc, lines = series_rows(alpha, k, 200)
-    expected = [f"{n},{closed_form(alpha, n, k)},{closed_form(alpha, n, k)}" for n in range(201)]
+    expected = [f"{n},{whitney_lah(alpha, n, k)},{whitney_lah(alpha, n, k)}" for n in range(201)]
     assert rc == 0
     assert lines == ["n,lhs,rhs", *expected, "match,yes"]
 
@@ -50,13 +41,12 @@ def grid_points(ident: str):
 
 
 @pytest.mark.parametrize("ident", ["r3", "lah_egf"])
-def test_check_returns_two_ints_equal_to_the_fraction_series(ident):
+def test_check_returns_two_ints_equal_to_the_closed_form(ident):
     """At every grid point of ``r3`` and of ``lah_egf`` (alpha 1), n up to 40."""
     for alpha, k, n in grid_points(ident):
         lhs, rhs = twl_egf_check(alpha, k, n)
         assert type(lhs) is int and type(rhs) is int, (alpha, k, n)
-        scaled = twl_egf_series(alpha, k, max(12, n)).coeff(n) * math.factorial(n)
-        assert lhs == rhs == scaled, (alpha, k, n)
+        assert lhs == rhs == whitney_lah(alpha, n, k), (alpha, k, n)
 
 
 @pytest.fixture

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from independent import whitney_lah
 from whitneylah import whitney
 from whitneylah.arith import LaurentPoly, TruncSeries
 from whitneylah.classical import (
@@ -31,7 +32,6 @@ from whitneylah.whitney import (
     tw2,
     twl,
     twl_egf_check,
-    twl_egf_series,
 )
 
 
@@ -44,7 +44,6 @@ from whitneylah.whitney import (
         (dowling, (3,)),
         (dowling_dobinski, (3,)),
         (dowling_qi, (3,)),
-        (twl_egf_series, (3, 5)),
         (twl_egf_check, (3, 5)),
     ],
 )
@@ -57,10 +56,7 @@ def test_bool_alpha_is_rejected(family, args):
 
 def test_float_alpha_misses_the_egf_memo():
     # the memo is typed: 2.0 == 2 hashes alike, but must not read 2's entry
-    twl_egf_series(2, 3, 10)
     twl_egf_check(2, 3, 5)
-    with pytest.raises(InvalidAlpha):
-        twl_egf_series(2.0, 3, 10)
     with pytest.raises(InvalidAlpha):
         twl_egf_check(2.0, 3, 5)
 
@@ -145,12 +141,19 @@ class TestWhitneyLah:
                     rhs = sum(tw1(a, n, k) * tw2(a, k, j) for k in range(j, n + 1))
                     assert twl(a, n, j) == rhs, (a, n, j)
 
+    def test_triangle_is_the_closed_form(self):
+        # the recursive triangle against the reference the EGF tests use
+        for a in (1, 2, 3):
+            for n in range(13):
+                for k in range(n + 2):
+                    assert twl(a, n, k) == whitney_lah(a, n, k), (a, n, k)
+
     def test_egf_coefficients(self):
         for a in (1, 2, 3):
             for k in range(5):
-                series = twl_egf_series(a, k, 10)
                 for n in range(11):
-                    assert series.coeff(n) * math.factorial(n) == twl(a, n, k)
+                    expected = whitney_lah(a, n, k)
+                    assert twl_egf_check(a, k, n, 10) == (expected, expected), (a, k, n)
 
     def test_egf_series_equals_the_power_of_t_over_one_minus_alpha_t(self):
         # the reference multiplies by t/(1 - alpha t) by convolution, its
@@ -161,15 +164,12 @@ class TestWhitneyLah:
                 geometric = TruncSeries([a**j for j in range(order + 1)], order)
                 powered = TruncSeries.one(order)
                 for k in range(7):
-                    expected = [Fraction(c, math.factorial(k)) for c in powered.coeffs]
-                    assert twl_egf_series(a, k, order) == TruncSeries(expected, order), (
-                        a, k, order
-                    )
+                    assert whitney._egf_series_cached(a, k, order) == powered, (a, k, order)
                     powered = powered * (t * geometric)
 
     def test_egf_series_past_its_order_is_zero(self):
         # t^k vanishes modulo t^(order+1): no k passes and no k!
-        assert twl_egf_series(2, 10**6, 3) == TruncSeries.zero(3)
+        assert twl_egf_check(2, 10**6, 3) == (0, 0)
 
 
 class TestHorizontalGeneratingFunctions:
