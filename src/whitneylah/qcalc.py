@@ -57,7 +57,7 @@ def qint(n: int, base: int = 1) -> LaurentPoly:
     _check_args(base, n)
     if n < 0:
         raise NegativeArgument(f"q-integer of negative {n}")
-    return LaurentPoly({i * base: 1 for i in range(n)})
+    return _make(0, ((1,) + (0,) * (base - 1)) * (n - 1) + (1,)) if n else LaurentPoly.zero()
 
 
 def qint_signed(m: int, base: int = 1) -> LaurentPoly:

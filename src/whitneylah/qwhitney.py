@@ -38,7 +38,9 @@ the first and second kinds take any nonzero alpha.
 
 ``qwl_egf_check`` is the ``qr1.1`` identity of the registry, that
 generating-function side against the engine's triangle; the CLI's
-``series`` runs it without loading the registry.
+``series`` runs it without loading the registry. Its memo stores each
+coefficient already multiplied by [n]_{q^alpha}!, so a check reads its
+left side whole.
 """
 
 from __future__ import annotations
@@ -218,8 +220,12 @@ def qwl_egf_sum_series(alpha: int, k: int, order: int) -> TruncSeries:
 @_lru_memo("qwl_egf_series")
 @lru_cache(maxsize=None, typed=True)
 def _qwl_egf_cached(alpha: int, k: int, order: int) -> TruncSeries:
-    """Typed, so ``True`` or ``1.0`` meets ``_check_alpha``, not 1's entry."""
-    return qwl_egf_sum_series(alpha, k, order)
+    """[n]_{q^alpha}! times coefficient n of ``qwl_egf_sum_series``, for
+    n = 0..order: the left side of ``qr1.1``. Typed, so ``True`` or ``1.0``
+    meets ``_check_alpha``, not 1's entry."""
+    # the series comes first: it rejects a bad alpha with InvalidAlpha
+    series = qwl_egf_sum_series(alpha, k, order)
+    return TruncSeries([c * qfact(n, alpha) for n, c in enumerate(series.coeffs)], order)
 
 
 def qwl_egf_check(
@@ -229,8 +235,7 @@ def qwl_egf_check(
     (``qr1.1``) at (alpha, k, n): [n]_{q^alpha}! times the t^n coefficient
     of ``qwl_egf_sum_series``, truncated at max(order, n), and
     [k]_{q^alpha}! [alpha]_q^k ``qwl(alpha, n, k)`` from the triangle engine."""
-    # the series comes first: it rejects a bad alpha with InvalidAlpha
-    lhs = _qwl_egf_cached(alpha, k, max(order, n)).coeff(n) * qfact(n, alpha)
+    lhs = _qwl_egf_cached(alpha, k, max(order, n)).coeff(n)
     return lhs, qfact(k, alpha) * qint(alpha) ** k * qwl(alpha, n, k)
 
 

@@ -570,7 +570,10 @@ _IDENTITIES = (
         "sum_n L(n,k) t^n/n! = (1/k!) (t/(1-t))^k",
         Grid(12, (), (("k", range(7)), _N)),
         lambda k, n: (
-            Fraction(_egf_series_cached(1, k, max(12, n)).coeff(n), math.factorial(k)),
+            Fraction(
+                _egf_series_cached(1, k, max(12, n)).coeff(n),
+                math.factorial(k) * math.factorial(n),
+            ),
             Fraction(lah(n, k), math.factorial(n)),
         ),
     ),
@@ -995,9 +998,11 @@ def report_to_dict(report: Report, *, deterministic: bool = True) -> dict:
     among them; ``geometric_products`` the stored series products of
     ``pe2``, ``forward_entries`` the stored forward-transform entries F_j
     of ``qbinom_inv`` by (alpha, sample, j), ``inverse_weights`` the stored
-    weights of the inverse transform's entries by (alpha, k), ``egf_series`` and
-    ``qwl_egf_series`` the stored series of ``r3``/``lah_egf`` and
-    ``qr1.1``, ``qint`` the entries of that q-primitive's cache, and
+    weights of the inverse transform's entries by (alpha, k), ``egf_series``
+    and ``qwl_egf_series`` the stored left sides of ``r3``/``lah_egf`` and
+    ``qr1.1`` by (alpha, k, order), each a series whose coefficient n is
+    already multiplied by n! or [n]_{q^alpha}!, ``qint`` the entries of
+    that q-primitive's cache, and
     ``render_formats`` the exponent formats ``LaurentPoly.to_str`` holds,
     over every variable it has rendered. Each memo registers itself in
     ``arith._MEMOS`` where it is defined; ``caches`` reads that table and

@@ -13,7 +13,9 @@ and row sums are read through the engine's ``_cell`` and ``_row_sum``.
 
 ``twl_egf_check`` is the ``r3`` identity of the registry, the EGF of a
 Whitney-Lah column against the engine's triangle, computed over the
-integers; the CLI's ``series`` runs it without loading the registry. Only
+integers; the CLI's ``series`` runs it without loading the registry. Its
+memo stores each coefficient of (t/(1 - alpha t))^k already multiplied by
+n!, so a check reads one integer and divides it by k!. Only
 the explicit two-sequence formula and the Dobinski bracket compute with
 rationals, and they import ``fractions`` when called, so the Whitney and
 Dowling families and ``r3`` run without it.
@@ -23,6 +25,8 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import accumulate
+from operator import mul
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .arith import NonExactDivision, TruncSeries, _is_int, _lru_memo, ts_mul_geometric
@@ -239,11 +243,12 @@ def dowling_qi(alpha: int, n: int) -> int:
 @_lru_memo("egf_series")
 @lru_cache(maxsize=None, typed=True)
 def _egf_series_cached(alpha: int, k: int, order: int) -> TruncSeries:
-    """(t/(1 - alpha t))^k, k! times the EGF of the Whitney-Lah column k,
-    over the integers and truncated at the given order: t^k multiplied k
-    times by 1/(1 - alpha t), k O(N) passes and no series product. The
-    memo is typed, so ``True`` or ``1.0`` never reads the entry of 1 and
-    meets ``_check_alpha`` instead."""
+    """n! times the t^n coefficient of (t/(1 - alpha t))^k for n = 0..order,
+    that is k! twl(alpha, n, k): the left side of ``r3`` before its division
+    by k!, over the integers. t^k is multiplied k times by 1/(1 - alpha t),
+    k O(N) passes and no series product, and one running product then
+    scales coefficient n by n!. The memo is typed, so ``True`` or ``1.0``
+    never reads the entry of 1 and meets ``_check_alpha`` instead."""
     _check_alpha(alpha)
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
@@ -252,7 +257,8 @@ def _egf_series_cached(alpha: int, k: int, order: int) -> TruncSeries:
     powered = TruncSeries([0] * k + [1], order)
     for _ in range(k):
         powered = ts_mul_geometric(powered, alpha)
-    return powered
+    factorials = accumulate(range(1, order + 1), mul, initial=1)
+    return TruncSeries(map(mul, powered.coeffs, factorials), order)
 
 
 def twl_egf_check(alpha: int, k: int, n: int, order: int = 12) -> tuple[int, int]:
@@ -262,7 +268,7 @@ def twl_egf_check(alpha: int, k: int, n: int, order: int = 12) -> tuple[int, int
     from the triangle engine. A division that leaves a remainder raises
     ``NonExactDivision``."""
     # the series comes first: it rejects a bad alpha with InvalidAlpha
-    scaled = _egf_series_cached(alpha, k, max(order, n)).coeff(n) * math.factorial(n)
+    scaled = _egf_series_cached(alpha, k, max(order, n)).coeff(n)
     # a zero side needs no k!, which is costly for a k far past n
     lhs, rem = divmod(scaled, math.factorial(k)) if scaled else (0, 0)
     if rem:

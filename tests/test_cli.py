@@ -291,6 +291,32 @@ class TestSeries:
         assert (code, ns, out.splitlines()[-1]) == (0, [0, 1, 2, 3], "match,yes")
 
 
+    def test_a_warm_repeat_takes_no_factorial_per_row(self, capsys, monkeypatch):
+        """The memos hold each coefficient times n! or [n]_{q^a}!: a warm
+        repeat reads them, and takes only k! (r3's division) and
+        [k]_{q^a}! (qr1.1's engine side)."""
+        from whitneylah import qwhitney
+
+        r3 = ("series", "--id", "r3", "--alpha", "2", "--k", "2", "--order", "350")
+        qr1_1 = ("series", "--id", "qr1.1", "--alpha", "3", "--k", "3", "--order", "10")
+        cold = [run_cli(capsys, *argv) for argv in (r3, qr1_1)]
+        factorial, qfact = math.factorial, qwhitney.qfact
+        factorials, qfacts = [], []
+
+        def counted_factorial(n):
+            factorials.append(n)
+            return factorial(n)
+
+        def counted_qfact(n, base=1):
+            qfacts.append(n)
+            return qfact(n, base)
+
+        monkeypatch.setattr(math, "factorial", counted_factorial)
+        monkeypatch.setattr(qwhitney, "qfact", counted_qfact)
+        assert [run_cli(capsys, *argv) for argv in (r3, qr1_1)] == cold
+        assert factorials and max(factorials) <= 2
+        assert qfacts and set(qfacts) == {3}
+
     def test_prints_in_one_write(self, capsys, monkeypatch):
         argv = ["series", "--id", "qr1.1", "--alpha", "2", "--k", "1", "--order", "3"]
         _, out, _ = run_cli(capsys, *argv)

@@ -5,6 +5,7 @@ not divide, which is a domain error."""
 
 import contextlib
 import io
+import sys
 
 import pytest
 
@@ -32,6 +33,31 @@ def test_series_rows_are_the_closed_form_at_order_200(alpha, k):
     assert lines == ["n,lhs,rhs", *expected, "match,yes"]
 
 
+@pytest.fixture
+def default_digit_limit():
+    """CPython's default int->str digit limit of 4300 while the test runs,
+    the limit found restored after it."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("no int->str digit limit in this Python")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+def test_series_rows_past_the_str_digit_limit(default_digit_limit):
+    """At order 1500 the rows pass 4300 digits from n = 1354 on: the CLI
+    lifts the limit for the call, and every row is the closed form, which
+    the memo's running product of factorials reaches at depth."""
+    rc, lines = series_rows(3, 2, 1500)
+    assert sys.get_int_max_str_digits() == 4300
+    sys.set_int_max_str_digits(0)
+    expected = [f"{n},{whitney_lah(3, n, 2)},{whitney_lah(3, n, 2)}" for n in range(1501)]
+    assert rc == 0
+    assert lines == ["n,lhs,rhs", *expected, "match,yes"]
+    assert len(str(whitney_lah(3, 1354, 2))) > 4300
+
+
 def grid_points(ident: str):
     spec = get_identity(ident)
     for alpha in spec.grid.alphas or (1,):
@@ -51,8 +77,8 @@ def test_check_returns_two_ints_equal_to_the_closed_form(ident):
 
 @pytest.fixture
 def indivisible(monkeypatch, cold_memo):
-    """The stored series of k = 3 with t^2 coefficient 1: 2! * 1 is not a
-    multiple of 3!."""
+    """The stored series of k = 3 with 1 as its value at n = 2, where
+    2! times the t^2 coefficient belongs: 1 is not a multiple of 3!."""
     stored = whitney._egf_series_cached
 
     def broken(alpha, k, order):

@@ -331,8 +331,9 @@ class TestReport:
         assert "caches" not in report_to_dict(report)
         caches = report_to_dict(report, deterministic=False)["caches"]
         assert set(caches) == {"triangles", "gqf_points", "render_formats", *lru_caches}
-        # [3|-1]_1..4, and qr1.1's [3]! over q^2, that is [1|-1]_1..3 over q^2
-        assert caches["gqf_points"] == 4 + 3
+        # [3|-1]_1..4, and the [n]! over q^2 that qr1.1's memo multiplies
+        # into its coefficients n = 0..8, that is [1|-1]_1..8 over q^2
+        assert caches["gqf_points"] == 4 + 8
         assert caches["geometric_products"] == 1  # prod_{i<3} 1/(1 - q^i t)
         # r3 at alpha 1 and 2, k = 0..6, order 12; lah_egf reads r3's alpha 1
         assert caches["egf_series"] == 14

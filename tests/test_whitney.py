@@ -157,14 +157,17 @@ class TestWhitneyLah:
 
     def test_egf_series_equals_the_power_of_t_over_one_minus_alpha_t(self):
         # the reference multiplies by t/(1 - alpha t) by convolution, its
-        # geometric factor written out as sum_j alpha^j t^j
+        # geometric factor written out as sum_j alpha^j t^j; the memo holds
+        # its coefficient n times n!
         for a in (1, 2, 3):
             for order in range(41):
                 t = TruncSeries([0, 1], order)
                 geometric = TruncSeries([a**j for j in range(order + 1)], order)
                 powered = TruncSeries.one(order)
                 for k in range(7):
-                    assert whitney._egf_series_cached(a, k, order) == powered, (a, k, order)
+                    scaled = [c * math.factorial(n) for n, c in enumerate(powered.coeffs)]
+                    stored = whitney._egf_series_cached(a, k, order)
+                    assert stored == TruncSeries(scaled, order), (a, k, order)
                     powered = powered * (t * geometric)
 
     def test_egf_series_past_its_order_is_zero(self):
