@@ -26,22 +26,33 @@ load ``json``. No command loads ``dataclasses``,
 which would bring in ``inspect`` and a dozen more modules: the registry's
 records are NamedTuples and ``__slots__`` classes.
 
+The command-line grammar is declared once, as data: ``COMMANDS`` holds
+each command's help, handler and options. ``main`` reads a well-formed
+argv, ``COMMAND (--flag VALUE)*``, with ``_read``, a strict reader of that
+table, and such a call loads none of ``argparse``, ``gettext`` and
+``locale``. Help, usage errors and every other form (an abbreviated flag,
+``--flag=value``, ``--``) go to the argparse parser that
+``_build_parser`` makes from the same table.
+
 Exit codes: 0 success (and all checks passed), 1 verification failure,
 2 usage or domain error.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from functools import cache
 from importlib import import_module
 from itertools import chain
-from typing import Callable, NamedTuple, Optional
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
 from .arith import NonExactDivision
 from .classical import InvalidAlpha
 from .qcalc import InvalidOrder, NegativeArgument
+
+if TYPE_CHECKING:
+    import argparse
 
 
 class _Late:
@@ -221,59 +232,131 @@ def _cmd_series(args) -> int:
     return 0 if matched else 1
 
 
+class _Option(NamedTuple):
+    """One ``--flag VALUE`` option of a command. Its value is ``type`` of
+    the text, one of ``choices`` when they are given; an option left out
+    takes ``default``, and a ``required`` one may not be left out."""
+
+    flag: str
+    type: Callable[[str], object] = str
+    choices: Optional[Sequence] = None
+    required: bool = False
+    default: object = None
+
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
+
+
+class _Command(NamedTuple):
+    help: str
+    handler: Callable[..., int]
+    options: tuple[_Option, ...]
+
+
+_FAMILY = _Option("--family", choices=sorted(FAMILIES), required=True)
+_ALPHA = _Option("--alpha", int)
+
+# The command-line grammar: both the strict reader of ``main`` and the
+# argparse parser of ``_build_parser`` are made from this table.
+COMMANDS: dict[str, _Command] = {
+    "table": _Command("emit a triangle or sequence table", _cmd_table, (
+        _FAMILY,
+        _ALPHA,
+        _Option("--n-max", int, required=True),
+        _Option("--format", choices=("csv", "json"), default="csv"),
+    )),
+    "eval": _Command("evaluate a single family member", _cmd_eval, (
+        _FAMILY,
+        _ALPHA,
+        _Option("--n", int, required=True),
+        _Option("--k", int),
+    )),
+    "verify": _Command("run the identity suite", _cmd_verify, (
+        _Option("--suite", choices=("classical", "q", "all"), default="all"),
+        _Option("--alpha-list", default="1,2"),
+        _Option("--n-max", int, default=8),
+        _Option("--mode", choices=("corrected", "as_printed"), default="corrected"),
+        _Option("--format", choices=("text", "json"), default="text"),
+    )),
+    "series": _Command("print both sides of a generating-function identity", _cmd_series, (
+        _Option("--id", choices=tuple(SERIES_CHECKS), required=True),
+        _ALPHA,
+        _Option("--k", int, required=True),
+        _Option("--order", int, required=True),
+    )),
+}
+
+
+def _read(argv: list[str]) -> Optional[SimpleNamespace]:
+    """The namespace that argparse makes of a well-formed ``argv``, or None.
+
+    Well-formed is ``COMMAND (--flag VALUE)*``: each flag one of the
+    command's, written out in full, every required flag present, and each
+    value converted by its flag's type and one of its choices; a flag given
+    twice keeps its last value, as in argparse. A value may start with
+    ``-`` only as ``-`` and ASCII digits, a negative number to argparse
+    too. Any other argv (help, an abbreviated flag, ``--flag=value``,
+    ``--``, a bad value or a missing flag) is for argparse, which reads it
+    or reports it."""
+    command = COMMANDS.get(argv[0]) if argv else None
+    if command is None or len(argv) % 2 == 0:
+        return None
+    options = {opt.flag: opt for opt in command.options}
+    values = {}
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        opt = options.get(flag)
+        if opt is None:
+            return None
+        if text[:1] == "-" and not (text[1:].isascii() and text[1:].isdigit()):
+            return None
+        try:
+            value = opt.type(text)
+        except ValueError:
+            return None
+        if opt.choices is not None and value not in opt.choices:
+            return None
+        values[opt.dest] = value
+    if any(opt.required and opt.dest not in values for opt in command.options):
+        return None
+    defaults = {opt.dest: opt.default for opt in command.options}
+    return SimpleNamespace(command=argv[0], func=command.handler, **(defaults | values))
+
+
 @cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on the first call of a process and
-    reused by every later one: parsing leaves it as it was."""
+    """The argparse parser of ``COMMANDS``, built on the first call of a
+    process that needs it and reused by every later one: parsing leaves it
+    as it was. Only this function imports ``argparse``, which loads
+    ``gettext``, and its first message lookup loads ``locale``."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="whitneylah",
         description="Exact Lah/Stirling/Whitney/Dowling number families, their"
         " q-analogues, and a machine-checked identity suite.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_table = sub.add_parser("table", help="emit a triangle or sequence table")
-    p_table.add_argument("--family", required=True, choices=sorted(FAMILIES))
-    p_table.add_argument("--alpha", type=int, default=None)
-    p_table.add_argument("--n-max", type=int, required=True)
-    p_table.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_table.set_defaults(func=_cmd_table)
-
-    p_eval = sub.add_parser("eval", help="evaluate a single family member")
-    p_eval.add_argument("--family", required=True, choices=sorted(FAMILIES))
-    p_eval.add_argument("--alpha", type=int, default=None)
-    p_eval.add_argument("--n", type=int, required=True)
-    p_eval.add_argument("--k", type=int, default=None)
-    p_eval.set_defaults(func=_cmd_eval)
-
-    p_verify = sub.add_parser("verify", help="run the identity suite")
-    p_verify.add_argument("--suite", choices=("classical", "q", "all"), default="all")
-    p_verify.add_argument("--alpha-list", default="1,2")
-    p_verify.add_argument("--n-max", type=int, default=8)
-    p_verify.add_argument(
-        "--mode", choices=("corrected", "as_printed"), default="corrected"
-    )
-    p_verify.add_argument("--format", choices=("text", "json"), default="text")
-    p_verify.set_defaults(func=_cmd_verify)
-
-    p_series = sub.add_parser(
-        "series", help="print both sides of a generating-function identity"
-    )
-    p_series.add_argument("--id", required=True, choices=tuple(SERIES_CHECKS))
-    p_series.add_argument("--alpha", type=int, default=None)
-    p_series.add_argument("--k", type=int, required=True)
-    p_series.add_argument("--order", type=int, required=True)
-    p_series.set_defaults(func=_cmd_series)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for opt in command.options:
+            p.add_argument(
+                opt.flag, dest=opt.dest, type=opt.type, choices=opt.choices,
+                required=opt.required, default=opt.default,
+            )
+        p.set_defaults(func=command.handler)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read(argv)
+    if args is None:
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
     # Exact integers of any length must print: lift CPython's int-to-str
     # digit limit (3.11+, some 3.10 patch releases) for the call.
     get_limit = getattr(sys, "get_int_max_str_digits", None)

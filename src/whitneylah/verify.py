@@ -919,6 +919,13 @@ def check_identity(ident: str, params: dict) -> CheckResult:
     mode = params.pop("mode", "corrected")
     if mode not in spec.modes:
         raise ParamsOutOfDomain(f"identity {ident!r} has no mode {mode!r}")
+    # True and 2.0 equal 1 and 2, and hash alike, so they would pass the
+    # grid test below; every grid value is an int or a str
+    for key, value in params.items():
+        if not (_is_int(value) or type(value) is str):
+            raise ParamsOutOfDomain(
+                f"parameter {key!r} of {ident!r} must be an int or a str, got {value!r}"
+            )
     point = {**params, "mode": mode} if len(spec.modes) > 1 else params
     if _params_key(point) not in _intrinsic_domain(ident, mode):
         raise ParamsOutOfDomain(

@@ -1,5 +1,9 @@
 """Fixtures shared by the test modules."""
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
 from whitneylah import arith
@@ -42,3 +46,17 @@ def run_quotients(monkeypatch):
 
     monkeypatch.setattr(arith, "_run_quotient", counted)
     return calls
+
+
+@pytest.fixture(scope="session")
+def bench_ops():
+    """The benchmark's ``perfbench/workloads.py``, which lists the command
+    lines the benchmark times (``make_ops``)."""
+    name = "perfbench_workloads"
+    if name not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        # registered before it runs: its dataclass looks its module up there
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]

@@ -1,7 +1,8 @@
 """The verdict of ``tools/bench_pairs.summarise`` on hand-made runs: a gain
 needs nine tenths of the pairs and a median margin above the parent's
 interquartile range, ties count for neither side, and a metric's
-direction decides which side wins."""
+direction decides which side wins; the unscaled figures of each run's
+``measured`` line are summarised per side beside the scaled ones."""
 
 import importlib.util
 from pathlib import Path
@@ -83,3 +84,62 @@ def test_change_vs_parent_is_the_relative_change_of_the_medians(metric):
     up = verdict(metric, PARENT, [p * 1.25 for p in PARENT])
     assert down["change_vs_parent"] == pytest.approx(-0.25)
     assert up["change_vs_parent"] == pytest.approx(0.25)
+
+
+def test_the_measured_line_is_read_off_stderr():
+    stderr = (
+        "  warm: 4 passes\n"
+        'measured {"setup_s": 0.07, "wall_s": 0.5, "max_op_s": 0.1, "warm_wall_s": 0.01}\n'
+        "done\n"
+    )
+    assert bench_pairs.measured_line(stderr) == {
+        "setup_s": 0.07, "wall_s": 0.5, "max_op_s": 0.1, "warm_wall_s": 0.01
+    }
+    assert bench_pairs.measured_line("  warm: 4 passes\n") is None
+
+
+def with_measured(all_runs: list[dict], name: str, scale: float) -> list[dict]:
+    """``all_runs``, each with its value divided by ``scale`` recorded as
+    measured, the way ``main`` keeps a run's ``measured`` line."""
+    return [
+        {**r, "measured": {name: r["result"]["metrics"][name]["value"] / scale}}
+        for r in all_runs
+    ]
+
+
+def test_measured_figures_are_summarised_beside_the_scaled_ones():
+    change = [p - 2 for p in PARENT]
+    got = bench_pairs.summarise(
+        with_measured(runs("wall_s", PARENT, change), "wall_s", 2.0), [LOWER], 10
+    )["wall_s"]
+    assert got["parent"] == {"median": 10.0, "q1": 9.5, "q3": 10.5}
+    assert got["measured"] == {
+        "parent": {"median": 5.0, "q1": 4.75, "q3": 5.25},
+        "change": {"median": 4.0, "q1": 3.75, "q3": 4.25},
+    }
+
+
+def test_runs_without_a_measured_figure_are_skipped():
+    all_runs = with_measured(runs("wall_s", PARENT, PARENT), "wall_s", 1.0)
+    for r in all_runs[:4]:
+        r["measured"] = None  # a run that printed no measured line
+    all_runs[4]["measured"] = {}
+    got = bench_pairs.summarise(all_runs, [LOWER], 10)["wall_s"]
+    # the parent's runs of pairs 3..9 and the change's of pairs 2..9
+    assert got["measured"]["parent"] == bench_pairs.quartiles(PARENT[3:])
+    assert got["measured"]["change"] == bench_pairs.quartiles(PARENT[2:])
+    assert got["parent"] == bench_pairs.quartiles(PARENT)
+
+
+def test_a_metric_no_run_measured_has_no_measured_figures():
+    got = bench_pairs.summarise(runs("wall_s", PARENT, PARENT), [LOWER], 10)["wall_s"]
+    assert "measured" not in got
+
+
+def test_a_side_with_fewer_than_two_measured_runs_has_no_quartiles():
+    all_runs = with_measured(runs("wall_s", PARENT, PARENT), "wall_s", 1.0)
+    for r in all_runs:
+        if r["side"] == "change" and r["pair"] > 0:
+            r["measured"] = None
+    got = bench_pairs.summarise(all_runs, [LOWER], 10)["wall_s"]["measured"]
+    assert got == {"parent": bench_pairs.quartiles(PARENT), "change": None}

@@ -1,13 +1,18 @@
 """CLI tests: subcommand behavior, output formats, determinism, and the
 0/1/2 exit-code contract."""
 
+import contextlib
 import importlib
+import io
 import json
 import math
 import sys
 from fractions import Fraction
+from typing import Optional
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from whitneylah import cli
 from whitneylah.cli import FAMILIES, main
@@ -218,12 +223,15 @@ class TestVerify:
 
 
 class TestParser:
-    def test_two_calls_build_the_parser_once(self, capsys):
+    def test_well_formed_calls_build_no_parser_and_two_errors_build_it_once(self, capsys):
         cli._build_parser.cache_clear()
         assert run_cli(capsys, "eval", "--family", "lah", "--n", "3", "--k", "2")[:2] == (0, "6\n")
         assert run_cli(capsys, "eval", "--family", "q-lah", "--n", "2", "--k", "1")[:2] == (
             0, "1 + q\n"
         )
+        assert cli._build_parser.cache_info().misses == 0
+        assert run_cli(capsys, "eval", "--family", "lah", "--k", "2")[0] == 2
+        assert run_cli(capsys, "eval", "--family", "nope", "--n", "3")[0] == 2
         info = cli._build_parser.cache_info()
         assert (info.misses, info.hits) == (1, 1)
 
@@ -237,6 +245,101 @@ class TestParser:
         assert again[0] == 2 and again[1] == ""
         assert "invalid choice: 'q-nothing'" in again[2]
         assert cli._build_parser.cache_info().misses == 1
+
+    def test_the_reader_reads_every_benchmark_command_line(self, bench_ops):
+        """The calls the benchmark times, at full size, skip argparse."""
+        for workload in bench_ops.WORKLOADS:
+            for op in bench_ops.make_ops(workload, 0):
+                read = cli._read(list(op.argv))
+                assert read is not None, op.argv
+                assert read.func is cli.COMMANDS[op.argv[0]].handler
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("table", "--family", "q-lah", "--alpha", "-2", "--n-max", "3"),
+            ("verify", "--alpha-list", "-1"),
+            ("series", "--id", "r3", "--k", "+2", "--order", " 3"),
+            ("table", "--family", "lah", "--n-max", "3", "--n-max", "4"),
+        ],
+    )
+    def test_a_negative_or_signed_integer_and_a_repeated_flag_read_as_in_argparse(
+        self, argv
+    ):
+        assert vars(cli._read(list(argv))) == vars(cli._build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            (),
+            ("table",),
+            ("table", "--family", "lah"),
+            ("table", "--family", "lah", "--n-max", "3", "--format"),
+            ("table", "--family", "lah", "--n-max", "-٣"),
+            ("table", "--family", "lah", "--n-max", "3.0"),
+            ("table", "--family", "lah", "--n-max", "3", "--k", "1"),
+            ("verify", "--alpha-list", "-1,2"),
+            ("verify", "--alpha-list", "-"),
+            ("eval", "--family", "lah", "--n", "3", "-h", "1"),
+            ("eval", "--family", "lah", "--n", "9" * 5000),
+        ],
+    )
+    def test_any_other_argv_is_for_argparse(self, argv):
+        assert cli._read(list(argv)) is None
+
+
+def argparse_reads(argv: list) -> Optional[dict]:
+    """vars() of argparse's namespace for ``argv``, or None where it reports
+    an error or prints help."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return vars(cli._build_parser().parse_args(argv))
+    except SystemExit:
+        return None
+
+
+# awkward tokens: abbreviated flags, ``=`` forms, help, ``--``, the empty
+# string, and values that int() or argparse read in unusual ways
+HOSTILE = (
+    "--n", "--fam", "--n-max=3", "--family=lah", "--alpha=-2", "-h", "--help", "--", "",
+    "+3", " 4", "5_0", "-٣", "٣", "3.0", "-", "-x", "-2", "0", "1,2", "table",
+)
+FLAGS = sorted({opt.flag for command in cli.COMMANDS.values() for opt in command.options})
+
+
+def option_values(opt) -> st.SearchStrategy:
+    if opt.choices is not None:
+        return st.sampled_from(opt.choices)
+    if opt.type is int:
+        return st.integers(-30, 30).map(str)
+    return st.sampled_from(("1,2", "3", "-1", "2,1,3", "x"))
+
+
+@st.composite
+def argvs(draw) -> list:
+    """A command's argv: its required flags and some others, some twice, in
+    any order, each with a good value or one time in four a hostile one,
+    and then up to two hostile tokens inserted anywhere."""
+    name = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    options = cli.COMMANDS[name].options
+    chosen = [opt for opt in options if opt.required or draw(st.booleans())]
+    chosen += draw(st.lists(st.sampled_from(options), max_size=1))
+    argv = [name]
+    for opt in draw(st.permutations(chosen)):
+        hostile = draw(st.integers(0, 3)) == 0
+        argv += [opt.flag, draw(st.sampled_from(HOSTILE) if hostile else option_values(opt))]
+    for _ in range(draw(st.sampled_from((0, 0, 1, 2)))):
+        token = draw(st.sampled_from(HOSTILE + tuple(FLAGS)))
+        argv.insert(draw(st.integers(0, len(argv))), token)
+    return argv
+
+
+@given(argvs())
+@settings(max_examples=400, deadline=None)
+def test_a_namespace_the_reader_returns_is_the_one_argparse_parses(argv):
+    read = cli._read(argv)
+    if read is not None:
+        assert vars(read) == argparse_reads(argv)
 
 
 class TestSeries:
@@ -471,6 +574,14 @@ class TestUsage:
         )
         assert (code, out) == (2, "")
         assert err == f"error: family {family!r} does not take --alpha\n"
+
+    @pytest.mark.parametrize("family", ["bell", "lah", "q-lah"])
+    def test_alpha_1_on_a_family_without_one_is_its_own_case(self, capsys, family):
+        """These families are the alpha = 1 case of the translated ones."""
+        argv = ("table", "--family", family, "--n-max", "3")
+        plain = run_cli(capsys, *argv)
+        assert plain[0] == 0 and plain[1]
+        assert run_cli(capsys, *argv, "--alpha", "1") == plain
 
     def test_n_max_below_one_is_domain_error(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--n-max", "0")

@@ -139,29 +139,37 @@ class TestFreshInterpreterCli:
         assert warm_cli(capsys, *argv) == (2, "", line)
 
 
-# Prints, one per line, the modules of ``watched`` that the calls loaded.
+# Prints the exit codes of the calls on one line, then, one per line, the
+# modules of ``watched`` that they loaded.
 _LOADED_BY = """
 import contextlib, io, sys
 watched = {
     "whitneylah.verify", "dataclasses", "inspect", "json",
     "whitneylah.whitney", "whitneylah.qwhitney", "fractions", "decimal",
+    "argparse", "gettext", "locale",
 }
 before = set(sys.modules)
 from whitneylah.cli import main
+codes = []
 for argv in sys.argv[1:]:
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(argv.split()) == 0, argv
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        codes.append(main(argv.split()))
+print(*codes)
 print("\\n".join(sorted(watched & (set(sys.modules) - before))))
 """
 
 
-def loaded_by(*argvs: str) -> list[str]:
-    """The watched modules that the calls, run in one fresh interpreter, loaded."""
+def loaded_by(*argvs: str, codes: tuple[int, ...] = ()) -> list[str]:
+    """The watched modules that the calls, run in one fresh interpreter,
+    loaded; each call exits with its entry of ``codes``, by default 0."""
     run = fresh_python(_LOADED_BY, *argvs)
     assert run.returncode == 0, run.stderr
-    return run.stdout.split()
+    first, *loaded = run.stdout.split("\n")
+    assert first.split() == [str(code) for code in codes or [0] * len(argvs)]
+    return [name for name in loaded if name]
 
 
+PARSER_MODULES = {"argparse", "gettext", "locale"}
 BOTH_FAMILY_MODULES = ["whitneylah.qwhitney", "whitneylah.whitney"]
 
 
@@ -232,6 +240,28 @@ class TestImportSet:
 
     def test_json_table_loads_json_only(self):
         assert loaded_by("table --family bell --n-max 3 --format json") == ["json"]
+
+    @pytest.mark.parametrize("workload", ["verify", "qtable", "series_deep"])
+    def test_the_benchmark_command_lines_load_no_parser(self, bench_ops, workload):
+        """Nor ``gettext`` or ``locale``, which argparse loads: a
+        well-formed command line is read without it."""
+        ops = bench_ops.make_ops(workload, 0, tiny=True)
+        loaded = loaded_by(
+            *(" ".join(op.argv) for op in ops), codes=tuple(op.expect_rc for op in ops)
+        )
+        assert not PARSER_MODULES & set(loaded)
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            ("--help", 0),
+            ("table --help", 0),
+            ("table --family lah", 2),
+            ("table --family lah --n 3", 0),
+        ],
+    )
+    def test_help_a_usage_error_and_an_abbreviation_load_the_parser(self, argv, code):
+        assert PARSER_MODULES <= set(loaded_by(argv, codes=(code,)))
 
 
 class TestLazyPackage:

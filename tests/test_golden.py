@@ -10,6 +10,7 @@ import contextlib
 import hashlib
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -132,3 +133,27 @@ def series_rows_digest() -> dict:
 
 def test_series_rows_match_golden():
     assert series_rows_digest() == json.loads((GOLDEN / SERIES_ROWS).read_text())
+
+
+# Command lines that the CLI leaves to argparse: help, usage errors, an
+# abbreviated flag, ``--flag=value`` and ``--``: argv -> exit code, stdout
+# and stderr, captured with COLUMNS=80 from the CLI that parsed every argv
+# with argparse. argparse words its help differently across Python
+# versions, so the file records the version it was captured on.
+ARGPARSE_PATHS = "cli_argparse_paths.json"
+_ARGPARSE_GOLDEN = json.loads((GOLDEN / ARGPARSE_PATHS).read_text())
+
+
+@pytest.mark.skipif(
+    "%d.%d" % sys.version_info[:2] != _ARGPARSE_GOLDEN["python"],
+    reason=f"argparse wording of Python {_ARGPARSE_GOLDEN['python']}",
+)
+@pytest.mark.parametrize(
+    "case", _ARGPARSE_GOLDEN["cases"], ids=lambda case: " ".join(case["argv"]) or "no-args"
+)
+def test_argparse_paths_match_golden(capsys, monkeypatch, case):
+    monkeypatch.setenv("COLUMNS", str(_ARGPARSE_GOLDEN["columns"]))
+    assert cli._read(case["argv"]) is None
+    rc = cli.main(list(case["argv"]))
+    out, err = capsys.readouterr()
+    assert (rc, out, err) == (case["rc"], case["stdout"], case["stderr"])

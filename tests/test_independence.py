@@ -15,7 +15,7 @@ import sys
 
 import pytest
 
-from whitneylah import arith, qwhitney, whitney
+from whitneylah import arith, classical, qcalc, qwhitney, whitney
 from whitneylah.arith import TruncSeries
 from whitneylah.verify import run_suite
 
@@ -26,6 +26,17 @@ def raise_row_3(weights):
     def corrupted(alpha, n, lo, hi):
         left, right = weights(alpha, n, lo, hi)
         return left, [w + 1 for w in right] if n == 3 else right
+
+    return corrupted
+
+
+def raise_first_of_row_3(weights):
+    """The engine weights with the first right weight of each range of
+    row 3 raised by one."""
+
+    def corrupted(alpha, n, lo, hi):
+        left, right = weights(alpha, n, lo, hi)
+        return left, [right[0] + 1, *right[1:]] if n == 3 else right
 
     return corrupted
 
@@ -42,20 +53,54 @@ def raise_coefficient_3(geometric):
     return corrupted
 
 
+def raise_n_3(point):
+    """``gqf_point`` with every value at n = 3 raised by one."""
+
+    def corrupted(t, alpha, n, base=1):
+        value = point(t, alpha, n, base)
+        return value + 1 if n == 3 else value
+
+    return corrupted
+
+
+_TW1_ROW_3 = {"lah_conv", "ortho", "q_limits", "stirling_hgf", "w_hgf", "wl_conv"}
+_QW_ROW_3 = {"inv_qtw", "q_defs", "q_limits", "qw1w2"}
+
+# case -> (module, primitive, corruption, the identities that fail)
 CASES = {
     "_twl_weights": (
         whitney,
+        "_twl_weights",
         raise_row_3,
         {"gqif1", "mansour", "r1", "r2", "r2.1", "r3", "r4", "wl_conv", "wl_hgf"},
     ),
     "_qwl_weights": (
         qwhitney,
+        "_qwl_weights",
         raise_row_3,
         {"q_defs", "q_limits", "qgqif1", "qr1", "qr1.1", "qr2", "qr2.1", "qw1w2"},
     ),
+    "_tw1_weights": (classical, "_tw1_weights", raise_row_3, _TW1_ROW_3),
+    "_tw2_weights": (
+        classical, "_tw2_weights", raise_row_3, _TW1_ROW_3 | {"dobinski", "gqif1", "qi_bell"}
+    ),
+    "_qw1_weights": (qwhitney, "_qw1_weights", raise_row_3, _QW_ROW_3),
+    "_qw2_weights": (qwhitney, "_qw2_weights", raise_row_3, _QW_ROW_3),
+    # qgqif1 reads the second-kind triangle's column 0 as well
+    "_qw2_weights first weight": (
+        qwhitney, "_qw2_weights", raise_first_of_row_3, _QW_ROW_3 | {"qgqif1"}
+    ),
+    "_qbinom_weights": (
+        qcalc, "_qbinom_weights", raise_row_3, {"pe1", "pe2", "qbinom_inv", "qr1", "qr1.1"}
+    ),
+    "gqf_point": (
+        qcalc, "gqf_point", raise_n_3, {"pe1", "q_defs", "qr1", "qr1.1", "qr2", "qr2.1"}
+    ),
     # the series sides of the EGF checks and pe2's products; no other
     # identity builds a series, so r2, r2.1 and qr1 pass
-    "ts_mul_geometric": (arith, raise_coefficient_3, {"lah_egf", "pe2", "qr1.1", "r3"}),
+    "ts_mul_geometric": (
+        arith, "ts_mul_geometric", raise_coefficient_3, {"lah_egf", "pe2", "qr1.1", "r3"}
+    ),
 }
 
 
@@ -87,11 +132,11 @@ def test_the_sound_registry_passes_on_the_probe_grid(cold_memo):
     assert report.total > 0 and report.failed == []
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("case", sorted(CASES))
 def test_a_corrupted_primitive_fails_each_identity_that_reads_it_on_one_side(
-    name, cold_memo, monkeypatch
+    case, cold_memo, monkeypatch
 ):
-    module, corrupt, expected = CASES[name]
+    module, name, corrupt, expected = CASES[case]
     calls = rebind_everywhere(monkeypatch, module, name, corrupt)
     report = run_suite(alpha_list=(1, 2, 3), n_max=6)
     assert calls

@@ -129,6 +129,19 @@ class TestCheckIdentity:
         with pytest.raises(ParamsOutOfDomain):
             check_identity("r4", {"alpha": 1, "k": 2, "n": 2, "mode": "as_printed"})
 
+    @pytest.mark.parametrize(
+        "ident, point",
+        [("r2", {"alpha": 1, "n": 2, "k": 1}), ("qr1", {"alpha": 1, "n": 2, "k": 1})],
+    )
+    @pytest.mark.parametrize(
+        "key, value", [("alpha", True), ("alpha", 1.0), ("n", True), ("n", 2.0), ("k", 2.0)]
+    )
+    def test_a_bool_or_float_parameter_is_out_of_domain(self, ident, point, key, value):
+        """They equal ints of the grid, and hash alike, but no check takes them."""
+        assert check_identity(ident, point).passed
+        with pytest.raises(ParamsOutOfDomain, match=f"parameter {key!r} .* got {value!r}"):
+            check_identity(ident, {**point, key: value})
+
 
 class TestRunSuite:
     def test_classical_suite_passes(self):

@@ -12,7 +12,10 @@ odd, so neither side always meets the machine in the same state. Each run
 is ``python3 perfbench/run.py --workload W --seed S --trace 0`` in its own
 checkout, one process at a time, for the run length that ``run.py`` sets
 itself; its last stdout line, one JSON object, is kept whole under
-``runs``.
+``runs``, and beside it, as ``measured``, the unscaled figures of the
+``measured {...}`` line that ``run.py`` writes to stderr (``wall_s``,
+``max_op_s``, ``warm_wall_s``, ``setup_s``: seconds on this machine, not
+scaled by the reference task).
 
 Per workload and end-to-end metric, ``summary`` holds each side's median
 and quartiles (``statistics.quantiles``, inclusive method), the change's
@@ -20,10 +23,14 @@ median relative to the parent's, the parent's interquartile range, and
 ``change_wins``, the pairs in which the change's value is better (a tie
 counts for neither side). ``gain`` is true when the change wins at least
 nine tenths of the pairs and its median is better than the parent's by
-more than the parent's interquartile range. A metric's direction and bound
-are read from the change's ``BENCHMARK.json``. The file also records
-every run's ``correct``, ``attempted`` and ``failed``, and the interpreter
-and machine the pairs ran on.
+more than the parent's interquartile range. A metric that ``run.py`` also
+measures unscaled gets ``measured``: each side's median and quartiles of
+the unscaled figure, over the runs that have one. A load burst during the
+reference task moves the scaled figures of a run, not the unscaled ones.
+A metric's direction and bound are read from the change's
+``BENCHMARK.json``. The file also records every run's ``correct``,
+``attempted`` and ``failed``, and the interpreter and machine the pairs
+ran on.
 
 A run that exits nonzero or prints no JSON line stops the script with its
 stderr tail; the runs made so far are not written.
@@ -41,8 +48,10 @@ import sys
 from pathlib import Path
 
 
-def run_once(root: Path, workload: str, seed: int) -> dict:
-    """One benchmark run in the checkout at ``root``: its JSON result line."""
+def run_once(root: Path, workload: str, seed: int) -> tuple[dict, dict | None]:
+    """One benchmark run in the checkout at ``root``: its JSON result line,
+    and the unscaled figures of its stderr ``measured`` line (None if it
+    printed none)."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--trace", "0"]
     done = subprocess.run(argv, cwd=root, capture_output=True, text=True)
@@ -51,12 +60,34 @@ def run_once(root: Path, workload: str, seed: int) -> dict:
         raise SystemExit(
             f"{root} {workload} seed {seed}: exit {done.returncode}\n{done.stderr[-2000:]}"
         )
-    return json.loads(lines[-1])
+    return json.loads(lines[-1]), measured_line(done.stderr)
+
+
+def measured_line(stderr: str) -> dict | None:
+    """The figures of the last ``measured {...}`` line of a run's stderr."""
+    for line in reversed(stderr.splitlines()):
+        if line.startswith("measured {"):
+            return json.loads(line[len("measured "):])
+    return None
 
 
 def quartiles(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
+
+
+def measured_quartiles(runs: list[dict], name: str) -> dict | None:
+    """Each side's quartiles of the unscaled ``name`` over the runs that
+    measured it, None for a side with fewer than two such runs; None when
+    no run measured it."""
+    side = {
+        s: [r["measured"][name] for r in runs
+            if r["side"] == s and name in (r.get("measured") or {})]
+        for s in ("parent", "change")
+    }
+    if not any(side.values()):
+        return None
+    return {s: quartiles(v) if len(v) >= 2 else None for s, v in side.items()}
 
 
 def summarise(runs: list[dict], metrics: list[dict], pairs: int) -> dict:
@@ -84,6 +115,9 @@ def summarise(runs: list[dict], metrics: list[dict], pairs: int) -> dict:
             "pairs": pairs,
             "gain": wins >= 0.9 * pairs and margin > iqr,
         }
+        measured = measured_quartiles(runs, name)
+        if measured is not None:
+            summary[name]["measured"] = measured
     return summary
 
 
@@ -115,8 +149,10 @@ def main(argv=None) -> int:
             seed = args.seed_base + i
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                result = run_once(roots[side], workload, seed)
-                runs.append({"pair": i, "side": side, "seed": seed, "result": result})
+                result, measured = run_once(roots[side], workload, seed)
+                runs.append(
+                    {"pair": i, "side": side, "seed": seed, "result": result, "measured": measured}
+                )
                 value = result["metrics"]["warm_wall_s"]["value"]
                 print(f"{workload} pair {i} {side}: warm_wall_s {value:.4f}", file=sys.stderr)
         runs.sort(key=lambda r: (r["pair"], r["side"] != "parent"))
