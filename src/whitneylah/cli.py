@@ -34,12 +34,21 @@ table, and such a call loads none of ``argparse``, ``gettext`` and
 ``--flag=value``, ``--``) go to the argparse parser that
 ``_build_parser`` makes from the same table.
 
+``main()`` is the process entry: the console script and ``python -m
+whitneylah.cli`` call it without argv. Once the command has run, it
+flushes stdout and then stderr and ends the process by ``os._exit`` with
+the exit code, so a cold call skips the interpreter's teardown of every
+module that ``site`` and the command loaded. That process's ``atexit``
+handlers do not run, so a coverage tool that records subprocesses through
+them misses these calls. ``main(argv)`` always returns the exit code.
+
 Exit codes: 0 success (and all checks passed), 1 verification failure,
-2 usage or domain error.
+2 usage or domain error, or output that could not be written.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 from functools import cache
 from importlib import import_module
@@ -349,8 +358,36 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
+    """Run the command line ``argv`` and return its exit code; without
+    ``argv``, run ``sys.argv[1:]`` and end the process (module docstring).
+
+    The commands read no file, so an ``OSError`` that reaches the process
+    entry is a failed write of their output, to a pipe with no reader or a
+    full disk: the process prints one ``error:`` line on stderr, if stderr
+    takes it, and exits 2. ``sys.stdout`` is None when fd 1 was closed at
+    start-up; ``print`` then writes nothing."""
+    if argv is not None:
+        return _run(argv)
+    try:
+        code = _run(sys.argv[1:])
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:
+        code = 2
+        try:
+            print(f"error: {exc}", file=sys.stderr)
+        except OSError:
+            pass
+    try:
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    except OSError:
+        pass
+    os._exit(code)
+
+
+def _run(argv: list[str]) -> int:
+    """The exit code of the command line ``argv``."""
     args = _read(argv)
     if args is None:
         try:

@@ -51,18 +51,24 @@ EXPORTS = {
 ALL_NAMES = sorted(name for names in EXPORTS.values() for name in names)
 
 
-def fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
-    """Run ``code`` in a new interpreter that imports this checkout's package."""
+def fresh_python(code: str, *args: str, **streams) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that imports this checkout's package;
+    ``streams`` are ``subprocess.run`` arguments, by default a pipe each for
+    stdout and stderr."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env,
-        timeout=120,
+        [sys.executable, "-c", code, *args], text=True, env=env, timeout=120,
+        **{"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, **streams},
     )
 
 
-def cold_cli(*argv: str) -> subprocess.CompletedProcess:
-    return fresh_python("import sys; from whitneylah.cli import main; sys.exit(main())", *argv)
+# what the console script and ``python -m whitneylah.cli`` run
+ENTRY = "import sys; from whitneylah.cli import main; sys.exit(main())"
+
+
+def cold_cli(*argv: str, **streams) -> subprocess.CompletedProcess:
+    return fresh_python(ENTRY, *argv, **streams)
 
 
 def warm_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -137,6 +143,83 @@ class TestFreshInterpreterCli:
         cold = cold_cli(*argv)
         assert (cold.returncode, cold.stdout, cold.stderr) == (2, "", line)
         assert warm_cli(capsys, *argv) == (2, "", line)
+
+
+EVAL = ("eval", "--family", "lah", "--n", "5", "--k", "2")  # prints 240
+# fails while the command writes, past the first 8 KiB
+BIG_TABLE = ("table", "--family", "q-whitney-lah", "--alpha", "3", "--n-max", "30")
+DOMAIN_ERROR = ("table", "--family", "q-whitney1", "--alpha", "0", "--n-max", "3")
+ATEXIT_MARKER = "an atexit handler ran"
+_WITH_ATEXIT = (
+    "import atexit, sys\n"
+    f"atexit.register(lambda: sys.stderr.write({ATEXIT_MARKER!r}))\n"
+    "from whitneylah.cli import main\n"
+    "sys.exit(main(%s))\n"
+)
+
+
+class TestProcessEntry:
+    """``main()`` ends the process by ``os._exit`` once its output is
+    flushed; ``main(argv)`` returns."""
+
+    def test_main_ends_the_process_before_atexit_handlers_run(self):
+        run = fresh_python(_WITH_ATEXIT % "", *EVAL)
+        assert (run.returncode, run.stdout, run.stderr) == (0, "240\n", "")
+
+    def test_main_with_argv_returns_and_atexit_handlers_run(self):
+        run = fresh_python(_WITH_ATEXIT % "sys.argv[1:]", *EVAL)
+        assert (run.returncode, run.stdout, run.stderr) == (0, "240\n", ATEXIT_MARKER)
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (EVAL, 0),
+            (("table", "--help"), 0),
+            (("verify", "--n-max", "3", "--mode", "as_printed"), 1),
+            (DOMAIN_ERROR, 2),
+            (("table", "--family", "lah"), 2),
+        ],
+        ids=["eval", "help", "verify-as_printed", "domain-error", "usage-error"],
+    )
+    def test_cold_and_in_process_calls_agree_on_every_exit_code(self, capsys, argv, code):
+        cold = cold_cli(*argv)
+        assert (cold.returncode, cold.stdout, cold.stderr) == warm_cli(capsys, *argv)
+        assert cold.returncode == code
+
+    @pytest.mark.parametrize("argv", [EVAL, BIG_TABLE], ids=["at-the-flush", "mid-command"])
+    def test_a_pipe_with_no_reader_exits_2_with_one_line(self, argv):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            run = cold_cli(*argv, stdout=write)
+        finally:
+            os.close(write)
+        assert (run.returncode, run.stderr) == (2, "error: [Errno 32] Broken pipe\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("argv", [EVAL, BIG_TABLE], ids=["at-the-flush", "mid-command"])
+    def test_a_full_device_exits_2_with_one_line(self, argv):
+        with open("/dev/full", "w") as full:
+            run = cold_cli(*argv, stdout=full)
+            assert (run.returncode, run.stderr) == (
+                2, "error: [Errno 28] No space left on device\n"
+            )
+            # with stderr broken too, the exit code is all that is left
+            assert cold_cli(*argv, stdout=full, stderr=full).returncode == 2
+
+    @pytest.mark.parametrize(
+        "argv, code, err",
+        [
+            (EVAL, 0, ""),
+            (DOMAIN_ERROR, 2, "error: alpha must be a nonzero integer, got 0\n"),
+        ],
+        ids=["eval", "domain-error"],
+    )
+    def test_a_closed_stdout_prints_nothing_and_keeps_the_exit_code(self, argv, code, err):
+        """With fd 1 closed, ``sys.stdout`` is None and ``print`` writes
+        nothing."""
+        run = cold_cli(*argv, preexec_fn=lambda: os.close(1))
+        assert (run.returncode, run.stdout, run.stderr) == (code, "", err)
 
 
 # Prints the exit codes of the calls on one line, then, one per line, the

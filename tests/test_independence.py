@@ -8,14 +8,16 @@ tautology the rule forbids. Each case below corrupts one primitive,
 rebinds it in every module that imported it, runs the whole registry at
 alpha 1..3 and n_max 6 from cleared memos, and compares the identities
 that fail with the expected set. The engine weights' sets are those of
-ROADMAP item 7.
+ROADMAP item 7. A second test runs each identity alone, from cleared
+memos, and asserts that every identity that calls the corrupted
+primitive fails, unless ``READ_AND_PASS`` names it with its reason.
 """
 
 import sys
 
 import pytest
 
-from whitneylah import arith, classical, qcalc, qwhitney, whitney
+from whitneylah import arith, classical, qcalc, qwhitney, verify, whitney
 from whitneylah.arith import TruncSeries
 from whitneylah.verify import run_suite
 
@@ -63,6 +65,17 @@ def raise_n_3(point):
     return corrupted
 
 
+def raise_at_3(primitive):
+    """A closed form with its value raised by one where its first
+    argument is 3."""
+
+    def corrupted(*args):
+        value = primitive(*args)
+        return value + 1 if args[0] == 3 else value
+
+    return corrupted
+
+
 _TW1_ROW_3 = {"lah_conv", "ortho", "q_limits", "stirling_hgf", "w_hgf", "wl_conv"}
 _QW_ROW_3 = {"inv_qtw", "q_defs", "q_limits", "qw1w2"}
 
@@ -101,6 +114,39 @@ CASES = {
     "ts_mul_geometric": (
         arith, "ts_mul_geometric", raise_coefficient_3, {"lah_egf", "pe2", "qr1.1", "r3"}
     ),
+    # the closed forms outside the engine
+    "lah": (
+        classical,
+        "lah",
+        raise_at_3,
+        {
+            "gouqi", "lah_conv", "lah_egf", "lah_hgf", "lah_rec", "q_limits", "qi_bell",
+            "r2", "wl_rec",
+        },
+    ),
+    "binomial": (classical, "binomial", raise_at_3, {"graham"}),
+    # the q-triangles' weights are built from qint, so every identity that
+    # reads a q-triangle fails as well
+    "qint": (
+        qcalc,
+        "qint",
+        raise_at_3,
+        {"qr1", "qr1.1", "qr2", "qr2.1", "qgqif1", "pe1"} | _QW_ROW_3,
+    ),
+    "genfact_poly": (
+        classical,
+        "genfact_poly",
+        raise_at_3,
+        {"lah_hgf", "stirling_hgf", "w_hgf", "wl_hgf"},
+    ),
+}
+
+# (case, identity) -> why the identity calls the corrupted primitive and
+# still passes
+READ_AND_PASS = {
+    ("_qw2_weights", "qgqif1"): "an equivalent mutation: row 3 multiplies by [t] + 1"
+    " instead of [t] on the +alpha and the -alpha triangles alike, and qgqif1 is a"
+    " change of basis that holds for any such sequence; the first-weight case fails it",
 }
 
 
@@ -141,3 +187,29 @@ def test_a_corrupted_primitive_fails_each_identity_that_reads_it_on_one_side(
     report = run_suite(alpha_list=(1, 2, 3), n_max=6)
     assert calls
     assert {r.id for r in report.failed} == expected
+    # a corrupted value may leave an exact division with a remainder; any
+    # other error would come from a corruption that miscalls the primitive
+    raised = [r.lhs for r in report.failed if r.rhs == ""]
+    assert all(lhs.startswith("<error: NonExactDivision:") for lhs in raised)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_each_identity_that_reads_a_corrupted_primitive_fails(case, monkeypatch):
+    """Each identity runs alone from cleared memos, so a call of the
+    primitive is its own and not one a memo spared it."""
+    module, name, corrupt, expected = CASES[case]
+    calls = rebind_everywhere(monkeypatch, module, name, corrupt)
+    registry = dict(verify._REGISTRY)
+    read, failed = set(), set()
+    for ident, spec in registry.items():
+        monkeypatch.setattr(verify, "_REGISTRY", {ident: spec})
+        arith.clear_caches()
+        calls.clear()
+        alphas = tuple(a for a in (1, 2, 3) if a in spec.grid.alphas)
+        if run_suite(alpha_list=alphas, n_max=6).failed:
+            failed.add(ident)
+        if calls:
+            read.add(ident)
+    arith.clear_caches()
+    assert failed == expected
+    assert read - failed == {ident for c, ident in READ_AND_PASS if c == case}
