@@ -16,6 +16,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "arith": (
         "DivisionByZero",
+        "DomainError",
         "LaurentPoly",
         "NonExactDivision",
         "TruncSeries",

@@ -47,11 +47,16 @@ from operator import add, mul, sub
 from typing import Callable, Iterable, Iterator, Mapping
 
 
-class DivisionByZero(ZeroDivisionError):
+class DomainError(ValueError):
+    """An input outside the domain of the function given it: the base of
+    every exception class of the package, beside its builtin base."""
+
+
+class DivisionByZero(DomainError, ZeroDivisionError):
     """Division of a Laurent polynomial by the zero polynomial."""
 
 
-class NonExactDivision(ArithmeticError):
+class NonExactDivision(DomainError, ArithmeticError):
     """Laurent polynomial division left a nonzero remainder."""
 
 
@@ -187,7 +192,7 @@ class LaurentPoly:
     def __pow__(self, k: int):
         """By repeated squaring: about log2(k) products, none against 1."""
         if not _is_int(k) or k < 0:
-            raise ValueError("exponent must be a non-negative integer")
+            raise DomainError("exponent must be a non-negative integer")
         result, x = None, self
         while k:
             if k & 1:
@@ -221,7 +226,7 @@ class LaurentPoly:
         if it has no space, ``+``, ``*`` or ``%``.
         """
         if not var.isidentifier():
-            raise ValueError(f"variable must be an identifier, got {var!r}")
+            raise DomainError(f"variable must be an identifier, got {var!r}")
         cs = self._c
         if not cs:
             return "0"
@@ -629,10 +634,10 @@ class TruncSeries:
         cs = list(coeffs)
         if order is None:
             if not cs:
-                raise ValueError("need coefficients or an explicit order")
+                raise DomainError("need coefficients or an explicit order")
             order = len(cs) - 1
         if not _is_int(order) or order < 0:
-            raise ValueError("order must be a non-negative integer")
+            raise DomainError("order must be a non-negative integer")
         cs = cs[: order + 1]
         if len(cs) <= order:
             zero = _ZERO_POLY if any(isinstance(c, LaurentPoly) for c in cs) else 0

@@ -28,10 +28,10 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from .arith import _MEMOS, LaurentPoly, NonExactDivision, _is_int, lp_dot
+from .arith import _MEMOS, DomainError, LaurentPoly, NonExactDivision, _is_int, lp_dot
 
 
-class InvalidAlpha(ValueError):
+class InvalidAlpha(DomainError):
     """The translation parameter must be a positive integer."""
 
 

@@ -8,21 +8,22 @@ exact integers routinely exceed what consumers of native JSON numbers can
 represent. Integers print in full at any length.
 
 The domains of the family functions and identity checks are the library's:
-an alpha outside them raises the library's ``InvalidAlpha``, and ``series``
+an input outside them raises the library's ``DomainError``, printed as one
+``error:`` line with exit code 2, as the CLI's own checks are. ``series``
 prints both sides of the ``r3``/``qr1.1`` checks, ``whitney.twl_egf_check``
 and ``qwhitney.qwl_egf_check``, the very functions the registry holds for
 those ids.
 
 Each command imports only the modules it runs, since a cold call pays to
-import them. Every call loads the kernel (``arith``, ``qcalc``) and the
-engine module ``classical``, which defines ``InvalidAlpha``. A family's
-function is read off its family module once per command, which imports
-that module on a cold call: the q-families
-and ``series --id qr1.1`` load ``qwhitney``; ``whitney1``, ``whitney2``,
-``whitney-lah``, ``dowling`` and ``series --id r3`` load ``whitney``; the
-classical families load neither. Only ``verify`` imports the identity
-registry (``verify``) and ``fractions``; only a JSON table and ``verify``
-load ``json``. No command loads ``dataclasses``,
+import them. Every call loads the kernel ``arith``, which defines
+``DomainError``. A family's function or a series check is read off its
+module once per command, which imports that module on a cold call: the
+classical families load the engine module ``classical``; ``whitney1``,
+``whitney2``, ``whitney-lah``, ``dowling`` and ``series --id r3`` load
+``whitney`` and ``classical``; the q-families and ``series --id qr1.1``
+load ``qwhitney``, ``classical`` and ``qcalc``. Only ``verify`` imports the
+identity registry (``verify``) and ``fractions``; only a JSON table and
+``verify`` load ``json``. No command loads ``dataclasses``,
 which would bring in ``inspect`` and a dozen more modules: the registry's
 records are NamedTuples and ``__slots__`` classes.
 
@@ -50,43 +51,36 @@ from __future__ import annotations
 
 import os
 import sys
-from functools import cache
+from functools import cache, partial
 from importlib import import_module
 from itertools import chain
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
-from .arith import NonExactDivision
-from .classical import InvalidAlpha
-from .qcalc import InvalidOrder, NegativeArgument
+from .arith import DomainError
 
 if TYPE_CHECKING:
     import argparse
 
 
-class _Late:
+class _Late(NamedTuple):
     """``whitneylah.<module>.<name>``, read when a command binds it. ``bind``
     imports the module and reads the name, so a cold call loads only the
-    family module it runs, and a rebound name (perfbench's tracer wraps
-    them) is the one run; a command binds its family once."""
+    module it runs, and a rebound name (perfbench's tracer wraps them) is
+    the one run; a command binds its function once."""
 
-    __slots__ = ("path", "name", "takes_alpha")
-
-    def __init__(self, module: str, name: str, takes_alpha: bool):
-        self.path, self.name, self.takes_alpha = f"whitneylah.{module}", name, takes_alpha
+    module: str
+    name: str
 
     def bind(self) -> Callable:
-        """(alpha, n[, k]) -> the function at those arguments, the alpha
-        dropped if the function takes none."""
-        fn = getattr(import_module(self.path), self.name)
-        return fn if self.takes_alpha else lambda alpha, *args: fn(*args)
+        return getattr(import_module(f"whitneylah.{self.module}"), self.name)
 
 
 class _Family(NamedTuple):
     """A CLI family: its ``kind`` ("triangle" or "sequence"), whether it
     ``takes_alpha`` (if not, --alpha is a usage error; if so, the library
     checks it) and its ``value``, bound once per command to (alpha, n[, k])
-    -> int | LaurentPoly."""
+    -> int | LaurentPoly, or to (n[, k]) if it takes no alpha."""
 
     kind: str
     takes_alpha: bool
@@ -94,7 +88,7 @@ class _Family(NamedTuple):
 
 
 FAMILIES: dict[str, _Family] = {
-    family: _Family(kind, takes_alpha, _Late(module, name, takes_alpha))
+    family: _Family(kind, takes_alpha, _Late(module, name))
     for family, kind, takes_alpha, module, name in (
         ("lah", "triangle", False, "classical", "lah"),
         ("stirling1u", "triangle", False, "classical", "stirling1u"),
@@ -112,28 +106,22 @@ FAMILIES: dict[str, _Family] = {
     )
 }
 
-# series id -> the family module and the name of its check, imported and
-# read once per command, as a family's value is
+# series id -> its check, bound once per command, as a family's value is
 SERIES_CHECKS = {
-    "r3": ("whitney", "twl_egf_check"),
-    "qr1.1": ("qwhitney", "qwl_egf_check"),
+    "r3": _Late("whitney", "twl_egf_check"),
+    "qr1.1": _Late("qwhitney", "qwl_egf_check"),
 }
 
-# qwhitney.InvalidRange is left out: only the explicit route of qlah_gr
-# raises it, and no command takes that route
-_DOMAIN_ERRORS = (InvalidAlpha, InvalidOrder, NegativeArgument, NonExactDivision)
 
-
-class _UsageError(Exception):
-    pass
-
-
-def _resolve_alpha(family: str, alpha: Optional[int]) -> int:
-    """The alpha to call the family with; the library rejects an alpha
-    outside the family's domain with :class:`InvalidAlpha`."""
-    if not FAMILIES[family].takes_alpha and alpha not in (None, 1):
-        raise _UsageError(f"family {family!r} does not take --alpha")
-    return 1 if alpha is None else alpha
+def _bind(family: str, alpha: Optional[int]) -> tuple[int, Callable]:
+    """The alpha a family's table prints and its value, bound to that alpha
+    if it takes one; the library rejects an alpha outside its domain."""
+    fam = FAMILIES[family]
+    if not fam.takes_alpha and alpha not in (None, 1):
+        raise DomainError(f"family {family!r} does not take --alpha")
+    alpha = 1 if alpha is None else alpha
+    fn = fam.value.bind()
+    return alpha, partial(fn, alpha) if fam.takes_alpha else fn
 
 
 def _cmd_table(args) -> int:
@@ -141,17 +129,15 @@ def _cmd_table(args) -> int:
     memory; row 0 is computed before the header, so that an alpha the
     library rejects exits 2 with nothing on stdout. A JSON table is one
     document, printed once every row is computed."""
-    fam = FAMILIES[args.family]
-    alpha = _resolve_alpha(args.family, args.alpha)
+    alpha, value = _bind(args.family, args.alpha)
     if args.n_max < 0:
-        raise _UsageError("--n-max must be non-negative")
+        raise DomainError("--n-max must be non-negative")
     ns = range(args.n_max + 1)
-    triangle = fam.kind == "triangle"
-    value = fam.value.bind()
+    triangle = FAMILIES[args.family].kind == "triangle"
     if triangle:
-        rows = ([str(value(alpha, n, k)) for k in range(n + 1)] for n in ns)
+        rows = ([str(value(n, k)) for k in range(n + 1)] for n in ns)
     else:
-        rows = (str(value(alpha, n)) for n in ns)
+        rows = (str(value(n)) for n in ns)
     if args.format == "json":
         import json
 
@@ -171,37 +157,27 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    fam = FAMILIES[args.family]
-    alpha = _resolve_alpha(args.family, args.alpha)
-    if fam.kind == "triangle":
-        if args.k is None:
-            raise _UsageError(f"family {args.family!r} needs --k")
-        value = fam.value.bind()(alpha, args.n, args.k)
-    else:
-        if args.k is not None:
-            raise _UsageError(f"family {args.family!r} does not take --k")
-        value = fam.value.bind()(alpha, args.n)
-    print(value)
+    _, value = _bind(args.family, args.alpha)
+    triangle = FAMILIES[args.family].kind == "triangle"
+    if triangle == (args.k is None):
+        need = "needs" if triangle else "does not take"
+        raise DomainError(f"family {args.family!r} {need} --k")
+    print(value(args.n, args.k) if triangle else value(args.n))
     return 0
 
 
 def _cmd_verify(args) -> int:
     import json
 
-    from .verify import Config, InvalidConfig, report_to_json, run_suite
+    from .verify import Config, report_to_json, run_suite
 
     try:
         alpha_list = tuple(int(a) for a in args.alpha_list.split(","))
     except ValueError:
-        raise _UsageError(
+        raise DomainError(
             f"--alpha-list must be comma-separated integers, got {args.alpha_list!r}"
         ) from None
-    try:
-        cfg = Config(
-            suite=args.suite, alpha_list=alpha_list, n_max=args.n_max, mode=args.mode
-        )
-    except InvalidConfig as exc:  # exits 2 with its message, as a domain error does
-        raise _UsageError(str(exc)) from None
+    cfg = Config(suite=args.suite, alpha_list=alpha_list, n_max=args.n_max, mode=args.mode)
     report = run_suite(cfg)
     if args.format == "json":
         print(report_to_json(report, deterministic=True))
@@ -219,11 +195,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_series(args) -> int:
     if args.order < 0:
-        raise _UsageError("--order must be non-negative")
+        raise DomainError("--order must be non-negative")
     if args.k < 0:
-        raise _UsageError("--k must be non-negative")
-    module, name = SERIES_CHECKS[args.id]
-    check = getattr(import_module(f"whitneylah.{module}"), name)
+        raise DomainError("--k must be non-negative")
+    check = SERIES_CHECKS[args.id].bind()
     alpha = 1 if args.alpha is None else args.alpha
     # a row matches when its sides are equal values, as in ``verify``; equal
     # values have one canonical text, so a matching row renders it once
@@ -402,7 +377,7 @@ def _run(argv: list[str]) -> int:
         sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
-    except (_UsageError, *_DOMAIN_ERRORS) as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

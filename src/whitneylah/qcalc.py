@@ -21,15 +21,24 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .arith import _MEMOS, _ONE_POLY, LaurentPoly, _is_int, _lru_memo, _make, monomial
+from .arith import (
+    _MEMOS,
+    _ONE_POLY,
+    DomainError,
+    LaurentPoly,
+    _is_int,
+    _lru_memo,
+    _make,
+    monomial,
+)
 from .classical import _cell
 
 
-class InvalidOrder(ValueError):
+class InvalidOrder(DomainError):
     """Falling-factorial order exceeds its argument."""
 
 
-class NegativeArgument(ValueError):
+class NegativeArgument(DomainError):
     """A q-integer of a negative integer was requested.
 
     Callers that genuinely need one call ``qint_signed``, which names the
@@ -42,9 +51,9 @@ def _check_args(base: int, *args: int) -> None:
     ``bool`` is neither. The caches are typed, so ``True`` never reads the
     entry of 1."""
     if not _is_int(base) or base < 1:
-        raise ValueError(f"base must be a positive integer, got {base!r}")
+        raise DomainError(f"base must be a positive integer, got {base!r}")
     if not all(map(_is_int, args)):
-        raise ValueError(f"arguments must be integers, got {args!r}")
+        raise DomainError(f"arguments must be integers, got {args!r}")
 
 
 @_lru_memo("qint")

@@ -51,6 +51,7 @@ from typing import Sequence
 
 from .arith import (
     _ONE_POLY,
+    DomainError,
     LaurentPoly,
     TruncSeries,
     _is_int,
@@ -66,7 +67,7 @@ from .qcalc import gqf_point, qbinom, qfact, qfalling, qint, qint_signed
 QLAH_ROUTES = ("recurrence", "explicit")
 
 
-class InvalidRange(ValueError):
+class InvalidRange(DomainError):
     """Arguments outside the closed formula's domain of validity."""
 
 
@@ -175,7 +176,7 @@ def qlah_gr(n: int, k: int, route: str = "recurrence") -> LaurentPoly:
     """Garsia-Remmel q-Lah number, by recurrence or by the closed product
     formula C(n,k)_q ([n-1]!/[k-1]!) q^(k(k-1)) (valid for 1 <= k <= n)."""
     if route not in QLAH_ROUTES:
-        raise ValueError(f"unknown route {route!r}")
+        raise DomainError(f"unknown route {route!r}")
     if route == "recurrence":
         return _cell(_qwl_weights, 1, n, k, _ONE_POLY)
     if not 1 <= k <= n:

@@ -28,6 +28,7 @@ from typing import Callable, NamedTuple
 
 from .arith import (
     _MEMOS,
+    DomainError,
     LaurentPoly,
     TruncSeries,
     _is_int,
@@ -86,15 +87,15 @@ SUITES = ("classical", "q", "all")
 MODES = ("corrected", "as_printed")
 
 
-class UnknownIdentity(ValueError):
+class UnknownIdentity(DomainError):
     """No identity is registered under the requested id."""
 
 
-class ParamsOutOfDomain(ValueError):
+class ParamsOutOfDomain(DomainError):
     """The parameters fall outside the identity's registered grid."""
 
 
-class InvalidConfig(ValueError):
+class InvalidConfig(DomainError):
     """A suite configuration names an unknown suite or mode, an n_max that is
     not an int or is below 1, an alpha that is not an int, or one that no
     identity of the suite checks."""

@@ -29,7 +29,14 @@ from itertools import accumulate
 from operator import mul
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .arith import NonExactDivision, TruncSeries, _is_int, _lru_memo, ts_mul_geometric
+from .arith import (
+    DomainError,
+    NonExactDivision,
+    TruncSeries,
+    _is_int,
+    _lru_memo,
+    ts_mul_geometric,
+)
 from .classical import (
     InvalidAlpha,
     _cell,
@@ -46,7 +53,7 @@ if TYPE_CHECKING:
 TWL_METHODS = ("recurrence", "explicit", "product", "scaled")
 
 
-class DuplicateBValues(ValueError):
+class DuplicateBValues(DomainError):
     """The explicit two-sequence formula needs pairwise distinct b values."""
 
 
@@ -77,7 +84,7 @@ def twl(alpha: int, n: int, k: int, method: str = "recurrence") -> int:
     """
     _check_alpha(alpha)
     if method not in TWL_METHODS:
-        raise ValueError(f"unknown method {method!r}")
+        raise DomainError(f"unknown method {method!r}")
     if n == 0 and k == 0:
         return 1
     if n < 0 or k < 0 or k > n:
@@ -132,7 +139,7 @@ def mansour_u(
         return _mansour_recurrence(spec, n, k)
     if method == "explicit":
         return _mansour_explicit(spec, n, k, denom_bound=k)
-    raise ValueError(f"unknown method {method!r}")
+    raise DomainError(f"unknown method {method!r}")
 
 
 def _mansour_recurrence(spec: MansourSpec, n: int, k: int) -> Fraction | int:
@@ -206,7 +213,7 @@ def dowling_dobinski(alpha: int, n: int) -> int:
 
     _check_alpha(alpha)
     if not _is_int(n) or n < 0:
-        raise ValueError(f"n must be a non-negative integer, got {n!r}")
+        raise DomainError(f"n must be a non-negative integer, got {n!r}")
     # S_i = p/q with q = i! alpha^i; t = (i alpha)^n is the numerator of T_i
     p, q, i = 0**n, 1, 0
     while True:
@@ -251,7 +258,7 @@ def _egf_series_cached(alpha: int, k: int, order: int) -> TruncSeries:
     never reads the entry of 1 and meets ``_check_alpha`` instead."""
     _check_alpha(alpha)
     if k < 0:
-        raise ValueError(f"k must be non-negative, got {k}")
+        raise DomainError(f"k must be non-negative, got {k}")
     if k > order:  # t^k vanishes modulo t^(order+1)
         return TruncSeries.zero(order)
     powered = TruncSeries([0] * k + [1], order)

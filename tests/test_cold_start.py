@@ -22,9 +22,9 @@ SRC = Path(whitneylah.__file__).resolve().parents[1]
 # Every name the package exports, by the submodule that defines it.
 EXPORTS = {
     "arith": [
-        "DivisionByZero", "LaurentPoly", "NonExactDivision", "TruncSeries",
-        "clear_caches", "lp_div_exact", "lp_dot", "lp_eval_q1", "monomial",
-        "ts_mul_geometric",
+        "DivisionByZero", "DomainError", "LaurentPoly", "NonExactDivision",
+        "TruncSeries", "clear_caches", "lp_div_exact", "lp_dot", "lp_eval_q1",
+        "monomial", "ts_mul_geometric",
     ],
     "classical": [
         "InvalidAlpha", "bell", "binomial", "falling_poly", "genfact_poly", "lah",
@@ -228,7 +228,7 @@ _LOADED_BY = """
 import contextlib, io, sys
 watched = {
     "whitneylah.verify", "dataclasses", "inspect", "json",
-    "whitneylah.whitney", "whitneylah.qwhitney", "fractions", "decimal",
+    "whitneylah.whitney", "whitneylah.qwhitney", "whitneylah.qcalc", "fractions", "decimal",
     "argparse", "gettext", "locale",
 }
 before = set(sys.modules)
@@ -253,7 +253,9 @@ def loaded_by(*argvs: str, codes: tuple[int, ...] = ()) -> list[str]:
 
 
 PARSER_MODULES = {"argparse", "gettext", "locale"}
-BOTH_FAMILY_MODULES = ["whitneylah.qwhitney", "whitneylah.whitney"]
+# the q-families' module loads the q-primitives' module ``qcalc``
+Q_FAMILY_MODULES = ["whitneylah.qcalc", "whitneylah.qwhitney"]
+BOTH_FAMILY_MODULES = [*Q_FAMILY_MODULES, "whitneylah.whitney"]
 
 
 class TestImportSet:
@@ -290,26 +292,32 @@ class TestImportSet:
             "table --family q-dowling --alpha 2 --n-max 3",
             "series --id qr1.1 --alpha 2 --k 1 --order 3",
         )
-        assert loaded == ["whitneylah.qwhitney"]
+        assert loaded == Q_FAMILY_MODULES
 
     def test_classical_evals_load_no_family_module(self):
+        """Nor ``qcalc``: the CLI imports only the kernel, which defines
+        the one error class it catches."""
         loaded = loaded_by(
             "eval --family lah --n 5 --k 2",
             "eval --family stirling2 --n 5 --k 2",
             "eval --family bell --n 5",
+            "table --family stirling1u --n-max 4",
         )
         assert loaded == []
 
     def test_r3_and_whitney1_load_no_q_family(self):
-        """Nor ``fractions`` or ``decimal``: ``r3`` runs over the integers,
-        and ``whitney`` imports ``fractions`` (and with it ``decimal``)
-        only where it divides."""
+        """Nor ``qcalc``, ``fractions`` or ``decimal``: ``r3`` runs over the
+        integers, and ``whitney`` imports ``fractions`` (and with it
+        ``decimal``) only where it divides."""
         loaded = loaded_by(
             "series --id r3 --alpha 2 --k 3 --order 5",
             "series --id r3 --alpha 3 --k 2 --order 40",
             "eval --family whitney1 --alpha 2 --n 5 --k 2",
             "eval --family dowling --alpha 2 --n 5",
             "table --family whitney-lah --alpha 2 --n-max 5",
+            "table --family whitney1 --alpha 3 --n-max 5",
+            "table --family whitney2 --alpha 2 --n-max 5",
+            "table --family dowling --alpha 2 --n-max 5",
         )
         assert loaded == ["whitneylah.whitney"]
 
@@ -350,7 +358,7 @@ class TestImportSet:
 class TestLazyPackage:
     def test_all_lists_every_export(self):
         assert sorted(whitneylah.__all__) == ALL_NAMES
-        assert len(ALL_NAMES) == 54
+        assert len(ALL_NAMES) == 55
 
     @pytest.mark.parametrize("module", sorted(EXPORTS))
     def test_each_name_is_the_submodules_object(self, module):

@@ -43,6 +43,20 @@ def raise_first_of_row_3(weights):
     return corrupted
 
 
+def raise_column_2_of_row_3(weights):
+    """The engine weights with the right weight of column 2 of row 3 raised
+    by one: the last right weight that row 3 reads, as column 3 has no
+    right term."""
+
+    def corrupted(alpha, n, lo, hi):
+        left, right = weights(alpha, n, lo, hi)
+        if n == 3 and lo <= 2 <= hi:
+            right = [w + (k == 2) for k, w in enumerate(right, lo)]
+        return left, right
+
+    return corrupted
+
+
 def raise_coefficient_3(geometric):
     """``ts_mul_geometric`` with the t^3 coefficient of its result raised by one."""
 
@@ -77,6 +91,7 @@ def raise_at_3(primitive):
 
 
 _TW1_ROW_3 = {"lah_conv", "ortho", "q_limits", "stirling_hgf", "w_hgf", "wl_conv"}
+_TW2_ROW_3 = _TW1_ROW_3 | {"dobinski", "gqif1", "qi_bell"}
 _QW_ROW_3 = {"inv_qtw", "q_defs", "q_limits", "qw1w2"}
 
 # case -> (module, primitive, corruption, the identities that fail)
@@ -94,9 +109,11 @@ CASES = {
         {"q_defs", "q_limits", "qgqif1", "qr1", "qr1.1", "qr2", "qr2.1", "qw1w2"},
     ),
     "_tw1_weights": (classical, "_tw1_weights", raise_row_3, _TW1_ROW_3),
-    "_tw2_weights": (
-        classical, "_tw2_weights", raise_row_3, _TW1_ROW_3 | {"dobinski", "gqif1", "qi_bell"}
-    ),
+    "_tw2_weights": (classical, "_tw2_weights", raise_row_3, _TW2_ROW_3),
+    # the first-weight mutation of _qw2_weights is equivalent here: row 3's
+    # first weight multiplies u(2, 0) = 0, while column 2's multiplies
+    # u(2, 2) = 1
+    "_tw2_weights column 2": (classical, "_tw2_weights", raise_column_2_of_row_3, _TW2_ROW_3),
     "_qw1_weights": (qwhitney, "_qw1_weights", raise_row_3, _QW_ROW_3),
     "_qw2_weights": (qwhitney, "_qw2_weights", raise_row_3, _QW_ROW_3),
     # qgqif1 reads the second-kind triangle's column 0 as well
