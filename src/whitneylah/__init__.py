@@ -16,15 +16,17 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "arith": (
         "DivisionByZero",
-        "DomainError",
         "LaurentPoly",
-        "NonExactDivision",
-        "TruncSeries",
-        "clear_caches",
         "lp_div_exact",
         "lp_dot",
         "lp_eval_q1",
         "monomial",
+    ),
+    "base": (
+        "DomainError",
+        "NonExactDivision",
+        "TruncSeries",
+        "clear_caches",
         "ts_mul_geometric",
     ),
     "classical": (

@@ -15,20 +15,26 @@ prefix of its row. Every family reads its values through ``_cell`` and its
 row sums through ``_row_sum``, which also hold the zero outside the
 triangle.
 
-Also provides the rising/falling/generalized factorial polynomials in a
-formal variable t (as Laurent polynomials with integer coefficients), used
-to verify horizontal generating-function identities by dense expansion,
-and ``InvalidAlpha``, the error of every family that takes a translation
-parameter, which ``whitney`` and ``qwhitney`` share without importing each
-other.
+The engine computes in the ring of the ``one`` it is given, so the module
+imports only ``base`` when it loads. It also provides the
+rising/falling/generalized factorial polynomials in a formal variable t
+(as Laurent polynomials with integer coefficients), used to verify
+horizontal generating-function identities by dense expansion; only the
+registry reads them, and they import the Laurent kernel ``arith`` when
+called. And it provides ``InvalidAlpha``, the error of every family that
+takes a translation parameter, which ``whitney`` and ``qwhitney`` share
+without importing each other.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from .arith import _MEMOS, DomainError, LaurentPoly, NonExactDivision, _is_int, lp_dot
+from .base import _MEMOS, DomainError, NonExactDivision, _is_int
+
+if TYPE_CHECKING:
+    from .arith import LaurentPoly
 
 
 class InvalidAlpha(DomainError):
@@ -217,6 +223,8 @@ def falling_poly(n: int) -> LaurentPoly:
 def genfact_poly(n: int, alpha: int) -> LaurentPoly:
     """Generalized factorial t(t-alpha)...(t-(n-1)alpha) as a polynomial
     in t. A negative increment gives the ascending product."""
+    from .arith import LaurentPoly, lp_dot
+
     t = LaurentPoly.var()
     out = LaurentPoly.one()
     for i in range(n):

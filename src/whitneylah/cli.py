@@ -15,17 +15,18 @@ and ``qwhitney.qwl_egf_check``, the very functions the registry holds for
 those ids.
 
 Each command imports only the modules it runs, since a cold call pays to
-import them. Every call loads the kernel ``arith``, which defines
-``DomainError``. A family's function or a series check is read off its
-module once per command, which imports that module on a cold call: the
-classical families load the engine module ``classical``; ``whitney1``,
+import them. Every call loads ``base``, the ring-agnostic base that
+defines ``DomainError``. A family's function or a series check is read off
+its module once per command, which imports that module on a cold call:
+the classical families load the engine module ``classical``; ``whitney1``,
 ``whitney2``, ``whitney-lah``, ``dowling`` and ``series --id r3`` load
-``whitney`` and ``classical``; the q-families and ``series --id qr1.1``
-load ``qwhitney``, ``classical`` and ``qcalc``. Only ``verify`` imports the
-identity registry (``verify``) and ``fractions``; only a JSON table and
-``verify`` load ``json``. No command loads ``dataclasses``,
-which would bring in ``inspect`` and a dozen more modules: the registry's
-records are NamedTuples and ``__slots__`` classes.
+``whitney`` and ``classical``, and compute over the integers without the
+Laurent kernel ``arith``; the q-families and ``series --id qr1.1`` load
+``qwhitney``, ``classical``, ``qcalc`` and ``arith``. Only ``verify``
+imports the identity registry (``verify``) and ``fractions``; only a JSON
+table and ``verify`` load ``json``. No command loads ``dataclasses``, which
+would bring in ``inspect`` and a dozen more modules: the registry's records
+are NamedTuples and ``__slots__`` classes.
 
 The command-line grammar is declared once, as data: ``COMMANDS`` holds
 each command's help, handler and options. ``main`` reads a well-formed
@@ -57,7 +58,7 @@ from itertools import chain
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
-from .arith import DomainError
+from .base import DomainError
 
 if TYPE_CHECKING:
     import argparse

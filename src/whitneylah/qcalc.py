@@ -21,16 +21,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .arith import (
-    _MEMOS,
-    _ONE_POLY,
-    DomainError,
-    LaurentPoly,
-    _is_int,
-    _lru_memo,
-    _make,
-    monomial,
-)
+from .arith import _ONE_POLY, LaurentPoly, _make, monomial
+from .base import _MEMOS, DomainError, _is_int, _lru_memo
 from .classical import _cell
 
 

@@ -49,18 +49,8 @@ import math
 from functools import lru_cache
 from typing import Sequence
 
-from .arith import (
-    _ONE_POLY,
-    DomainError,
-    LaurentPoly,
-    TruncSeries,
-    _is_int,
-    _lru_memo,
-    lp_div_exact,
-    lp_dot,
-    monomial,
-    ts_mul_geometric,
-)
+from .arith import _ONE_POLY, LaurentPoly, lp_div_exact, lp_dot, monomial
+from .base import DomainError, TruncSeries, _is_int, _lru_memo, ts_mul_geometric
 from .classical import InvalidAlpha, _cell, _check_alpha, _row_sum
 from .qcalc import gqf_point, qbinom, qfact, qfalling, qint, qint_signed
 

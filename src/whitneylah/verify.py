@@ -26,19 +26,8 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
-from .arith import (
-    _MEMOS,
-    DomainError,
-    LaurentPoly,
-    TruncSeries,
-    _is_int,
-    _lru_memo,
-    lp_div_exact,
-    lp_dot,
-    lp_eval_q1,
-    monomial,
-    ts_mul_geometric,
-)
+from .arith import LaurentPoly, lp_div_exact, lp_dot, lp_eval_q1, monomial
+from .base import _MEMOS, DomainError, TruncSeries, _is_int, _lru_memo, ts_mul_geometric
 from .classical import (
     bell,
     binomial,
@@ -226,7 +215,7 @@ class Report(NamedTuple):
     # loop over its points), "skipped_alphas", "max_n" (the largest n
     # checked, None without an n)}
     identities: dict[str, dict]
-    # the memos at the end of the run by name, as ``arith._MEMOS`` counts them
+    # the memos at the end of the run by name, as ``base._MEMOS`` counts them
     caches: dict
 
 
@@ -1013,7 +1002,7 @@ def report_to_dict(report: Report, *, deterministic: bool = True) -> dict:
     that q-primitive's cache, and
     ``render_formats`` the exponent formats ``LaurentPoly.to_str`` holds,
     over every variable it has rendered. Each memo registers itself in
-    ``arith._MEMOS`` where it is defined; ``caches`` reads that table and
+    ``base._MEMOS`` where it is defined; ``caches`` reads that table and
     ``clear_caches()`` empties it."""
     doc = {
         "config": report.config.as_dict(),

@@ -18,7 +18,9 @@ memo stores each coefficient of (t/(1 - alpha t))^k already multiplied by
 n!, so a check reads one integer and divides it by k!. Only
 the explicit two-sequence formula and the Dobinski bracket compute with
 rationals, and they import ``fractions`` when called, so the Whitney and
-Dowling families and ``r3`` run without it.
+Dowling families and ``r3`` run without it. The module takes its errors,
+memo table and ``TruncSeries`` from ``base`` and never loads the Laurent
+kernel ``arith``.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from itertools import accumulate
 from operator import mul
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .arith import (
+from .base import (
     DomainError,
     NonExactDivision,
     TruncSeries,

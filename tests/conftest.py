@@ -6,16 +6,16 @@ from pathlib import Path
 
 import pytest
 
-from whitneylah import arith
+from whitneylah import arith, base
 
 
 @pytest.fixture
 def cold_memo():
     """Every memo that ``Report.caches`` counts is empty before and after
     the test."""
-    arith.clear_caches()
+    base.clear_caches()
     yield
-    arith.clear_caches()
+    base.clear_caches()
 
 
 @pytest.fixture

@@ -7,16 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from whitneylah.arith import (
-    DivisionByZero,
-    LaurentPoly,
-    NonExactDivision,
-    TruncSeries,
-    lp_div_exact,
-    lp_eval_q1,
-    monomial,
-    ts_mul_geometric,
-)
+from whitneylah.arith import DivisionByZero, LaurentPoly, lp_div_exact, lp_eval_q1, monomial
+from whitneylah.base import NonExactDivision, TruncSeries, ts_mul_geometric
 
 q = LaurentPoly.var()
 qinv = monomial(-1)

@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Optional
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from whitneylah import cli
@@ -307,29 +307,30 @@ HOSTILE = (
 FLAGS = sorted({opt.flag for command in cli.COMMANDS.values() for opt in command.options})
 
 
-def option_values(opt) -> st.SearchStrategy:
+def option_values(opt, ints: st.SearchStrategy) -> st.SearchStrategy:
     if opt.choices is not None:
         return st.sampled_from(opt.choices)
     if opt.type is int:
-        return st.integers(-30, 30).map(str)
+        return ints.map(str)
     return st.sampled_from(("1,2", "3", "-1", "2,1,3", "x"))
 
 
 @st.composite
-def argvs(draw) -> list:
+def argvs(draw, ints=st.integers(-30, 30), hostile=HOSTILE) -> list:
     """A command's argv: its required flags and some others, some twice, in
-    any order, each with a good value or one time in four a hostile one,
-    and then up to two hostile tokens inserted anywhere."""
+    any order, each with a good value (an int option's drawn from ``ints``)
+    or one time in four a ``hostile`` one, and then up to two hostile
+    tokens inserted anywhere."""
     name = draw(st.sampled_from(sorted(cli.COMMANDS)))
     options = cli.COMMANDS[name].options
     chosen = [opt for opt in options if opt.required or draw(st.booleans())]
     chosen += draw(st.lists(st.sampled_from(options), max_size=1))
     argv = [name]
     for opt in draw(st.permutations(chosen)):
-        hostile = draw(st.integers(0, 3)) == 0
-        argv += [opt.flag, draw(st.sampled_from(HOSTILE) if hostile else option_values(opt))]
+        bad = draw(st.integers(0, 3)) == 0
+        argv += [opt.flag, draw(st.sampled_from(hostile) if bad else option_values(opt, ints))]
     for _ in range(draw(st.sampled_from((0, 0, 1, 2)))):
-        token = draw(st.sampled_from(HOSTILE + tuple(FLAGS)))
+        token = draw(st.sampled_from(hostile + tuple(FLAGS)))
         argv.insert(draw(st.integers(0, len(argv))), token)
     return argv
 
@@ -340,6 +341,61 @@ def test_a_namespace_the_reader_returns_is_the_one_argparse_parses(argv):
     read = cli._read(argv)
     if read is not None:
         assert vars(read) == argparse_reads(argv)
+
+
+# The CLI contract: exit 0, 1 or 2; no traceback; an exit 2 prints one
+# ``error:`` line, or argparse's usage and its error line for a malformed
+# command line. Drawn sizes stay at 6 or below so that a call takes
+# milliseconds: the hostile "5_0", which int() reads as 50, becomes "0_6".
+SMALL_HOSTILE = tuple("0_6" if token == "5_0" else token for token in HOSTILE)
+
+
+def run_quietly(argv: list) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def is_usage_error(err: str) -> bool:
+    """argparse's report of a malformed command line: its usage, then one
+    ``PROG: error: MESSAGE`` line."""
+    *usage, last = err.rstrip("\n").split("\n")
+    return bool(usage) and usage[0].startswith("usage: whitneylah") and (
+        last.startswith("whitneylah") and ": error: " in last
+    )
+
+
+@given(argvs(st.integers(-6, 6), SMALL_HOSTILE))
+@settings(max_examples=200, deadline=None)
+# the two spellings of one alpha list that argparse and the reader tell
+# apart: pinned by test_a_negative_alpha_list_is_read_by_its_spelling
+@example(["verify", "--alpha-list", "-1,2"])
+@example(["verify", "--alpha-list=-1,2"])
+def test_every_command_line_keeps_the_cli_contract(argv):
+    code, _, err = run_quietly(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        one_line = err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+        assert one_line or is_usage_error(err), err
+    else:
+        assert err == ""
+
+
+def test_a_negative_alpha_list_is_read_by_its_spelling():
+    """``--alpha-list -1,2`` looks like a flag to argparse, which reports a
+    missing value; ``--alpha-list=-1,2`` reaches the library, which rejects
+    alpha -1. Both exit 2 within the contract, with different errors for
+    one input."""
+    code, out, err = run_quietly(["verify", "--alpha-list", "-1,2"])
+    assert (code, out) == (2, "")
+    assert is_usage_error(err)
+    assert err.endswith("error: argument --alpha-list: expected one argument\n")
+    assert run_quietly(["verify", "--alpha-list=-1,2"]) == (
+        2, "", "error: no identity of suite 'all' checks alpha -1;"
+        " the alphas it checks are 1, 2, 3\n",
+    )
 
 
 class TestSeries:

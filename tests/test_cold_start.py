@@ -22,9 +22,12 @@ SRC = Path(whitneylah.__file__).resolve().parents[1]
 # Every name the package exports, by the submodule that defines it.
 EXPORTS = {
     "arith": [
-        "DivisionByZero", "DomainError", "LaurentPoly", "NonExactDivision",
-        "TruncSeries", "clear_caches", "lp_div_exact", "lp_dot", "lp_eval_q1",
-        "monomial", "ts_mul_geometric",
+        "DivisionByZero", "LaurentPoly", "lp_div_exact", "lp_dot", "lp_eval_q1",
+        "monomial",
+    ],
+    "base": [
+        "DomainError", "NonExactDivision", "TruncSeries", "clear_caches",
+        "ts_mul_geometric",
     ],
     "classical": [
         "InvalidAlpha", "bell", "binomial", "falling_poly", "genfact_poly", "lah",
@@ -227,7 +230,7 @@ class TestProcessEntry:
 _LOADED_BY = """
 import contextlib, io, sys
 watched = {
-    "whitneylah.verify", "dataclasses", "inspect", "json",
+    "whitneylah.verify", "dataclasses", "inspect", "json", "whitneylah.arith",
     "whitneylah.whitney", "whitneylah.qwhitney", "whitneylah.qcalc", "fractions", "decimal",
     "argparse", "gettext", "locale",
 }
@@ -253,8 +256,9 @@ def loaded_by(*argvs: str, codes: tuple[int, ...] = ()) -> list[str]:
 
 
 PARSER_MODULES = {"argparse", "gettext", "locale"}
-# the q-families' module loads the q-primitives' module ``qcalc``
-Q_FAMILY_MODULES = ["whitneylah.qcalc", "whitneylah.qwhitney"]
+# the q-families' module loads the q-primitives' module ``qcalc`` and the
+# Laurent kernel ``arith``
+Q_FAMILY_MODULES = ["whitneylah.arith", "whitneylah.qcalc", "whitneylah.qwhitney"]
 BOTH_FAMILY_MODULES = [*Q_FAMILY_MODULES, "whitneylah.whitney"]
 
 
@@ -295,24 +299,30 @@ class TestImportSet:
         assert loaded == Q_FAMILY_MODULES
 
     def test_classical_evals_load_no_family_module(self):
-        """Nor ``qcalc``: the CLI imports only the kernel, which defines
-        the one error class it catches."""
+        """Nor ``qcalc`` or the Laurent kernel ``arith``: the CLI imports
+        only ``base``, which defines the one error class it catches."""
         loaded = loaded_by(
             "eval --family lah --n 5 --k 2",
             "eval --family stirling2 --n 5 --k 2",
+            "eval --family stirling1u --n 5 --k 2",
             "eval --family bell --n 5",
+            "table --family lah --n-max 4",
             "table --family stirling1u --n-max 4",
+            "table --family stirling2 --n-max 4",
+            "table --family bell --n-max 4",
         )
         assert loaded == []
 
     def test_r3_and_whitney1_load_no_q_family(self):
-        """Nor ``qcalc``, ``fractions`` or ``decimal``: ``r3`` runs over the
-        integers, and ``whitney`` imports ``fractions`` (and with it
-        ``decimal``) only where it divides."""
+        """Nor ``qcalc``, ``arith``, ``fractions`` or ``decimal``: ``r3``
+        runs over the integers, and ``whitney`` imports ``fractions`` (and
+        with it ``decimal``) only where it divides."""
         loaded = loaded_by(
             "series --id r3 --alpha 2 --k 3 --order 5",
             "series --id r3 --alpha 3 --k 2 --order 40",
             "eval --family whitney1 --alpha 2 --n 5 --k 2",
+            "eval --family whitney2 --alpha 2 --n 5 --k 2",
+            "eval --family whitney-lah --alpha 2 --n 5 --k 2",
             "eval --family dowling --alpha 2 --n 5",
             "table --family whitney-lah --alpha 2 --n-max 5",
             "table --family whitney1 --alpha 3 --n-max 5",
@@ -325,6 +335,7 @@ class TestImportSet:
         """Besides the family modules that the registry checks, and
         ``fractions``, which its rational checks use."""
         loaded = loaded_by("verify --n-max 1 --format json")
+        assert set(BOTH_FAMILY_MODULES) <= set(loaded)
         assert sorted(set(loaded) - set(BOTH_FAMILY_MODULES)) == [
             "decimal", "fractions", "json", "whitneylah.verify",
         ]
@@ -373,6 +384,13 @@ class TestLazyPackage:
         assert sorted(set(namespace) - {"__builtins__"}) == ALL_NAMES
         assert all(namespace[name] is getattr(whitneylah, name) for name in ALL_NAMES)
 
+    def test_the_kernel_binds_the_series_class_of_base(self):
+        """``arith.TruncSeries`` is the one class, defined in ``base``: the
+        benchmark's tracer reads it from the kernel."""
+        from whitneylah import arith, base
+
+        assert arith.TruncSeries is base.TruncSeries
+
     def test_invalid_alpha_has_one_definition(self):
         """``whitney`` re-exports the engine module's ``InvalidAlpha``, so
         ``qwhitney`` need not import ``whitney`` for it."""
@@ -410,7 +428,8 @@ class TestLazyPackage:
     def test_names_of_a_fresh_package(self):
         """In a new interpreter: ``dir`` lists the names before any is
         loaded, and the first access imports just the defining submodule
-        and those it imports: ``qcalc`` reads the triangle engine."""
+        and those it imports: ``qcalc`` reads the Laurent kernel, the base
+        and the triangle engine."""
         run = fresh_python(
             "import sys, whitneylah\n"
             "names = set(dir(whitneylah))\n"
@@ -420,7 +439,8 @@ class TestLazyPackage:
         )
         assert run.returncode == 0, run.stderr
         assert run.stdout == (
-            "0 ['whitneylah.arith', 'whitneylah.classical', 'whitneylah.qcalc']\n"
+            "0 ['whitneylah.arith', 'whitneylah.base', 'whitneylah.classical',"
+            " 'whitneylah.qcalc']\n"
         )
 
 

@@ -16,7 +16,7 @@ import pytest
 
 import whitneylah
 from whitneylah import classical, whitney
-from whitneylah.arith import DomainError
+from whitneylah.base import DomainError
 from whitneylah.cli import main
 
 PACKAGE = Path(whitneylah.__file__).parent
@@ -28,7 +28,7 @@ BUILTIN_RAISES = {
     ("arith.py:LaurentPoly.__init__", "TypeError"): "an exponent's type",
     ("arith.py:lp_dot", "TypeError"): "an operand's type",
     ("arith.py:monomial", "TypeError"): "an exponent's type",
-    ("arith.py:TruncSeries.coeff", "IndexError"): "an index past the truncation order",
+    ("base.py:TruncSeries.coeff", "IndexError"): "an index past the truncation order",
     ("verify.py:_Frozen.__setattr__", "AttributeError"): "an immutable record",
     ("verify.py:_Frozen.__delattr__", "AttributeError"): "an immutable record",
     ("verify.py:run_suite", "TypeError"): "a call signature: a Config and keywords",

@@ -1,13 +1,14 @@
-"""The exact kernel computes over the integers: ``arith.py`` neither
-imports ``fractions`` nor names ``Fraction``. The package's one rational
-series is formed outside the kernel, in ``whitney.py``."""
+"""The exact kernel computes over the integers: neither ``arith.py`` nor
+``base.py``, which holds ``TruncSeries``, imports ``fractions`` or names
+``Fraction``. The package's one rational series is formed outside the
+kernel, in ``whitney.py``."""
 
 import ast
 from pathlib import Path
 
 import whitneylah
 
-KERNEL = Path(whitneylah.__file__).parent / "arith.py"
+KERNEL = [Path(whitneylah.__file__).parent / name for name in ("arith.py", "base.py")]
 
 
 def _rational_uses(tree: ast.AST):
@@ -25,8 +26,11 @@ def _rational_uses(tree: ast.AST):
 
 
 def test_kernel_uses_no_fraction():
-    tree = ast.parse(KERNEL.read_text(), filename=str(KERNEL))
-    found = [f"{KERNEL.name}:{node.lineno} {what}" for node, what in _rational_uses(tree)]
+    found = [
+        f"{path.name}:{node.lineno} {what}"
+        for path in KERNEL
+        for node, what in _rational_uses(ast.parse(path.read_text(), filename=str(path)))
+    ]
     assert found == []
 
 

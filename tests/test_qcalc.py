@@ -7,14 +7,8 @@ import threading
 
 import pytest
 
-from whitneylah.arith import (
-    LaurentPoly,
-    TruncSeries,
-    lp_div_exact,
-    lp_eval_q1,
-    monomial,
-    ts_mul_geometric,
-)
+from whitneylah.arith import LaurentPoly, lp_div_exact, lp_eval_q1, monomial
+from whitneylah.base import TruncSeries, ts_mul_geometric
 from whitneylah import qcalc
 from whitneylah.classical import _triangles
 from whitneylah.qcalc import (

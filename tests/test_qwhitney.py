@@ -5,7 +5,8 @@ import math
 
 import pytest
 
-from whitneylah.arith import LaurentPoly, TruncSeries, lp_eval_q1, monomial
+from whitneylah.arith import LaurentPoly, lp_eval_q1, monomial
+from whitneylah.base import TruncSeries
 from whitneylah.classical import lah, stirling1u, stirling2
 from whitneylah.qcalc import gqf_point, qbinom, qfact, qint, qint_signed
 from whitneylah.whitney import InvalidAlpha, dowling

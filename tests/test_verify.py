@@ -9,8 +9,9 @@ from fractions import Fraction
 
 import pytest
 
-from whitneylah import arith, classical, cli, qcalc, qwhitney, verify, whitney
-from whitneylah.arith import _MEMOS, LaurentPoly, clear_caches, monomial
+from whitneylah import arith, base, classical, cli, qcalc, qwhitney, verify, whitney
+from whitneylah.arith import LaurentPoly, monomial
+from whitneylah.base import _MEMOS, clear_caches
 from whitneylah.classical import _ROWS, _triangles, lah
 from whitneylah.qcalc import gqf_point, qfact, qint, qint_signed
 from whitneylah.verify import (
@@ -424,7 +425,7 @@ def test_every_lru_cache_enters_the_memo_table():
     entered = {id(getattr(clear, "__self__", None)) for _, clear in _MEMOS.values()}
     missing = [
         f"{module.__name__}.{name}"
-        for module in (arith, classical, qcalc, whitney, qwhitney, verify, cli)
+        for module in (arith, base, classical, qcalc, whitney, qwhitney, verify, cli)
         for name, value in vars(module).items()
         if hasattr(value, "cache_info")
         and value.__module__ == module.__name__

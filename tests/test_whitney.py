@@ -8,7 +8,8 @@ import pytest
 
 from independent import whitney_lah
 from whitneylah import whitney
-from whitneylah.arith import LaurentPoly, TruncSeries
+from whitneylah.arith import LaurentPoly
+from whitneylah.base import TruncSeries
 from whitneylah.classical import (
     bell,
     binomial,
