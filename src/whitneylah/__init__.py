@@ -52,12 +52,10 @@ _EXPORTS = {
     "qwhitney": (
         "InvalidRange",
         "qdowling",
-        "qdowling_qi",
         "qlah_gr",
         "qw1",
         "qw2",
         "qwl",
-        "qwl_explicit",
     ),
     "verify": (
         "CheckResult",
@@ -76,8 +74,6 @@ _EXPORTS = {
         "DuplicateBValues",
         "MansourSpec",
         "dowling",
-        "dowling_dobinski",
-        "dowling_qi",
         "mansour_u",
         "tw1",
         "tw2",

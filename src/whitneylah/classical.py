@@ -46,6 +46,13 @@ def _check_alpha(alpha: int) -> None:
         raise InvalidAlpha(f"alpha must be a positive integer, got {alpha!r}")
 
 
+def _check_route(routes: dict[str, tuple[str, ...]], family: str, route: str) -> None:
+    """Reject a route not among ``family``'s in ``routes``, its module's ROUTES."""
+    if route not in routes[family]:
+        names = ", ".join(routes[family])
+        raise DomainError(f"unknown route {route!r} of {family}; its routes are {names}")
+
+
 # -- the triangle engine ------------------------------------------------------
 #
 # Every recurrence triangle of the package, the Gaussian binomials' q-Pascal

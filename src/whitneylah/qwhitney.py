@@ -29,12 +29,13 @@ polynomial.
 The generalized q-factorial [t|alpha]_n at integer points is
 ``qcalc.gqf_point``, which stores every prefix [t|alpha]_1..n it computes,
 the q-factorials' among them. The Gaussian-binomial inversion sum, on which
-``qwl_explicit`` and the generating-function side ``qwl_egf_sum_series``
-rest, is written once, in ``_qbinom_inverse_entry``; it and the forward
-entry ``_qbinom_transform_entry`` are the two sides of the registry's
-``qbinom_inv``. The translated q-Whitney-Lah and q-Dowling
+``qwl``'s explicit route and the generating-function side
+``qwl_egf_sum_series`` rest, is written once, in ``_qbinom_inverse_entry``;
+it and the forward entry ``_qbinom_transform_entry`` are the two sides of
+the registry's ``qbinom_inv``. The translated q-Whitney-Lah and q-Dowling
 families take positive alpha and reject any other with ``InvalidAlpha``;
-the first and second kinds take any nonzero alpha.
+the first and second kinds take any nonzero alpha. ``ROUTES`` names each
+family's ``route`` values, the default first.
 
 ``qwl_egf_check`` is the ``qr1.1`` identity of the registry, that
 generating-function side against the engine's triangle; the CLI's
@@ -51,10 +52,14 @@ from typing import Sequence
 
 from .arith import _ONE_POLY, LaurentPoly, lp_div_exact, lp_dot, monomial
 from .base import DomainError, TruncSeries, _is_int, _lru_memo, ts_mul_geometric
-from .classical import InvalidAlpha, _cell, _check_alpha, _row_sum
+from .classical import InvalidAlpha, _cell, _check_alpha, _check_route, _row_sum
 from .qcalc import gqf_point, qbinom, qfact, qfalling, qint, qint_signed
 
-QLAH_ROUTES = ("recurrence", "explicit")
+ROUTES = {
+    "qwl": ("recurrence", "explicit"),
+    "qlah_gr": ("recurrence", "explicit"),
+    "qdowling": ("recurrence", "qi"),
+}
 
 
 class InvalidRange(DomainError):
@@ -105,10 +110,31 @@ def qw2(alpha: int, n: int, k: int) -> LaurentPoly:
     return _cell(_qw2_weights, alpha, n, k, _ONE_POLY)
 
 
-def qwl(alpha: int, n: int, k: int) -> LaurentPoly:
-    """Translated q-Whitney-Lah number, by its triangle recurrence."""
+def qwl(alpha: int, n: int, k: int, route: str = "recurrence") -> LaurentPoly:
+    """Translated q-Whitney-Lah number by one of two routes.
+
+    recurrence : the triangle recurrence (the default)
+    explicit   : the alternating Gaussian-binomial sum, divided exactly by
+                 [k]_{q^alpha}! [alpha]_q^k one q-integer at a time,
+                 [2]_{q^alpha}, ..., [k]_{q^alpha}, then [alpha]_q k times,
+                 each a run division in O(len); a remainder would signal a
+                 transcription fault, so it is allowed to raise
+    """
     _check_alpha(alpha)
-    return _cell(_qwl_weights, alpha, n, k, _ONE_POLY)
+    if route == "recurrence":
+        return _cell(_qwl_weights, alpha, n, k, _ONE_POLY)
+    _check_route(ROUTES, "qwl", route)
+    if n < 0 or k < 0 or k > n:
+        return LaurentPoly.zero()
+    points = [gqf_point(alpha * j, -alpha, n) for j in range(k + 1)]
+    acc = _qbinom_inverse_entry(points, k, alpha)
+    for i in range(2, k + 1):
+        acc = lp_div_exact(acc, qint(i, alpha))
+    if alpha > 1:
+        a = qint(alpha)
+        for _ in range(k):
+            acc = lp_div_exact(acc, a)
+    return acc
 
 
 @_lru_memo("inverse_weights")
@@ -138,53 +164,28 @@ def _qbinom_inverse_entry(F: Sequence, k: int, alpha: int):
     return lp_dot(zip(F, weights))
 
 
-def qwl_explicit(alpha: int, n: int, k: int) -> LaurentPoly:
-    """Translated q-Whitney-Lah number by the alternating Gaussian-binomial
-    sum, divided exactly by [k]_{q^alpha}! [alpha]_q^k.
-
-    The sum is divided by the 2k q-integers of that denominator one at a
-    time, [1]_{q^alpha}, ..., [k]_{q^alpha} and then [alpha]_q k times,
-    each a run division in O(len); a factor [1] = 1 is skipped. Every
-    division is mathematically exact; a remainder would signal a
-    transcription fault, so it is allowed to raise.
-    """
-    _check_alpha(alpha)
-    if n < 0 or k < 0 or k > n:
-        return LaurentPoly.zero()
-    points = [gqf_point(alpha * j, -alpha, n) for j in range(k + 1)]
-    acc = _qbinom_inverse_entry(points, k, alpha)
-    for i in range(2, k + 1):
-        acc = lp_div_exact(acc, qint(i, alpha))
-    if alpha > 1:
-        a = qint(alpha)
-        for _ in range(k):
-            acc = lp_div_exact(acc, a)
-    return acc
-
-
 def qlah_gr(n: int, k: int, route: str = "recurrence") -> LaurentPoly:
-    """Garsia-Remmel q-Lah number, by recurrence or by the closed product
-    formula C(n,k)_q ([n-1]!/[k-1]!) q^(k(k-1)) (valid for 1 <= k <= n)."""
-    if route not in QLAH_ROUTES:
-        raise DomainError(f"unknown route {route!r}")
+    """Garsia-Remmel q-Lah number, by recurrence (the default) or by the
+    ``explicit`` product C(n,k)_q ([n-1]!/[k-1]!) q^(k(k-1)), 1 <= k <= n."""
     if route == "recurrence":
         return _cell(_qwl_weights, 1, n, k, _ONE_POLY)
+    _check_route(ROUTES, "qlah_gr", route)
     if not 1 <= k <= n:
         raise InvalidRange(f"closed formula needs 1 <= k <= n, got ({n}, {k})")
     return qbinom(n, k) * qfalling(n - 1, n - k) * monomial(k * (k - 1))
 
 
-def qdowling(alpha: int, n: int) -> LaurentPoly:
-    """Translated q-Dowling number: row sum of the second-kind triangle."""
-    _check_alpha(alpha)
-    return _row_sum(_qw2_weights, alpha, n, _ONE_POLY)
+def qdowling(alpha: int, n: int, route: str = "recurrence") -> LaurentPoly:
+    """Translated q-Dowling number by one of two routes.
 
-
-def qdowling_qi(alpha: int, n: int) -> LaurentPoly:
-    """Translated q-Dowling number via the explicit convolution
-    sum_j (sum_{k<=j} qwl(alpha,j,k)) qw2(-alpha,n,j); the sign of the
-    classical alternating formula is carried by the negated alpha."""
+    recurrence : row sum of the second-kind triangle (the default)
+    qi         : sum_j (sum_{k<=j} qwl(alpha,j,k)) qw2(-alpha,n,j), the
+                 Qi-type sum, its classical sign carried by the negated alpha
+    """
     _check_alpha(alpha)
+    if route == "recurrence":
+        return _row_sum(_qw2_weights, alpha, n, _ONE_POLY)
+    _check_route(ROUTES, "qdowling", route)
     return lp_dot(
         (_row_sum(_qwl_weights, alpha, j, _ONE_POLY), qw2(-alpha, n, j)) for j in range(n + 1)
     )

@@ -50,8 +50,6 @@ from .whitney import (
     MansourSpec,
     _egf_series_cached,
     dowling,
-    dowling_dobinski,
-    dowling_qi,
     mansour_u,
     mansour_u_explicit_as_printed,
     tw1,
@@ -63,13 +61,11 @@ from .qwhitney import (
     _qbinom_inverse_entry,
     _qbinom_transform_entry,
     qdowling,
-    qdowling_qi,
     qlah_gr,
     qw1,
     qw2,
     qwl,
     qwl_egf_check,
-    qwl_explicit,
 )
 
 SUITES = ("classical", "q", "all")
@@ -345,9 +341,8 @@ def _chk_w_hgf(rel, alpha, n):
 
 def _chk_wl_rec(alpha, n, k):
     # the recurrence checked on the independently computed scaled route
-    lhs = twl(alpha, n + 1, k, "scaled")
-    rhs = twl(alpha, n, k - 1, "scaled") + alpha * (n + k) * twl(alpha, n, k, "scaled")
-    return lhs, rhs
+    scaled = partial(twl, alpha, route="scaled")
+    return scaled(n + 1, k), scaled(n, k - 1) + alpha * (n + k) * scaled(n, k)
 
 
 def _chk_mansour(rel, alpha, n, k, mode):
@@ -357,11 +352,11 @@ def _chk_mansour(rel, alpha, n, k, mode):
         return lhs, twl(alpha, n, k)
     if mode == "as_printed":
         return lhs, mansour_u_explicit_as_printed(spec, n, k)
-    return lhs, mansour_u(spec, n, k, "explicit")
+    return lhs, mansour_u(spec, n, k, route="explicit")
 
 
 def _chk_twl_route(alpha, n, k, route):
-    return twl(alpha, n, k, "recurrence"), twl(alpha, n, k, route)
+    return twl(alpha, n, k), twl(alpha, n, k, route=route)
 
 
 def _chk_graham(l, m, s, n):
@@ -715,14 +710,14 @@ _IDENTITIES = (
         "translated Dowling numbers by the alternating Whitney-Lah sum",
         "D_a(n) = sum_j (-1)^(n-j) (sum_k wl(j,k)) tw2(n,j)",
         Grid(12, _CLASSICAL_ALPHAS, (_ALPHA, _N)),
-        lambda alpha, n: (dowling_qi(alpha, n), dowling(alpha, n)),
+        lambda alpha, n: (dowling(alpha, n, route="qi"), dowling(alpha, n)),
     ),
     _classical(
         "dobinski",
         "Dobinski-style series for translated Dowling numbers",
         "D_a(n) = e^(-1/a) sum_i (ia)^n/(i! a^i)",
         Grid(10, _CLASSICAL_ALPHAS, (_ALPHA, _N)),
-        lambda alpha, n: (dowling_dobinski(alpha, n), dowling(alpha, n)),
+        lambda alpha, n: (dowling(alpha, n, route="dobinski"), dowling(alpha, n)),
     ),
     _q(
         "q_defs",
@@ -762,7 +757,7 @@ _IDENTITIES = (
         "qwl = (1/([k]_{q^a}! [a]^k)) sum_j (-1)^(k-j) q^(aC(k-j,2))"
         " C(k,j)_{q^a} [aj|-a]_n",
         Grid(8, _Q_ALPHAS, _TRIANGLE),
-        lambda alpha, n, k: (qwl(alpha, n, k), qwl_explicit(alpha, n, k)),
+        lambda alpha, n, k: (qwl(alpha, n, k), qwl(alpha, n, k, route="explicit")),
     ),
     _q(
         "qr1.1",
@@ -841,7 +836,7 @@ _IDENTITIES = (
         "translated q-Dowling numbers by the q-Whitney-Lah sum",
         "D_a[n]_q = sum_j (sum_k qwl(j,k)) qw2_{-a}(n,j)",
         Grid(6, _Q_ALPHAS, (_ALPHA, _N)),
-        lambda alpha, n: (qdowling_qi(alpha, n), qdowling(alpha, n)),
+        lambda alpha, n: (qdowling(alpha, n, route="qi"), qdowling(alpha, n)),
     ),
     _q(
         "q_limits",

@@ -5,7 +5,8 @@ translated Whitney-Lah numbers through four independent computation routes,
 the generic two-sequence recurrence they specialize, and the translated
 Dowling numbers (exact row sums, the alternating Qi-type explicit formula,
 and a Dobinski-style series whose exact integer value is read off from a
-bracket of certified rational bounds).
+bracket of certified rational bounds). ``ROUTES`` names each family's
+``route`` values, the default first.
 
 The recurrence triangles are weights for the triangle engine in classical,
 whose comment block states how it builds, stores and resumes rows. Values
@@ -43,6 +44,7 @@ from .classical import (
     InvalidAlpha,
     _cell,
     _check_alpha,
+    _check_route,
     _row_sum,
     _tw1_weights,
     _tw2_weights,
@@ -52,7 +54,11 @@ from .classical import (
 if TYPE_CHECKING:
     from fractions import Fraction
 
-TWL_METHODS = ("recurrence", "explicit", "product", "scaled")
+ROUTES = {
+    "twl": ("recurrence", "explicit", "product", "scaled"),
+    "mansour_u": ("recurrence", "explicit"),
+    "dowling": ("recurrence", "qi", "dobinski"),
+}
 
 
 class DuplicateBValues(DomainError):
@@ -76,24 +82,21 @@ def tw2(alpha: int, n: int, k: int) -> int:
     return _cell(_tw2_weights, alpha, n, k)
 
 
-def twl(alpha: int, n: int, k: int, method: str = "recurrence") -> int:
+def twl(alpha: int, n: int, k: int, route: str = "recurrence") -> int:
     """Translated Whitney-Lah number by one of four independent routes.
 
-    recurrence : additive triangle recurrence
+    recurrence : additive triangle recurrence (the default)
     explicit   : alternating binomial sum over rising factorials
     product    : alpha^(n-k) (n!/k!) C(n-1, n-k)
     scaled     : alpha^(n-k) times the Lah number
     """
     _check_alpha(alpha)
-    if method not in TWL_METHODS:
-        raise DomainError(f"unknown method {method!r}")
-    if n == 0 and k == 0:
-        return 1
-    if n < 0 or k < 0 or k > n:
-        return 0
-    if method == "recurrence":
+    if route == "recurrence":
         return _cell(_twl_weights, alpha, n, k)
-    if method == "explicit":
+    _check_route(ROUTES, "twl", route)
+    if not 0 <= k <= n:
+        return 0
+    if route == "explicit":
         acc = 0
         for j in range(k + 1):
             acc += (-1) ** (k - j) * math.comb(k, j) * math.prod(range(j, j + n))
@@ -101,9 +104,9 @@ def twl(alpha: int, n: int, k: int, method: str = "recurrence") -> int:
         if rem:
             raise NonExactDivision(f"rising sum for ({n}, {k}) is not divisible by {k}!")
         return alpha ** (n - k) * q
-    if method == "product":
+    if route == "product":
         if k == 0:
-            return 0
+            return int(n == 0)
         return (
             alpha ** (n - k)
             * (math.factorial(n) // math.factorial(k))
@@ -126,22 +129,19 @@ class MansourSpec(NamedTuple):
         return cls(a=lambda i: alpha * i, b=lambda j: alpha * j)
 
 
-def mansour_u(
-    spec: MansourSpec, n: int, k: int, method: str = "recurrence"
-) -> Fraction | int:
-    """Generic two-sequence triangle value, by recurrence or by the
-    partial-fraction explicit formula. The recurrence stays in the values'
-    own ring, ``int`` for an integer spec; the explicit formula divides,
-    so its value is a ``Fraction``.
+def mansour_u(spec: MansourSpec, n: int, k: int, route: str = "recurrence") -> Fraction | int:
+    """Generic two-sequence triangle value, by recurrence (the default) or
+    by the partial-fraction explicit formula. The recurrence stays in the
+    values' own ring, ``int`` for an integer spec; the explicit formula
+    divides, so its value is a ``Fraction``.
 
     The explicit route's denominator runs over i = 0..k (i != j); it
     requires b_0..b_k pairwise distinct.
     """
-    if method == "recurrence":
+    if route == "recurrence":
         return _mansour_recurrence(spec, n, k)
-    if method == "explicit":
-        return _mansour_explicit(spec, n, k, denom_bound=k)
-    raise DomainError(f"unknown method {method!r}")
+    _check_route(ROUTES, "mansour_u", route)
+    return _mansour_explicit(spec, n, k, denom_bound=k)
 
 
 def _mansour_recurrence(spec: MansourSpec, n: int, k: int) -> Fraction | int:
@@ -189,13 +189,26 @@ def mansour_u_explicit_as_printed(spec: MansourSpec, n: int, k: int) -> Fraction
     return _mansour_explicit(spec, n, k, denom_bound=n - 1)
 
 
-def dowling(alpha: int, n: int) -> int:
-    """Translated Dowling number: row sum of the second-kind triangle."""
+def dowling(alpha: int, n: int, route: str = "recurrence") -> int:
+    """Translated Dowling number by one of three routes.
+
+    recurrence : row sum of the second-kind triangle (the default)
+    qi         : sum_j (-1)^(n-j) (sum_k twl(alpha,j,k)) tw2(alpha,n,j)
+    dobinski   : the exact value of the Dobinski-style series
+    """
     _check_alpha(alpha)
-    return _row_sum(_tw2_weights, alpha, n)
+    if route == "recurrence":
+        return _row_sum(_tw2_weights, alpha, n)
+    _check_route(ROUTES, "dowling", route)
+    if route == "dobinski":
+        return _dowling_dobinski(alpha, n)
+    return sum(
+        (-1) ** (n - j) * _row_sum(_twl_weights, alpha, j) * tw2(alpha, n, j)
+        for j in range(n + 1)
+    )
 
 
-def dowling_dobinski(alpha: int, n: int) -> int:
+def _dowling_dobinski(alpha: int, n: int) -> int:
     """Translated Dowling number as the exact value of the Dobinski-style
     series D = e^(-1/alpha) S, S = sum_i T_i, T_i = (i alpha)^n / (i! alpha^i),
     computed apart from the triangle engine.
@@ -213,7 +226,6 @@ def dowling_dobinski(alpha: int, n: int) -> int:
     """
     from fractions import Fraction
 
-    _check_alpha(alpha)
     if not _is_int(n) or n < 0:
         raise DomainError(f"n must be a non-negative integer, got {n!r}")
     # S_i = p/q with q = i! alpha^i; t = (i alpha)^n is the numerator of T_i
@@ -236,17 +248,6 @@ def dowling_dobinski(alpha: int, n: int) -> int:
     if not (hi - lo < 1 and value <= hi):
         raise ArithmeticError(f"the Dobinski bracket at ({alpha}, {n}) holds no single integer")
     return value
-
-
-def dowling_qi(alpha: int, n: int) -> int:
-    """Dowling number via the alternating sum over Whitney-Lah row sums:
-    sum_j (-1)^(n-j) (sum_k twl(alpha,j,k)) tw2(alpha,n,j)."""
-    _check_alpha(alpha)
-    total = 0
-    for j in range(n + 1):
-        inner = _row_sum(_twl_weights, alpha, j)
-        total += (-1) ** (n - j) * inner * tw2(alpha, n, j)
-    return total
 
 
 @_lru_memo("egf_series")

@@ -15,13 +15,11 @@ from whitneylah.arith import lp_eval_q1
 from whitneylah.classical import lah, stirling1u, stirling2
 from whitneylah.cli import main as cli_main
 from whitneylah.qcalc import qfact, qint
-from whitneylah.qwhitney import qdowling, qdowling_qi, qlah_gr, qw1, qw2, qwl
+from whitneylah.qwhitney import qdowling, qlah_gr, qw1, qw2, qwl
 from whitneylah.verify import Config, get_identity, run_suite
 from whitneylah.whitney import (
-    TWL_METHODS,
+    ROUTES,
     dowling,
-    dowling_dobinski,
-    dowling_qi,
     tw1,
     tw2,
     twl,
@@ -70,9 +68,9 @@ def test_criterion_02_four_route_agreement():
         for a in (1, 2, 3):
             for n in range(13):
                 for k in range(n + 1):
-                    ref = twl(a, n, k, "recurrence")
-                    for method in TWL_METHODS[1:]:
-                        assert twl(a, n, k, method) == ref, (a, n, k, method)
+                    ref = twl(a, n, k)
+                    for route in ROUTES["twl"][1:]:
+                        assert twl(a, n, k, route=route) == ref, (a, n, k, route)
 
 
 def test_criterion_03_convolutions_and_orthogonality():
@@ -132,9 +130,9 @@ def test_criterion_05_qi_type_formulas():
         assert bell_oracle[10] == 115975
         for a in (1, 2, 3):
             for n in range(13):
-                assert dowling_qi(a, n) == dowling(a, n), (a, n)
+                assert dowling(a, n, route="qi") == dowling(a, n), (a, n)
         for n in range(13):
-            assert dowling_qi(1, n) == bell_oracle[n], n
+            assert dowling(1, n, route="qi") == bell_oracle[n], n
             if n >= 1:
                 rhs = sum(
                     (-1) ** (n - k)
@@ -149,7 +147,7 @@ def test_criterion_06_dobinski():
     with _Budget(6, "Dobinski series matches exact Dowling to 1e-9", 1.0):
         for a in (1, 2, 3):
             for n in range(11):
-                approx = dowling_dobinski(a, n)
+                approx = dowling(a, n, route="dobinski")
                 exact = dowling(a, n)
                 assert abs(approx - exact) / exact < 1e-9, (a, n)
 
@@ -224,7 +222,7 @@ def test_criterion_09_q_to_1_reduction():
                     ) * stirling1u(n, k)
                     assert lp_eval_q1(qlah_gr(n, k)) == lah(n, k)
                 assert lp_eval_q1(qdowling(a, n)) == dowling(a, n)
-                assert lp_eval_q1(qdowling_qi(a, n)) == dowling(a, n)
+                assert lp_eval_q1(qdowling(a, n, route="qi")) == dowling(a, n)
 
 
 def test_criterion_10_erratum_documentation():

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from whitneylah import cli
 from whitneylah.cli import FAMILIES, main
-from whitneylah.qwhitney import qwl_explicit
+from whitneylah.qwhitney import qwl
 
 
 def run_cli(capsys, *argv):
@@ -320,16 +320,17 @@ def argvs(draw, ints=st.integers(-30, 30), hostile=HOSTILE) -> list:
     """A command's argv: its required flags and some others, some twice, in
     any order, each with a good value (an int option's drawn from ``ints``)
     or one time in four a ``hostile`` one, and then up to two hostile
-    tokens inserted anywhere."""
+    tokens inserted anywhere; with no ``hostile`` tokens, every value is
+    good and nothing is inserted."""
     name = draw(st.sampled_from(sorted(cli.COMMANDS)))
     options = cli.COMMANDS[name].options
     chosen = [opt for opt in options if opt.required or draw(st.booleans())]
     chosen += draw(st.lists(st.sampled_from(options), max_size=1))
     argv = [name]
     for opt in draw(st.permutations(chosen)):
-        bad = draw(st.integers(0, 3)) == 0
+        bad = bool(hostile) and draw(st.integers(0, 3)) == 0
         argv += [opt.flag, draw(st.sampled_from(hostile) if bad else option_values(opt, ints))]
-    for _ in range(draw(st.sampled_from((0, 0, 1, 2)))):
+    for _ in range(draw(st.sampled_from((0, 0, 1, 2))) if hostile else 0):
         token = draw(st.sampled_from(hostile + tuple(FLAGS)))
         argv.insert(draw(st.integers(0, len(argv))), token)
     return argv
@@ -705,7 +706,7 @@ class TestDeepInputs:
             "--n", "30", "--k", "2",
         )
         assert (code, err) == (0, "")
-        assert out == qwl_explicit(2, 30, 2).to_str("q") + "\n"
+        assert out == qwl(2, 30, 2, route="explicit").to_str("q") + "\n"
 
     def test_bell_at_700(self, capsys):
         # Bell triangle: each row starts with the last entry of the row

@@ -25,13 +25,12 @@ from whitneylah.qwhitney import (
     _qw2_weights,
     _qwl_weights,
     qdowling,
-    qdowling_qi,
     qlah_gr,
     qw1,
     qw2,
     qwl,
 )
-from whitneylah.whitney import _twl_weights, dowling, dowling_qi, tw1, tw2, twl
+from whitneylah.whitney import _twl_weights, dowling, tw1, tw2, twl
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -74,9 +73,9 @@ FAMILIES = {
 ROW_SUMS = {
     "bell": (lambda a, n: bell(n), 1),
     "dowling": (dowling, 1),
-    "dowling_qi": (dowling_qi, 1),
+    "dowling_qi": (lambda a, n: dowling(a, n, route="qi"), 1),
     "qdowling": (qdowling, Q1),
-    "qdowling_qi": (qdowling_qi, Q1),
+    "qdowling_qi": (lambda a, n: qdowling(a, n, route="qi"), Q1),
 }
 
 
@@ -156,12 +155,12 @@ def test_row_sums_after_narrow_requests(cold_memo):
     tw2(2, 30, 1)
     assert dowling(2, 30) == sum(_full_rows(_tw2_weights, 2, 30, 1)[30])
     twl(2, 12, 0)
-    assert dowling_qi(2, 12) == dowling(2, 12)
+    assert dowling(2, 12, route="qi") == dowling(2, 12)
     qw2(2, 8, 1)
     assert qdowling(2, 8) == sum(_full_rows(_qw2_weights, 2, 8, Q1)[8])
     qwl(2, 6, 1)
     qw2(-2, 6, 0)
-    assert qdowling_qi(2, 6) == qdowling(2, 6)
+    assert qdowling(2, 6, route="qi") == qdowling(2, 6)
 
 
 # A table after a narrow eval of its own triangle at the table's top row:

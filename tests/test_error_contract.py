@@ -32,7 +32,7 @@ BUILTIN_RAISES = {
     ("verify.py:_Frozen.__setattr__", "AttributeError"): "an immutable record",
     ("verify.py:_Frozen.__delattr__", "AttributeError"): "an immutable record",
     ("verify.py:run_suite", "TypeError"): "a call signature: a Config and keywords",
-    ("whitney.py:dowling_dobinski", "ArithmeticError"): "an internal certification"
+    ("whitney.py:_dowling_dobinski", "ArithmeticError"): "an internal certification"
     " failure, not an input: the bracket holds no single integer",
 }
 

@@ -157,3 +157,58 @@ def test_argparse_paths_match_golden(capsys, monkeypatch, case):
     rc = cli.main(list(case["argv"]))
     out, err = capsys.readouterr()
     assert (rc, out, err) == (case["rc"], case["stdout"], case["stderr"])
+
+
+# ``eval`` at one deep cell of every family and at one cell it rejects:
+# family -> argv after the family -> [exit code, sha256 of stdout]. The
+# deep cells build rows through the triangle engine, or read a closed form
+# where the family has one (``lah``); the rejected cells exit 2 with
+# nothing on stdout. Captured from the CLI whose ``twl`` took ``method``
+# and whose Qi-type and Dobinski routes were functions of their own.
+EVAL_CELLS = "eval_cells.json"
+_DEEP = ["--n", "300", "--k", "150"]
+_Q_DEEP = ["--n", "24", "--k", "12"]
+EVAL_CASES = {
+    "lah": (_DEEP, ["--alpha", "2", "--n", "3", "--k", "1"]),
+    "stirling1u": (_DEEP, ["--alpha", "2", "--n", "3", "--k", "1"]),
+    "stirling2": (_DEEP, ["--alpha", "2", "--n", "3", "--k", "1"]),
+    "bell": (["--n", "200"], ["--n", "3", "--k", "1"]),
+    "whitney1": (["--alpha", "3", *_DEEP], ["--alpha", "0", "--n", "3", "--k", "1"]),
+    "whitney2": (["--alpha", "3", *_DEEP], ["--alpha", "0", "--n", "3", "--k", "1"]),
+    "whitney-lah": (["--alpha", "3", *_DEEP], ["--alpha", "0", "--n", "3", "--k", "1"]),
+    "dowling": (["--alpha", "3", "--n", "200"], ["--alpha", "0", "--n", "3"]),
+    "q-whitney1": (
+        ["--alpha", "3", *_Q_DEEP],
+        ["--alpha", "-2", *_Q_DEEP],
+        ["--alpha", "0", "--n", "3", "--k", "1"],
+    ),
+    "q-whitney2": (
+        ["--alpha", "3", *_Q_DEEP],
+        ["--alpha", "-2", *_Q_DEEP],
+        ["--alpha", "0", "--n", "3", "--k", "1"],
+    ),
+    "q-whitney-lah": (["--alpha", "3", *_Q_DEEP], ["--alpha", "-2", "--n", "3", "--k", "1"]),
+    "q-lah": (_Q_DEEP, ["--alpha", "2", "--n", "3", "--k", "1"]),
+    "q-dowling": (["--alpha", "2", "--n", "16"], ["--alpha", "-2", "--n", "3"]),
+}
+
+
+def eval_cells_digest() -> dict:
+    digest = {}
+    for family, cells in EVAL_CASES.items():
+        for cell in cells:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                rc = cli.main(["eval", "--family", family, *cell])
+            sha = hashlib.sha256(out.getvalue().encode()).hexdigest()
+            digest.setdefault(family, {})[" ".join(cell)] = [rc, sha]
+    return digest
+
+
+def test_eval_cells_match_golden():
+    assert sorted(EVAL_CASES) == sorted(cli.FAMILIES)
+    golden = json.loads((GOLDEN / EVAL_CELLS).read_text())
+    assert eval_cells_digest() == golden
+    # each family has a cell that computes and one that it rejects
+    for family, cells in golden.items():
+        assert sorted({rc for rc, _ in cells.values()}) == [0, 2], family

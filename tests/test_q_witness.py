@@ -17,7 +17,7 @@ of random dense operands, which the kernel multiplies by Kronecker
 substitution, are compared at q = 2 and q = 3 with the products of their
 values, ``lp_dot``'s sums of such products, of q-integers and of ints with
 the sums of those products, and so are both sides of the ``qr1.1`` generating-function check
-with the value of its series at q. ``qwl_explicit``, whose sum is divided
+with the value of its series at q. ``qwl``'s explicit route, whose sum is divided
 by one q-integer at a time through the kernel's run division, is compared
 at q = 2 and q = 3 with the q-Whitney-Lah recurrence over ``Fraction``.
 """
@@ -30,7 +30,7 @@ import pytest
 from whitneylah.arith import _KRONECKER_MIN, LaurentPoly, lp_dot
 from whitneylah.classical import _triangles
 from whitneylah.qcalc import gqf_point, qbinom, qfact, qfalling, qint_signed
-from whitneylah.qwhitney import qw1, qw2, qwl, qwl_egf_check, qwl_explicit
+from whitneylah.qwhitney import qw1, qw2, qwl, qwl_egf_check
 
 TWO = Fraction(2)
 FAMILIES = {"qw1": qw1, "qw2": qw2, "qwl": qwl}
@@ -251,7 +251,7 @@ def qwl_at(q: int, a: int, n: int, k: int) -> Fraction:
 def test_qwl_explicit_at_q_2_and_3_is_the_recurrence_over_fraction(cold_memo, run_quotients):
     """(3, 40, 20): the sum is divided by [2]_{q^3}, ..., [20]_{q^3} and
     then by [3]_q twenty times, each through the run path."""
-    value = qwl_explicit(3, 40, 20)
+    value = qwl(3, 40, 20, route="explicit")
     for q in (2, 3):
         assert at(value, q) == qwl_at(q, 3, 40, 20), q
     runs = [(i, 3) for i in range(2, 21)] + [(3, 1)] * 20

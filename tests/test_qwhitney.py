@@ -2,6 +2,7 @@
 expansions, cross-route equalities, inversion, and classical limits."""
 
 import math
+from functools import partial
 
 import pytest
 
@@ -16,14 +17,13 @@ from whitneylah.qwhitney import (
     _qbinom_inverse_entry,
     _qbinom_transform_entry,
     qdowling,
-    qdowling_qi,
     qlah_gr,
     qw1,
     qw2,
     qwl,
     qwl_egf_sum_series,
-    qwl_explicit,
 )
+
 
 q = LaurentPoly.var()
 
@@ -77,7 +77,7 @@ class TestGeneralizedQFactorial:
                 assert gqf_point(t, a, n) == plain[n], (t, a, n)
 
 
-@pytest.mark.parametrize("family", [qw1, qw2, qwl, qwl_explicit])
+@pytest.mark.parametrize("family", [qw1, qw2, qwl, partial(qwl, route="explicit")])
 def test_bool_alpha_is_rejected(family):
     family(1, 3, 1)
     with pytest.raises(InvalidAlpha):
@@ -155,14 +155,14 @@ class TestThirdKind:
                     assert gqf_point(t, -a, n) == rhs, (a, n, m)
 
     def test_explicit_route(self):
-        assert qwl_explicit(1, 2, 1).to_str() == "1 + q"
-        assert qwl_explicit(2, 2, 1).to_str() == "1 + q + q^2 + q^3"
+        assert qwl(1, 2, 1, route="explicit").to_str() == "1 + q"
+        assert qwl(2, 2, 1, route="explicit").to_str() == "1 + q + q^2 + q^3"
         for n in range(1, 6):
-            assert qwl_explicit(1, n, 0).is_zero
+            assert qwl(1, n, 0, route="explicit").is_zero
         for a in (1, 2):
             for n in range(8):
                 for k in range(n + 1):
-                    assert qwl_explicit(a, n, k) == qwl(a, n, k), (a, n, k)
+                    assert qwl(a, n, k, route="explicit") == qwl(a, n, k), (a, n, k)
 
     def test_convolution_of_first_and_second_kinds(self):
         for a in (1, 2):
@@ -229,15 +229,15 @@ class TestEgfSumSeries:
 class TestGarsiaRemmel:
     def test_values(self):
         assert qlah_gr(2, 1).to_str() == "1 + q"
-        assert qlah_gr(2, 1, "explicit").to_str() == "1 + q"
+        assert qlah_gr(2, 1, route="explicit").to_str() == "1 + q"
         assert qlah_gr(1, 1) == 1
         assert qlah_gr(2, 2).to_str() == "q^2"
-        assert qlah_gr(2, 2, "explicit").to_str() == "q^2"
+        assert qlah_gr(2, 2, route="explicit").to_str() == "q^2"
 
     def test_routes_agree(self):
         for n in range(9):
             for k in range(1, n + 1):
-                assert qlah_gr(n, k, "explicit") == qlah_gr(n, k), (n, k)
+                assert qlah_gr(n, k, route="explicit") == qlah_gr(n, k), (n, k)
 
     def test_is_alpha_one_specialization(self):
         for n in range(9):
@@ -246,11 +246,11 @@ class TestGarsiaRemmel:
 
     def test_explicit_range(self):
         with pytest.raises(InvalidRange):
-            qlah_gr(3, 0, "explicit")
+            qlah_gr(3, 0, route="explicit")
         with pytest.raises(InvalidRange):
-            qlah_gr(2, 3, "explicit")
-        with pytest.raises(ValueError):
-            qlah_gr(2, 1, "table")
+            qlah_gr(2, 3, route="explicit")
+        with pytest.raises(ValueError, match="unknown route 'table' of qlah_gr"):
+            qlah_gr(2, 1, route="table")
 
 
 class TestQDowling:
@@ -261,12 +261,12 @@ class TestQDowling:
             assert lp_eval_q1(qdowling(1, n)) == dowling(1, n)
 
     def test_qi_formula(self):
-        assert qdowling_qi(1, 2).to_str() == "1 + q"
-        assert qdowling_qi(1, 0) == 1
-        assert lp_eval_q1(qdowling_qi(2, 2)) == 3
+        assert qdowling(1, 2, route="qi").to_str() == "1 + q"
+        assert qdowling(1, 0, route="qi") == 1
+        assert lp_eval_q1(qdowling(2, 2, route="qi")) == 3
         for a in (1, 2):
             for n in range(7):
-                assert qdowling_qi(a, n) == qdowling(a, n), (a, n)
+                assert qdowling(a, n, route="qi") == qdowling(a, n), (a, n)
 
 
 class TestInverseRelation:

@@ -469,7 +469,7 @@ class TestSeriesOrderCoversTheGrid:
         for k in (3, 6):
             for n in range(13, 17):
                 lhs, rhs = get_identity("r3").check(alpha=alpha, k=k, n=n)
-                assert lhs == rhs == twl(alpha, n, k, method="product")
+                assert lhs == rhs == twl(alpha, n, k, route="product")
 
     def test_lah_egf_at_n_13_to_16(self):
         for k in (3, 6):

@@ -3,6 +3,7 @@ routes, the generic two-sequence triangle, and the Dowling numbers."""
 
 import math
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -20,13 +21,11 @@ from whitneylah.classical import (
 )
 from whitneylah.qwhitney import qwl_egf_check
 from whitneylah.whitney import (
-    TWL_METHODS,
+    ROUTES,
     DuplicateBValues,
     InvalidAlpha,
     MansourSpec,
     dowling,
-    dowling_dobinski,
-    dowling_qi,
     mansour_u,
     mansour_u_explicit_as_printed,
     tw1,
@@ -43,8 +42,8 @@ from whitneylah.whitney import (
         (tw2, (3, 1)),
         (twl, (3, 1)),
         (dowling, (3,)),
-        (dowling_dobinski, (3,)),
-        (dowling_qi, (3,)),
+        (partial(dowling, route="dobinski"), (3,)),
+        (partial(dowling, route="qi"), (3,)),
         (twl_egf_check, (3, 5)),
     ],
 )
@@ -102,19 +101,21 @@ class TestSecondKind:
 
 
 class TestWhitneyLah:
-    def test_values_all_methods(self):
-        for method in TWL_METHODS:
-            assert twl(2, 3, 2, method) == 12, method
-            assert twl(3, 2, 1, method) == 6, method
-            assert twl(2, 6, 6, method) == 1, method
+    def test_values_all_routes(self):
+        for route in ROUTES["twl"]:
+            assert twl(2, 3, 2, route=route) == 12, route
+            assert twl(3, 2, 1, route=route) == 6, route
+            assert twl(2, 6, 6, route=route) == 1, route
+            assert twl(2, 0, 0, route=route) == 1, route
+            assert twl(2, 3, 0, route=route) == 0, route
 
     def test_four_route_agreement(self):
         for a in (1, 2, 3):
             for n in range(11):
                 for k in range(n + 1):
-                    ref = twl(a, n, k, "recurrence")
-                    for method in TWL_METHODS[1:]:
-                        assert twl(a, n, k, method) == ref, (a, n, k, method)
+                    ref = twl(a, n, k)
+                    for route in ROUTES["twl"][1:]:
+                        assert twl(a, n, k, route=route) == ref, (a, n, k, route)
 
     def test_scaled_is_lah_multiple(self):
         for a in (1, 2, 3):
@@ -122,9 +123,9 @@ class TestWhitneyLah:
                 for k in range(n + 1):
                     assert twl(a, n, k) == a ** (n - k) * lah(n, k)
 
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            twl(1, 3, 2, "oracle")
+    def test_unknown_route(self):
+        with pytest.raises(ValueError, match="unknown route 'oracle' of twl"):
+            twl(1, 3, 2, route="oracle")
 
     def test_basis_change_identity(self):
         # (t|-a)_n expanded over the (t|a)_k basis with twl coefficients
@@ -218,7 +219,7 @@ class TestMansour:
         spec = MansourSpec(a=lambda i: i, b=lambda j: j)
         assert mansour_u(spec, 1, 1) == 1
         assert mansour_u(spec, 3, 1) == 6
-        assert mansour_u(spec, 3, 1, "explicit") == 6
+        assert mansour_u(spec, 3, 1, route="explicit") == 6
 
     def test_printed_denominator_bound_contradicts_recurrence(self):
         spec = MansourSpec(a=lambda i: i, b=lambda j: j)
@@ -234,7 +235,7 @@ class TestMansour:
             for n in range(9):
                 for k in range(n + 1):
                     assert mansour_u(spec, n, k) == twl(a, n, k), (a, n, k)
-                    assert mansour_u(spec, n, k, "explicit") == twl(a, n, k)
+                    assert mansour_u(spec, n, k, route="explicit") == twl(a, n, k)
 
     def test_rational_sequences(self):
         spec = MansourSpec(
@@ -242,7 +243,7 @@ class TestMansour:
         )
         for n in range(7):
             for k in range(n + 1):
-                assert mansour_u(spec, n, k) == mansour_u(spec, n, k, "explicit")
+                assert mansour_u(spec, n, k) == mansour_u(spec, n, k, route="explicit")
 
     def test_integer_spec_stays_int(self):
         for a in (1, 2, 3):
@@ -258,13 +259,13 @@ class TestMansour:
         for n, k, want in [(0, 0, 1), (3, 1, Fraction(71, 18)),
                            (5, 2, Fraction(1385, 18)), (6, 6, 1), (2, 3, 0)]:
             assert mansour_u(spec, n, k) == want, (n, k)
-            got = mansour_u(spec, n, k, "explicit")
+            got = mansour_u(spec, n, k, route="explicit")
             assert type(got) is Fraction and got == want, (n, k)
 
     def test_duplicate_b_values_rejected(self):
         spec = MansourSpec(a=lambda i: i, b=lambda j: j % 2)
         with pytest.raises(DuplicateBValues):
-            mansour_u(spec, 4, 3, "explicit")
+            mansour_u(spec, 4, 3, route="explicit")
 
     def test_boundary_column(self):
         spec = MansourSpec(a=lambda i: 2 * i, b=lambda j: j + 1)
@@ -276,7 +277,7 @@ class TestMansour:
 
     def test_deep_recurrence(self):
         # far past the default recursion limit, so the route must not recurse
-        assert mansour_u(MansourSpec.linear(2), 1200, 1) == twl(2, 1200, 1, "product")
+        assert mansour_u(MansourSpec.linear(2), 1200, 1) == twl(2, 1200, 1, route="product")
 
     def test_spec_is_immutable(self):
         spec = MansourSpec(a=lambda i: i, b=lambda j: j)
@@ -297,22 +298,22 @@ class TestDowling:
             assert dowling(1, n) == bell(n)
 
     def test_qi_formula(self):
-        assert dowling_qi(1, 2) == 2
-        assert dowling_qi(2, 2) == 3
+        assert dowling(1, 2, route="qi") == 2
+        assert dowling(2, 2, route="qi") == 3
         for a in (1, 2, 3):
             for n in range(13):
-                assert dowling_qi(a, n) == dowling(a, n), (a, n)
+                assert dowling(a, n, route="qi") == dowling(a, n), (a, n)
 
     def test_dobinski(self):
-        assert dowling_dobinski(1, 3) == 5
-        assert dowling_dobinski(2, 3) == 11
+        assert dowling(1, 3, route="dobinski") == 5
+        assert dowling(2, 3, route="dobinski") == 11
         for a in (1, 2, 3):
-            assert dowling_dobinski(a, 0) == 1
+            assert dowling(a, 0, route="dobinski") == 1
 
     def test_dobinski_is_exact(self):
         for a in range(1, 6):
             for n in range(61):
-                value = dowling_dobinski(a, n)
+                value = dowling(a, n, route="dobinski")
                 assert type(value) is int and value == dowling(a, n), (a, n)
 
     @pytest.mark.parametrize(
@@ -320,7 +321,7 @@ class TestDowling:
     )
     def test_dobinski_exact_where_a_float_overflows(self, alpha, n):
         # a float partial sum overflows here; the integer bracket does not
-        value = dowling_dobinski(alpha, n)
+        value = dowling(alpha, n, route="dobinski")
         assert type(value) is int and value == dowling(alpha, n)
 
     def test_dobinski_is_apart_from_the_engine(self, monkeypatch):
@@ -330,18 +331,18 @@ class TestDowling:
         expected = dowling(2, 12)
         monkeypatch.setattr(whitney, "_cell", engine)
         monkeypatch.setattr(whitney, "_row_sum", engine)
-        assert dowling_dobinski(2, 12) == expected
+        assert dowling(2, 12, route="dobinski") == expected
         with pytest.raises(RuntimeError):
             dowling(2, 12)
 
     def test_dobinski_validation(self):
         with pytest.raises(InvalidAlpha):
-            dowling_dobinski(0, 3)
+            dowling(0, 3, route="dobinski")
 
     @pytest.mark.parametrize("n", [-1, 2.5, 3.0, True, "3"])
     def test_dobinski_rejects_n_that_is_not_a_non_negative_int(self, n):
         with pytest.raises(ValueError, match="n must be a non-negative integer"):
-            dowling_dobinski(1, n)
+            dowling(1, n, route="dobinski")
 
 
 class TestGrahamIdentity:
