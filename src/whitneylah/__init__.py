@@ -15,11 +15,7 @@ __version__ = "0.1.0"
 # Each public name, by the submodule that defines it.
 _EXPORTS = {
     "arith": (
-        "DivisionByZero",
         "LaurentPoly",
-        "lp_div_exact",
-        "lp_dot",
-        "lp_eval_q1",
         "monomial",
     ),
     "base": (
@@ -39,6 +35,12 @@ _EXPORTS = {
         "rising_poly",
         "stirling1u",
         "stirling2",
+    ),
+    "dense": (
+        "DivisionByZero",
+        "lp_div_exact",
+        "lp_dot",
+        "lp_eval_q1",
     ),
     "qcalc": (
         "InvalidOrder",

@@ -8,16 +8,21 @@ table and ``TruncSeries`` -- is ``base``, so that the integer families and
 the ``r3`` series run without loading this module; ``TruncSeries`` is
 also bound here, where ``perfbench/tracer.py`` reads it.
 
+This module is the ring that the triangle engine multiplies in: the
+constructors, addition, the products, ``monomial`` and the rendering. The
+dense operations that only the identity registry, the series and the
+families' second routes reach -- ``lp_dot``, the Kronecker product, exact
+division and ``lp_eval_q1`` -- are ``dense``. The split is by what a cold
+call runs: with bytecode writing off, a call compiles every module it
+loads, and a q-table, which multiplies only by monomials and q-integers,
+loads this module and never ``dense``.
+
 A product of two Laurent polynomials takes one of four paths, chosen by
 the shape of its factors in ``_times``: by a scalar or a monomial, a shift
 and scale; by a strided run of equal coefficients (a q-integer), window
 sums; when both factors have at least ``_KRONECKER_MIN`` nonzero terms,
-Kronecker substitution, one product of two big ints; otherwise term by
-term. A fifth entry, :func:`lp_dot`, adds products into one coefficient
-list and wraps the sum once.
-An exact quotient by a strided run ``c q^e [m]_{q^s}``, a single term
-among them, is a product by ``1 - q^s`` and a running sum at stride
-``m s``, both O(len); by any other divisor, ascending long division.
+Kronecker substitution, one product of two big ints, which ``_product``
+reads from ``dense`` when it runs it; otherwise term by term.
 
 The canonical text of a polynomial, ``LaurentPoly.to_str``, is one ``%``
 format: a table per variable holds the format of each exponent,
@@ -35,16 +40,11 @@ so instances may be shared freely between threads.
 
 from __future__ import annotations
 
-import struct
 from itertools import accumulate, compress, repeat
 from operator import add, mul, sub
 from typing import Iterable, Iterator, Mapping
 
-from .base import _MEMOS, DomainError, NonExactDivision, TruncSeries, _is_int
-
-
-class DivisionByZero(DomainError, ZeroDivisionError):
-    """Division of a Laurent polynomial by the zero polynomial."""
+from .base import _MEMOS, DomainError, TruncSeries, _is_int
 
 
 def _scalar(value) -> int:
@@ -324,6 +324,12 @@ _RUN_MIN = 2
 _KRONECKER_MIN = 5
 
 
+# The module ``dense``, imported by the first Kronecker product, which a
+# q-table never makes; ``_product`` reads the entry off it on each call, so
+# a rebound ``dense._kronecker_product`` is the one that runs.
+_dense = None
+
+
 def _run(cs: tuple, nonzero: int, fewest: int = _RUN_MIN) -> int:
     """The stride s when the ``nonzero`` terms of ``cs`` are one coefficient
     repeated at stride s, more than ``fewest`` of them; else 0."""
@@ -349,9 +355,9 @@ def _window_product(c: int, m: int, s: int, b: tuple) -> list:
 def _times(p: LaurentPoly, o: LaurentPoly) -> tuple:
     """The product ``p o`` as ``(lo, cs, s)``: ``s`` times the coefficients
     ``cs`` from exponent ``lo``, with no end zeros. Every product of two
-    polynomials, by ``__mul__`` or in ``lp_dot``, is made here: by a scalar
-    or a monomial, ``cs`` is the other factor's tuple and ``s`` the scalar;
-    any other pair goes through ``_product``, with ``s`` = 1."""
+    polynomials, by ``__mul__`` or in ``dense.lp_dot``, is made here: by a
+    scalar or a monomial, ``cs`` is the other factor's tuple and ``s`` the
+    scalar; any other pair goes through ``_product``, with ``s`` = 1."""
     a, b = p._c, o._c
     if not a or not b:
         return 0, (), 1
@@ -364,56 +370,13 @@ def _times(p: LaurentPoly, o: LaurentPoly) -> tuple:
     return lo, _product(a, b), 1
 
 
-def lp_dot(pairs: Iterable[tuple]) -> LaurentPoly:
-    """``sum(a * b for a, b in pairs)`` for factors that are LaurentPoly
-    values or ints, the zero polynomial for no pairs. Each product of two
-    polynomials takes its path through ``_times``, a product by an int is a
-    scale, and every product is added into one coefficient list, which is
-    trimmed and wrapped once. That list is the first product's own when it
-    is a fresh one, as ``_product`` returns. A ``bool`` or any other factor
-    is a TypeError."""
-    out = None
-    for a, b in pairs:
-        if type(a) is LaurentPoly and type(b) is LaurentPoly:
-            start, cs, s = _times(a, b)
-        elif type(a) is LaurentPoly and type(b) is int:
-            start, cs, s = a._lo, a._c, b
-        elif type(a) is int and type(b) is LaurentPoly:
-            start, cs, s = b._lo, b._c, a
-        else:
-            x, y = LaurentPoly._coerce(a), LaurentPoly._coerce(b)
-            if x is None or y is None:
-                raise TypeError(f"cannot multiply {a!r} by {b!r} in Z[q, q^-1]")
-            start, cs, s = _times(x, y)
-        if not cs or not s:
-            continue
-        if out is None:
-            if type(cs) is list:  # a fresh product, with s = 1
-                lo, out = start, cs
-                continue
-            lo, out = start, [0] * len(cs)
-        i = start - lo
-        if i < 0:
-            out[:0] = repeat(0, -i)
-            lo, i = start, 0
-        j = i + len(cs)
-        if j > len(out):
-            out += repeat(0, j - len(out))
-        if s == 1:
-            out[i:j] = map(add, out[i:j], cs)
-        elif s == -1:
-            out[i:j] = map(sub, out[i:j], cs)
-        else:
-            out[i:j] = map(add, out[i:j], map(mul, repeat(s), cs))
-    return _ZERO_POLY if out is None else _trimmed(lo, out)
-
-
 def _product(a: tuple, b: tuple) -> list:
     """Product of two dense coefficient tuples of two terms or more (``_times``
     takes the scalar and monomial products): by ``_window_product`` if a
     factor is a strided run of more than ``_RUN_MIN`` equal coefficients,
-    such as ``qint(m, alpha)``; by ``_kronecker_product`` if both have at
-    least ``_KRONECKER_MIN`` nonzero terms; else by ``_term_product``."""
+    such as ``qint(m, alpha)``; by ``dense._kronecker_product``, read when
+    it runs, if both have at least ``_KRONECKER_MIN`` nonzero terms; else
+    by ``_term_product``."""
     na, nb = len(a) - a.count(0), len(b) - b.count(0)
     s = _run(a, na)
     if s:
@@ -422,51 +385,13 @@ def _product(a: tuple, b: tuple) -> list:
     if s:
         return _window_product(b[0], nb, s, a)
     if na >= _KRONECKER_MIN and nb >= _KRONECKER_MIN:
-        return _kronecker_product(a, b)
+        global _dense
+        if _dense is None:
+            from . import dense as _dense
+        return _dense._kronecker_product(a, b)
     if na * len(b) > nb * len(a):
         a, b = b, a
     return _term_product(a, b)
-
-
-def _kronecker_product(a: tuple, b: tuple) -> list:
-    """``a`` times ``b`` by Kronecker substitution (D. Harvey, J. Symbolic
-    Comput. 2009): each factor's coefficients fill fixed-width byte slots of
-    one ``int``, the two ints are multiplied once, and the product's slots
-    are its coefficients. A slot holds ``max|a| max|b| min(len)``, a bound
-    on every output coefficient, so none carries; one of up to 8 bytes is
-    widened to 1, 2, 4 or 8, which ``struct`` packs in one call. With a
-    negative coefficient, the slot gains a sign bit and each coefficient is
-    offset by half the slot, h, so every slot is non-negative; the offsets
-    are taken out of the packed ints."""
-    n = len(a) + len(b) - 1
-    signed = min(a) < 0 or min(b) < 0
-    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
-    w = (bound.bit_length() + signed + 7) // 8
-    if w <= 8:  # a slot of 1, 2, 4 or 8 bytes, which struct packs in C
-        w = 1 << (w - 1).bit_length()
-        fmt = "<%d" + "BHIQ"[w.bit_length() - 1]
-
-    def pack(cs, m: int) -> int:
-        if w <= 8:
-            return int.from_bytes(struct.pack(fmt % m, *cs), "little")
-        data = b"".join(map(int.to_bytes, cs, repeat(w), repeat("little")))
-        return int.from_bytes(data, "little")
-
-    if signed:
-        h = 1 << (8 * w - 1)
-        slot = bytes(w - 1) + b"\x80"  # h, as one slot's bytes
-        x = pack(map(add, a, repeat(h)), len(a)) - int.from_bytes(slot * len(a), "little")
-        y = pack(map(add, b, repeat(h)), len(b)) - int.from_bytes(slot * len(b), "little")
-        c = x * y + int.from_bytes(slot * n, "little")
-    else:
-        c = pack(a, len(a)) * pack(b, len(b))
-    data = c.to_bytes(n * w, "little")
-    if w <= 8:
-        out = struct.unpack(fmt % n, data)
-    else:
-        it = iter(data)
-        out = map(int.from_bytes, map(bytes, zip(*[it] * w)), repeat("little"))
-    return list(map(sub, out, repeat(h))) if signed else list(out)
 
 
 def _term_product(a: tuple, b: tuple) -> list:
@@ -494,83 +419,3 @@ def monomial(exp: int, coeff: int = 1) -> LaurentPoly:
         raise TypeError(f"exponent must be int, got {exp!r}")
     c = _scalar(coeff)
     return _make(exp, (c,)) if c else _ZERO_POLY
-
-
-def lp_div_exact(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Exact quotient ``a / b`` in the Laurent ring Z[q, q^-1].
-
-    A strided run ``c q^e [m]_{q^s}`` divisor, a single term or a q-integer
-    among them, goes through ``_run_quotient`` in O(len(a)); any other
-    through ascending long division. A quotient coefficient that is not an
-    integer, or a nonzero remainder, raises :class:`NonExactDivision` on
-    either path; nothing is ever truncated silently.
-    """
-    if b.is_zero:
-        raise DivisionByZero("division by the zero polynomial")
-    if a.is_zero:
-        return _ZERO_POLY
-    div = b._c
-    nd = len(div) - div.count(0)
-    s = _run(div, nd, 1) if nd > 1 else 1
-    quot = _run_quotient(a._c, div[0], nd, s) if s else _long_quotient(a._c, div)
-    if quot is None:
-        raise NonExactDivision(f"{a.to_str()!s} is not divisible by {b.to_str()!s}")
-    # an exact quotient's end coefficients are those of a over those of b
-    return _make(a._lo - b._lo, tuple(quot))
-
-
-def _run_quotient(a: tuple, c: int, m: int, s: int) -> list | None:
-    """``a`` over ``c (1 + q^s + ... + q^((m-1) s))`` in O(len(a)), or None
-    if the quotient is not exact. Times ``1 - q^s`` the divisor is ``c (1 -
-    q^(m s))``, so the quotient of b = a (1 - q^s) by ``1 - q^(m s)`` is
-    p[i] = b[i] + p[i - m s], a running sum in each residue class mod m s.
-    It is exact iff p vanishes past len(a) - (m - 1) s, the length of an
-    exact quotient (the recurrence then carries those zeros to every later
-    coefficient), and c divides what is left."""
-    nq = len(a) - (m - 1) * s
-    if nq < 1:
-        return None
-    pad = (0,) * s
-    p = list(map(sub, a + pad, pad + a))
-    w = m * s
-    # a class r >= len(p) - w holds one term, its own running sum
-    for r in range(min(w, len(p) - w)):
-        p[r::w] = accumulate(p[r::w])
-    if any(p[nq:]):
-        return None
-    del p[nq:]
-    if c != 1:
-        if any(x % c for x in p):
-            return None
-        p = [x // c for x in p]
-    return p
-
-
-def _long_quotient(a: tuple, div: tuple) -> list | None:
-    """``a`` over ``div`` by ascending long division, or None if a quotient
-    coefficient is not an integer or a remainder is left; an exact
-    quotient has len(a) - len(div) + 1 coefficients."""
-    rem = list(a)
-    nd = len(div)
-    lead = div[0]
-    nq = len(rem) - nd + 1
-    if nq < 1:
-        return None
-    quot = [0] * nq
-    for i in range(nq):
-        c = rem[i]
-        if not c:
-            continue
-        qc, r = divmod(c, lead)
-        if r:
-            return None
-        quot[i] = qc
-        j = i + nd
-        rem[i:j] = map(sub, rem[i:j], map(mul, repeat(qc), div))
-    return None if any(rem[nq:]) else quot
-
-
-def lp_eval_q1(a: LaurentPoly) -> int:
-    """The value at q = 1, the sum of the coefficients: a ring homomorphism
-    onto the integers."""
-    return sum(a._c)

@@ -20,10 +20,10 @@ imports only ``base`` when it loads. It also provides the
 rising/falling/generalized factorial polynomials in a formal variable t
 (as Laurent polynomials with integer coefficients), used to verify
 horizontal generating-function identities by dense expansion; only the
-registry reads them, and they import the Laurent kernel ``arith`` when
-called. And it provides ``InvalidAlpha``, the error of every family that
-takes a translation parameter, which ``whitney`` and ``qwhitney`` share
-without importing each other.
+registry reads them, and they import the Laurent kernel (``arith`` and
+``dense``) when called. And it provides ``InvalidAlpha``, the error of
+every family that takes a translation parameter, which ``whitney`` and
+``qwhitney`` share without importing each other.
 """
 
 from __future__ import annotations
@@ -230,7 +230,8 @@ def falling_poly(n: int) -> LaurentPoly:
 def genfact_poly(n: int, alpha: int) -> LaurentPoly:
     """Generalized factorial t(t-alpha)...(t-(n-1)alpha) as a polynomial
     in t. A negative increment gives the ascending product."""
-    from .arith import LaurentPoly, lp_dot
+    from .arith import LaurentPoly
+    from .dense import lp_dot
 
     t = LaurentPoly.var()
     out = LaurentPoly.one()

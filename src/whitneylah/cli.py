@@ -11,30 +11,37 @@ The domains of the family functions and identity checks are the library's:
 an input outside them raises the library's ``DomainError``, printed as one
 ``error:`` line with exit code 2, as the CLI's own checks are. ``series``
 prints both sides of the ``r3``/``qr1.1`` checks, ``whitney.twl_egf_check``
-and ``qwhitney.qwl_egf_check``, the very functions the registry holds for
+and ``qroutes.qwl_egf_check``, the very functions the registry holds for
 those ids.
 
-Each command imports only the modules it runs, since a cold call pays to
-import them. Every call loads ``base``, the ring-agnostic base that
-defines ``DomainError``. A family's function or a series check is read off
-its module once per command, which imports that module on a cold call:
+Each command imports only the modules it runs, and each module holds only
+code that the commands loading it run: with bytecode writing off
+(``PYTHONDONTWRITEBYTECODE=1``, or a read-only install), a cold call
+compiles every module it loads from source, whether it runs that code or
+not. Every call loads ``base``, the ring-agnostic base that defines
+``DomainError``. A family's function or a series check is read off its
+module once per command, which imports that module on a cold call:
 the classical families load the engine module ``classical``; ``whitney1``,
 ``whitney2``, ``whitney-lah``, ``dowling`` and ``series --id r3`` load
 ``whitney`` and ``classical``, and compute over the integers without the
-Laurent kernel ``arith``; the q-families and ``series --id qr1.1`` load
-``qwhitney``, ``classical``, ``qcalc`` and ``arith``. Only ``verify``
-imports the identity registry (``verify``) and ``fractions``; only a JSON
-table and ``verify`` load ``json``. No command loads ``dataclasses``, which
-would bring in ``inspect`` and a dozen more modules: the registry's records
-are NamedTuples and ``__slots__`` classes.
+Laurent kernel ``arith``; the q-families load ``qwhitney``, ``classical``,
+``qcalc`` and ``arith``, and their tables and default routes run nothing
+more. ``series --id qr1.1`` loads those and ``qroutes``, the q-families'
+second routes and series side, with the dense kernel ``dense`` (sums of
+products, the Kronecker product and exact division). Only ``verify``
+imports the identity registry (``verify``, which holds the command's body)
+and ``fractions``; only a JSON table and ``verify`` load ``json``. No
+command loads ``dataclasses``, which would bring in ``inspect`` and a dozen
+more modules: the registry's records are NamedTuples and ``__slots__``
+classes.
 
 The command-line grammar is declared once, as data: ``COMMANDS`` holds
 each command's help, handler and options. ``main`` reads a well-formed
 argv, ``COMMAND (--flag VALUE)*``, with ``_read``, a strict reader of that
-table, and such a call loads none of ``argparse``, ``gettext`` and
-``locale``. Help, usage errors and every other form (an abbreviated flag,
-``--flag=value``, ``--``) go to the argparse parser that
-``_build_parser`` makes from the same table.
+table, and such a call loads none of ``cli_parser``, ``argparse``,
+``gettext`` and ``locale``. Help, usage errors and every other form (an
+abbreviated flag, ``--flag=value``, ``--``) go to the argparse parser that
+``cli_parser.build_parser`` makes from the same table.
 
 ``main()`` is the process entry: the console script and ``python -m
 whitneylah.cli`` call it without argv. Once the command has run, it
@@ -52,16 +59,13 @@ from __future__ import annotations
 
 import os
 import sys
-from functools import cache, partial
+from functools import partial
 from importlib import import_module
 from itertools import chain
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .base import DomainError
-
-if TYPE_CHECKING:
-    import argparse
 
 
 class _Late(NamedTuple):
@@ -110,7 +114,7 @@ FAMILIES: dict[str, _Family] = {
 # series id -> its check, bound once per command, as a family's value is
 SERIES_CHECKS = {
     "r3": _Late("whitney", "twl_egf_check"),
-    "qr1.1": _Late("qwhitney", "qwl_egf_check"),
+    "qr1.1": _Late("qroutes", "qwl_egf_check"),
 }
 
 
@@ -168,30 +172,9 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    import json
+    from .verify import _verify_command
 
-    from .verify import Config, report_to_json, run_suite
-
-    try:
-        alpha_list = tuple(int(a) for a in args.alpha_list.split(","))
-    except ValueError:
-        raise DomainError(
-            f"--alpha-list must be comma-separated integers, got {args.alpha_list!r}"
-        ) from None
-    cfg = Config(suite=args.suite, alpha_list=alpha_list, n_max=args.n_max, mode=args.mode)
-    report = run_suite(cfg)
-    if args.format == "json":
-        print(report_to_json(report, deterministic=True))
-    else:
-        print(
-            f"suite={cfg.suite} alpha_list={','.join(map(str, cfg.alpha_list))}"
-            f" n_max={cfg.n_max} mode={cfg.mode}"
-        )
-        print(f"total={report.total} passed={report.passed} failed={len(report.failed)}")
-        for r in report.failed:
-            params = json.dumps(r.params, sort_keys=True)
-            print(f"FAIL {r.id} {params} lhs={r.lhs_canonical} rhs={r.rhs_canonical}")
-    return 0 if not report.failed else 1
+    return _verify_command(args)
 
 
 def _cmd_series(args) -> int:
@@ -243,7 +226,7 @@ _FAMILY = _Option("--family", choices=sorted(FAMILIES), required=True)
 _ALPHA = _Option("--alpha", int)
 
 # The command-line grammar: both the strict reader of ``main`` and the
-# argparse parser of ``_build_parser`` are made from this table.
+# argparse parser of ``cli_parser.build_parser`` are made from this table.
 COMMANDS: dict[str, _Command] = {
     "table": _Command("emit a triangle or sequence table", _cmd_table, (
         _FAMILY,
@@ -308,31 +291,6 @@ def _read(argv: list[str]) -> Optional[SimpleNamespace]:
     return SimpleNamespace(command=argv[0], func=command.handler, **(defaults | values))
 
 
-@cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argparse parser of ``COMMANDS``, built on the first call of a
-    process that needs it and reused by every later one: parsing leaves it
-    as it was. Only this function imports ``argparse``, which loads
-    ``gettext``, and its first message lookup loads ``locale``."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="whitneylah",
-        description="Exact Lah/Stirling/Whitney/Dowling number families, their"
-        " q-analogues, and a machine-checked identity suite.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
-        for opt in command.options:
-            p.add_argument(
-                opt.flag, dest=opt.dest, type=opt.type, choices=opt.choices,
-                required=opt.required, default=opt.default,
-            )
-        p.set_defaults(func=command.handler)
-    return parser
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     """Run the command line ``argv`` and return its exit code; without
     ``argv``, run ``sys.argv[1:]`` and end the process (module docstring).
@@ -366,8 +324,10 @@ def _run(argv: list[str]) -> int:
     """The exit code of the command line ``argv``."""
     args = _read(argv)
     if args is None:
+        from .cli_parser import build_parser
+
         try:
-            args = _build_parser().parse_args(argv)
+            args = build_parser().parse_args(argv)
         except SystemExit as exc:
             return exc.code if isinstance(exc.code, int) else 2
     # Exact integers of any length must print: lift CPython's int-to-str
@@ -387,4 +347,7 @@ def _run(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
+    # run as ``python -m whitneylah.cli``: ``cli_parser`` imports this module
+    # by its name, and finds it here rather than compiling a second copy
+    sys.modules.setdefault("whitneylah.cli", sys.modules[__name__])
     sys.exit(main())

@@ -26,34 +26,26 @@ are read through the engine's ``_cell`` and ``_row_sum`` with the
 polynomial 1 as u(0, 0), so a value outside the triangle is the zero
 polynomial.
 
-The generalized q-factorial [t|alpha]_n at integer points is
-``qcalc.gqf_point``, which stores every prefix [t|alpha]_1..n it computes,
-the q-factorials' among them. The Gaussian-binomial inversion sum, on which
-``qwl``'s explicit route and the generating-function side
-``qwl_egf_sum_series`` rest, is written once, in ``_qbinom_inverse_entry``;
-it and the forward entry ``_qbinom_transform_entry`` are the two sides of
-the registry's ``qbinom_inv``. The translated q-Whitney-Lah and q-Dowling
-families take positive alpha and reject any other with ``InvalidAlpha``;
-the first and second kinds take any nonzero alpha. ``ROUTES`` names each
-family's ``route`` values, the default first.
+The translated q-Whitney-Lah and q-Dowling families take positive alpha
+and reject any other with ``InvalidAlpha``; the first and second kinds
+take any nonzero alpha. ``ROUTES`` names each family's ``route`` values,
+the default first.
 
-``qwl_egf_check`` is the ``qr1.1`` identity of the registry, that
-generating-function side against the engine's triangle; the CLI's
-``series`` runs it without loading the registry. Its memo stores each
-coefficient already multiplied by [n]_{q^alpha}!, so a check reads its
-left side whole.
+This module holds what a q-table runs: the weights and the five family
+functions, whose default route is the engine's recurrence. The bodies of
+the other routes, the Gaussian-binomial transform pair and the ``qr1.1``
+series side are ``qroutes``, which a family function imports only when a
+caller asks for another route. With bytecode writing off, a cold call
+compiles every module it loads, so a q-table compiles neither those
+bodies nor the dense kernel ``dense`` that they use.
 """
 
 from __future__ import annotations
 
-import math
-from functools import lru_cache
-from typing import Sequence
-
-from .arith import _ONE_POLY, LaurentPoly, lp_div_exact, lp_dot, monomial
-from .base import DomainError, TruncSeries, _is_int, _lru_memo, ts_mul_geometric
+from .arith import _ONE_POLY, LaurentPoly, monomial
+from .base import DomainError, _is_int
 from .classical import InvalidAlpha, _cell, _check_alpha, _check_route, _row_sum
-from .qcalc import gqf_point, qbinom, qfact, qfalling, qint, qint_signed
+from .qcalc import qint, qint_signed
 
 ROUTES = {
     "qwl": ("recurrence", "explicit"),
@@ -124,44 +116,9 @@ def qwl(alpha: int, n: int, k: int, route: str = "recurrence") -> LaurentPoly:
     if route == "recurrence":
         return _cell(_qwl_weights, alpha, n, k, _ONE_POLY)
     _check_route(ROUTES, "qwl", route)
-    if n < 0 or k < 0 or k > n:
-        return LaurentPoly.zero()
-    points = [gqf_point(alpha * j, -alpha, n) for j in range(k + 1)]
-    acc = _qbinom_inverse_entry(points, k, alpha)
-    for i in range(2, k + 1):
-        acc = lp_div_exact(acc, qint(i, alpha))
-    if alpha > 1:
-        a = qint(alpha)
-        for _ in range(k):
-            acc = lp_div_exact(acc, a)
-    return acc
+    from .qroutes import _qwl_explicit
 
-
-@_lru_memo("inverse_weights")
-@lru_cache(maxsize=None)
-def _inverse_weights(alpha: int, k: int) -> tuple[LaurentPoly, ...]:
-    """The weights (-1)^(k-j) q^(alpha C(k-j,2)) C(k,j)_{q^alpha} of the
-    inverse Gaussian-binomial transform's entry k, for j = 0..k."""
-    # j = k // 2 first: its read builds columns 0..k // 2 of row k, which the
-    # reads below it hit, and C(k, j) = C(k, k - j) gives the rest
-    half = [qbinom(k, j, alpha) for j in range(k // 2, -1, -1)][::-1]
-    return tuple(
-        monomial(alpha * math.comb(k - j, 2), (-1) ** (k - j)) * half[min(j, k - j)]
-        for j in range(k + 1)
-    )
-
-
-def _qbinom_inverse_entry(F: Sequence, k: int, alpha: int):
-    """Entry k >= 0 of the inverse Gaussian-binomial transform over q^alpha
-    of F_0..F_k, Laurent polynomials or series with Laurent coefficients:
-    sum_{j<=k} (-1)^(k-j) q^(alpha C(k-j,2)) C(k,j)_{q^alpha} F_j, one
-    ``lp_dot`` per coefficient of a series."""
-    weights = _inverse_weights(alpha, k)
-    if isinstance(F[0], TruncSeries):
-        # zip stops at the shortest series, so the sum has the smallest order
-        columns = zip(*(f.coeffs for f in F[: k + 1]))
-        return TruncSeries([lp_dot(zip(weights, col)) for col in columns])
-    return lp_dot(zip(F, weights))
+    return _qwl_explicit(alpha, n, k)
 
 
 def qlah_gr(n: int, k: int, route: str = "recurrence") -> LaurentPoly:
@@ -170,9 +127,9 @@ def qlah_gr(n: int, k: int, route: str = "recurrence") -> LaurentPoly:
     if route == "recurrence":
         return _cell(_qwl_weights, 1, n, k, _ONE_POLY)
     _check_route(ROUTES, "qlah_gr", route)
-    if not 1 <= k <= n:
-        raise InvalidRange(f"closed formula needs 1 <= k <= n, got ({n}, {k})")
-    return qbinom(n, k) * qfalling(n - 1, n - k) * monomial(k * (k - 1))
+    from .qroutes import _qlah_gr_explicit
+
+    return _qlah_gr_explicit(n, k)
 
 
 def qdowling(alpha: int, n: int, route: str = "recurrence") -> LaurentPoly:
@@ -186,52 +143,6 @@ def qdowling(alpha: int, n: int, route: str = "recurrence") -> LaurentPoly:
     if route == "recurrence":
         return _row_sum(_qw2_weights, alpha, n, _ONE_POLY)
     _check_route(ROUTES, "qdowling", route)
-    return lp_dot(
-        (_row_sum(_qwl_weights, alpha, j, _ONE_POLY), qw2(-alpha, n, j)) for j in range(n + 1)
-    )
+    from .qroutes import _qdowling_qi
 
-
-def qwl_egf_sum_series(alpha: int, k: int, order: int) -> TruncSeries:
-    """Denominator-cleared generating-function side for the q-Whitney-Lah
-    column k: sum_j (-1)^(k-j) q^(alpha C(k-j,2)) C(k,j)_{q^alpha}
-    prod_{m<j} (1 - q^(alpha m) [alpha]_q t)^(-1), truncated at ``order``.
-
-    Multiplying its t^n coefficient by [n]_{q^alpha}! yields
-    [k]_{q^alpha}! [alpha]_q^k qwl(alpha, n, k).
-    """
-    _check_alpha(alpha)
-    if k < 0:
-        return TruncSeries.zero(order)
-    a = qint(alpha)
-    prods = [TruncSeries.one(order)]
-    for m in range(k):
-        prods.append(ts_mul_geometric(prods[-1], monomial(alpha * m) * a))
-    return _qbinom_inverse_entry(prods, k, alpha)
-
-
-@_lru_memo("qwl_egf_series")
-@lru_cache(maxsize=None, typed=True)
-def _qwl_egf_cached(alpha: int, k: int, order: int) -> TruncSeries:
-    """[n]_{q^alpha}! times coefficient n of ``qwl_egf_sum_series``, for
-    n = 0..order: the left side of ``qr1.1``. Typed, so ``True`` or ``1.0``
-    meets ``_check_alpha``, not 1's entry."""
-    # the series comes first: it rejects a bad alpha with InvalidAlpha
-    series = qwl_egf_sum_series(alpha, k, order)
-    return TruncSeries([c * qfact(n, alpha) for n, c in enumerate(series.coeffs)], order)
-
-
-def qwl_egf_check(
-    alpha: int, k: int, n: int, order: int = 8
-) -> tuple[LaurentPoly, LaurentPoly]:
-    """Both sides of the q-Whitney-Lah generating-function identity
-    (``qr1.1``) at (alpha, k, n): [n]_{q^alpha}! times the t^n coefficient
-    of ``qwl_egf_sum_series``, truncated at max(order, n), and
-    [k]_{q^alpha}! [alpha]_q^k ``qwl(alpha, n, k)`` from the triangle engine."""
-    lhs = _qwl_egf_cached(alpha, k, max(order, n)).coeff(n)
-    return lhs, qfact(k, alpha) * qint(alpha) ** k * qwl(alpha, n, k)
-
-
-def _qbinom_transform_entry(f: Sequence[LaurentPoly], k: int, alpha: int) -> LaurentPoly:
-    """Entry k of the forward Gaussian-binomial transform over q^alpha of
-    f_0..f_k: sum_{j<=k} C(k,j)_{q^alpha} f_j."""
-    return lp_dot((qbinom(k, j, alpha), f[j]) for j in range(k + 1))
+    return _qdowling_qi(alpha, n)

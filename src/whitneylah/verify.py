@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
-from .arith import LaurentPoly, lp_div_exact, lp_dot, lp_eval_q1, monomial
+from .arith import LaurentPoly, monomial
 from .base import _MEMOS, DomainError, TruncSeries, _is_int, _lru_memo, ts_mul_geometric
 from .classical import (
     bell,
@@ -38,6 +38,7 @@ from .classical import (
     stirling1u,
     stirling2,
 )
+from .dense import lp_div_exact, lp_dot, lp_eval_q1
 from .qcalc import (
     gqf_point,
     qbinom,
@@ -57,16 +58,8 @@ from .whitney import (
     twl,
     twl_egf_check,
 )
-from .qwhitney import (
-    _qbinom_inverse_entry,
-    _qbinom_transform_entry,
-    qdowling,
-    qlah_gr,
-    qw1,
-    qw2,
-    qwl,
-    qwl_egf_check,
-)
+from .qroutes import _qbinom_inverse_entry, _qbinom_transform_entry, qwl_egf_check
+from .qwhitney import qdowling, qlah_gr, qw1, qw2, qwl
 
 SUITES = ("classical", "q", "all")
 MODES = ("corrected", "as_printed")
@@ -928,7 +921,7 @@ def run_suite(config: Config | None = None, **kwargs) -> Report:
     is a TypeError. Failures are data: they never abort the run.
     """
     start = time.perf_counter()
-    import json  # here and in report_to_json only: ``series`` runs without it
+    import json  # in the functions that use it only: ``series`` runs without it
 
     if config is not None and kwargs:
         raise TypeError(
@@ -1028,3 +1021,31 @@ def report_to_json(report: Report, *, deterministic: bool = True) -> str:
         sort_keys=True,
         indent=2,
     )
+
+
+def _verify_command(args) -> int:
+    """The CLI's ``verify`` command on its parsed ``args``: the report of
+    the configured suite, as JSON or as text with one line per failure; the
+    exit code is 1 if a check failed, else 0."""
+    import json
+
+    try:
+        alpha_list = tuple(int(a) for a in args.alpha_list.split(","))
+    except ValueError:
+        raise DomainError(
+            f"--alpha-list must be comma-separated integers, got {args.alpha_list!r}"
+        ) from None
+    cfg = Config(suite=args.suite, alpha_list=alpha_list, n_max=args.n_max, mode=args.mode)
+    report = run_suite(cfg)
+    if args.format == "json":
+        print(report_to_json(report, deterministic=True))
+    else:
+        print(
+            f"suite={cfg.suite} alpha_list={','.join(map(str, cfg.alpha_list))}"
+            f" n_max={cfg.n_max} mode={cfg.mode}"
+        )
+        print(f"total={report.total} passed={report.passed} failed={len(report.failed)}")
+        for r in report.failed:
+            params = json.dumps(r.params, sort_keys=True)
+            print(f"FAIL {r.id} {params} lhs={r.lhs_canonical} rhs={r.rhs_canonical}")
+    return 0 if not report.failed else 1

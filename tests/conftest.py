@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from whitneylah import arith, base
+from whitneylah import base, dense
 
 
 @pytest.fixture
@@ -23,28 +23,28 @@ def kronecker_calls(monkeypatch):
     """The (len(a), len(b)) of every product ``arith._product`` sends down
     its Kronecker path while the test runs, in order."""
     calls = []
-    kronecker = arith._kronecker_product
+    kronecker = dense._kronecker_product
 
     def counted(a, b):
         calls.append((len(a), len(b)))
         return kronecker(a, b)
 
-    monkeypatch.setattr(arith, "_kronecker_product", counted)
+    monkeypatch.setattr(dense, "_kronecker_product", counted)
     return calls
 
 
 @pytest.fixture
 def run_quotients(monkeypatch):
-    """The (len(a), m, s) of every quotient ``arith.lp_div_exact`` sends
+    """The (len(a), m, s) of every quotient ``dense.lp_div_exact`` sends
     down its run path while the test runs, in order."""
     calls = []
-    run_quotient = arith._run_quotient
+    run_quotient = dense._run_quotient
 
     def counted(a, c, m, s):
         calls.append((len(a), m, s))
         return run_quotient(a, c, m, s)
 
-    monkeypatch.setattr(arith, "_run_quotient", counted)
+    monkeypatch.setattr(dense, "_run_quotient", counted)
     return calls
 
 

@@ -11,8 +11,8 @@ import math
 import time
 
 from independent import lah_oracle, whitney_lah
-from whitneylah.arith import lp_eval_q1
 from whitneylah.classical import lah, stirling1u, stirling2
+from whitneylah.dense import lp_eval_q1
 from whitneylah.cli import main as cli_main
 from whitneylah.qcalc import qfact, qint
 from whitneylah.qwhitney import qdowling, qlah_gr, qw1, qw2, qwl
@@ -159,7 +159,7 @@ def test_criterion_07_generating_functions():
                 for n in range(13):
                     expected = whitney_lah(a, n, k)
                     assert twl_egf_check(a, k, n) == (expected, expected), (a, k, n)
-        from whitneylah.qwhitney import qwl_egf_sum_series
+        from whitneylah.qroutes import qwl_egf_sum_series
 
         for a in (1, 2):
             for k in range(5):

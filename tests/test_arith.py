@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from whitneylah.arith import DivisionByZero, LaurentPoly, lp_div_exact, lp_eval_q1, monomial
+from whitneylah.arith import LaurentPoly, monomial
 from whitneylah.base import NonExactDivision, TruncSeries, ts_mul_geometric
+from whitneylah.dense import DivisionByZero, lp_div_exact, lp_eval_q1
 
 q = LaurentPoly.var()
 qinv = monomial(-1)

@@ -25,10 +25,7 @@ SRC = Path(whitneylah.__file__).resolve().parents[1]
 
 # Every name the package exports, by the submodule that defines it.
 EXPORTS = {
-    "arith": [
-        "DivisionByZero", "LaurentPoly", "lp_div_exact", "lp_dot", "lp_eval_q1",
-        "monomial",
-    ],
+    "arith": ["LaurentPoly", "monomial"],
     "base": [
         "DomainError", "NonExactDivision", "TruncSeries", "clear_caches",
         "ts_mul_geometric",
@@ -37,6 +34,7 @@ EXPORTS = {
         "InvalidAlpha", "bell", "binomial", "falling_poly", "genfact_poly", "lah",
         "rising_poly", "stirling1u", "stirling2",
     ],
+    "dense": ["DivisionByZero", "lp_div_exact", "lp_dot", "lp_eval_q1"],
     "qcalc": [
         "InvalidOrder", "NegativeArgument", "qbinom", "qfact", "qfalling", "qint",
         "qint_signed",
@@ -252,7 +250,8 @@ import contextlib, io, sys
 watched = {
     "whitneylah.verify", "dataclasses", "inspect", "json", "whitneylah.arith",
     "whitneylah.whitney", "whitneylah.qwhitney", "whitneylah.qcalc", "fractions", "decimal",
-    "argparse", "gettext", "locale",
+    "argparse", "gettext", "locale", "whitneylah.dense", "whitneylah.qroutes",
+    "whitneylah.cli_parser",
 }
 before = set(sys.modules)
 from whitneylah.cli import main
@@ -275,11 +274,13 @@ def loaded_by(*argvs: str, codes: tuple[int, ...] = ()) -> list[str]:
     return [name for name in loaded if name]
 
 
-PARSER_MODULES = {"argparse", "gettext", "locale"}
+PARSER_MODULES = {"argparse", "gettext", "locale", "whitneylah.cli_parser"}
 # the q-families' module loads the q-primitives' module ``qcalc`` and the
 # Laurent kernel ``arith``
 Q_FAMILY_MODULES = ["whitneylah.arith", "whitneylah.qcalc", "whitneylah.qwhitney"]
 BOTH_FAMILY_MODULES = [*Q_FAMILY_MODULES, "whitneylah.whitney"]
+# the q-families' second routes and series side, and the dense kernel they use
+SECOND_ROUTE_MODULES = ["whitneylah.dense", "whitneylah.qroutes"]
 
 
 class TestImportSet:
@@ -305,7 +306,7 @@ class TestImportSet:
             "series --id r3 --alpha 2 --k 3 --order 5",
             "series --id qr1.1 --alpha 2 --k 1 --order 3",
         )
-        assert loaded == BOTH_FAMILY_MODULES
+        assert loaded == sorted([*BOTH_FAMILY_MODULES, *SECOND_ROUTE_MODULES])
 
     def test_q_tables_and_qr1_1_load_neither_whitney_nor_fractions(self):
         loaded = loaded_by(
@@ -316,7 +317,25 @@ class TestImportSet:
             "table --family q-dowling --alpha 2 --n-max 3",
             "series --id qr1.1 --alpha 2 --k 1 --order 3",
         )
-        assert loaded == Q_FAMILY_MODULES
+        assert loaded == sorted([*Q_FAMILY_MODULES, *SECOND_ROUTE_MODULES])
+
+    def test_q_tables_and_q_evals_load_no_second_route_nor_the_parser(self, bench_ops):
+        """The benchmark's q-tables and a q-Whitney-Lah eval run the engine's
+        recurrences alone, multiplying by monomials and q-integers: with
+        bytecode writing off, they compile neither ``dense`` nor ``qroutes``
+        nor ``cli_parser``."""
+        ops = bench_ops.make_ops("qtable", 0)
+        loaded = loaded_by(
+            *(" ".join(op.argv) for op in ops),
+            "eval --family q-whitney-lah --alpha 3 --n 12 --k 6",
+        )
+        # every other table of the benchmark prints JSON
+        assert [name for name in loaded if name != "json"] == Q_FAMILY_MODULES
+
+    def test_qr1_1_loads_the_second_routes_and_not_the_registry(self):
+        loaded = loaded_by("series --id qr1.1 --alpha 3 --k 3 --order 6")
+        assert set(SECOND_ROUTE_MODULES) <= set(loaded)
+        assert "whitneylah.verify" not in loaded
 
     def test_classical_evals_load_no_family_module(self):
         """Nor ``qcalc`` or the Laurent kernel ``arith``: the CLI imports
@@ -357,7 +376,8 @@ class TestImportSet:
         loaded = loaded_by("verify --n-max 1 --format json")
         assert set(BOTH_FAMILY_MODULES) <= set(loaded)
         assert sorted(set(loaded) - set(BOTH_FAMILY_MODULES)) == [
-            "decimal", "fractions", "json", "whitneylah.verify",
+            "decimal", "fractions", "json", "whitneylah.dense", "whitneylah.qroutes",
+            "whitneylah.verify",
         ]
 
     def test_json_table_loads_json_only(self):
@@ -403,6 +423,23 @@ class TestLazyPackage:
         exec("from whitneylah import *", namespace)
         assert sorted(set(namespace) - {"__builtins__"}) == ALL_NAMES
         assert all(namespace[name] is getattr(whitneylah, name) for name in ALL_NAMES)
+
+    @pytest.mark.parametrize(
+        "old, new, name",
+        [
+            ("arith", "dense", "DivisionByZero"),
+            ("arith", "dense", "lp_div_exact"),
+            ("arith", "dense", "lp_dot"),
+            ("arith", "dense", "lp_eval_q1"),
+            ("qwhitney", "qroutes", "qwl_egf_check"),
+            ("qwhitney", "qroutes", "qwl_egf_sum_series"),
+        ],
+    )
+    def test_a_moved_name_leaves_no_alias_in_its_old_module(self, old, new, name):
+        from importlib import import_module
+
+        assert not hasattr(import_module(f"whitneylah.{old}"), name)
+        assert hasattr(import_module(f"whitneylah.{new}"), name)
 
     def test_the_kernel_binds_the_series_class_of_base(self):
         """``arith.TruncSeries`` is the one class, defined in ``base``: the

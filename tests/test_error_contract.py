@@ -26,9 +26,9 @@ BUILTIN_RAISES = {
     ("__init__.py:__getattr__", "AttributeError"): "a module attribute lookup",
     ("arith.py:_scalar", "TypeError"): "a coefficient's type",
     ("arith.py:LaurentPoly.__init__", "TypeError"): "an exponent's type",
-    ("arith.py:lp_dot", "TypeError"): "an operand's type",
     ("arith.py:monomial", "TypeError"): "an exponent's type",
     ("base.py:TruncSeries.coeff", "IndexError"): "an index past the truncation order",
+    ("dense.py:lp_dot", "TypeError"): "an operand's type",
     ("verify.py:_Frozen.__setattr__", "AttributeError"): "an immutable record",
     ("verify.py:_Frozen.__delattr__", "AttributeError"): "an immutable record",
     ("verify.py:run_suite", "TypeError"): "a call signature: a Config and keywords",

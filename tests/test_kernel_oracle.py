@@ -22,17 +22,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from whitneylah import arith
-from whitneylah.arith import (
-    _KRONECKER_MIN,
-    _RUN_MIN,
-    DivisionByZero,
-    LaurentPoly,
-    NonExactDivision,
-    _run,
-    lp_div_exact,
-    lp_dot,
-    lp_eval_q1,
-)
+from whitneylah import dense as dense_kernel
+from whitneylah.arith import _KRONECKER_MIN, _RUN_MIN, LaurentPoly, _run
+from whitneylah.base import NonExactDivision
+from whitneylah.dense import DivisionByZero, lp_div_exact, lp_dot, lp_eval_q1
 
 _ZERO = Fraction(0)
 
@@ -753,11 +746,14 @@ def test_dot_takes_every_product_path(monkeypatch):
             counts[name] += 1
             return fn(*args)
 
-        monkeypatch.setattr(arith, fn.__name__, wrapper)
+        # in each kernel module that holds it: lp_dot calls dense's _times
+        for module in (arith, dense_kernel):
+            if getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, wrapper)
 
     counted("times", arith._times)
     counted("window", arith._window_product)
-    counted("kronecker", arith._kronecker_product)
+    counted("kronecker", dense_kernel._kronecker_product)
     counted("term", arith._term_product)
     dense = _factor([3, -1, 4, 1, -5, 9, 2, -6])
     run = {-2 + 2 * i: -3 for i in range(5)}  # -3 q^-2 [5]_{q^2}

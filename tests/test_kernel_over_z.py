@@ -1,6 +1,6 @@
-"""The exact kernel computes over the integers: neither ``arith.py`` nor
-``base.py``, which holds ``TruncSeries``, imports ``fractions`` or names
-``Fraction``. The package's one rational series is formed outside the
+"""The exact kernel computes over the integers: none of ``arith.py``,
+``dense.py`` and ``base.py``, which holds ``TruncSeries``, imports
+``fractions`` or names ``Fraction``. The package's one rational series is formed outside the
 kernel, in ``whitney.py``."""
 
 import ast
@@ -8,7 +8,9 @@ from pathlib import Path
 
 import whitneylah
 
-KERNEL = [Path(whitneylah.__file__).parent / name for name in ("arith.py", "base.py")]
+KERNEL = [
+    Path(whitneylah.__file__).parent / name for name in ("arith.py", "base.py", "dense.py")
+]
 
 
 def _rational_uses(tree: ast.AST):

@@ -27,10 +27,12 @@ from fractions import Fraction
 
 import pytest
 
-from whitneylah.arith import _KRONECKER_MIN, LaurentPoly, lp_dot
+from whitneylah.arith import _KRONECKER_MIN, LaurentPoly
 from whitneylah.classical import _triangles
+from whitneylah.dense import lp_dot
 from whitneylah.qcalc import gqf_point, qbinom, qfact, qfalling, qint_signed
-from whitneylah.qwhitney import qw1, qw2, qwl, qwl_egf_check
+from whitneylah.qroutes import qwl_egf_check
+from whitneylah.qwhitney import qw1, qw2, qwl
 
 TWO = Fraction(2)
 FAMILIES = {"qw1": qw1, "qw2": qw2, "qwl": qwl}

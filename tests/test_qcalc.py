@@ -7,8 +7,9 @@ import threading
 
 import pytest
 
-from whitneylah.arith import LaurentPoly, lp_div_exact, lp_eval_q1, monomial
+from whitneylah.arith import LaurentPoly, monomial
 from whitneylah.base import TruncSeries, ts_mul_geometric
+from whitneylah.dense import lp_div_exact, lp_eval_q1
 from whitneylah import qcalc
 from whitneylah.classical import _triangles
 from whitneylah.qcalc import (

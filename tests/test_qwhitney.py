@@ -6,23 +6,19 @@ from functools import partial
 
 import pytest
 
-from whitneylah.arith import LaurentPoly, lp_eval_q1, monomial
+from whitneylah.arith import LaurentPoly, monomial
 from whitneylah.base import TruncSeries
 from whitneylah.classical import lah, stirling1u, stirling2
+from whitneylah.dense import lp_eval_q1
 from whitneylah.qcalc import gqf_point, qbinom, qfact, qint, qint_signed
 from whitneylah.whitney import InvalidAlpha, dowling
 from whitneylah import qcalc
-from whitneylah.qwhitney import (
-    InvalidRange,
+from whitneylah.qroutes import (
     _qbinom_inverse_entry,
     _qbinom_transform_entry,
-    qdowling,
-    qlah_gr,
-    qw1,
-    qw2,
-    qwl,
     qwl_egf_sum_series,
 )
+from whitneylah.qwhitney import InvalidRange, qdowling, qlah_gr, qw1, qw2, qwl
 
 
 q = LaurentPoly.var()

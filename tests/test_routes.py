@@ -4,7 +4,10 @@ every route but the default is checked against the default by the registry.
 The coverage test rebinds each family function in ``verify``'s namespace
 to a recorder, runs each identity alone from cleared memos at alpha 1..3
 and n_max 6 in both modes, and compares the non-default routes each
-identity reads with ``ROUTE_IDENTITIES``.
+identity reads with ``ROUTE_IDENTITIES``. The guard test corrupts each
+family's default route, rebound in every module that holds it, and
+requires each identity of ``ROUTE_IDENTITIES`` to fail: a route body that
+read the default route would pass with it.
 """
 
 import inspect
@@ -14,7 +17,8 @@ from pathlib import Path
 import pytest
 
 import whitneylah
-from whitneylah import base, qwhitney, verify, whitney
+from test_independence import raise_first_of_row_3, raise_row_3, rebind_everywhere
+from whitneylah import base, classical, qwhitney, verify, whitney
 from whitneylah.base import DomainError
 from whitneylah.verify import run_suite
 
@@ -39,6 +43,35 @@ ROUTE_IDENTITIES = {
 UNCHECKED = {
     ("qlah_gr", "explicit"): "no identity reads it: q_limits reads the q-Lah"
     " recurrence, and no identity compares the closed product form with it",
+}
+
+
+def raise_n_3(recurrence):
+    """``_mansour_recurrence`` with every value of row 3 raised by one."""
+
+    def corrupted(spec, n, k):
+        value = recurrence(spec, n, k)
+        return value + 1 if n == 3 else value
+
+    return corrupted
+
+
+# family -> the primitive of its default route, as (module, name, corruption):
+# the engine weights, or mansour_u's own loop
+DEFAULT_ROUTE = {
+    "twl": (whitney, "_twl_weights", raise_row_3),
+    "mansour_u": (whitney, "_mansour_recurrence", raise_n_3),
+    "dowling": (classical, "_tw2_weights", raise_row_3),
+    "qwl": (qwhitney, "_qwl_weights", raise_row_3),
+    # the first weight: raising all of row 3 is a mutation that qgqif1, a
+    # change of basis, cannot see (test_independence.READ_AND_PASS)
+    "qdowling": (qwhitney, "_qw2_weights", raise_first_of_row_3),
+}
+# identity -> the grid points where it compares the route with the default
+ROUTE_POINTS = {"mansour": {"rel": "explicit"}}
+# identity -> why it passes with the default route corrupted: it reads none
+READS_NO_DEFAULT = {
+    "wl_rec": "checks the recurrence on the scaled route's own values",
 }
 
 # the arguments of a sample call of each family, before ``route``
@@ -112,6 +145,31 @@ def test_the_registry_reads_each_route_in_the_identities_named(monkeypatch):
     finally:
         base.clear_caches()
     assert read == ROUTE_IDENTITIES
+
+
+@pytest.mark.parametrize("key", sorted(ROUTE_IDENTITIES), ids="-".join)
+def test_a_corrupted_default_route_fails_each_identity_of_the_route(key, monkeypatch):
+    """Each identity runs alone from cleared memos, at alpha 1..3 and n_max
+    6, with the family's default route corrupted in every module that holds
+    it: its route side, computed apart, no longer agrees."""
+    module, name, corrupt = DEFAULT_ROUTE[key[0]]
+    calls = rebind_everywhere(monkeypatch, module, name, corrupt)
+    registry = dict(verify._REGISTRY)
+    try:
+        for ident in sorted(ROUTE_IDENTITIES[key]):
+            spec = registry[ident]
+            monkeypatch.setattr(verify, "_REGISTRY", {ident: spec})
+            base.clear_caches()
+            calls.clear()
+            alphas = tuple(a for a in (1, 2, 3) if a in spec.grid.alphas)
+            failed = run_suite(alpha_list=alphas, n_max=6).failed
+            if ident in READS_NO_DEFAULT:
+                assert not calls and not failed, ident
+                continue
+            where = ROUTE_POINTS.get(ident, {}).items()
+            assert any(all(r.params[p] == v for p, v in where) for r in failed), ident
+    finally:
+        base.clear_caches()
 
 
 def readme_routes() -> dict:

@@ -9,7 +9,9 @@ from fractions import Fraction
 
 import pytest
 
-from whitneylah import arith, base, classical, cli, qcalc, qwhitney, verify, whitney
+from whitneylah import (
+    arith, base, classical, cli, cli_parser, dense, qcalc, qroutes, qwhitney, verify, whitney,
+)
 from whitneylah.arith import LaurentPoly, monomial
 from whitneylah.base import _MEMOS, clear_caches
 from whitneylah.classical import _ROWS, _triangles, lah
@@ -30,7 +32,8 @@ from whitneylah.verify import (
     report_to_json,
     run_suite,
 )
-from whitneylah.qwhitney import _inverse_weights, _qwl_egf_cached, qw1, qw2, qwl
+from whitneylah.qroutes import _inverse_weights, _qwl_egf_cached
+from whitneylah.qwhitney import qw1, qw2, qwl
 from whitneylah.whitney import _egf_series_cached, tw1, twl
 
 EXPECTED_IDS = sorted(
@@ -421,11 +424,14 @@ class TestReport:
 
 def test_every_lru_cache_enters_the_memo_table():
     # the parser and each identity's intrinsic grid hold no computed value
-    exempt = {id(cli._build_parser), id(verify._intrinsic_domain)}
+    exempt = {id(cli_parser.build_parser), id(verify._intrinsic_domain)}
     entered = {id(getattr(clear, "__self__", None)) for _, clear in _MEMOS.values()}
     missing = [
         f"{module.__name__}.{name}"
-        for module in (arith, base, classical, qcalc, whitney, qwhitney, verify, cli)
+        for module in (
+            arith, base, classical, cli, cli_parser, dense, qcalc, qroutes, qwhitney, verify,
+            whitney,
+        )
         for name, value in vars(module).items()
         if hasattr(value, "cache_info")
         and value.__module__ == module.__name__
@@ -603,7 +609,8 @@ class TestHornerSums:
         """Record, from here on, every product of two Laurent polynomials as
         the pair of its operands, leaving out those that build a step factor
         of a Horner sum; and, per Horner sum, the products it made. Every
-        such product, by ``*`` or in ``lp_dot``, passes ``arith._times``."""
+        such product, by ``*`` or in ``lp_dot``, passes ``_times``, which
+        ``arith`` and ``dense`` both hold."""
         products, sums = [], []
         times, horner = arith._times, verify._horner
 
@@ -624,6 +631,7 @@ class TestHornerSums:
             return out
 
         monkeypatch.setattr(arith, "_times", recorded)
+        monkeypatch.setattr(dense, "_times", recorded)
         monkeypatch.setattr(verify, "_horner", traced)
         return products, sums
 

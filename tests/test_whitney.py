@@ -19,7 +19,7 @@ from whitneylah.classical import (
     stirling1u,
     stirling2,
 )
-from whitneylah.qwhitney import qwl_egf_check
+from whitneylah.qroutes import qwl_egf_check
 from whitneylah.whitney import (
     ROUTES,
     DuplicateBValues,

@@ -2,7 +2,7 @@
 products, and run division starts to beat long division.
 
 This script sets two constants of ``arith._product``, and checks the
-choice of ``arith.lp_div_exact`` to divide every strided run by run
+choice of ``dense.lp_div_exact`` to divide every strided run by run
 division. Each section times a path against the one it replaces on the
 same operands (``_term_product`` for a product, ``_long_quotient`` for a
 quotient), prints one row per case, the two times in microseconds (the
@@ -44,13 +44,8 @@ from __future__ import annotations
 import random
 import timeit
 
-from whitneylah.arith import (
-    _kronecker_product,
-    _long_quotient,
-    _run_quotient,
-    _term_product,
-    _window_product,
-)
+from whitneylah.arith import _term_product, _window_product
+from whitneylah.dense import _kronecker_product, _long_quotient, _run_quotient
 
 RUN_LENGTHS = range(2, 10)
 STRIDES = (1, 2, 3, 6)
