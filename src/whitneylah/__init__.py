@@ -52,7 +52,6 @@ _EXPORTS = {
         "qint_signed",
     ),
     "qwhitney": (
-        "InvalidRange",
         "qdowling",
         "qlah_gr",
         "qw1",

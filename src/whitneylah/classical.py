@@ -12,8 +12,9 @@ of one row. Rows are built in a loop, so any depth works. A request for
 column k builds only columns 0..k of each row below it, and only the rows
 that callers request are memoized, per (family, alpha), each as an exact
 prefix of its row. Every family reads its values through ``_cell`` and its
-row sums through ``_row_sum``, which also hold the zero outside the
-triangle.
+row sums through ``_row_sum``. Both, and every other route of a family,
+read the package's one domain rule, ``_off_triangle``: n and k are ints,
+and off the triangle every value is the zero of its ring.
 
 The engine computes in the ring of the ``one`` it is given, so the module
 imports only ``base`` when it loads. It also provides the
@@ -51,6 +52,18 @@ def _check_route(routes: dict[str, tuple[str, ...]], family: str, route: str) ->
     if route not in routes[family]:
         names = ", ".join(routes[family])
         raise DomainError(f"unknown route {route!r} of {family}; its routes are {names}")
+
+
+def _off_triangle(n: int, k: int = 0) -> bool:
+    """Whether (n, k) is off the triangle 0 <= k <= n, or n is off n >= 0
+    for a sequence (k = 0): there every family, by every route, is the
+    zero of its ring. The package's one domain rule; it also requires n
+    and k to be ints, so a ``bool``, ``float`` or ``str`` is a
+    ``DomainError`` whatever a memo holds."""
+    if not (type(n) is type(k) is int or _is_int(n) and _is_int(k)):
+        value = k if _is_int(n) else n
+        raise DomainError(f"n and k must be integers, got {value!r}")
+    return k < 0 or k > n
 
 
 # -- the triangle engine ------------------------------------------------------
@@ -128,7 +141,8 @@ def _row(weights: Callable, alpha: int, n: int, k: int, one=1) -> tuple:
 def _cell(weights: Callable, alpha: int, n: int, k: int, one=1):
     """u(n, k) of the triangle of ``weights`` at ``alpha``, in the ring of
     ``one``: its zero outside 0 <= k <= n."""
-    if n < 0 or k < 0 or k > n:
+    # the common case, int n and k inside the triangle, makes no call
+    if not (type(n) is type(k) is int and 0 <= k <= n) and _off_triangle(n, k):
         return one - one
     row = _ROWS.get((weights, alpha), {}).get(n, ())
     return row[k] if k < len(row) else _row(weights, alpha, n, k, one)[k]
@@ -137,7 +151,7 @@ def _cell(weights: Callable, alpha: int, n: int, k: int, one=1):
 def _row_sum(weights: Callable, alpha: int, n: int, one=1):
     """The sum of row n of the triangle of ``weights`` at ``alpha``, in the
     ring of ``one``: its zero for n < 0."""
-    if n < 0:
+    if _off_triangle(n):
         return one - one
     return sum(_row(weights, alpha, n, n, one), one - one)
 
@@ -189,10 +203,8 @@ def lah(n: int, k: int) -> int:
 
     Closed form (n!/k!) C(n-1, k-1) for 1 <= k <= n, with L(0,0) = 1.
     """
-    if n == 0 and k == 0:
-        return 1
-    if n < 1 or k < 1 or k > n:
-        return 0
+    if _off_triangle(n, k) or k == 0:
+        return int(n == k == 0)
     return math.factorial(n) // math.factorial(k) * math.comb(n - 1, k - 1)
 
 

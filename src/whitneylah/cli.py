@@ -130,10 +130,15 @@ def _bind(family: str, alpha: Optional[int]) -> tuple[int, Callable]:
 
 
 def _cmd_table(args) -> int:
-    """A CSV table prints each row as it is computed, so it holds one row in
-    memory; row 0 is computed before the header, so that an alpha the
-    library rejects exits 2 with nothing on stdout. A JSON table is one
-    document, printed once every row is computed."""
+    """A CSV table prints each row as it is computed, so it holds the text
+    of one row at a time; row 0 is computed before the header, so that an
+    alpha the library rejects exits 2 with nothing on stdout. A JSON table
+    is one document, printed once every row is computed.
+
+    Either way the engine's memo, ``classical._ROWS``, keeps every row the
+    sweep asks for, so the values of the whole triangle stay in memory:
+    966k coefficients and 86 MB peak RSS at ``table --family q-whitney-lah
+    --alpha 3 --n-max 40`` (ROADMAP.md, item 10)."""
     alpha, value = _bind(args.family, args.alpha)
     if args.n_max < 0:
         raise DomainError("--n-max must be non-negative")

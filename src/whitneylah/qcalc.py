@@ -19,6 +19,7 @@ The Gaussian binomials are the q-Pascal triangle of the engine in
 
 from __future__ import annotations
 
+import sys
 from functools import lru_cache
 
 from .arith import _ONE_POLY, LaurentPoly, _make, monomial
@@ -58,7 +59,7 @@ def qint(n: int, base: int = 1) -> LaurentPoly:
     _check_args(base, n)
     if n < 0:
         raise NegativeArgument(f"q-integer of negative {n}")
-    return _make(0, ((1,) + (0,) * (base - 1)) * (n - 1) + (1,)) if n else LaurentPoly.zero()
+    return _run(n, base, 0, 1) if n else LaurentPoly.zero()
 
 
 def qint_signed(m: int, base: int = 1) -> LaurentPoly:
@@ -68,7 +69,19 @@ def qint_signed(m: int, base: int = 1) -> LaurentPoly:
     if m >= 0:
         return qint(m, base)
     _check_args(base, m)
-    return _make(m * base, ((-1,) + (0,) * (base - 1)) * (-m - 1) + (-1,))
+    return _run(m, base, m * base, -1)
+
+
+def _run(m: int, base: int, lo: int, sign: int) -> LaurentPoly:
+    """The run of [m] over q^base, m != 0: sign (q^lo + q^(lo + base) +
+    ... ), |m| terms. A run of more than a tuple can hold, |m| base
+    coefficients, is a ``DomainError`` that names [m]."""
+    if abs(m) * base > sys.maxsize:
+        raise DomainError(
+            f"the q-integer [{m}] over q^{base} is too large to store:"
+            f" {abs(m) * base} coefficients"
+        )
+    return _make(lo, ((sign,) + (0,) * (base - 1)) * (abs(m) - 1) + (sign,))
 
 
 # [t|alpha]_n over q^base by (t, alpha, base, n), for every n computed so far.

@@ -33,15 +33,15 @@ from typing import Sequence
 
 from .arith import _ONE_POLY, LaurentPoly, monomial
 from .base import TruncSeries, _lru_memo, ts_mul_geometric
-from .classical import _check_alpha, _row_sum
+from .classical import _check_alpha, _off_triangle, _row_sum
 from .dense import lp_div_exact, lp_dot
 from .qcalc import gqf_point, qbinom, qfact, qfalling, qint
-from .qwhitney import InvalidRange, _qwl_weights, qw2, qwl
+from .qwhitney import _qwl_weights, qw2, qwl
 
 
 def _qwl_explicit(alpha: int, n: int, k: int) -> LaurentPoly:
     """``qwl``'s explicit route for a checked alpha (its docstring)."""
-    if n < 0 or k < 0 or k > n:
+    if _off_triangle(n, k):
         return LaurentPoly.zero()
     points = [gqf_point(alpha * j, -alpha, n) for j in range(k + 1)]
     acc = _qbinom_inverse_entry(points, k, alpha)
@@ -56,13 +56,17 @@ def _qwl_explicit(alpha: int, n: int, k: int) -> LaurentPoly:
 
 def _qlah_gr_explicit(n: int, k: int) -> LaurentPoly:
     """``qlah_gr``'s explicit route (its docstring)."""
-    if not 1 <= k <= n:
-        raise InvalidRange(f"closed formula needs 1 <= k <= n, got ({n}, {k})")
+    # the product needs 1 <= k <= n; column 0 is 1 at n = 0 and 0 below it,
+    # and off the triangle the route is 0
+    if _off_triangle(n, k) or k == 0:
+        return LaurentPoly.one() if n == k == 0 else LaurentPoly.zero()
     return qbinom(n, k) * qfalling(n - 1, n - k) * monomial(k * (k - 1))
 
 
 def _qdowling_qi(alpha: int, n: int) -> LaurentPoly:
     """``qdowling``'s Qi route for a checked alpha (its docstring)."""
+    if _off_triangle(n):
+        return LaurentPoly.zero()
     return lp_dot(
         (_row_sum(_qwl_weights, alpha, j, _ONE_POLY), qw2(-alpha, n, j)) for j in range(n + 1)
     )
@@ -137,5 +141,11 @@ def qwl_egf_check(
     (``qr1.1``) at (alpha, k, n): [n]_{q^alpha}! times the t^n coefficient
     of ``qwl_egf_sum_series``, truncated at max(order, n), and
     [k]_{q^alpha}! [alpha]_q^k ``qwl(alpha, n, k)`` from the triangle engine."""
+    _check_alpha(alpha)
+    # n or k below 0 is off the triangle; a k past n is left to the series,
+    # whose zero coefficients below t^k are part of what the check compares;
+    # `|`, not `or`, so that both n and k meet the int test
+    if _off_triangle(n) | _off_triangle(k):
+        return LaurentPoly.zero(), LaurentPoly.zero()
     lhs = _qwl_egf_cached(alpha, k, max(order, n)).coeff(n)
     return lhs, qfact(k, alpha) * qint(alpha) ** k * qwl(alpha, n, k)

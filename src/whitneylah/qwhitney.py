@@ -43,7 +43,7 @@ bodies nor the dense kernel ``dense`` that they use.
 from __future__ import annotations
 
 from .arith import _ONE_POLY, LaurentPoly, monomial
-from .base import DomainError, _is_int
+from .base import _is_int
 from .classical import InvalidAlpha, _cell, _check_alpha, _check_route, _row_sum
 from .qcalc import qint, qint_signed
 
@@ -52,10 +52,6 @@ ROUTES = {
     "qlah_gr": ("recurrence", "explicit"),
     "qdowling": ("recurrence", "qi"),
 }
-
-
-class InvalidRange(DomainError):
-    """Arguments outside the closed formula's domain of validity."""
 
 
 def _check_alpha_nonzero(alpha: int) -> None:
@@ -123,7 +119,8 @@ def qwl(alpha: int, n: int, k: int, route: str = "recurrence") -> LaurentPoly:
 
 def qlah_gr(n: int, k: int, route: str = "recurrence") -> LaurentPoly:
     """Garsia-Remmel q-Lah number, by recurrence (the default) or by the
-    ``explicit`` product C(n,k)_q ([n-1]!/[k-1]!) q^(k(k-1)), 1 <= k <= n."""
+    ``explicit`` product C(n,k)_q ([n-1]!/[k-1]!) q^(k(k-1)), 1 <= k <= n,
+    and 1 at (0, 0)."""
     if route == "recurrence":
         return _cell(_qwl_weights, 1, n, k, _ONE_POLY)
     _check_route(ROUTES, "qlah_gr", route)

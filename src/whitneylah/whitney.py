@@ -36,7 +36,6 @@ from .base import (
     DomainError,
     NonExactDivision,
     TruncSeries,
-    _is_int,
     _lru_memo,
     ts_mul_geometric,
 )
@@ -45,6 +44,7 @@ from .classical import (
     _cell,
     _check_alpha,
     _check_route,
+    _off_triangle,
     _row_sum,
     _tw1_weights,
     _tw2_weights,
@@ -94,8 +94,10 @@ def twl(alpha: int, n: int, k: int, route: str = "recurrence") -> int:
     if route == "recurrence":
         return _cell(_twl_weights, alpha, n, k)
     _check_route(ROUTES, "twl", route)
-    if not 0 <= k <= n:
-        return 0
+    # the product form needs 1 <= k <= n; column 0 is 1 at n = 0 and 0
+    # below it, and off the triangle every route is 0
+    if _off_triangle(n, k) or k == 0:
+        return int(n == k == 0)
     if route == "explicit":
         acc = 0
         for j in range(k + 1):
@@ -105,8 +107,6 @@ def twl(alpha: int, n: int, k: int, route: str = "recurrence") -> int:
             raise NonExactDivision(f"rising sum for ({n}, {k}) is not divisible by {k}!")
         return alpha ** (n - k) * q
     if route == "product":
-        if k == 0:
-            return int(n == 0)
         return (
             alpha ** (n - k)
             * (math.factorial(n) // math.factorial(k))
@@ -147,7 +147,7 @@ def mansour_u(spec: MansourSpec, n: int, k: int, route: str = "recurrence") -> F
 def _mansour_recurrence(spec: MansourSpec, n: int, k: int) -> Fraction | int:
     # Its own loop, apart from the triangle engine: the mansour identity
     # compares it with the engine's Whitney-Lah rows.
-    if k < 0 or k > n:
+    if _off_triangle(n, k):
         return 0
     bs = [spec.b(j) for j in range(k + 1)]
     col = [1] + [0] * k  # u(m, 0..k), from m = 0 up
@@ -162,6 +162,8 @@ def _mansour_recurrence(spec: MansourSpec, n: int, k: int) -> Fraction | int:
 def _mansour_explicit(spec: MansourSpec, n: int, k: int, denom_bound: int) -> Fraction:
     from fractions import Fraction
 
+    if _off_triangle(n, k):
+        return Fraction(0)
     bs = [spec.b(j) for j in range(max(k, denom_bound) + 1)]
     if len(set(bs[: k + 1])) != k + 1:
         raise DuplicateBValues(f"b_0..b_{k} must be pairwise distinct, got {bs[:k + 1]}")
@@ -200,6 +202,8 @@ def dowling(alpha: int, n: int, route: str = "recurrence") -> int:
     if route == "recurrence":
         return _row_sum(_tw2_weights, alpha, n)
     _check_route(ROUTES, "dowling", route)
+    if _off_triangle(n):
+        return 0
     if route == "dobinski":
         return _dowling_dobinski(alpha, n)
     return sum(
@@ -226,8 +230,6 @@ def _dowling_dobinski(alpha: int, n: int) -> int:
     """
     from fractions import Fraction
 
-    if not _is_int(n) or n < 0:
-        raise DomainError(f"n must be a non-negative integer, got {n!r}")
     # S_i = p/q with q = i! alpha^i; t = (i alpha)^n is the numerator of T_i
     p, q, i = 0**n, 1, 0
     while True:
@@ -260,8 +262,6 @@ def _egf_series_cached(alpha: int, k: int, order: int) -> TruncSeries:
     scales coefficient n by n!. The memo is typed, so ``True`` or ``1.0``
     never reads the entry of 1 and meets ``_check_alpha`` instead."""
     _check_alpha(alpha)
-    if k < 0:
-        raise DomainError(f"k must be non-negative, got {k}")
     if k > order:  # t^k vanishes modulo t^(order+1)
         return TruncSeries.zero(order)
     powered = TruncSeries([0] * k + [1], order)
@@ -277,7 +277,12 @@ def twl_egf_check(alpha: int, k: int, n: int, order: int = 12) -> tuple[int, int
     truncated at max(order, n), divided by k!, and ``twl(alpha, n, k)``
     from the triangle engine. A division that leaves a remainder raises
     ``NonExactDivision``."""
-    # the series comes first: it rejects a bad alpha with InvalidAlpha
+    _check_alpha(alpha)
+    # n or k below 0 is off the triangle; a k past n is left to the series,
+    # whose zero coefficients below t^k are part of what the check compares;
+    # `|`, not `or`, so that both n and k meet the int test
+    if _off_triangle(n) | _off_triangle(k):
+        return 0, 0
     scaled = _egf_series_cached(alpha, k, max(order, n)).coeff(n)
     # a zero side needs no k!, which is costly for a k far past n
     lhs, rem = divmod(scaled, math.factorial(k)) if scaled else (0, 0)

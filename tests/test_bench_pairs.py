@@ -2,7 +2,8 @@
 needs nine tenths of the pairs and a median margin above the parent's
 interquartile range, ties count for neither side, and a metric's
 direction decides which side wins; the unscaled figures of each run's
-``measured`` line are summarised per side beside the scaled ones."""
+``measured`` line are summarised per side beside the scaled ones; a traced
+run's per-layer figures are kept by name."""
 
 import importlib.util
 from pathlib import Path
@@ -143,3 +144,40 @@ def test_a_side_with_fewer_than_two_measured_runs_has_no_quartiles():
             r["measured"] = None
     got = bench_pairs.summarise(all_runs, [LOWER], 10)["wall_s"]["measured"]
     assert got == {"parent": bench_pairs.quartiles(PARENT), "change": None}
+
+
+# a traced run's result line, as ``perfbench/run.py --trace 1`` prints it
+TRACED = {
+    "correct": True,
+    "attempted": 6,
+    "failed": 0,
+    "metrics": {
+        "classical.calls": {"value": 41210, "unit": "count"},
+        "classical.self_s": {"value": 0.0123, "unit": "s"},
+        "trace.overhead_s": {"value": 0.31, "unit": "s"},
+    },
+}
+
+
+def test_a_traced_run_keeps_its_per_layer_figures_by_name(tmp_path):
+    # a checkout whose run.py prints the traced result, and the flags it got
+    # as one more metric
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import json, sys\n"
+        f"result = {TRACED!r}\n"
+        "args = sys.argv[1:]\n"
+        'trace = int(args[args.index("--trace") + 1])\n'
+        'seed = int(args[args.index("--seed") + 1])\n'
+        'result["metrics"]["argv.trace"] = {"value": trace, "unit": "count"}\n'
+        'result["metrics"]["argv.seed"] = {"value": seed, "unit": "count"}\n'
+        "print(json.dumps(result))\n"
+    )
+    got = bench_pairs.traced_layers(tmp_path, "verify", 3500)
+    assert got == {
+        "classical.calls": 41210,
+        "classical.self_s": 0.0123,
+        "trace.overhead_s": 0.31,
+        "argv.trace": 1,
+        "argv.seed": 3500,
+    }

@@ -349,6 +349,10 @@ def test_a_namespace_the_reader_returns_is_the_one_argparse_parses(argv):
 # command line. Drawn sizes stay at 6 or below so that a call takes
 # milliseconds: the hostile "5_0", which int() reads as 50, becomes "0_6".
 SMALL_HOSTILE = tuple("0_6" if token == "5_0" else token for token in HOSTILE)
+# an alpha of 20 digits: past sys.maxsize, so a q-integer of it cannot be
+# stored, and an alpha from about 10^8 to 10^18 is never drawn, since its
+# q-integers may allocate gigabytes before they fail
+HUGE = "9" * 20
 
 
 def run_quietly(argv: list) -> tuple[int, str, str]:
@@ -373,6 +377,14 @@ def is_usage_error(err: str) -> bool:
 # apart: pinned by test_a_negative_alpha_list_is_read_by_its_spelling
 @example(["verify", "--alpha-list", "-1,2"])
 @example(["verify", "--alpha-list=-1,2"])
+# a 20-digit alpha asks the q-families for a q-integer with more
+# coefficients than a tuple holds
+@example(["table", "--family", "q-whitney1", "--alpha", HUGE, "--n-max", "7"])
+@example(["eval", "--family", "q-whitney2", "--alpha", HUGE, "--n", "3", "--k", "1"])
+@example(["eval", "--family", "q-whitney-lah", "--alpha", HUGE, "--n", "3", "--k", "1"])
+@example(["eval", "--family", "q-dowling", "--alpha", HUGE, "--n", "3"])
+@example(["eval", "--family", "q-whitney1", "--alpha", f"-{HUGE}", "--n", "3", "--k", "1"])
+@example(["series", "--id", "qr1.1", "--alpha", HUGE, "--k", "1", "--order", "3"])
 def test_every_command_line_keeps_the_cli_contract(argv):
     code, _, err = run_quietly(argv)
     assert code in (0, 1, 2)

@@ -44,7 +44,6 @@ BUILTIN_BASE = {
     "InvalidAlpha": ValueError,
     "InvalidOrder": ValueError,
     "NegativeArgument": ValueError,
-    "InvalidRange": ValueError,
     "DuplicateBValues": ValueError,
     "InvalidConfig": ValueError,
     "ParamsOutOfDomain": ValueError,
@@ -130,8 +129,7 @@ def test_a_family_that_raises_any_package_error_exits_2_with_one_line(
     name, monkeypatch, capsys
 ):
     """Whatever error class a family function raises, the CLI catches it:
-    ``InvalidRange`` and ``DuplicateBValues`` too, which no family raises
-    today."""
+    ``DuplicateBValues`` too, which no family raises today."""
     cls = getattr(whitneylah, name)
 
     def rejects(*args):

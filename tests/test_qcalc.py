@@ -8,7 +8,7 @@ import threading
 import pytest
 
 from whitneylah.arith import LaurentPoly, monomial
-from whitneylah.base import TruncSeries, ts_mul_geometric
+from whitneylah.base import DomainError, TruncSeries, ts_mul_geometric
 from whitneylah.dense import lp_div_exact, lp_eval_q1
 from whitneylah import qcalc
 from whitneylah.classical import _triangles
@@ -41,6 +41,20 @@ class TestQInt:
             qint(-1)
         with pytest.raises(ValueError):
             qint(3, 0)
+
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda: qint(10**20), r"\[100000000000000000000\] over q\^1"),
+            (lambda: qint(2, 10**20), r"\[2\] over q\^100000000000000000000"),
+            (lambda: qint_signed(-(10**20)), r"\[-100000000000000000000\] over q\^1"),
+        ],
+    )
+    def test_a_run_too_long_for_a_tuple_is_a_domain_error(self, call, name):
+        # only past sys.maxsize coefficients: a run from about 10^8 terms
+        # up to it may allocate gigabytes before it fails
+        with pytest.raises(DomainError, match=f"the q-integer {name} is too large to store"):
+            call()
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,11 @@ identity reads with ``ROUTE_IDENTITIES``. The guard test corrupts each
 family's default route, rebound in every module that holds it, and
 requires each identity of ``ROUTE_IDENTITIES`` to fail: a route body that
 read the default route would pass with it.
+
+The agreement test holds every route to its family's default over a grid
+that runs two past each edge of the triangle, so a route needs no domain
+of its own: the one rule, ``classical._off_triangle``, states where every
+family is the zero of its ring and that n and k are ints.
 """
 
 import inspect
@@ -18,7 +23,7 @@ import pytest
 
 import whitneylah
 from test_independence import raise_first_of_row_3, raise_row_3, rebind_everywhere
-from whitneylah import base, classical, qwhitney, verify, whitney
+from whitneylah import base, classical, qroutes, qwhitney, verify, whitney
 from whitneylah.base import DomainError
 from whitneylah.verify import run_suite
 
@@ -170,6 +175,70 @@ def test_a_corrupted_default_route_fails_each_identity_of_the_route(key, monkeyp
             assert any(all(r.params[p] == v for p, v in where) for r in failed), ident
     finally:
         base.clear_caches()
+
+
+# family -> its value at (alpha, n, k) by a route; a sequence takes no k, and
+# mansour_u reads the spec that specializes it to the Whitney-Lah triangle
+CALL = {
+    "twl": lambda a, n, k, r: whitney.twl(a, n, k, route=r),
+    "mansour_u": lambda a, n, k, r: whitney.mansour_u(
+        whitney.MansourSpec.linear(a), n, k, route=r
+    ),
+    "dowling": lambda a, n, k, r: whitney.dowling(a, n, route=r),
+    "qwl": lambda a, n, k, r: qwhitney.qwl(a, n, k, route=r),
+    "qlah_gr": lambda a, n, k, r: qwhitney.qlah_gr(n, k, route=r),
+    "qdowling": lambda a, n, k, r: qwhitney.qdowling(a, n, route=r),
+}
+SEQUENCES = {"dowling", "qdowling"}
+
+
+def agreement_grid(family: str):
+    """alpha 1..3, -2 <= n <= 8 (6 for a q-family) and -2 <= k <= n + 2; a
+    sequence at k = 0 only."""
+    top = 6 if MODULE[family] is qwhitney else 8
+    for alpha in (1, 2, 3):
+        for n in range(-2, top + 1):
+            for k in (0,) if family in SEQUENCES else range(-2, n + 3):
+                yield alpha, n, k
+
+
+@pytest.mark.parametrize("family", sorted(ROUTES))
+def test_every_route_equals_the_default_route_on_and_off_the_triangle(family):
+    """One domain rule for every route: each holds wherever its family
+    does, and off the triangle each is the zero of its ring."""
+    call, (default, *others) = CALL[family], ROUTES[family]
+    for alpha, n, k in agreement_grid(family):
+        expected = call(alpha, n, k, default)
+        for route in others:
+            assert call(alpha, n, k, route) == expected, (route, alpha, n, k)
+
+
+def index_calls(n, k):
+    """(name, call) of every family by every route, the other families and
+    both series checks at (n, k) and alpha 2; a sequence reads n alone."""
+    for family, routes in ROUTES.items():
+        for route in routes:
+            yield f"{family}/{route}", lambda r=route, f=family: CALL[f](2, n, k, r)
+    for fn in (whitney.tw1, whitney.tw2, qwhitney.qw1, qwhitney.qw2):
+        yield fn.__name__, lambda fn=fn: fn(2, n, k)
+    for fn in (classical.stirling1u, classical.stirling2, classical.lah):
+        yield fn.__name__, lambda fn=fn: fn(n, k)
+    yield "bell", lambda: classical.bell(n)
+    yield "twl_egf_check", lambda: whitney.twl_egf_check(2, k, n)
+    yield "qwl_egf_check", lambda: qroutes.qwl_egf_check(2, k, n)
+
+
+@pytest.mark.parametrize("bad", [3.0, 2.5, True], ids=repr)
+@pytest.mark.parametrize("at", ["n", "k"])
+def test_an_index_that_is_not_an_int_is_a_domain_error_whatever_the_memo_holds(at, bad):
+    # 3.0 == 3 and True == 1 hash alike, so a stored row would answer them
+    assert whitney.tw1(2, 3, 1) == 8
+    n, k = (bad, 1) if at == "n" else (3, bad)
+    for name, call in index_calls(n, k):
+        if at == "k" and name.split("/")[0] in SEQUENCES | {"bell"}:
+            continue
+        with pytest.raises(DomainError, match=f"n and k must be integers, got {bad!r}"):
+            call()
 
 
 def readme_routes() -> dict:

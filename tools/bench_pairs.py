@@ -32,6 +32,13 @@ A metric's direction and bound are read from the change's
 ``attempted`` and ``failed``, and the interpreter and machine the pairs
 ran on.
 
+After the pairs of a workload, each side makes one traced run,
+``perfbench/run.py --workload W --seed SEED_BASE --trace 1``, the parent
+first. Its per-layer figures (calls and seconds per layer of the package,
+and what tracing cost) are kept beside ``summary`` as ``layers``, by side
+and metric name. They are one run each, not pairs: they say where the time
+went, not whether it moved.
+
 A run that exits nonzero or prints no JSON line stops the script with its
 stderr tail; the runs made so far are not written.
 """
@@ -48,12 +55,14 @@ import sys
 from pathlib import Path
 
 
-def run_once(root: Path, workload: str, seed: int) -> tuple[dict, dict | None]:
-    """One benchmark run in the checkout at ``root``: its JSON result line,
-    and the unscaled figures of its stderr ``measured`` line (None if it
-    printed none)."""
+def run_once(
+    root: Path, workload: str, seed: int, trace: int = 0
+) -> tuple[dict, dict | None]:
+    """One benchmark run in the checkout at ``root``, traced if ``trace`` is
+    1: its JSON result line, and the unscaled figures of its stderr
+    ``measured`` line (None if it printed none)."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
-            "--seed", str(seed), "--trace", "0"]
+            "--seed", str(seed), "--trace", str(trace)]
     done = subprocess.run(argv, cwd=root, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
@@ -69,6 +78,13 @@ def measured_line(stderr: str) -> dict | None:
         if line.startswith("measured {"):
             return json.loads(line[len("measured "):])
     return None
+
+
+def traced_layers(root: Path, workload: str, seed: int) -> dict:
+    """The per-layer figures of one traced run in the checkout at ``root``,
+    by metric name."""
+    result, _ = run_once(root, workload, seed, trace=1)
+    return {name: metric["value"] for name, metric in result["metrics"].items()}
 
 
 def quartiles(values: list[float]) -> dict:
@@ -156,8 +172,11 @@ def main(argv=None) -> int:
                 value = result["metrics"]["warm_wall_s"]["value"]
                 print(f"{workload} pair {i} {side}: warm_wall_s {value:.4f}", file=sys.stderr)
         runs.sort(key=lambda r: (r["pair"], r["side"] != "parent"))
+        layers = {s: traced_layers(roots[s], workload, args.seed_base) for s in roots}
+        print(f"{workload}: traced runs done", file=sys.stderr)
         doc["workloads"][workload] = {
             "summary": summarise(runs, metrics, args.pairs),
+            "layers": layers,
             "correct": all(r["result"]["correct"] for r in runs),
             "attempted_failed": sorted(
                 {(r["side"], r["result"]["attempted"], r["result"]["failed"]) for r in runs}
