@@ -53,7 +53,6 @@ _EXPORTS = {
     ),
     "qwhitney": (
         "qdowling",
-        "qlah_gr",
         "qw1",
         "qw2",
         "qwl",

@@ -69,16 +69,19 @@ from .base import DomainError
 
 
 class _Late(NamedTuple):
-    """``whitneylah.<module>.<name>``, read when a command binds it. ``bind``
-    imports the module and reads the name, so a cold call loads only the
-    module it runs, and a rebound name (perfbench's tracer wraps them) is
-    the one run; a command binds its function once."""
+    """``whitneylah.<module>.<name>``, read when a command binds it, with
+    ``args`` as its fixed leading arguments. ``bind`` imports the module and
+    reads the name, so a cold call loads only the module it runs, and a
+    rebound name (perfbench's tracer wraps them) is the one run; a command
+    binds its function once."""
 
     module: str
     name: str
+    args: tuple = ()
 
     def bind(self) -> Callable:
-        return getattr(import_module(f"whitneylah.{self.module}"), self.name)
+        fn = getattr(import_module(f"whitneylah.{self.module}"), self.name)
+        return partial(fn, *self.args) if self.args else fn
 
 
 class _Family(NamedTuple):
@@ -92,9 +95,11 @@ class _Family(NamedTuple):
     value: _Late
 
 
+# q-lah is the q-Whitney-Lah triangle at alpha 1, the Garsia-Remmel q-Lah
+# numbers: its value is qwl with alpha fixed, and it takes no --alpha
 FAMILIES: dict[str, _Family] = {
-    family: _Family(kind, takes_alpha, _Late(module, name))
-    for family, kind, takes_alpha, module, name in (
+    family: _Family(kind, takes_alpha, _Late(module, name, tuple(args)))
+    for family, kind, takes_alpha, module, name, *args in (
         ("lah", "triangle", False, "classical", "lah"),
         ("stirling1u", "triangle", False, "classical", "stirling1u"),
         ("stirling2", "triangle", False, "classical", "stirling2"),
@@ -106,7 +111,7 @@ FAMILIES: dict[str, _Family] = {
         ("q-whitney1", "triangle", True, "qwhitney", "qw1"),
         ("q-whitney2", "triangle", True, "qwhitney", "qw2"),
         ("q-whitney-lah", "triangle", True, "qwhitney", "qwl"),
-        ("q-lah", "triangle", False, "qwhitney", "qlah_gr"),
+        ("q-lah", "triangle", False, "qwhitney", "qwl", 1),
         ("q-dowling", "sequence", True, "qwhitney", "qdowling"),
     )
 }
@@ -131,9 +136,13 @@ def _bind(family: str, alpha: Optional[int]) -> tuple[int, Callable]:
 
 def _cmd_table(args) -> int:
     """A CSV table prints each row as it is computed, so it holds the text
-    of one row at a time; row 0 is computed before the header, so that an
-    alpha the library rejects exits 2 with nothing on stdout. A JSON table
-    is one document, printed once every row is computed.
+    of one row at a time. Row 0 is computed before the header: an alpha
+    the library rejects in row 0 exits 2 with nothing on stdout, and one it
+    rejects in a later row exits 2 after the header and the rows already
+    printed (a 20-digit alpha of ``q-whitney1`` prints rows 0 and 1, then
+    fails on the q-integer of row 2). A JSON table is one document, printed
+    once every row is computed, so a rejection in any row leaves stdout
+    empty.
 
     Either way the engine's memo, ``classical._ROWS``, keeps every row the
     sweep asks for, so the values of the whole triangle stay in memory:

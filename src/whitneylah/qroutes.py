@@ -1,7 +1,7 @@
-"""The q-families' second routes, the Gaussian-binomial transform pair and
+"""The q-families' other routes, the Gaussian-binomial transform pair and
 the generating-function side of ``qr1.1``.
 
-``qwhitney`` keeps the engine weights, the five family functions and
+``qwhitney`` keeps the engine weights, the four family functions and
 ``ROUTES``; a family function imports this module only when it is asked
 for a route other than its recurrence. A q-table runs only the
 recurrences, so it neither loads nor compiles this module or the dense
@@ -14,9 +14,9 @@ in ``_qbinom_inverse_entry``; it and the forward entry
 ``_qbinom_transform_entry`` are the two sides of the registry's
 ``qbinom_inv``. No route body here reads the triangle it is checked
 against: ``qwl``'s explicit sum is built from generalized q-factorials,
-``qlah_gr``'s from Gaussian binomials and q-falling factorials, and
-``qdowling``'s Qi sum from the q-Whitney-Lah row sums and the second-kind
-triangle at -alpha.
+its product from Gaussian binomials, q-falling factorials and q-integers,
+and ``qdowling``'s Qi sum from the q-Whitney-Lah row sums and the
+second-kind triangle at -alpha.
 
 ``qwl_egf_check`` is the ``qr1.1`` identity of the registry, that
 generating-function side against the engine's triangle; the CLI's
@@ -54,13 +54,18 @@ def _qwl_explicit(alpha: int, n: int, k: int) -> LaurentPoly:
     return acc
 
 
-def _qlah_gr_explicit(n: int, k: int) -> LaurentPoly:
-    """``qlah_gr``'s explicit route (its docstring)."""
+def _qwl_product(alpha: int, n: int, k: int) -> LaurentPoly:
+    """``qwl``'s product route for a checked alpha (its docstring)."""
     # the product needs 1 <= k <= n; column 0 is 1 at n = 0 and 0 below it,
     # and off the triangle the route is 0
     if _off_triangle(n, k) or k == 0:
         return LaurentPoly.one() if n == k == 0 else LaurentPoly.zero()
-    return qbinom(n, k) * qfalling(n - 1, n - k) * monomial(k * (k - 1))
+    return (
+        qint(alpha) ** (n - k)
+        * qbinom(n, k, alpha)
+        * qfalling(n - 1, n - k, alpha)
+        * monomial(alpha * k * (k - 1))
+    )
 
 
 def _qdowling_qi(alpha: int, n: int) -> LaurentPoly:

@@ -1,5 +1,6 @@
 """Translated q-Whitney numbers of the first, second, and third kinds,
-Garsia-Remmel q-Lah numbers, and translated q-Dowling numbers.
+and translated q-Dowling numbers. The third kind at alpha = 1 is the
+Garsia-Remmel q-Lah triangle, ``qwl(1, n, k)``.
 
 The first- and second-kind families are defined by horizontal generating
 functions (change of basis between powers of [t] and the generalized
@@ -31,7 +32,7 @@ and reject any other with ``InvalidAlpha``; the first and second kinds
 take any nonzero alpha. ``ROUTES`` names each family's ``route`` values,
 the default first.
 
-This module holds what a q-table runs: the weights and the five family
+This module holds what a q-table runs: the weights and the four family
 functions, whose default route is the engine's recurrence. The bodies of
 the other routes, the Gaussian-binomial transform pair and the ``qr1.1``
 series side are ``qroutes``, which a family function imports only when a
@@ -48,8 +49,7 @@ from .classical import InvalidAlpha, _cell, _check_alpha, _check_route, _row_sum
 from .qcalc import qint, qint_signed
 
 ROUTES = {
-    "qwl": ("recurrence", "explicit"),
-    "qlah_gr": ("recurrence", "explicit"),
+    "qwl": ("recurrence", "explicit", "product"),
     "qdowling": ("recurrence", "qi"),
 }
 
@@ -59,8 +59,7 @@ def _check_alpha_nonzero(alpha: int) -> None:
         raise InvalidAlpha(f"alpha must be a nonzero integer, got {alpha!r}")
 
 
-# Weights of the q-triangles for the engine in classical; the Garsia-Remmel
-# q-Lah triangle is the q-Whitney-Lah triangle at alpha = 1.
+# Weights of the q-triangles for the engine in classical.
 
 
 def _qw1_weights(alpha: int, n: int, lo: int, hi: int) -> tuple[list, list]:
@@ -99,7 +98,8 @@ def qw2(alpha: int, n: int, k: int) -> LaurentPoly:
 
 
 def qwl(alpha: int, n: int, k: int, route: str = "recurrence") -> LaurentPoly:
-    """Translated q-Whitney-Lah number by one of two routes.
+    """Translated q-Whitney-Lah number by one of three routes; at alpha = 1
+    the Garsia-Remmel q-Lah number.
 
     recurrence : the triangle recurrence (the default)
     explicit   : the alternating Gaussian-binomial sum, divided exactly by
@@ -107,26 +107,18 @@ def qwl(alpha: int, n: int, k: int, route: str = "recurrence") -> LaurentPoly:
                  [2]_{q^alpha}, ..., [k]_{q^alpha}, then [alpha]_q k times,
                  each a run division in O(len); a remainder would signal a
                  transcription fault, so it is allowed to raise
+    product    : [alpha]_q^(n-k) C(n,k)_{q^alpha} ([n-1]_{q^alpha}! /
+                 [k-1]_{q^alpha}!) q^(alpha k(k-1)), the Garsia-Remmel
+                 q-Lah product over q^alpha, for 1 <= k <= n; the quotient
+                 is the q-falling factorial, so the route divides nothing
     """
     _check_alpha(alpha)
     if route == "recurrence":
         return _cell(_qwl_weights, alpha, n, k, _ONE_POLY)
     _check_route(ROUTES, "qwl", route)
-    from .qroutes import _qwl_explicit
+    from .qroutes import _qwl_explicit, _qwl_product
 
-    return _qwl_explicit(alpha, n, k)
-
-
-def qlah_gr(n: int, k: int, route: str = "recurrence") -> LaurentPoly:
-    """Garsia-Remmel q-Lah number, by recurrence (the default) or by the
-    ``explicit`` product C(n,k)_q ([n-1]!/[k-1]!) q^(k(k-1)), 1 <= k <= n,
-    and 1 at (0, 0)."""
-    if route == "recurrence":
-        return _cell(_qwl_weights, 1, n, k, _ONE_POLY)
-    _check_route(ROUTES, "qlah_gr", route)
-    from .qroutes import _qlah_gr_explicit
-
-    return _qlah_gr_explicit(n, k)
+    return (_qwl_explicit if route == "explicit" else _qwl_product)(alpha, n, k)
 
 
 def qdowling(alpha: int, n: int, route: str = "recurrence") -> LaurentPoly:

@@ -59,7 +59,7 @@ from .whitney import (
     twl_egf_check,
 )
 from .qroutes import _qbinom_inverse_entry, _qbinom_transform_entry, qwl_egf_check
-from .qwhitney import qdowling, qlah_gr, qw1, qw2, qwl
+from .qwhitney import qdowling, qw1, qw2, qwl
 
 SUITES = ("classical", "q", "all")
 MODES = ("corrected", "as_printed")
@@ -521,7 +521,7 @@ def _chk_q_limits(family, n, k=None, alpha=None):
         return lp_eval_q1(qw2(alpha, n, k)), alpha ** (n - k) * stirling2(n, k)
     if family == "qwl":
         return lp_eval_q1(qwl(alpha, n, k)), alpha ** (n - k) * lah(n, k)
-    return lp_eval_q1(qlah_gr(n, k)), lah(n, k)
+    return lp_eval_q1(qwl(1, n, k)), lah(n, k)
 
 
 # -- registry ----------------------------------------------------------------
@@ -753,6 +753,14 @@ _IDENTITIES = (
         lambda alpha, n, k: (qwl(alpha, n, k), qwl(alpha, n, k, route="explicit")),
     ),
     _q(
+        "qwl_product",
+        "q-Whitney-Lah closed product form, the q-analogue of r2.1",
+        "qwl(n,k) = [a]^(n-k) C(n,k)_{q^a} ([n-1]_{q^a}!/[k-1]_{q^a}!) q^(ak(k-1)):"
+        " the Garsia-Remmel q-Lah number over q^a (Garsia, Remmel 1980)",
+        Grid(8, _Q_ALPHAS, _TRIANGLE),
+        lambda alpha, n, k: (qwl(alpha, n, k), qwl(alpha, n, k, route="product")),
+    ),
+    _q(
         "qr1.1",
         "q-Whitney-Lah generating function, denominators cleared",
         "[n]_{q^a}! [t^n] sum_j (-1)^(k-j) q^(aC(k-j,2)) C(k,j)_{q^a}"
@@ -841,7 +849,7 @@ _IDENTITIES = (
             _Q_ALPHAS,
             (
                 (("family", ("qw1", "qw2", "qwl")),) + _TRIANGLE,
-                # the q-Lah triangle takes no alpha
+                # the q-Lah triangle, qwl at alpha 1, takes no alpha
                 (("family", ("qlah",)), _N, ("k", "0..n")),
                 (("family", ("qdowling",)), _ALPHA, _N),
             ),

@@ -15,7 +15,7 @@ from whitneylah.classical import lah, stirling1u, stirling2
 from whitneylah.dense import lp_eval_q1
 from whitneylah.cli import main as cli_main
 from whitneylah.qcalc import qfact, qint
-from whitneylah.qwhitney import qdowling, qlah_gr, qw1, qw2, qwl
+from whitneylah.qwhitney import qdowling, qw1, qw2, qwl
 from whitneylah.verify import Config, get_identity, run_suite
 from whitneylah.whitney import (
     ROUTES,
@@ -180,6 +180,7 @@ def test_criterion_08_q_suite():
             "q_defs",
             "qw1w2",
             "qr1",
+            "qwl_product",
             "qr1.1",
             "qr2",
             "qr2.1",
@@ -197,6 +198,7 @@ def test_criterion_08_q_suite():
                 "q_defs",
                 "qw1w2",
                 "qr1",
+                "qwl_product",
                 "qr1.1",
                 "qr2",
                 "qr2.1",
@@ -220,7 +222,7 @@ def test_criterion_09_q_to_1_reduction():
                     assert lp_eval_q1(qw1(a, n, k)) == (-1) ** (n - k) * a ** (
                         n - k
                     ) * stirling1u(n, k)
-                    assert lp_eval_q1(qlah_gr(n, k)) == lah(n, k)
+                    assert lp_eval_q1(qwl(1, n, k)) == lah(n, k)
                 assert lp_eval_q1(qdowling(a, n)) == dowling(a, n)
                 assert lp_eval_q1(qdowling(a, n, route="qi")) == dowling(a, n)
 

@@ -636,6 +636,19 @@ class TestUsage:
         assert (code, out) == (2, "")
         assert err == "error: alpha must be a nonzero integer, got 0\n"
 
+    def test_an_alpha_rejected_past_row_0_follows_the_rows_already_printed(self, capsys):
+        """Row 1 of the first kind reads [0]; row 2 reads [-alpha], which a
+        20-digit alpha cannot store, so the header and rows 0 and 1 are out
+        before the error."""
+        code, out, err = run_cli(
+            capsys, "table", "--family", "q-whitney1", "--alpha", HUGE, "--n-max", "7"
+        )
+        assert (code, out) == (2, "n,k,value\n0,0,1\n1,0,0\n1,1,1\n")
+        assert err == (
+            f"error: the q-integer [-{HUGE}] over q^1 is too large to store:"
+            f" {HUGE} coefficients\n"
+        )
+
     @pytest.mark.parametrize("family", ["bell", "lah", "q-lah"])
     def test_alpha_on_a_family_without_one_is_a_usage_error(self, capsys, family):
         code, out, err = run_cli(

@@ -22,8 +22,8 @@ def test_one_q_lah_eval(capsys):
     }
     assert out.startswith("1 command lines, exit codes 0\n")
     uncalled = dict(re.findall(r"^  (whitneylah\.\w+\.\w+) (\d+)$", out, re.M))
-    # q-lah runs qlah_gr's recurrence: the other families and _cmd_table never run
+    # q-lah runs qwl's recurrence at alpha 1: the other families and _cmd_table never run
     assert {"whitneylah.qwhitney.qw1", "whitneylah.cli._cmd_table"} <= set(uncalled)
-    assert "whitneylah.qwhitney.qlah_gr" not in uncalled
+    assert "whitneylah.qwhitney.qwl" not in uncalled
     assert "whitneylah.cli._cmd_eval" not in uncalled
     assert all(int(lines) > 0 for lines in uncalled.values())

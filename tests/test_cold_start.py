@@ -39,7 +39,7 @@ EXPORTS = {
         "InvalidOrder", "NegativeArgument", "qbinom", "qfact", "qfalling", "qint",
         "qint_signed",
     ],
-    "qwhitney": ["qdowling", "qlah_gr", "qw1", "qw2", "qwl"],
+    "qwhitney": ["qdowling", "qw1", "qw2", "qwl"],
     "verify": [
         "CheckResult", "Config", "IdentitySpec", "InvalidConfig", "ParamsOutOfDomain",
         "Report", "UnknownIdentity", "check_identity", "registry_ids",
@@ -407,7 +407,7 @@ class TestImportSet:
 class TestLazyPackage:
     def test_all_lists_every_export(self):
         assert sorted(whitneylah.__all__) == ALL_NAMES
-        assert len(ALL_NAMES) == 50
+        assert len(ALL_NAMES) == 49
 
     @pytest.mark.parametrize("module", sorted(EXPORTS))
     def test_each_name_is_the_submodules_object(self, module):
@@ -471,6 +471,7 @@ class TestLazyPackage:
             ("qwhitney", "qbinom_inverse_transform"),
             ("qwhitney", "qwl_explicit"),
             ("qwhitney", "qdowling_qi"),
+            ("qwhitney", "qlah_gr"),
             ("whitney", "dowling_qi"),
             ("whitney", "dowling_dobinski"),
         ],

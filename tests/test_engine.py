@@ -25,7 +25,6 @@ from whitneylah.qwhitney import (
     _qw2_weights,
     _qwl_weights,
     qdowling,
-    qlah_gr,
     qw1,
     qw2,
     qwl,
@@ -66,7 +65,6 @@ FAMILIES = {
     "qw1": (qw1, _qw1_weights, -2, 10, Q1),
     "qw2": (qw2, _qw2_weights, 3, 10, Q1),
     "qwl": (qwl, _qwl_weights, 2, 10, Q1),
-    "qlah_gr": (lambda a, n, k: qlah_gr(n, k), _qwl_weights, 1, 10, Q1),
 }
 
 # (row sum (alpha, n), u(0, 0))

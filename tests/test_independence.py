@@ -106,7 +106,10 @@ CASES = {
         qwhitney,
         "_qwl_weights",
         raise_row_3,
-        {"q_defs", "q_limits", "qgqif1", "qr1", "qr1.1", "qr2", "qr2.1", "qw1w2"},
+        {
+            "q_defs", "q_limits", "qgqif1", "qr1", "qr1.1", "qr2", "qr2.1", "qw1w2",
+            "qwl_product",
+        },
     ),
     "_tw1_weights": (classical, "_tw1_weights", raise_row_3, _TW1_ROW_3),
     "_tw2_weights": (classical, "_tw2_weights", raise_row_3, _TW2_ROW_3),
@@ -121,10 +124,16 @@ CASES = {
         qwhitney, "_qw2_weights", raise_first_of_row_3, _QW_ROW_3 | {"qgqif1"}
     ),
     "_qbinom_weights": (
-        qcalc, "_qbinom_weights", raise_row_3, {"pe1", "pe2", "qbinom_inv", "qr1", "qr1.1"}
+        qcalc,
+        "_qbinom_weights",
+        raise_row_3,
+        {"pe1", "pe2", "qbinom_inv", "qr1", "qr1.1", "qwl_product"},
     ),
     "gqf_point": (
-        qcalc, "gqf_point", raise_n_3, {"pe1", "q_defs", "qr1", "qr1.1", "qr2", "qr2.1"}
+        qcalc,
+        "gqf_point",
+        raise_n_3,
+        {"pe1", "q_defs", "qr1", "qr1.1", "qr2", "qr2.1", "qwl_product"},
     ),
     # the series sides of the EGF checks and pe2's products; no other
     # identity builds a series, so r2, r2.1 and qr1 pass
@@ -148,7 +157,7 @@ CASES = {
         qcalc,
         "qint",
         raise_at_3,
-        {"qr1", "qr1.1", "qr2", "qr2.1", "qgqif1", "pe1"} | _QW_ROW_3,
+        {"qr1", "qr1.1", "qr2", "qr2.1", "qgqif1", "pe1", "qwl_product"} | _QW_ROW_3,
     ),
     "genfact_poly": (
         classical,

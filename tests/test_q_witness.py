@@ -18,8 +18,9 @@ substitution, are compared at q = 2 and q = 3 with the products of their
 values, ``lp_dot``'s sums of such products, of q-integers and of ints with
 the sums of those products, and so are both sides of the ``qr1.1`` generating-function check
 with the value of its series at q. ``qwl``'s explicit route, whose sum is divided
-by one q-integer at a time through the kernel's run division, is compared
-at q = 2 and q = 3 with the q-Whitney-Lah recurrence over ``Fraction``.
+by one q-integer at a time through the kernel's run division, and its
+product route, which divides nothing, are compared at q = 2 and q = 3 with
+the q-Whitney-Lah recurrence over ``Fraction``.
 """
 
 import random
@@ -258,3 +259,16 @@ def test_qwl_explicit_at_q_2_and_3_is_the_recurrence_over_fraction(cold_memo, ru
         assert at(value, q) == qwl_at(q, 3, 40, 20), q
     runs = [(i, 3) for i in range(2, 21)] + [(3, 1)] * 20
     assert [(m, s) for _, m, s in run_quotients] == runs
+
+
+@pytest.mark.parametrize("a, n, k", [(3, 40, 20), (2, 60, 30), (1, 80, 40)])
+def test_qwl_product_at_q_2_and_3_is_the_recurrence_over_fraction(
+    cold_memo, run_quotients, a, n, k
+):
+    """The Garsia-Remmel product over q^a: Gaussian binomials from the
+    engine's q-Pascal triangle, a q-falling factorial and a power of [a]_q,
+    multiplied together with no division; at a = 1, the q-Lah number."""
+    value = qwl(a, n, k, route="product")
+    for q in (2, 3):
+        assert at(value, q) == qwl_at(q, a, n, k), q
+    assert run_quotients == []

@@ -10,7 +10,7 @@ from whitneylah.arith import LaurentPoly, monomial
 from whitneylah.base import TruncSeries
 from whitneylah.classical import lah, stirling1u, stirling2
 from whitneylah.dense import lp_eval_q1
-from whitneylah.qcalc import gqf_point, qbinom, qfact, qint, qint_signed
+from whitneylah.qcalc import gqf_point, qbinom, qfact, qfalling, qint, qint_signed
 from whitneylah.whitney import InvalidAlpha, dowling
 from whitneylah import qcalc
 from whitneylah.qroutes import (
@@ -18,7 +18,7 @@ from whitneylah.qroutes import (
     _qbinom_transform_entry,
     qwl_egf_sum_series,
 )
-from whitneylah.qwhitney import qdowling, qlah_gr, qw1, qw2, qwl
+from whitneylah.qwhitney import qdowling, qw1, qw2, qwl
 
 
 q = LaurentPoly.var()
@@ -223,28 +223,37 @@ class TestEgfSumSeries:
 
 
 class TestGarsiaRemmel:
-    def test_values(self):
-        assert qlah_gr(2, 1).to_str() == "1 + q"
-        assert qlah_gr(2, 1, route="explicit").to_str() == "1 + q"
-        assert qlah_gr(1, 1) == 1
-        assert qlah_gr(2, 2).to_str() == "q^2"
-        assert qlah_gr(2, 2, route="explicit").to_str() == "q^2"
+    """The Garsia-Remmel q-Lah numbers are the q-Whitney-Lah triangle at
+    alpha 1, by its recurrence and by its product route."""
+
+    @pytest.mark.parametrize("route", ["recurrence", "product"])
+    def test_values(self, route):
+        assert qwl(1, 2, 1, route=route).to_str() == "1 + q"
+        assert qwl(1, 1, 1, route=route) == 1
+        assert qwl(1, 2, 2, route=route).to_str() == "q^2"
 
     def test_routes_agree(self):
         for n in range(9):
             for k in range(1, n + 1):
-                assert qlah_gr(n, k, route="explicit") == qlah_gr(n, k), (n, k)
+                assert qwl(1, n, k, route="product") == qwl(1, n, k), (n, k)
 
-    def test_is_alpha_one_specialization(self):
-        for n in range(9):
+    def test_is_the_garsia_remmel_closed_form(self):
+        # L_q(n, k) = q^(k(k-1)) C(n-1, k-1)_q [n]!/[k]!, in Garsia-Remmel's
+        # own shape rather than the product route's C(n, k)_q [n-1|1]_(n-k)
+        for n in range(1, 9):
+            for k in range(1, n + 1):
+                expected = (
+                    monomial(k * (k - 1)) * qbinom(n - 1, k - 1) * qfalling(n, n - k)
+                )
+                assert qwl(1, n, k) == expected, (n, k)
+
+    @pytest.mark.parametrize("a", [1, 2, 3])
+    def test_product_route_at_q_1_is_the_lah_product(self, a):
+        # q -> 1 takes the product route to twl's: a^(n-k) L(n, k)
+        for n in range(8):
             for k in range(n + 1):
-                assert qlah_gr(n, k) == qwl(1, n, k), (n, k)
-
-    def test_explicit_range(self):
-        # off 1 <= k <= n the route agrees with the recurrence
-        # (test_routes.test_every_route_equals_the_default_route)
-        with pytest.raises(ValueError, match="unknown route 'table' of qlah_gr"):
-            qlah_gr(2, 1, route="table")
+                value = lp_eval_q1(qwl(a, n, k, route="product"))
+                assert value == a ** (n - k) * lah(n, k), (a, n, k)
 
 
 class TestQDowling:
@@ -353,5 +362,4 @@ class TestClassicalLimits:
                     assert lp_eval_q1(qw1(a, n, k)) == (-1) ** (n - k) * a ** (
                         n - k
                     ) * stirling1u(n, k)
-                    assert lp_eval_q1(qlah_gr(n, k)) == lah(n, k)
                 assert lp_eval_q1(qdowling(a, n)) == dowling(a, n)

@@ -42,12 +42,8 @@ ROUTE_IDENTITIES = {
     ("dowling", "qi"): {"gqif1"},
     ("dowling", "dobinski"): {"dobinski"},
     ("qwl", "explicit"): {"qr1"},
+    ("qwl", "product"): {"qwl_product"},
     ("qdowling", "qi"): {"qgqif1"},
-}
-# (family, non-default route) -> why no identity reads it
-UNCHECKED = {
-    ("qlah_gr", "explicit"): "no identity reads it: q_limits reads the q-Lah"
-    " recurrence, and no identity compares the closed product form with it",
 }
 
 
@@ -85,7 +81,6 @@ SAMPLE = {
     "mansour_u": (whitney.MansourSpec.linear(2), 3, 1),
     "dowling": (2, 3),
     "qwl": (2, 3, 1),
-    "qlah_gr": (3, 1),
     "qdowling": (2, 3),
 }
 
@@ -116,10 +111,9 @@ def test_no_public_function_takes_method():
             assert "method" not in inspect.signature(fn).parameters, name
 
 
-def test_every_route_but_the_default_is_checked_or_named():
+def test_every_route_but_the_default_is_checked():
     others = {(f, r) for f, routes in ROUTES.items() for r in routes[1:]}
-    assert others == set(ROUTE_IDENTITIES) | set(UNCHECKED)
-    assert not set(ROUTE_IDENTITIES) & set(UNCHECKED)
+    assert others == set(ROUTE_IDENTITIES)
 
 
 def test_the_registry_reads_each_route_in_the_identities_named(monkeypatch):
@@ -186,7 +180,6 @@ CALL = {
     ),
     "dowling": lambda a, n, k, r: whitney.dowling(a, n, route=r),
     "qwl": lambda a, n, k, r: qwhitney.qwl(a, n, k, route=r),
-    "qlah_gr": lambda a, n, k, r: qwhitney.qlah_gr(n, k, route=r),
     "qdowling": lambda a, n, k, r: qwhitney.qdowling(a, n, route=r),
 }
 SEQUENCES = {"dowling", "qdowling"}

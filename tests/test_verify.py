@@ -62,6 +62,7 @@ EXPECTED_IDS = sorted(
         "q_defs",
         "qw1w2",
         "qr1",
+        "qwl_product",
         "qr1.1",
         "qr2",
         "qr2.1",
@@ -311,8 +312,8 @@ class TestReport:
         assert sum(t["checks"] for t in tallies.values()) == report.total == 197
         skipping = {i for i, t in tallies.items() if t["skipped_alphas"]}
         assert skipping == {
-            "q_defs", "qw1w2", "qr1", "qr1.1", "qr2", "inv_qtw", "qbinom_inv",
-            "qgqif1", "q_limits",
+            "q_defs", "qw1w2", "qr1", "qwl_product", "qr1.1", "qr2", "inv_qtw",
+            "qbinom_inv", "qgqif1", "q_limits",
         }
 
     def test_identities_report_the_largest_n_checked(self):
