@@ -217,8 +217,15 @@ class LaurentPoly:
         fmts = fmts[lo - base : lo - base + len(cs)]
         if 0 in cs:
             fmts, cs = compress(fmts, cs), tuple(compress(cs, cs))
-        # "c*q^e" joined by " + ", then "+ -c" -> "- c" and " 1*q" -> " q"
-        text = (" + ".join(fmts) % cs).replace("+ -", "- ").replace(" 1*", " ")
+        # "c*q^e" joined by " + ", then "+ -c" -> "- c" and " 1*q" -> " q";
+        # each fix runs only if the text can hold its pattern. A negative
+        # coefficient prints a "-": one byte scan of the text costs less
+        # than comparing the coefficients, ``min(cs) < 0``
+        text = " + ".join(fmts) % cs
+        if "-" in text:
+            text = text.replace("+ -", "- ")
+        if 1 in cs or -1 in cs:
+            text = text.replace(" 1*", " ")
         if text.startswith("1*"):
             return text[2:]
         if text.startswith("-1*"):

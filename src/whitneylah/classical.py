@@ -205,7 +205,7 @@ def lah(n: int, k: int) -> int:
     """
     if _off_triangle(n, k) or k == 0:
         return int(n == k == 0)
-    return math.factorial(n) // math.factorial(k) * math.comb(n - 1, k - 1)
+    return math.perm(n, n - k) * math.comb(n - 1, k - 1)
 
 
 def bell(n: int) -> int:

@@ -38,10 +38,10 @@ classes.
 The command-line grammar is declared once, as data: ``COMMANDS`` holds
 each command's help, handler and options. ``main`` reads a well-formed
 argv, ``COMMAND (--flag VALUE)*``, with ``_read``, a strict reader of that
-table, and such a call loads none of ``cli_parser``, ``argparse``,
-``gettext`` and ``locale``. Help, usage errors and every other form (an
-abbreviated flag, ``--flag=value``, ``--``) go to the argparse parser that
-``cli_parser.build_parser`` makes from the same table.
+table, and such a call loads none of ``argparse``, ``gettext`` and
+``locale``. Help, usage errors and every other form (an abbreviated flag,
+``--flag=value``, ``--``) go to the argparse parser that ``build_parser``
+makes from the same table, importing ``argparse`` on its first call.
 
 ``main()`` is the process entry: the console script and ``python -m
 whitneylah.cli`` call it without argv. Once the command has run, it
@@ -52,14 +52,15 @@ handlers do not run, so a coverage tool that records subprocesses through
 them misses these calls. ``main(argv)`` always returns the exit code.
 
 Exit codes: 0 success (and all checks passed), 1 verification failure,
-2 usage or domain error, or output that could not be written.
+2 usage or domain error, a command that ran out of memory, or output that
+could not be written.
 """
 
 from __future__ import annotations
 
 import os
 import sys
-from functools import partial
+from functools import cache, partial
 from importlib import import_module
 from itertools import chain
 from types import SimpleNamespace
@@ -240,7 +241,7 @@ _FAMILY = _Option("--family", choices=sorted(FAMILIES), required=True)
 _ALPHA = _Option("--alpha", int)
 
 # The command-line grammar: both the strict reader of ``main`` and the
-# argparse parser of ``cli_parser.build_parser`` are made from this table.
+# argparse parser of ``build_parser`` are made from this table.
 COMMANDS: dict[str, _Command] = {
     "table": _Command("emit a triangle or sequence table", _cmd_table, (
         _FAMILY,
@@ -268,6 +269,31 @@ COMMANDS: dict[str, _Command] = {
         _Option("--order", int, required=True),
     )),
 }
+
+
+@cache
+def build_parser():
+    """The argparse parser of ``COMMANDS``, built on the first call of a
+    process that needs it and reused by every later one: parsing leaves it
+    as it was. Only this function imports ``argparse``, which loads
+    ``gettext``, and whose first message lookup loads ``locale``."""
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        prog="whitneylah",
+        description="Exact Lah/Stirling/Whitney/Dowling number families, their"
+        " q-analogues, and a machine-checked identity suite.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for opt in command.options:
+            p.add_argument(
+                opt.flag, dest=opt.dest, type=opt.type, choices=opt.choices,
+                required=opt.required, default=opt.default,
+            )
+        p.set_defaults(func=command.handler)
+    return parser
 
 
 def _read(argv: list[str]) -> Optional[SimpleNamespace]:
@@ -338,8 +364,6 @@ def _run(argv: list[str]) -> int:
     """The exit code of the command line ``argv``."""
     args = _read(argv)
     if args is None:
-        from .cli_parser import build_parser
-
         try:
             args = build_parser().parse_args(argv)
         except SystemExit as exc:
@@ -355,13 +379,13 @@ def _run(argv: list[str]) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print(f"error: {args.command} ran out of memory", file=sys.stderr)
+        return 2
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":
-    # run as ``python -m whitneylah.cli``: ``cli_parser`` imports this module
-    # by its name, and finds it here rather than compiling a second copy
-    sys.modules.setdefault("whitneylah.cli", sys.modules[__name__])
     sys.exit(main())

@@ -20,6 +20,7 @@ witnessed at (n, k) = (3, 1)).
 
 from __future__ import annotations
 
+import json
 import math
 import time
 from fractions import Fraction
@@ -369,19 +370,13 @@ def _chk_r4(alpha, k, n):
         (-alpha) ** j * twl(alpha, k, j) * math.factorial(n + j)
         for j in range(1, k + 1)
     )
-    rhs = (
-        (-alpha) ** k
-        * math.factorial(n)
-        * (math.factorial(n + 1) // math.factorial(n - k + 1))
-    )
+    rhs = (-alpha) ** k * math.factorial(n) * math.perm(n + 1, k)
     return lhs, rhs
 
 
 def _chk_gouqi(k, n):
     lhs = sum(_sign(j) * lah(k, j) * math.factorial(n + j) for j in range(1, k + 1))
-    rhs = _sign(k) * math.factorial(n) * (
-        math.factorial(n + 1) // math.factorial(n - k + 1)
-    )
+    rhs = _sign(k) * math.factorial(n) * math.perm(n + 1, k)
     return lhs, rhs
 
 
@@ -929,8 +924,6 @@ def run_suite(config: Config | None = None, **kwargs) -> Report:
     is a TypeError. Failures are data: they never abort the run.
     """
     start = time.perf_counter()
-    import json  # in the functions that use it only: ``series`` runs without it
-
     if config is not None and kwargs:
         raise TypeError(
             f"run_suite takes a Config or keywords, not both; got {sorted(kwargs)}"
@@ -1022,8 +1015,6 @@ def report_to_dict(report: Report, *, deterministic: bool = True) -> dict:
 
 
 def report_to_json(report: Report, *, deterministic: bool = True) -> str:
-    import json
-
     return json.dumps(
         report_to_dict(report, deterministic=deterministic),
         sort_keys=True,
@@ -1035,8 +1026,6 @@ def _verify_command(args) -> int:
     """The CLI's ``verify`` command on its parsed ``args``: the report of
     the configured suite, as JSON or as text with one line per failure; the
     exit code is 1 if a check failed, else 0."""
-    import json
-
     try:
         alpha_list = tuple(int(a) for a in args.alpha_list.split(","))
     except ValueError:

@@ -107,11 +107,7 @@ def twl(alpha: int, n: int, k: int, route: str = "recurrence") -> int:
             raise NonExactDivision(f"rising sum for ({n}, {k}) is not divisible by {k}!")
         return alpha ** (n - k) * q
     if route == "product":
-        return (
-            alpha ** (n - k)
-            * (math.factorial(n) // math.factorial(k))
-            * math.comb(n - 1, n - k)
-        )
+        return alpha ** (n - k) * math.perm(n, n - k) * math.comb(n - 1, n - k)
     return alpha ** (n - k) * lah(n, k)
 
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from whitneylah import cli, cli_parser
+from whitneylah import cli
 from whitneylah.cli import FAMILIES, main
 from whitneylah.qwhitney import qwl
 
@@ -224,27 +224,27 @@ class TestVerify:
 
 class TestParser:
     def test_well_formed_calls_build_no_parser_and_two_errors_build_it_once(self, capsys):
-        cli_parser.build_parser.cache_clear()
+        cli.build_parser.cache_clear()
         assert run_cli(capsys, "eval", "--family", "lah", "--n", "3", "--k", "2")[:2] == (0, "6\n")
         assert run_cli(capsys, "eval", "--family", "q-lah", "--n", "2", "--k", "1")[:2] == (
             0, "1 + q\n"
         )
-        assert cli_parser.build_parser.cache_info().misses == 0
+        assert cli.build_parser.cache_info().misses == 0
         assert run_cli(capsys, "eval", "--family", "lah", "--k", "2")[0] == 2
         assert run_cli(capsys, "eval", "--family", "nope", "--n", "3")[0] == 2
-        info = cli_parser.build_parser.cache_info()
+        info = cli.build_parser.cache_info()
         assert (info.misses, info.hits) == (1, 1)
 
     def test_bad_family_after_a_good_call_exits_2_as_a_first_call_does(self, capsys):
         bad = ("table", "--family", "q-nothing", "--n-max", "2")
-        cli_parser.build_parser.cache_clear()
+        cli.build_parser.cache_clear()
         first = run_cli(capsys, *bad)
         assert run_cli(capsys, "eval", "--family", "lah", "--n", "3", "--k", "2")[0] == 0
         again = run_cli(capsys, *bad)
         assert again == first
         assert again[0] == 2 and again[1] == ""
         assert "invalid choice: 'q-nothing'" in again[2]
-        assert cli_parser.build_parser.cache_info().misses == 1
+        assert cli.build_parser.cache_info().misses == 1
 
     def test_the_reader_reads_every_benchmark_command_line(self, bench_ops):
         """The calls the benchmark times, at full size, skip argparse."""
@@ -266,7 +266,7 @@ class TestParser:
     def test_a_negative_or_signed_integer_and_a_repeated_flag_read_as_in_argparse(
         self, argv
     ):
-        assert vars(cli._read(list(argv))) == vars(cli_parser.build_parser().parse_args(argv))
+        assert vars(cli._read(list(argv))) == vars(cli.build_parser().parse_args(argv))
 
     @pytest.mark.parametrize(
         "argv",
@@ -293,7 +293,7 @@ def argparse_reads(argv: list) -> Optional[dict]:
     an error or prints help."""
     try:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            return vars(cli_parser.build_parser().parse_args(argv))
+            return vars(cli.build_parser().parse_args(argv))
     except SystemExit:
         return None
 

@@ -156,6 +156,8 @@ EVAL = ("eval", "--family", "lah", "--n", "5", "--k", "2")  # prints 240
 # fails while the command writes, past the first 8 KiB
 BIG_TABLE = ("table", "--family", "q-whitney-lah", "--alpha", "3", "--n-max", "30")
 DOMAIN_ERROR = ("table", "--family", "q-whitney1", "--alpha", "0", "--n-max", "3")
+DEEP_SERIES = ("series", "--id", "r3", "--alpha", "2", "--k", "3", "--order", "100000")
+OUT_OF_MEMORY = "error: series ran out of memory\n"
 ATEXIT_MARKER = "an atexit handler ran"
 _WITH_ATEXIT = (
     "import atexit, sys\n"
@@ -205,6 +207,38 @@ class TestProcessEntry:
             cold = python("-m", "whitneylah.cli", *argv)
             assert (cold.returncode, cold.stdout, cold.stderr) == run_quietly(argv)
 
+    def test_python_m_reads_an_argparse_form_without_a_second_cli_module(self, capsys):
+        """``--family=lah`` is for argparse; the parser's handlers are those
+        of the module run as ``__main__``, which nothing imports again by
+        its name."""
+        argv = ("table", "--family=lah", "--n-max", "3")
+        run = python("-X", "importtime", "-m", "whitneylah.cli", *argv)
+        imported = [line.rsplit("|", 1)[-1].strip() for line in run.stderr.splitlines()]
+        assert "argparse" in imported
+        assert "whitneylah.cli" not in imported
+        assert (run.returncode, run.stdout) == warm_cli(capsys, *argv)[:2]
+        assert run.stdout.startswith("n,k,value\n0,0,1\n")
+
+    def test_out_of_memory_exits_2_with_one_line(self):
+        """Under a 300 MB address-space limit, set in the child alone, a
+        deep series runs out of memory: one ``error:`` line, no traceback."""
+        resource = pytest.importorskip("resource")
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (300 << 20, 300 << 20))
+
+        run = cold_cli(*DEEP_SERIES, preexec_fn=limit)
+        assert (run.returncode, run.stdout, run.stderr) == (2, "", OUT_OF_MEMORY)
+
+    def test_main_with_argv_reports_out_of_memory_as_the_process_entry_does(
+        self, capsys, monkeypatch
+    ):
+        def exhausted(**_):
+            raise MemoryError
+
+        monkeypatch.setattr("whitneylah.whitney.twl_egf_check", exhausted)
+        assert warm_cli(capsys, *DEEP_SERIES) == (2, "", OUT_OF_MEMORY)
+
     @pytest.mark.parametrize("argv", [EVAL, BIG_TABLE], ids=["at-the-flush", "mid-command"])
     def test_a_pipe_with_no_reader_exits_2_with_one_line(self, argv):
         read, write = os.pipe()
@@ -249,7 +283,6 @@ watched = {
     "whitneylah.verify", "dataclasses", "inspect", "json", "whitneylah.arith",
     "whitneylah.whitney", "whitneylah.qwhitney", "whitneylah.qcalc", "fractions", "decimal",
     "argparse", "gettext", "locale", "whitneylah.dense", "whitneylah.qroutes",
-    "whitneylah.cli_parser",
 }
 before = set(sys.modules)
 from whitneylah.cli import main
@@ -272,7 +305,8 @@ def loaded_by(*argvs: str, codes: tuple[int, ...] = ()) -> list[str]:
     return [name for name in loaded if name]
 
 
-PARSER_MODULES = {"argparse", "gettext", "locale", "whitneylah.cli_parser"}
+# what ``cli.build_parser`` loads
+PARSER_MODULES = {"argparse", "gettext", "locale"}
 # the q-families' module loads the q-primitives' module ``qcalc`` and the
 # Laurent kernel ``arith``
 Q_FAMILY_MODULES = ["whitneylah.arith", "whitneylah.qcalc", "whitneylah.qwhitney"]
@@ -320,8 +354,8 @@ class TestImportSet:
     def test_q_tables_and_q_evals_load_no_second_route_nor_the_parser(self, bench_ops):
         """The benchmark's q-tables and a q-Whitney-Lah eval run the engine's
         recurrences alone, multiplying by monomials and q-integers: with
-        bytecode writing off, they compile neither ``dense`` nor ``qroutes``
-        nor ``cli_parser``."""
+        bytecode writing off, they compile neither ``dense`` nor ``qroutes``,
+        and they load no ``argparse``."""
         ops = bench_ops.make_ops("qtable", 0)
         loaded = loaded_by(
             *(" ".join(op.argv) for op in ops),

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from whitneylah import (
-    arith, base, classical, cli, cli_parser, dense, qcalc, qroutes, qwhitney, verify, whitney,
+    arith, base, classical, cli, dense, qcalc, qroutes, qwhitney, verify, whitney,
 )
 from whitneylah.arith import LaurentPoly, monomial
 from whitneylah.base import _MEMOS, clear_caches
@@ -425,13 +425,12 @@ class TestReport:
 
 def test_every_lru_cache_enters_the_memo_table():
     # the parser and each identity's intrinsic grid hold no computed value
-    exempt = {id(cli_parser.build_parser), id(verify._intrinsic_domain)}
+    exempt = {id(cli.build_parser), id(verify._intrinsic_domain)}
     entered = {id(getattr(clear, "__self__", None)) for _, clear in _MEMOS.values()}
     missing = [
         f"{module.__name__}.{name}"
         for module in (
-            arith, base, classical, cli, cli_parser, dense, qcalc, qroutes, qwhitney, verify,
-            whitney,
+            arith, base, classical, cli, dense, qcalc, qroutes, qwhitney, verify, whitney,
         )
         for name, value in vars(module).items()
         if hasattr(value, "cache_info")
