@@ -49,7 +49,6 @@ _EXPORTS = {
         "qfact",
         "qfalling",
         "qint",
-        "qint_signed",
     ),
     "qwhitney": (
         "qdowling",

@@ -4,8 +4,9 @@ the q-falling factorial, and the Gaussian binomials.
 
 The optional ``base`` argument realizes the substitution q -> q^base, so
 quantities like [n] over q^a live in the same Laurent ring as everything
-else and mixed-base expressions compose directly. ``qint_signed`` takes any
-integer by the reflection rule [-m] = -q^(-m base) [m] over q^base.
+else and mixed-base expressions compose directly. ``qint`` takes any
+integer, a negative one by the reflection rule [-m] = -q^(-m base) [m] over
+q^base.
 
 A product of q-integers in arithmetic progression is a generalized
 q-factorial [t|alpha]_n = [t][t - alpha]...[t - (n-1) alpha], built in one
@@ -32,11 +33,8 @@ class InvalidOrder(DomainError):
 
 
 class NegativeArgument(DomainError):
-    """A q-integer of a negative integer was requested.
-
-    Callers that genuinely need one call ``qint_signed``, which names the
-    reflection [-m]_q = -q^(-m) [m]_q and its sign and q-power conventions.
-    """
+    """A q-factorial or q-falling factorial of a negative integer was
+    requested. A q-integer has none: ``qint`` takes every integer."""
 
 
 def _check_args(base: int, *args: int) -> None:
@@ -52,24 +50,17 @@ def _check_args(base: int, *args: int) -> None:
 @_lru_memo("qint")
 @lru_cache(maxsize=None, typed=True)
 def qint(n: int, base: int = 1) -> LaurentPoly:
-    """q-integer [n] over q^base: 1 + q^base + ... + q^((n-1)*base).
+    """q-integer [n] over q^base for any integer n: 1 + q^base + ... +
+    q^((n-1)*base) for n > 0, and for n < 0, by the reflection
+    [-m] = -q^(-m base) [m] over q^base, the run
+    -(q^(n base) + q^((n+1) base) + ... + q^(-base)).
 
     ``qint(0)`` is the empty sum, i.e. 0.
     """
     _check_args(base, n)
     if n < 0:
-        raise NegativeArgument(f"q-integer of negative {n}")
+        return _run(n, base, n * base, -1)
     return _run(n, base, 0, 1) if n else LaurentPoly.zero()
-
-
-def qint_signed(m: int, base: int = 1) -> LaurentPoly:
-    """[m] over q^base for any integer m, via the reflection
-    [-m] = -q^(-m base) [m] over q^base: for m < 0, the run
-    -(q^(m base) + q^((m+1) base) + ... + q^(-base)), built directly."""
-    if m >= 0:
-        return qint(m, base)
-    _check_args(base, m)
-    return _run(m, base, m * base, -1)
 
 
 def _run(m: int, base: int, lo: int, sign: int) -> LaurentPoly:
@@ -101,7 +92,7 @@ def gqf_point(t: int, alpha: int, n: int, base: int = 1) -> LaurentPoly:
         i -= 1
     out = _GQF_POINTS[t, alpha, base, i] if i else LaurentPoly.one()
     for i in range(i, n):
-        out = out * qint_signed(t - i * alpha, base)
+        out = out * qint(t - i * alpha, base)
         _GQF_POINTS[t, alpha, base, i + 1] = out
     return out
 

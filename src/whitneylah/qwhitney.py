@@ -16,9 +16,9 @@ so that
     w2[n+1, k] = q^((k-1) a) w2[n, k-1] + [k a]_q w2[n, k]
 
 Negative alpha (needed by the convolution and Dowling identities) enters
-through the reflection [-m]_q = -q^(-m) [m]_q of ``qcalc.qint_signed``
-applied inside the recurrences. Values are Laurent polynomials; negative
-exponents are normal.
+through the reflection [-m]_q = -q^(-m) [m]_q, which ``qcalc.qint`` applies
+to a negative argument inside the recurrences. Values are Laurent
+polynomials; negative exponents are normal.
 
 The triangles are weights for the triangle engine in classical, whose
 comment block states how it builds, stores and resumes rows. A band of
@@ -46,7 +46,7 @@ from __future__ import annotations
 from .arith import _ONE_POLY, LaurentPoly, monomial
 from .base import _is_int
 from .classical import InvalidAlpha, _cell, _check_alpha, _check_route, _row_sum
-from .qcalc import qint, qint_signed
+from .qcalc import qint
 
 ROUTES = {
     "qwl": ("recurrence", "explicit", "product"),
@@ -66,14 +66,14 @@ def _qw1_weights(alpha: int, n: int, lo: int, hi: int) -> tuple[list, list]:
     """First kind: u(n,k) = q^(-m) (u(n-1,k-1) - [m]_q u(n-1,k)), m = (n-1) alpha;
     the right weight -q^(-m) [m]_q is [-m]_q by the reflection rule."""
     m = (n - 1) * alpha
-    return [monomial(-m)] * (hi - lo + 1), [qint_signed(-m)] * (hi - lo + 1)
+    return [monomial(-m)] * (hi - lo + 1), [qint(-m)] * (hi - lo + 1)
 
 
 def _qw2_weights(alpha: int, n: int, lo: int, hi: int) -> tuple[list, list]:
     """Second kind: u(n,k) = q^((k-1) alpha) u(n-1,k-1) + [k alpha]_q u(n-1,k)."""
     return (
         [monomial((k - 1) * alpha) for k in range(lo, hi + 1)],
-        [qint_signed(k * alpha) for k in range(lo, hi + 1)],
+        [qint(k * alpha) for k in range(lo, hi + 1)],
     )
 
 

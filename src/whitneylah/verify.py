@@ -40,14 +40,7 @@ from .classical import (
     stirling2,
 )
 from .dense import lp_div_exact, lp_dot, lp_eval_q1
-from .qcalc import (
-    gqf_point,
-    qbinom,
-    qfact,
-    qfalling,
-    qint,
-    qint_signed,
-)
+from .qcalc import gqf_point, qbinom, qfact, qfalling, qint
 from .whitney import (
     MansourSpec,
     _egf_series_cached,
@@ -334,9 +327,9 @@ def _chk_w_hgf(rel, alpha, n):
 
 
 def _chk_wl_rec(alpha, n, k):
-    # the recurrence checked on the independently computed scaled route
-    scaled = partial(twl, alpha, route="scaled")
-    return scaled(n + 1, k), scaled(n, k - 1) + alpha * (n + k) * scaled(n, k)
+    # the recurrence checked on the independently computed product route
+    product = partial(twl, alpha, route="product")
+    return product(n + 1, k), product(n, k - 1) + alpha * (n + k) * product(n, k)
 
 
 def _chk_mansour(rel, alpha, n, k, mode):
@@ -351,6 +344,10 @@ def _chk_mansour(rel, alpha, n, k, mode):
 
 def _chk_twl_route(alpha, n, k, route):
     return twl(alpha, n, k), twl(alpha, n, k, route=route)
+
+
+def _chk_r2(alpha, n, k):
+    return twl(alpha, n, k), alpha ** (n - k) * lah(n, k)
 
 
 def _chk_graham(l, m, s, n):
@@ -409,12 +406,12 @@ def _chk_q_defs(rel, alpha, n, m):
     # against the [t - i alpha] of the lhs; def2 and def3 over [t|alpha]_k,
     # by [t - i alpha], against [t]^n and the [t + i alpha] of [t|-alpha]_n
     t = m * alpha
-    tval = qint_signed(t)
+    tval = qint(t)
     if rel == "def1":
         lhs, kind, step = gqf_point(t, alpha, n), qw1, lambda k: tval
     else:
         lhs, kind = (tval**n, qw2) if rel == "def2" else (gqf_point(t, -alpha, n), qwl)
-        step = lambda k: qint_signed(t - k * alpha)  # [t|alpha]_(k+1) / [t|alpha]_k
+        step = lambda k: qint(t - k * alpha)  # [t|alpha]_(k+1) / [t|alpha]_k
     return lhs, _horner([kind(alpha, n, k) for k in range(n + 1)], step)
 
 
@@ -645,7 +642,7 @@ _IDENTITIES = (
         "Whitney-Lah as scaled Lah numbers",
         "wl(n,k) = a^(n-k) L(n,k)",
         Grid(12, _CLASSICAL_ALPHAS, _TRIANGLE),
-        partial(_chk_twl_route, route="scaled"),
+        _chk_r2,
     ),
     _classical(
         "r2.1",

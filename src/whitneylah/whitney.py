@@ -1,7 +1,7 @@
 """Translated Whitney numbers and relatives.
 
 Covers the translated Whitney numbers of the first and second kind, the
-translated Whitney-Lah numbers through four independent computation routes,
+translated Whitney-Lah numbers through three independent computation routes,
 the generic two-sequence recurrence they specialize, and the translated
 Dowling numbers (exact row sums, the alternating Qi-type explicit formula,
 and a Dobinski-style series whose exact integer value is read off from a
@@ -48,14 +48,13 @@ from .classical import (
     _row_sum,
     _tw1_weights,
     _tw2_weights,
-    lah,
 )
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
 ROUTES = {
-    "twl": ("recurrence", "explicit", "product", "scaled"),
+    "twl": ("recurrence", "explicit", "product"),
     "mansour_u": ("recurrence", "explicit"),
     "dowling": ("recurrence", "qi", "dobinski"),
 }
@@ -83,12 +82,11 @@ def tw2(alpha: int, n: int, k: int) -> int:
 
 
 def twl(alpha: int, n: int, k: int, route: str = "recurrence") -> int:
-    """Translated Whitney-Lah number by one of four independent routes.
+    """Translated Whitney-Lah number by one of three independent routes.
 
     recurrence : additive triangle recurrence (the default)
     explicit   : alternating binomial sum over rising factorials
     product    : alpha^(n-k) (n!/k!) C(n-1, n-k)
-    scaled     : alpha^(n-k) times the Lah number
     """
     _check_alpha(alpha)
     if route == "recurrence":
@@ -106,9 +104,7 @@ def twl(alpha: int, n: int, k: int, route: str = "recurrence") -> int:
         if rem:
             raise NonExactDivision(f"rising sum for ({n}, {k}) is not divisible by {k}!")
         return alpha ** (n - k) * q
-    if route == "product":
-        return alpha ** (n - k) * math.perm(n, n - k) * math.comb(n - 1, n - k)
-    return alpha ** (n - k) * lah(n, k)
+    return alpha ** (n - k) * math.perm(n, n - k) * math.comb(n - 1, n - k)
 
 
 class MansourSpec(NamedTuple):

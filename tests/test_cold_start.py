@@ -37,7 +37,6 @@ EXPORTS = {
     "dense": ["DivisionByZero", "lp_div_exact", "lp_dot", "lp_eval_q1"],
     "qcalc": [
         "InvalidOrder", "NegativeArgument", "qbinom", "qfact", "qfalling", "qint",
-        "qint_signed",
     ],
     "qwhitney": ["qdowling", "qw1", "qw2", "qwl"],
     "verify": [
@@ -441,7 +440,7 @@ class TestImportSet:
 class TestLazyPackage:
     def test_all_lists_every_export(self):
         assert sorted(whitneylah.__all__) == ALL_NAMES
-        assert len(ALL_NAMES) == 49
+        assert len(ALL_NAMES) == 48
 
     @pytest.mark.parametrize("module", sorted(EXPORTS))
     def test_each_name_is_the_submodules_object(self, module):

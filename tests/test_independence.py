@@ -147,7 +147,7 @@ CASES = {
         raise_at_3,
         {
             "gouqi", "lah_conv", "lah_egf", "lah_hgf", "lah_rec", "q_limits", "qi_bell",
-            "r2", "wl_rec",
+            "r2",
         },
     ),
     "binomial": (classical, "binomial", raise_at_3, {"graham"}),

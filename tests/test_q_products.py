@@ -1,6 +1,6 @@
 """Products of q-integers live in one place, ``qcalc.gqf_point``: no other
-code of the package multiplies a running value by ``qint`` or
-``qint_signed`` inside a ``for`` loop. A q-factorial, a q-falling factorial
+code of the package multiplies a running value by ``qint``, at either
+sign, inside a ``for`` loop. A q-factorial, a q-falling factorial
 or a product of shifted q-integers is a generalized q-factorial
 [t|alpha]_n, so it is read from, and stored in, the one prefix memo of
 ``gqf_point``."""
@@ -11,11 +11,11 @@ from pathlib import Path
 import whitneylah
 
 PACKAGE = Path(whitneylah.__file__).parent
-FACTORS = ("qint", "qint_signed")
+FACTORS = ("qint",)
 
 
 def _is_factor(node: ast.AST) -> bool:
-    """A call of ``qint`` or ``qint_signed``, by name or as an attribute."""
+    """A call of ``qint``, by name or as an attribute."""
     if not isinstance(node, ast.Call):
         return False
     func = node.func
@@ -75,7 +75,7 @@ def test_guard_sees_each_form_inside_a_loop_only():
         "    out = 1\n"
         "    for m in range(n):\n"
         "        out = out * qint(m)\n"
-        "        out = qcalc.qint_signed(-m) * out\n"
+        "        out = qcalc.qint(-m) * out\n"
         "        out *= qint(m, 2)\n"
         "        other = out * qint(m)\n"
         "        out = out * monomial(m)\n"

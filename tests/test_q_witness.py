@@ -31,7 +31,7 @@ import pytest
 from whitneylah.arith import _KRONECKER_MIN, LaurentPoly
 from whitneylah.classical import _triangles
 from whitneylah.dense import lp_dot
-from whitneylah.qcalc import gqf_point, qbinom, qfact, qfalling, qint_signed
+from whitneylah.qcalc import gqf_point, qbinom, qfact, qfalling, qint
 from whitneylah.qroutes import qwl_egf_check
 from whitneylah.qwhitney import qw1, qw2, qwl
 
@@ -185,7 +185,7 @@ def test_dots_at_q_2_and_3_are_the_sums_of_the_products_of_the_values(kronecker_
         if kind == 0:
             return random_dense(rng)
         if kind == 1:
-            return qint_signed(rng.randrange(-12, 13), rng.randrange(1, 4))
+            return qint(rng.randrange(-12, 13), rng.randrange(1, 4))
         return rng.choice((0, 1, -1, rng.randrange(-(10**20), 10**20)))
 
     def value(x, q: int) -> Fraction:

@@ -20,7 +20,6 @@ from whitneylah.qcalc import (
     qfact,
     qfalling,
     qint,
-    qint_signed,
 )
 
 
@@ -38,16 +37,26 @@ class TestQInt:
 
     def test_rejects_bad_args(self):
         with pytest.raises(NegativeArgument):
-            qint(-1)
+            qfact(-1)
+        with pytest.raises(NegativeArgument):
+            qfalling(-1, 0)
         with pytest.raises(ValueError):
             qint(3, 0)
+
+    @pytest.mark.parametrize("base", [1, 2, 3, 4])
+    def test_defining_relation_at_both_signs(self, base):
+        # [m] (1 - q^b) = 1 - q^(m b) over q^b, for every integer m: a
+        # property of the value, whatever run builds it
+        one = LaurentPoly.one()
+        for m in range(-40, 41):
+            assert qint(m, base) * (one - monomial(base)) == one - monomial(m * base), m
 
     @pytest.mark.parametrize(
         "call, name",
         [
             (lambda: qint(10**20), r"\[100000000000000000000\] over q\^1"),
             (lambda: qint(2, 10**20), r"\[2\] over q\^100000000000000000000"),
-            (lambda: qint_signed(-(10**20)), r"\[-100000000000000000000\] over q\^1"),
+            (lambda: qint(-(10**20)), r"\[-100000000000000000000\] over q\^1"),
         ],
     )
     def test_a_run_too_long_for_a_tuple_is_a_domain_error(self, call, name):
@@ -98,10 +107,10 @@ def products(monkeypatch):
 
     def counted(m, base=1):
         calls.append((m, base))
-        return qint_signed(m, base)
+        return qint(m, base)
 
     qcalc._GQF_POINTS.clear()
-    monkeypatch.setattr(qcalc, "qint_signed", counted)
+    monkeypatch.setattr(qcalc, "qint", counted)
     yield calls
     qcalc._GQF_POINTS.clear()
 
@@ -131,7 +140,7 @@ def test_threads_that_sweep_one_key_store_equal_prefixes(cold_memo):
     # storing finds the whole value or none, never a shifted one
     plain = [LaurentPoly.one()]
     for i in range(24):
-        plain.append(plain[-1] * qint_signed(-3 + 2 * i, 2))
+        plain.append(plain[-1] * qint(-3 + 2 * i, 2))
     orders = [range(25), range(24, -1, -1), range(0, 25, 3), [24, 5, 17, 0, 24]]
     errors = []
 

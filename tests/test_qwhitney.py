@@ -10,7 +10,7 @@ from whitneylah.arith import LaurentPoly, monomial
 from whitneylah.base import TruncSeries
 from whitneylah.classical import lah, stirling1u, stirling2
 from whitneylah.dense import lp_eval_q1
-from whitneylah.qcalc import gqf_point, qbinom, qfact, qfalling, qint, qint_signed
+from whitneylah.qcalc import gqf_point, qbinom, qfact, qfalling, qint
 from whitneylah.whitney import InvalidAlpha, dowling
 from whitneylah import qcalc
 from whitneylah.qroutes import (
@@ -24,24 +24,23 @@ from whitneylah.qwhitney import qdowling, qw1, qw2, qwl
 q = LaurentPoly.var()
 
 
-class TestQIntSigned:
+class TestQIntReflection:
     def test_reflection(self):
-        assert qint_signed(3) == qint(3)
-        assert qint_signed(0).is_zero
-        assert qint_signed(-1).to_str() == "-q^-1"
-        assert qint_signed(-2).to_str() == "-q^-2 - q^-1"
+        assert qint(-1).to_str() == "-q^-1"
+        assert qint(-2).to_str() == "-q^-2 - q^-1"
+        assert qint(-3, 2) == -monomial(-6) * qint(3, 2)
 
     def test_reflection_consistency(self):
         # [m] + q^m [-m] reversed: [-m]_q = -q^(-m) [m]_q
         for m in range(1, 8):
-            assert qint_signed(-m) == -1 * (monomial(-m) * qint(m))
+            assert qint(-m) == -1 * (monomial(-m) * qint(m))
 
     @pytest.mark.parametrize("base", [1, 2, 3])
     def test_reflection_over_q_to_the_base(self, base):
         # built as a run of -1 at stride base, with no product
         for m in range(-12, 0):
             expected = -1 * monomial(m * base) * qint(-m, base)
-            value = qint_signed(m, base)
+            value = qint(m, base)
             assert value == expected, (m, base)
             assert dict(value.items()) == {e: -1 for e in range(m * base, 0, base)}
 
@@ -55,9 +54,9 @@ class TestGeneralizedQFactorial:
 
         def counted(m, base=1):
             calls.append(m)
-            return qint_signed(m, base)
+            return qint(m, base)
 
-        monkeypatch.setattr(qcalc, "qint_signed", counted)
+        monkeypatch.setattr(qcalc, "qint", counted)
         for n in range(21):
             gqf_point(-5, 2, n)
         assert calls == [-5 - 2 * i for i in range(20)]
@@ -67,7 +66,7 @@ class TestGeneralizedQFactorial:
         for t in (-1, -4, -7):
             plain = [LaurentPoly.one()]
             for i in range(30):
-                plain.append(plain[-1] * qint_signed(t - i * a))
+                plain.append(plain[-1] * qint(t - i * a))
             # descending, then ascending, then again: each reads its prefixes
             for n in [*range(30, -1, -7), *range(31), 30]:
                 assert gqf_point(t, a, n) == plain[n], (t, a, n)
@@ -98,7 +97,7 @@ class TestFirstKind:
             for n in range(7):
                 for m in range(n + 1):
                     t = m * a
-                    tval = qint_signed(t)
+                    tval = qint(t)
                     rhs = LaurentPoly.zero()
                     for k in range(n + 1):
                         rhs = rhs + qw1(a, n, k) * tval**k
@@ -122,7 +121,7 @@ class TestSecondKind:
             for n in range(7):
                 for m in range(n + 1):
                     t = m * a
-                    tval = qint_signed(t)
+                    tval = qint(t)
                     rhs = LaurentPoly.zero()
                     for k in range(n + 1):
                         rhs = rhs + qw2(a, n, k) * gqf_point(t, a, k)

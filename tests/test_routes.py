@@ -36,8 +36,7 @@ MODULE = {family: module for module in (whitney, qwhitney) for family in module.
 # (family, non-default route) -> the identities that read it
 ROUTE_IDENTITIES = {
     ("twl", "explicit"): {"r1"},
-    ("twl", "product"): {"r2.1"},
-    ("twl", "scaled"): {"r2", "wl_rec"},
+    ("twl", "product"): {"r2.1", "wl_rec"},
     ("mansour_u", "explicit"): {"mansour"},
     ("dowling", "qi"): {"gqif1"},
     ("dowling", "dobinski"): {"dobinski"},
@@ -72,7 +71,7 @@ DEFAULT_ROUTE = {
 ROUTE_POINTS = {"mansour": {"rel": "explicit"}}
 # identity -> why it passes with the default route corrupted: it reads none
 READS_NO_DEFAULT = {
-    "wl_rec": "checks the recurrence on the scaled route's own values",
+    "wl_rec": "checks the recurrence on the product route's own values",
 }
 
 # the arguments of a sample call of each family, before ``route``

@@ -15,7 +15,7 @@ from whitneylah import (
 from whitneylah.arith import LaurentPoly, monomial
 from whitneylah.base import _MEMOS, clear_caches
 from whitneylah.classical import _ROWS, _triangles, lah
-from whitneylah.qcalc import gqf_point, qfact, qint, qint_signed
+from whitneylah.qcalc import gqf_point, qfact, qint
 from whitneylah.verify import (
     Config,
     Grid,
@@ -556,7 +556,7 @@ class TestCheckResult:
 def _literal_q_defs(rel, alpha, n, m):
     """The sides of ``q_defs`` as sums of one product per term."""
     t = m * alpha
-    tval = qint_signed(t)
+    tval = qint(t)
     if rel == "def1":
         lhs = gqf_point(t, alpha, n)
         return lhs, sum(qw1(alpha, n, k) * tval**k for k in range(n + 1))
@@ -643,7 +643,7 @@ class TestHornerSums:
         products, sums = self._trace(monkeypatch)
         for n, m in [(0, 0), (3, 1), (8, 2), (8, 8), (10, 5)]:
             t = m * alpha
-            steps = [qint_signed(t if rel == "def1" else t - i * alpha) for i in range(n)]
+            steps = [qint(t if rel == "def1" else t - i * alpha) for i in range(n)]
             verify._chk_q_defs(rel, alpha, n, m)  # fill the triangle memo
             sums.clear()
             verify._chk_q_defs(rel, alpha, n, m)

@@ -109,7 +109,7 @@ class TestWhitneyLah:
             assert twl(2, 0, 0, route=route) == 1, route
             assert twl(2, 3, 0, route=route) == 0, route
 
-    def test_four_route_agreement(self):
+    def test_route_agreement(self):
         for a in (1, 2, 3):
             for n in range(11):
                 for k in range(n + 1):
@@ -126,6 +126,13 @@ class TestWhitneyLah:
     def test_unknown_route(self):
         with pytest.raises(ValueError, match="unknown route 'oracle' of twl"):
             twl(1, 3, 2, route="oracle")
+
+    def test_scaled_is_not_a_route(self):
+        # alpha^(n-k) L(n,k) is the product route multiplied out; r2 writes it inline
+        message = "unknown route 'scaled' of twl; its routes are recurrence, explicit, product"
+        with pytest.raises(DomainError) as caught:
+            twl(2, 3, 2, route="scaled")
+        assert type(caught.value) is DomainError and str(caught.value) == message
 
     def test_basis_change_identity(self):
         # (t|-a)_n expanded over the (t|a)_k basis with twl coefficients

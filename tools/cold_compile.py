@@ -1,5 +1,5 @@
 """What a cold CLI call compiles: per package module, the time to compile
-its source, and the top-level functions that the command lines never call.
+its source, and the functions and methods that the command lines never call.
 
     python3 tools/cold_compile.py --workload qtable --runs 31
     python3 tools/cold_compile.py --command "eval --family lah --n 3 --k 2" --runs 1
@@ -18,8 +18,9 @@ has loaded at the end are the ones measured. Then each of ``--runs`` fresh
 interpreters compiles every one of those modules' sources once, as import
 does (``compile`` of the source bytes), after one warm-up compile; the
 script prints each module's median over the interpreters and the sum of
-the medians. Last it lists, per module, the top-level functions that no
-command line entered, with their line counts, decorators included: code
+the medians. Last it lists, per module, the functions that no command line
+entered, top-level ones as ``module.function`` and those of class bodies as
+``module.Class.method``, with their line counts, decorators included: code
 that those command lines compile and never run. The lists are read off the
 source with ``ast``; nothing is imported into this process but the
 workloads module. ``--src DIR`` measures the package under another
@@ -102,19 +103,26 @@ def workload_argvs(workload: str) -> list[list[str]]:
 
 
 def uncalled(path: str, entered: set) -> list[tuple[str, int]]:
-    """(name, lines) of each top-level function of the source at ``path``
-    that was not entered. A function's code starts at its first decorator's
-    line, if it has one, else at its ``def``."""
+    """(name, lines) of each function of the source at ``path`` that was not
+    entered, in source order: the top-level functions and those of class
+    bodies, named ``Class.method`` (``Outer.Inner.method`` in a nested
+    class); functions nested in functions are not listed. A function's code
+    starts at its first decorator's line, if it has one, else at its
+    ``def``."""
     tree = ast.parse(Path(path).read_text(), path)
     firsts = {(line, name) for file, line, name in entered if file == path}
-    out = []
-    for node in tree.body:
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        start = min([d.lineno for d in node.decorator_list] + [node.lineno])
-        if not any(start <= line <= node.lineno for line, name in firsts if name == node.name):
-            out.append((node.name, node.end_lineno - start + 1))
-    return out
+    out, bodies = [], [("", tree.body)]
+    while bodies:
+        prefix, body = bodies.pop()
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                bodies.append((f"{prefix}{node.name}.", node.body))
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            start = min([d.lineno for d in node.decorator_list] + [node.lineno])
+            if not any(start <= line <= node.lineno for line, name in firsts if name == node.name):
+                out.append((start, prefix + node.name, node.end_lineno - start + 1))
+    return [(name, lines) for start, name, lines in sorted(out)]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -147,7 +155,7 @@ def main(argv: list[str] | None = None) -> int:
     for name, seconds in medians.items():
         print(f"  {name:<{width}} {1000 * seconds:7.3f}")
     print(f"  {'total':<{width}} {1000 * sum(medians.values()):7.3f}")
-    print("top-level functions no command line enters (lines)")
+    print("functions and methods no command line enters (lines)")
     for name, path in modules.items():
         for function, lines in uncalled(path, entered):
             print(f"  {name}.{function} {lines}")
