@@ -18,23 +18,21 @@ _EXPORTS = {
         "LaurentPoly",
         "monomial",
     ),
-    "base": (
+    "classical": (
         "DomainError",
+        "InvalidAlpha",
         "NonExactDivision",
         "TruncSeries",
-        "clear_caches",
-        "ts_mul_geometric",
-    ),
-    "classical": (
-        "InvalidAlpha",
         "bell",
         "binomial",
+        "clear_caches",
         "falling_poly",
         "genfact_poly",
         "lah",
         "rising_poly",
         "stirling1u",
         "stirling2",
+        "ts_mul_geometric",
     ),
     "dense": (
         "DivisionByZero",

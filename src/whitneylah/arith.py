@@ -3,10 +3,11 @@
 :class:`LaurentPoly` is a dense polynomial with integer coefficients in
 one formal variable with signed integer exponents: a lowest exponent plus
 a tuple of Python ``int`` coefficients. Every q-analogue of the package
-lies in this ring. The ring-agnostic base -- ``DomainError``, the memo
-table and ``TruncSeries`` -- is ``base``, so that the integer families and
-the ``r3`` series run without loading this module; ``TruncSeries`` is
-also bound here, where ``perfbench/tracer.py`` reads it.
+lies in this ring. The ring-agnostic core -- ``DomainError``, the memo
+table, ``TruncSeries`` and the triangle engine -- is ``classical``, so that
+the integer families and the ``r3`` series run without loading this
+module; ``TruncSeries`` is also bound here, where ``perfbench/tracer.py``
+reads it.
 
 This module is the ring that the triangle engine multiplies in: the
 constructors, addition, the products, ``monomial`` and the rendering. The
@@ -44,7 +45,7 @@ from itertools import accumulate, compress, repeat
 from operator import add, mul, sub
 from typing import Iterable, Iterator, Mapping
 
-from .base import _MEMOS, DomainError, TruncSeries, _is_int
+from .classical import _MEMOS, DomainError, TruncSeries, _is_int
 
 
 def _scalar(value) -> int:

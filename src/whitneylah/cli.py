@@ -18,15 +18,15 @@ Each command imports only the modules it runs, and each module holds only
 code that the commands loading it run: with bytecode writing off
 (``PYTHONDONTWRITEBYTECODE=1``, or a read-only install), a cold call
 compiles every module it loads from source, whether it runs that code or
-not. Every call loads ``base``, the ring-agnostic base that defines
-``DomainError``. A family's function or a series check is read off its
-module once per command, which imports that module on a cold call:
-the classical families load the engine module ``classical``; ``whitney1``,
-``whitney2``, ``whitney-lah``, ``dowling`` and ``series --id r3`` load
-``whitney`` and ``classical``, and compute over the integers without the
-Laurent kernel ``arith``; the q-families load ``qwhitney``, ``classical``,
-``qcalc`` and ``arith``, and their tables and default routes run nothing
-more. ``series --id qr1.1`` loads those and ``qroutes``, the q-families'
+not. Every call loads ``classical``, the ring-agnostic core that defines
+``DomainError``, the triangle engine and the classical families. A
+family's function or a series check is read off its module once per
+command, which imports that module on a cold call: the classical families
+load nothing more; ``whitney1``, ``whitney2``, ``whitney-lah``,
+``dowling`` and ``series --id r3`` load ``whitney``, and compute over the
+integers without the Laurent kernel ``arith``; the q-families load
+``qwhitney``, ``qcalc`` and ``arith``, and their tables and default routes
+run nothing more. ``series --id qr1.1`` loads those and ``qroutes``, the q-families'
 second routes and series side, with the dense kernel ``dense`` (sums of
 products, the Kronecker product and exact division). Only ``verify``
 imports the identity registry (``verify``, which holds the command's body)
@@ -66,7 +66,7 @@ from itertools import chain
 from types import SimpleNamespace
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .base import DomainError
+from .classical import DomainError
 
 
 class _Late(NamedTuple):

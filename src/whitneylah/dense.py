@@ -25,7 +25,7 @@ from operator import add, mul, sub
 from typing import Iterable
 
 from .arith import _ZERO_POLY, LaurentPoly, _make, _run, _times, _trimmed
-from .base import DomainError, NonExactDivision
+from .classical import DomainError, NonExactDivision
 
 
 class DivisionByZero(DomainError, ZeroDivisionError):

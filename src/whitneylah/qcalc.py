@@ -24,8 +24,7 @@ import sys
 from functools import lru_cache
 
 from .arith import _ONE_POLY, LaurentPoly, _make, monomial
-from .base import _MEMOS, DomainError, _is_int, _lru_memo
-from .classical import _cell
+from .classical import _MEMOS, DomainError, _cell, _is_int, _lru_memo
 
 
 class InvalidOrder(DomainError):

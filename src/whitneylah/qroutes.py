@@ -32,8 +32,14 @@ from functools import lru_cache
 from typing import Sequence
 
 from .arith import _ONE_POLY, LaurentPoly, monomial
-from .base import TruncSeries, _lru_memo, ts_mul_geometric
-from .classical import _check_alpha, _off_triangle, _row_sum
+from .classical import (
+    TruncSeries,
+    _check_alpha,
+    _lru_memo,
+    _off_triangle,
+    _row_sum,
+    ts_mul_geometric,
+)
 from .dense import lp_div_exact, lp_dot
 from .qcalc import gqf_point, qbinom, qfact, qfalling, qint
 from .qwhitney import _qwl_weights, qw2, qwl

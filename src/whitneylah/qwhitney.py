@@ -44,8 +44,7 @@ bodies nor the dense kernel ``dense`` that they use.
 from __future__ import annotations
 
 from .arith import _ONE_POLY, LaurentPoly, monomial
-from .base import _is_int
-from .classical import InvalidAlpha, _cell, _check_alpha, _check_route, _row_sum
+from .classical import InvalidAlpha, _cell, _check_alpha, _check_route, _is_int, _row_sum
 from .qcalc import qint
 
 ROUTES = {

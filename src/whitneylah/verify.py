@@ -28,8 +28,12 @@ from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
 from .arith import LaurentPoly, monomial
-from .base import _MEMOS, DomainError, TruncSeries, _is_int, _lru_memo, ts_mul_geometric
 from .classical import (
+    _MEMOS,
+    DomainError,
+    TruncSeries,
+    _is_int,
+    _lru_memo,
     bell,
     binomial,
     falling_poly,
@@ -38,6 +42,7 @@ from .classical import (
     rising_poly,
     stirling1u,
     stirling2,
+    ts_mul_geometric,
 )
 from .dense import lp_div_exact, lp_dot, lp_eval_q1
 from .qcalc import gqf_point, qbinom, qfact, qfalling, qint
@@ -198,7 +203,7 @@ class Report(NamedTuple):
     # loop over its points), "skipped_alphas", "max_n" (the largest n
     # checked, None without an n)}
     identities: dict[str, dict]
-    # the memos at the end of the run by name, as ``base._MEMOS`` counts them
+    # the memos at the end of the run by name, as ``classical._MEMOS`` counts them
     caches: dict
 
 
@@ -988,7 +993,7 @@ def report_to_dict(report: Report, *, deterministic: bool = True) -> dict:
     that q-primitive's cache, and
     ``render_formats`` the exponent formats ``LaurentPoly.to_str`` holds,
     over every variable it has rendered. Each memo registers itself in
-    ``base._MEMOS`` where it is defined; ``caches`` reads that table and
+    ``classical._MEMOS`` where it is defined; ``caches`` reads that table and
     ``clear_caches()`` empties it."""
     doc = {
         "config": report.config.as_dict(),

@@ -20,8 +20,8 @@ n!, so a check reads one integer and divides it by k!. Only
 the explicit two-sequence formula and the Dobinski bracket compute with
 rationals, and they import ``fractions`` when called, so the Whitney and
 Dowling families and ``r3`` run without it. The module takes its errors,
-memo table and ``TruncSeries`` from ``base`` and never loads the Laurent
-kernel ``arith``.
+memo table and ``TruncSeries`` from ``classical`` and never loads the
+Laurent kernel ``arith``.
 """
 
 from __future__ import annotations
@@ -32,22 +32,20 @@ from itertools import accumulate
 from operator import mul
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .base import (
+from .classical import (
     DomainError,
+    InvalidAlpha,
     NonExactDivision,
     TruncSeries,
-    _lru_memo,
-    ts_mul_geometric,
-)
-from .classical import (
-    InvalidAlpha,
     _cell,
     _check_alpha,
     _check_route,
+    _lru_memo,
     _off_triangle,
     _row_sum,
     _tw1_weights,
     _tw2_weights,
+    ts_mul_geometric,
 )
 
 if TYPE_CHECKING:

@@ -6,16 +6,16 @@ from pathlib import Path
 
 import pytest
 
-from whitneylah import base, dense
+from whitneylah import classical, dense
 
 
 @pytest.fixture
 def cold_memo():
     """Every memo that ``Report.caches`` counts is empty before and after
     the test."""
-    base.clear_caches()
+    classical.clear_caches()
     yield
-    base.clear_caches()
+    classical.clear_caches()
 
 
 @pytest.fixture

@@ -1,7 +1,8 @@
 """The verdict of ``tools/bench_pairs.summarise`` on hand-made runs: a gain
 needs nine tenths of the pairs and a median margin above the parent's
 interquartile range, ties count for neither side, and a metric's
-direction decides which side wins; the unscaled figures of each run's
+direction decides which side wins; a metric with a bound is worse past
+it and unresolved when the parent's spread is wider; the unscaled figures of each run's
 ``measured`` line are summarised per side beside the scaled ones; a traced
 run's per-layer figures are kept by name."""
 
@@ -85,6 +86,29 @@ def test_change_vs_parent_is_the_relative_change_of_the_medians(metric):
     up = verdict(metric, PARENT, [p * 1.25 for p in PARENT])
     assert down["change_vs_parent"] == pytest.approx(-0.25)
     assert up["change_vs_parent"] == pytest.approx(0.25)
+
+
+@pytest.mark.parametrize("scale, worse", [(1.26, True), (1.2, False), (0.5, False)])
+def test_worse_is_a_median_past_the_bound(scale, worse):
+    # the bound is 0.25 of the parent's median of 10.0
+    assert verdict(LOWER, PARENT, [p * scale for p in PARENT])["worse"] is worse
+    higher = {**HIGHER, "bound": 0.25}
+    assert verdict(higher, PARENT, [p * (2 - scale) for p in PARENT])["worse"] is worse
+
+
+def test_unresolved_is_a_parent_spread_wider_than_the_bound():
+    # the parent's interquartile range is 1.0, a tenth of its median
+    narrow = {**LOWER, "bound": 0.05}
+    assert verdict(narrow, PARENT, PARENT)["unresolved"] is True
+    assert verdict(narrow, PARENT, [p * 1.2 for p in PARENT])["unresolved"] is True
+    # unless every change run beats every parent run
+    assert verdict(narrow, PARENT, [p - 2.1 for p in PARENT])["unresolved"] is False
+    assert verdict(LOWER, PARENT, PARENT)["unresolved"] is False
+
+
+def test_a_metric_without_a_bound_has_no_regression_verdict():
+    got = verdict(HIGHER, PARENT, PARENT)
+    assert (got["worse"], got["unresolved"]) == (None, None)
 
 
 def test_the_measured_line_is_read_off_stderr():

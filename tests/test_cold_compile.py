@@ -17,8 +17,8 @@ def test_one_q_lah_eval(capsys):
     out = capsys.readouterr().out
     timed = dict(re.findall(r"^  (whitneylah[\w.]*) +(\d+\.\d{3})$", out, re.M))
     assert set(timed) == {
-        "whitneylah", "whitneylah.arith", "whitneylah.base", "whitneylah.classical",
-        "whitneylah.cli", "whitneylah.qcalc", "whitneylah.qwhitney",
+        "whitneylah", "whitneylah.arith", "whitneylah.classical", "whitneylah.cli",
+        "whitneylah.qcalc", "whitneylah.qwhitney",
     }
     assert out.startswith("1 command lines, exit codes 0\n")
     uncalled = dict(re.findall(r"^  (whitneylah(?:\.\w+){2,3}) (\d+)$", out, re.M))
@@ -28,6 +28,6 @@ def test_one_q_lah_eval(capsys):
     assert "whitneylah.cli._cmd_eval" not in uncalled
     # methods are listed as module.Class.method: a cell multiplies no series,
     # and printing it renders a polynomial
-    assert "whitneylah.base.TruncSeries.__mul__" in uncalled
+    assert "whitneylah.classical.TruncSeries.__mul__" in uncalled
     assert "whitneylah.arith.LaurentPoly.to_str" not in uncalled
     assert all(int(lines) > 0 for lines in uncalled.values())

@@ -8,6 +8,7 @@ import.
 """
 
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -26,13 +27,10 @@ SRC = Path(whitneylah.__file__).resolve().parents[1]
 # Every name the package exports, by the submodule that defines it.
 EXPORTS = {
     "arith": ["LaurentPoly", "monomial"],
-    "base": [
-        "DomainError", "NonExactDivision", "TruncSeries", "clear_caches",
-        "ts_mul_geometric",
-    ],
     "classical": [
-        "InvalidAlpha", "bell", "binomial", "falling_poly", "genfact_poly", "lah",
-        "rising_poly", "stirling1u", "stirling2",
+        "DomainError", "InvalidAlpha", "NonExactDivision", "TruncSeries", "bell",
+        "binomial", "clear_caches", "falling_poly", "genfact_poly", "lah",
+        "rising_poly", "stirling1u", "stirling2", "ts_mul_geometric",
     ],
     "dense": ["DivisionByZero", "lp_div_exact", "lp_dot", "lp_eval_q1"],
     "qcalc": [
@@ -323,6 +321,17 @@ class TestImportSet:
         assert run.returncode == 0, run.stderr
         assert run.stdout == "[]\n"
 
+    @pytest.mark.parametrize(
+        "module", sorted(info.name for info in pkgutil.iter_modules(whitneylah.__path__))
+    )
+    def test_each_module_imports_first_and_alone(self, module):
+        """In a new interpreter, with no other submodule loaded before it:
+        pytest imports the modules in one order, which hides a cycle such
+        as ``arith``'s import of ``classical`` against the kernel imports
+        that ``classical`` makes only when called."""
+        run = fresh_python(f"import whitneylah.{module}")
+        assert (run.returncode, run.stderr) == (0, "")
+
     def test_table_and_eval_load_neither_the_registry_nor_dataclasses_nor_json(self):
         loaded = loaded_by(
             "table --family q-whitney1 --alpha 2 --n-max 3",
@@ -370,7 +379,8 @@ class TestImportSet:
 
     def test_classical_evals_load_no_family_module(self):
         """Nor ``qcalc`` or the Laurent kernel ``arith``: the CLI imports
-        only ``base``, which defines the one error class it catches."""
+        only ``classical``, which defines the one error class it catches
+        and the classical families."""
         loaded = loaded_by(
             "eval --family lah --n 5 --k 2",
             "eval --family stirling2 --n 5 --k 2",
@@ -472,12 +482,23 @@ class TestLazyPackage:
         assert not hasattr(import_module(f"whitneylah.{old}"), name)
         assert hasattr(import_module(f"whitneylah.{new}"), name)
 
-    def test_the_kernel_binds_the_series_class_of_base(self):
-        """``arith.TruncSeries`` is the one class, defined in ``base``: the
-        benchmark's tracer reads it from the kernel."""
-        from whitneylah import arith, base
+    def test_the_kernel_binds_the_series_class_of_the_core(self):
+        """``arith.TruncSeries`` is the one class, defined in ``classical``:
+        the benchmark's tracer reads it from the kernel."""
+        from whitneylah import arith, classical
 
-        assert arith.TruncSeries is base.TruncSeries
+        assert arith.TruncSeries is classical.TruncSeries
+
+    def test_the_base_module_is_gone(self):
+        """``base`` folded into ``classical``, which defines its names; the
+        package neither imports nor names it."""
+        from importlib import import_module
+
+        with pytest.raises(ModuleNotFoundError, match="whitneylah.base"):
+            import_module("whitneylah.base")
+        with pytest.raises(AttributeError, match="base"):
+            whitneylah.base
+        assert "base" not in dir(whitneylah)
 
     def test_invalid_alpha_has_one_definition(self):
         """``whitney`` re-exports the engine module's ``InvalidAlpha``, so
@@ -521,8 +542,8 @@ class TestLazyPackage:
     def test_names_of_a_fresh_package(self):
         """In a new interpreter: ``dir`` lists the names before any is
         loaded, and the first access imports just the defining submodule
-        and those it imports: ``qcalc`` reads the Laurent kernel, the base
-        and the triangle engine."""
+        and those it imports: ``qcalc`` reads the Laurent kernel and the
+        core, whose triangle engine holds the Gaussian binomials."""
         run = fresh_python(
             "import sys, whitneylah\n"
             "names = set(dir(whitneylah))\n"
@@ -532,8 +553,7 @@ class TestLazyPackage:
         )
         assert run.returncode == 0, run.stderr
         assert run.stdout == (
-            "0 ['whitneylah.arith', 'whitneylah.base', 'whitneylah.classical',"
-            " 'whitneylah.qcalc']\n"
+            "0 ['whitneylah.arith', 'whitneylah.classical', 'whitneylah.qcalc']\n"
         )
 
 

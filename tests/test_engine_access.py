@@ -2,7 +2,7 @@
 every other module reads the triangle engine through ``classical._cell`` and
 ``classical._row_sum``, which hold the zero outside the triangle, so no
 family restates that rule or indexes a row itself. The memo registers itself
-in ``base._MEMOS`` where it is defined, so ``Report.caches`` and
+in ``classical._MEMOS`` where it is defined, so ``Report.caches`` and
 ``clear_caches()`` reach it through that table, not by name."""
 
 import ast

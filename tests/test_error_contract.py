@@ -16,7 +16,7 @@ import pytest
 
 import whitneylah
 from whitneylah import classical, whitney
-from whitneylah.base import DomainError
+from whitneylah.classical import DomainError
 from whitneylah.cli import main
 
 PACKAGE = Path(whitneylah.__file__).parent
@@ -27,7 +27,7 @@ BUILTIN_RAISES = {
     ("arith.py:_scalar", "TypeError"): "a coefficient's type",
     ("arith.py:LaurentPoly.__init__", "TypeError"): "an exponent's type",
     ("arith.py:monomial", "TypeError"): "an exponent's type",
-    ("base.py:TruncSeries.coeff", "IndexError"): "an index past the truncation order",
+    ("classical.py:TruncSeries.coeff", "IndexError"): "an index past the truncation order",
     ("dense.py:lp_dot", "TypeError"): "an operand's type",
     ("verify.py:_Frozen.__setattr__", "AttributeError"): "an immutable record",
     ("verify.py:_Frozen.__delattr__", "AttributeError"): "an immutable record",

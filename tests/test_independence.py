@@ -17,8 +17,8 @@ import sys
 
 import pytest
 
-from whitneylah import base, classical, qcalc, qwhitney, verify, whitney
-from whitneylah.base import TruncSeries
+from whitneylah import classical, qcalc, qwhitney, verify, whitney
+from whitneylah.classical import TruncSeries
 from whitneylah.verify import run_suite
 
 
@@ -138,7 +138,10 @@ CASES = {
     # the series sides of the EGF checks and pe2's products; no other
     # identity builds a series, so r2, r2.1 and qr1 pass
     "ts_mul_geometric": (
-        base, "ts_mul_geometric", raise_coefficient_3, {"lah_egf", "pe2", "qr1.1", "r3"}
+        classical,
+        "ts_mul_geometric",
+        raise_coefficient_3,
+        {"lah_egf", "pe2", "qr1.1", "r3"},
     ),
     # the closed forms outside the engine
     "lah": (
@@ -229,13 +232,13 @@ def test_each_identity_that_reads_a_corrupted_primitive_fails(case, monkeypatch)
     read, failed = set(), set()
     for ident, spec in registry.items():
         monkeypatch.setattr(verify, "_REGISTRY", {ident: spec})
-        base.clear_caches()
+        classical.clear_caches()
         calls.clear()
         alphas = tuple(a for a in (1, 2, 3) if a in spec.grid.alphas)
         if run_suite(alpha_list=alphas, n_max=6).failed:
             failed.add(ident)
         if calls:
             read.add(ident)
-    base.clear_caches()
+    classical.clear_caches()
     assert failed == expected
     assert read - failed == {ident for c, ident in READ_AND_PASS if c == case}

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from whitneylah import arith
 from whitneylah import dense as dense_kernel
 from whitneylah.arith import _KRONECKER_MIN, _RUN_MIN, LaurentPoly, _run
-from whitneylah.base import NonExactDivision
+from whitneylah.classical import NonExactDivision
 from whitneylah.dense import DivisionByZero, lp_div_exact, lp_dot, lp_eval_q1
 
 _ZERO = Fraction(0)

@@ -1,5 +1,5 @@
 """The exact kernel computes over the integers: none of ``arith.py``,
-``dense.py`` and ``base.py``, which holds ``TruncSeries``, imports
+``dense.py`` and ``classical.py``, which holds ``TruncSeries``, imports
 ``fractions`` or names ``Fraction``. The package's one rational series is formed outside the
 kernel, in ``whitney.py``."""
 
@@ -9,7 +9,7 @@ from pathlib import Path
 import whitneylah
 
 KERNEL = [
-    Path(whitneylah.__file__).parent / name for name in ("arith.py", "base.py", "dense.py")
+    Path(whitneylah.__file__).parent / name for name in ("arith.py", "classical.py", "dense.py")
 ]
 
 

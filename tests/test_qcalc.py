@@ -8,10 +8,9 @@ import threading
 import pytest
 
 from whitneylah.arith import LaurentPoly, monomial
-from whitneylah.base import DomainError, TruncSeries, ts_mul_geometric
 from whitneylah.dense import lp_div_exact, lp_eval_q1
 from whitneylah import qcalc
-from whitneylah.classical import _triangles
+from whitneylah.classical import DomainError, TruncSeries, _triangles, ts_mul_geometric
 from whitneylah.qcalc import (
     InvalidOrder,
     NegativeArgument,

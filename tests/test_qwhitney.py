@@ -7,8 +7,7 @@ from functools import partial
 import pytest
 
 from whitneylah.arith import LaurentPoly, monomial
-from whitneylah.base import TruncSeries
-from whitneylah.classical import lah, stirling1u, stirling2
+from whitneylah.classical import TruncSeries, lah, stirling1u, stirling2
 from whitneylah.dense import lp_eval_q1
 from whitneylah.qcalc import gqf_point, qbinom, qfact, qfalling, qint
 from whitneylah.whitney import InvalidAlpha, dowling

@@ -23,8 +23,8 @@ import pytest
 
 import whitneylah
 from test_independence import raise_first_of_row_3, raise_row_3, rebind_everywhere
-from whitneylah import base, classical, qroutes, qwhitney, verify, whitney
-from whitneylah.base import DomainError
+from whitneylah import classical, qroutes, qwhitney, verify, whitney
+from whitneylah.classical import DomainError
 from whitneylah.verify import run_suite
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -138,10 +138,10 @@ def test_the_registry_reads_each_route_in_the_identities_named(monkeypatch):
             current[0] = ident
             alphas = tuple(a for a in (1, 2, 3) if a in spec.grid.alphas)
             for mode in verify.MODES:
-                base.clear_caches()
+                classical.clear_caches()
                 run_suite(alpha_list=alphas, n_max=6, mode=mode)
     finally:
-        base.clear_caches()
+        classical.clear_caches()
     assert read == ROUTE_IDENTITIES
 
 
@@ -157,7 +157,7 @@ def test_a_corrupted_default_route_fails_each_identity_of_the_route(key, monkeyp
         for ident in sorted(ROUTE_IDENTITIES[key]):
             spec = registry[ident]
             monkeypatch.setattr(verify, "_REGISTRY", {ident: spec})
-            base.clear_caches()
+            classical.clear_caches()
             calls.clear()
             alphas = tuple(a for a in (1, 2, 3) if a in spec.grid.alphas)
             failed = run_suite(alpha_list=alphas, n_max=6).failed
@@ -167,7 +167,7 @@ def test_a_corrupted_default_route_fails_each_identity_of_the_route(key, monkeyp
             where = ROUTE_POINTS.get(ident, {}).items()
             assert any(all(r.params[p] == v for p, v in where) for r in failed), ident
     finally:
-        base.clear_caches()
+        classical.clear_caches()
 
 
 # family -> its value at (alpha, n, k) by a route; a sequence takes no k, and

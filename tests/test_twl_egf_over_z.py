@@ -11,7 +11,7 @@ import pytest
 
 from independent import whitney_lah
 from whitneylah import cli, whitney
-from whitneylah.base import NonExactDivision, TruncSeries
+from whitneylah.classical import NonExactDivision, TruncSeries
 from whitneylah.verify import get_identity, run_suite
 from whitneylah.whitney import twl_egf_check
 

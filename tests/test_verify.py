@@ -10,11 +10,10 @@ from fractions import Fraction
 import pytest
 
 from whitneylah import (
-    arith, base, classical, cli, dense, qcalc, qroutes, qwhitney, verify, whitney,
+    arith, classical, cli, dense, qcalc, qroutes, qwhitney, verify, whitney,
 )
 from whitneylah.arith import LaurentPoly, monomial
-from whitneylah.base import _MEMOS, clear_caches
-from whitneylah.classical import _ROWS, _triangles, lah
+from whitneylah.classical import _MEMOS, _ROWS, _triangles, clear_caches, lah
 from whitneylah.qcalc import gqf_point, qfact, qint
 from whitneylah.verify import (
     Config,
@@ -430,7 +429,7 @@ def test_every_lru_cache_enters_the_memo_table():
     missing = [
         f"{module.__name__}.{name}"
         for module in (
-            arith, base, classical, cli, dense, qcalc, qroutes, qwhitney, verify, whitney,
+            arith, classical, cli, dense, qcalc, qroutes, qwhitney, verify, whitney,
         )
         for name, value in vars(module).items()
         if hasattr(value, "cache_info")

@@ -10,8 +10,9 @@ import pytest
 from independent import whitney_lah
 from whitneylah import whitney
 from whitneylah.arith import LaurentPoly
-from whitneylah.base import DomainError, TruncSeries
 from whitneylah.classical import (
+    DomainError,
+    TruncSeries,
     bell,
     binomial,
     genfact_poly,

@@ -23,8 +23,14 @@ median relative to the parent's, the parent's interquartile range, and
 ``change_wins``, the pairs in which the change's value is better (a tie
 counts for neither side). ``gain`` is true when the change wins at least
 nine tenths of the pairs and its median is better than the parent's by
-more than the parent's interquartile range. A metric that ``run.py`` also
-measures unscaled gets ``measured``: each side's median and quartiles of
+more than the parent's interquartile range. A metric with a ``bound`` (a
+share of the parent's median) also gets the no-regression verdict:
+``worse`` is true when the change's median is worse than the parent's by
+more than the bound, and ``unresolved`` is true when the parent's
+interquartile range is wider than the bound and not every change run
+beats every parent run, so a move inside the bound cannot be told from
+the spread; both are None for a metric without a bound. A metric that
+``run.py`` also measures unscaled gets ``measured``: each side's median and quartiles of
 the unscaled figure, over the runs that have one. A load burst during the
 reference task moves the scaled figures of a run, not the unscaled ones.
 A metric's direction and bound are read from the change's
@@ -110,7 +116,7 @@ def summarise(runs: list[dict], metrics: list[dict], pairs: int) -> dict:
     """Per metric of ``metrics``, both sides' figures over the pairs of ``runs``."""
     summary = {}
     for metric in metrics:
-        name, lower = metric["name"], metric["better"] == "lower"
+        name, lower, bound = metric["name"], metric["better"] == "lower", metric.get("bound")
         side = {
             s: [r["result"]["metrics"][name]["value"] for r in runs if r["side"] == s]
             for s in ("parent", "change")
@@ -119,10 +125,15 @@ def summarise(runs: list[dict], metrics: list[dict], pairs: int) -> dict:
         wins = sum((c < p) if lower else (c > p) for p, c in zip(side["parent"], side["change"]))
         iqr = parent["q3"] - parent["q1"]
         margin = parent["median"] - change["median"] if lower else change["median"] - parent["median"]
+        if lower:
+            beats_all = max(side["change"]) < min(side["parent"])
+        else:
+            beats_all = min(side["change"]) > max(side["parent"])
+        allowed = None if bound is None else bound * abs(parent["median"])
         summary[name] = {
             "unit": metric["unit"],
             "better": metric["better"],
-            "bound": metric.get("bound"),
+            "bound": bound,
             "parent": parent,
             "change": change,
             "change_vs_parent": change["median"] / parent["median"] - 1 if parent["median"] else None,
@@ -130,6 +141,8 @@ def summarise(runs: list[dict], metrics: list[dict], pairs: int) -> dict:
             "change_wins": wins,
             "pairs": pairs,
             "gain": wins >= 0.9 * pairs and margin > iqr,
+            "worse": None if bound is None else -margin > allowed,
+            "unresolved": None if bound is None else iqr > allowed and not beats_all,
         }
         measured = measured_quartiles(runs, name)
         if measured is not None:
